@@ -24,6 +24,7 @@ import json
 import sys
 
 from .errors import SingindexError
+from .grobner import DEFAULT_DEGREE_CAP
 from .jobs import COMMANDS, Report, run_job, validate
 
 
@@ -46,7 +47,7 @@ def _build_parser():
     parser.add_argument(
         "--degree-cap",
         type=int,
-        default=40,
+        default=DEFAULT_DEGREE_CAP,
         help="abort basis computations beyond this total degree",
     )
     parser.add_argument(
@@ -92,10 +93,10 @@ def _load_document(args):
             raise SystemExit(f"job file says op {stated!r} but {op!r} was requested")
         document["op"] = op
     document.setdefault("op", "")
-    options = dict(document.get("options", {}))
-    options.setdefault("seed", args.seed)
-    options.setdefault("degree_cap", args.degree_cap)
-    document["options"] = options
+    options = document.setdefault("options", {})
+    if isinstance(options, dict):
+        options.setdefault("seed", args.seed)
+        options.setdefault("degree_cap", args.degree_cap)
     return document
 
 

@@ -8,11 +8,13 @@ Local ideals (the ring of germs at the origin) use the negative-degree
 reverse-lexicographic order and Mora's ecart-controlled weak normal form.
 The weak normal form decides membership (it returns zero exactly on
 elements of the localized ideal) but only determines classes up to a unit
-factor, so the quotient-algebra machinery computes exact class
-representatives by linear algebra modulo ``I + m^T`` where T exceeds the
-top staircase degree; since the local order refines the degree
-filtration, ``m^T`` is then contained in the localized ideal and the
-truncation is faithful.
+factor.  Exact class representatives come from the strong normal form
+taken modulo ``I + m^(T+1)``, T the top staircase degree: the local order
+refines the degree filtration, so ``m^(T+1)`` is contained in the
+localized ideal, the truncation is faithful, and the reduction lands on
+the staircase monomials (Greuel-Pfister, *A Singular Introduction to
+Commutative Algebra*, the chapters on Mora's normal form and the
+Hilbert-Samuel function).
 """
 
 from __future__ import annotations
@@ -140,24 +142,32 @@ def _truncate(poly, bound):
     )
 
 
-def _normal_form_global(p, basis, order, cap, tail=True):
-    """Strong normal form: no remaining monomial (or only the leading one
-    when tail=False) is divisible by a basis leading term."""
+def _strong_normal_form(p, basis, order, cap, truncation=None):
+    """Strong normal form: no monomial of the result is divisible by a
+    basis leading term.
+
+    With a truncation bound, terms of total degree above it are dropped
+    after every step, so the reduction runs modulo the next power of the
+    maximal ideal.  A local order refines the degree, so each step still
+    lowers the leading monomial within the finite set of monomials of
+    degree at most the bound, and the reduction terminates.
+    """
     ctx = p.context
     remainder = {}
-    work = p
+    work = p if truncation is None else _truncate(p, truncation)
     while not work.is_zero:
-        _check_cap(work, cap)
+        if truncation is None:
+            _check_cap(work, cap)
         m, c = work.leading_term(order)
         hit = next((b for b in basis if monomial_divides(b[0], m)), None)
         if hit is None:
             remainder[m] = c
             work = work - Polynomial(ctx, {m: c})
-            if not tail:
-                return work + Polynomial(ctx, remainder)
         else:
             lt, lc, g = hit
             work = work - g.term_mul(monomial_quotient(m, lt), c / lc)
+            if truncation is not None:
+                work = _truncate(work, truncation)
     return Polynomial(ctx, remainder)
 
 
@@ -230,7 +240,7 @@ class StandardBasis:
         if p.context != self.ideal.context:
             raise RejectedInputError("context mismatch in normal form")
         if self.locality == "global":
-            return _normal_form_global(p, self._lead, self.order, degree_cap)
+            return _strong_normal_form(p, self._lead, self.order, degree_cap)
         return _normal_form_mora(p, self._lead, self.order, degree_cap)
 
     def contains(self, p, degree_cap=DEFAULT_DEGREE_CAP):
@@ -274,7 +284,7 @@ def _completion(generators, order, degree_cap, truncation=None):
         if order.is_local:
             h = _normal_form_mora(s, lead, order, degree_cap, truncation)
         else:
-            h = _normal_form_global(s, lead, order, degree_cap)
+            h = _strong_normal_form(s, lead, order, degree_cap)
         if h.is_zero:
             continue
         h = h.monic(order)
@@ -381,7 +391,7 @@ def standard_basis(ideal, order=None, degree_cap=DEFAULT_DEGREE_CAP):
         reduced = []
         for pos, g in enumerate(minimal):
             others = [lead[q] for q in range(len(minimal)) if q != pos]
-            reduced.append(_normal_form_global(g, others, order, degree_cap).monic(order))
+            reduced.append(_strong_normal_form(g, others, order, degree_cap).monic(order))
         minimal = reduced
 
     minimal = sorted(minimal, key=lambda g: order.key(g.leading_term(order)[0]))
@@ -458,102 +468,44 @@ def localized_colength(ideal, point, degree_cap=DEFAULT_DEGREE_CAP):
 # quotient algebras
 
 
-class _TruncatedReducer:
-    """Exact class computation modulo I + m^T for a local ideal.
-
-    Columns are the monomials of degree < T sorted descending in the
-    global order; rows are truncations of monomial multiples of the
-    generators, kept in echelon form.  Reduction of a polynomial first
-    drops its degree >= T part (contained in the localized ideal) and
-    then eliminates pivots, landing in the span of the non-pivot
-    monomials.
-    """
-
-    def __init__(self, generators, context, truncation):
-        self.context = context
-        self.truncation = truncation
-        cols = monomials_up_to_degree(len(context), truncation)
-        cols.sort(key=GLOBAL_ORDER.key, reverse=True)
-        self.cols = cols
-        self.col_index = {m: i for i, m in enumerate(cols)}
-        self.pivots = {}  # col position -> reduced row (list of Fractions)
-        for g in generators:
-            mind = g.min_degree()
-            if mind < 0:
-                continue
-            if mind == 0:
-                raise InternalCheckError("unit generator reached the truncated reducer")
-            for m in monomials_up_to_degree(len(context), truncation - mind):
-                self._insert(self._vector(g.term_mul(m, Fraction(1))))
-        self.free_cols = [i for i in range(len(cols)) if i not in self.pivots]
-
-    def _vector(self, poly):
-        v = [Fraction(0)] * len(self.cols)
-        for mono, c in poly.terms.items():
-            if monomial_degree(mono) < self.truncation:
-                v[self.col_index[mono]] = c
-        return v
-
-    def _eliminate(self, v):
-        for pos in range(len(v)):
-            if v[pos] != 0 and pos in self.pivots:
-                f = v[pos]
-                row = self.pivots[pos]
-                for k in range(pos, len(v)):
-                    if row[k] != 0:
-                        v[k] -= f * row[k]
-        return v
-
-    def _insert(self, v):
-        v = self._eliminate(v)
-        lead = next((i for i, x in enumerate(v) if x != 0), None)
-        if lead is None:
-            return
-        inv = Fraction(1) / v[lead]
-        v = [x * inv for x in v]
-        for pos, row in self.pivots.items():
-            if row[lead] != 0:
-                f = row[lead]
-                self.pivots[pos] = [a - f * b for a, b in zip(row, v)]
-        self.pivots[lead] = v
-
-    def reduce_coords(self, poly):
-        """Coordinates of the class of poly over the free columns."""
-        v = self._eliminate(self._vector(poly))
-        return [v[i] for i in self.free_cols]
-
-    def free_monomials(self):
-        return [self.cols[i] for i in self.free_cols]
-
-
 class QuotientAlgebra:
     """Finite dimensional algebra O/I with a monomial basis.
 
     basis monomials are the standard monomials of the computed standard
-    basis, sorted ascending; the class of 1 is the unit.  Multiplication
-    is looked up from a table of reduced basis products, so it is exact,
-    commutative, and associative by construction of the reduction.
+    basis, sorted ascending; the class of 1 is the unit (for the unit
+    ideal the basis is empty and the algebra is zero).  Classes are read
+    off the strong normal form, modulo ``m^(truncation+1)`` for local
+    ideals.  Multiplication is looked up from a table of reduced basis
+    products, so it is exact, commutative, and associative by
+    construction of the reduction.
     """
 
-    def __init__(self, ideal, sb, basis, coords_fn):
-        self.ideal = ideal
+    def __init__(self, sb, basis, truncation, degree_cap):
+        self.ideal = sb.ideal
         self.standard_basis = sb
-        self.context = ideal.context
+        self.context = sb.ideal.context
         self.basis = tuple(basis)
         self.dimension = len(basis)
-        self._coords_fn = coords_fn
+        self.truncation = truncation
+        self._degree_cap = degree_cap
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._table = {}
-        unit = (0,) * len(self.context)
-        if unit not in self._index:
+        if self.basis and (0,) * len(self.context) not in self._index:
             raise InternalCheckError("unit monomial missing from quotient basis")
-        self.unit_index = self._index[unit]
+
+    def _normal_form(self, poly):
+        """Strong normal form of poly, supported on the basis monomials."""
+        sb = self.standard_basis
+        return _strong_normal_form(
+            poly, sb._lead, sb.order, self._degree_cap, self.truncation
+        )
 
     def coords(self, poly):
         """Coordinates of the class of poly in the monomial basis."""
         if poly.context != self.context:
             raise RejectedInputError("context mismatch in quotient reduction")
-        return self._coords_fn(poly)
+        terms = self._normal_form(poly).terms
+        return [terms.get(m, Fraction(0)) for m in self.basis]
 
     def reduce(self, poly):
         """Canonical representative supported on the basis monomials."""
@@ -584,12 +536,39 @@ class QuotientAlgebra:
         return out
 
 
+def _certify_truncated_basis(algebra):
+    """Buchberger's criterion modulo ``m^(T+1)``, T the truncation bound.
+
+    Every ideal generator and every S-polynomial of the basis must have
+    truncated strong normal form zero.  Then I + m^(T+1) lies in the
+    ideal generated by the basis and m^(T+1), and the staircase below T+1
+    is a vector space basis of the quotient by the latter: a basis
+    element missing from the computation is caught.  A basis element
+    outside I would pass unnoticed; it only shrinks the staircase.
+    """
+    sb = algebra.standard_basis
+    lead = sb._lead
+    checks = list(algebra.ideal.generators)
+    for i in range(len(lead)):
+        for j in range(i):
+            checks.append(_spoly(lead[i][0], lead[i][2], lead[j][0], lead[j][2], sb.order))
+    for p in checks:
+        if not algebra._normal_form(p).is_zero:
+            raise InternalCheckError(
+                "standard basis fails Buchberger's criterion modulo "
+                f"m^{algebra.truncation + 1}"
+            )
+
+
 def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """Quotient algebra with basis and exact multiplication.
 
-    Raises NotIsolatedError when the colength is infinite.  The local
-    case certifies itself: the staircase count from the standard basis
-    must agree with the dimension of the truncated model.
+    Raises NotIsolatedError when the colength is infinite; the unit ideal
+    gives the zero algebra.  For a local ideal, classes are computed
+    modulo ``I + m^(T+1)`` with T the top staircase degree: every
+    monomial of degree T+1 is a leading monomial, so m^(T+1) lies in the
+    localized ideal and the truncation is exact.  The local case
+    certifies itself by Buchberger's criterion modulo m^(T+1).
     """
     sb = standard_basis(ideal, degree_cap=degree_cap)
     stairs = staircase_monomials(sb)
@@ -598,45 +577,9 @@ def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):
             "ideal is not zero-dimensional: singular point not isolated"
         )
     basis = sorted(stairs, key=GLOBAL_ORDER.key)
-    dim = len(basis)
-    if dim == 0:
-        raise NotIsolatedError("unit ideal: there is no singular point at the origin")
-
     if ideal.locality == "global":
-        lead = sb._lead
-
-        def coords(poly, _lead=lead, _order=sb.order, _cap=degree_cap, _basis=basis):
-            nf = _normal_form_global(poly, _lead, _order, _cap)
-            return [nf.terms.get(m, Fraction(0)) for m in _basis]
-
-        return QuotientAlgebra(ideal, sb, basis, coords)
-
-    truncation = max(monomial_degree(m) for m in basis) + 1
-    reducer = _TruncatedReducer(ideal.generators, ideal.context, truncation)
-    free = reducer.free_monomials()
-    if len(free) != dim:
-        raise InternalCheckError(
-            f"staircase count {dim} disagrees with truncated model {len(free)}"
-        )
-    # change of basis from the staircase monomials to the free columns
-    from .linalg import invert
-
-    columns = []
-    for b in basis:
-        columns.append(
-            reducer.reduce_coords(Polynomial(ideal.context, {b: Fraction(1)}))
-        )
-    matrix = [[columns[j][i] for j in range(dim)] for i in range(dim)]
-    try:
-        inverse = invert(matrix)
-    except RejectedInputError:
-        raise InternalCheckError("staircase monomials failed to span the quotient")
-
-    def coords(poly, _red=reducer, _inv=inverse, _dim=dim):
-        v = _red.reduce_coords(poly)
-        return [
-            sum((_inv[i][k] * v[k] for k in range(_dim)), Fraction(0))
-            for i in range(_dim)
-        ]
-
-    return QuotientAlgebra(ideal, sb, basis, coords)
+        return QuotientAlgebra(sb, basis, None, degree_cap)
+    truncation = max((monomial_degree(m) for m in basis), default=0)
+    algebra = QuotientAlgebra(sb, basis, truncation, degree_cap)
+    _certify_truncated_basis(algebra)
+    return algebra

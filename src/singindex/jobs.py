@@ -182,12 +182,35 @@ def _check_polys(diag, value, path, count=None):
     return True
 
 
+def _is_permutation(value, degree):
+    """A permutation of 1..degree in one-line notation."""
+    return (
+        isinstance(value, list)
+        and all(isinstance(x, int) for x in value)
+        and sorted(value) == list(range(1, degree + 1))
+    )
+
+
+def _is_rational(value):
+    """Accepted as an exact rational by ``Fraction(str(value))``.  Strings
+    in exponent notation are refused: "1e999999999" would expand to a
+    billion-digit integer."""
+    if isinstance(value, str) and "e" in value.lower():
+        return False
+    try:
+        Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 def _check_group(diag, value, path):
     if not isinstance(value, dict):
         diag.add(path, "expected a group object {degree, generators}")
         return False
+    d = value.get("degree", 0)
     ok = diag.require(
-        isinstance(value.get("degree"), int) and value.get("degree", 0) >= 1,
+        isinstance(d, int) and d >= 1,
         path + ".degree",
         "degree must be a positive integer",
     )
@@ -195,9 +218,10 @@ def _check_group(diag, value, path):
     if not isinstance(gens, list) or not gens:
         diag.add(path + ".generators", "expected a non-empty list of permutations")
         return False
-    d = value.get("degree", 0)
+    if not isinstance(d, int):
+        return False
     for i, g in enumerate(gens):
-        if not isinstance(g, list) or sorted(g) != list(range(1, d + 1)):
+        if not _is_permutation(g, d):
             diag.add(
                 f"{path}.generators[{i}]",
                 f"expected a permutation of 1..{d} in one-line notation",
@@ -221,6 +245,7 @@ def validate(document):
         diag.add("$.payload", "payload must be a JSON object")
         return diag.items
     op = document.get("op", "")
+    _validate_options(diag, document.get("options", {}))
 
     if command in ("smooth-index", "elk", "collection"):
         _validate_smooth(diag, command, payload)
@@ -233,6 +258,23 @@ def validate(document):
     elif command == "equivariant":
         _validate_equivariant(diag, op, payload)
     return diag.items
+
+
+def _validate_options(diag, options):
+    if not isinstance(options, dict):
+        diag.add("$.options", "options must be a JSON object")
+        return
+    if "seed" in options:
+        diag.require(
+            isinstance(options["seed"], int), "$.options.seed", "seed must be an integer"
+        )
+    if "degree_cap" in options:
+        cap = options["degree_cap"]
+        diag.require(
+            isinstance(cap, int) and cap >= 1,
+            "$.options.degree_cap",
+            "degree_cap must be a positive integer",
+        )
 
 
 def _validate_smooth(diag, command, payload):
@@ -306,6 +348,14 @@ def _validate_smooth(diag, command, payload):
             for m in action
         ):
             diag.add("$.payload.action", f"expected a list of {n} x {n} matrices")
+            return
+        for k, m in enumerate(action):
+            for i, r in enumerate(m):
+                for j, x in enumerate(r):
+                    if not _is_rational(x):
+                        diag.add(
+                            f"$.payload.action[{k}][{i}][{j}]", "expected a rational number"
+                        )
 
 
 def _validate_icis(diag, payload):
@@ -369,13 +419,12 @@ def _validate_icis(diag, payload):
                 _check_polys(
                     diag, form, f"$.payload.collection.groups[{i}][{j}]", count=n
                 )
+    if "seed" in payload:
+        diag.require(isinstance(payload["seed"], int), "$.payload.seed", "seed must be an integer")
     want = payload.get("want", ["gsv"])
-    if not isinstance(want, list) or not set(want) <= {
-        "gsv",
-        "milnor",
-        "radial",
-        "homological",
-    }:
+    if not isinstance(want, list) or not all(
+        w in ("gsv", "milnor", "radial", "homological") for w in want
+    ):
         diag.add("$.payload.want", "want entries must be gsv, milnor, radial, homological")
 
 
@@ -468,10 +517,17 @@ def _validate_strat(diag, op, payload):
     if not isinstance(nmap, dict):
         diag.add("$.payload.n", "expected an object with 'i,j' keys")
     else:
-        for key in nmap:
+        for key, value in nmap.items():
             parts = key.split(",")
-            if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+            if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
                 diag.add(f"$.payload.n[{key!r}]", "keys must look like 'i,j'")
+            elif not all(int(p) < len(strata) for p in parts):
+                diag.add(
+                    f"$.payload.n[{key!r}]",
+                    f"stratum indices must be below the stratum count {len(strata)}",
+                )
+            elif not isinstance(value, int):
+                diag.add(f"$.payload.n[{key!r}]", "expected an integer")
     if op in ("radial-from-eu", "eu-from-radial"):
         name = "eu" if op == "radial-from-eu" else "radial"
         vectors = payload.get("vectors", {})
@@ -485,6 +541,9 @@ def _validate_strat(diag, op, payload):
                 f"$.payload.vectors.{name}",
                 f"expected {len(strata)} integers (one per stratum)",
             )
+        target = payload.get("target")
+        if target is not None and not (isinstance(target, int) and 0 <= target < len(strata)):
+            diag.add("$.payload.target", f"expected a stratum index below {len(strata)}")
 
 
 def _check_perm_list(diag, value, path, degree):
@@ -493,13 +552,50 @@ def _check_perm_list(diag, value, path, degree):
         return False
     ok = True
     for i, g in enumerate(value):
-        if not isinstance(g, list) or sorted(g) != list(range(1, degree + 1)):
+        if not _is_permutation(g, degree):
             diag.add(
                 f"{path}[{i}]",
                 f"expected a permutation of 1..{degree} in one-line notation",
             )
             ok = False
     return ok
+
+
+def _check_element(diag, value, path, message="expected {classIndex: coefficient}"):
+    """A Burnside element: integer class indices mapped to integers."""
+    if not isinstance(value, dict):
+        diag.add(path, message)
+        return
+    for key, coeff in value.items():
+        try:
+            int(key)
+        except (TypeError, ValueError):
+            diag.add(f"{path}[{key!r}]", "class index must be an integer")
+            continue
+        if not isinstance(coeff, int):
+            diag.add(f"{path}[{key!r}]", "coefficient must be an integer")
+
+
+def _check_isotropy_records(diag, records, path, kind, value_key, degree):
+    """Records {isotropy, value}: the isotropy is a subgroup class index or
+    a list of generating permutations, the value an integer."""
+    if not isinstance(records, list):
+        diag.add(path, f"expected a list of {kind} records")
+        return
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or "isotropy" not in rec or value_key not in rec:
+            diag.add(f"{path}[{i}]", f"expected {{isotropy, {value_key}}}")
+            continue
+        isotropy = rec["isotropy"]
+        if not isinstance(isotropy, int) and not (
+            isinstance(isotropy, list) and all(_is_permutation(g, degree) for g in isotropy)
+        ):
+            diag.add(
+                f"{path}[{i}].isotropy",
+                f"expected a class index or a list of permutations of 1..{degree}",
+            )
+        if not isinstance(rec[value_key], int):
+            diag.add(f"{path}[{i}].{value_key}", "expected an integer")
 
 
 def _validate_burnside(diag, op, payload):
@@ -511,26 +607,16 @@ def _validate_burnside(diag, op, payload):
     degree = payload["group"]["degree"]
     if op == "mul":
         for name in ("a", "b"):
-            if not isinstance(payload.get(name), dict):
-                diag.add(f"$.payload.{name}", "expected {classIndex: coefficient}")
+            _check_element(diag, payload.get(name), f"$.payload.{name}")
     elif op == "r0":
-        if not isinstance(payload.get("a"), dict):
-            diag.add("$.payload.a", "expected {classIndex: coefficient}")
+        _check_element(diag, payload.get("a"), "$.payload.a")
     elif op in ("restrict", "induce"):
-        if not isinstance(payload.get("a"), dict):
-            diag.add("$.payload.a", "expected {classIndex: coefficient}")
+        _check_element(diag, payload.get("a"), "$.payload.a")
         _check_perm_list(diag, payload.get("subgroup"), "$.payload.subgroup", degree)
     elif op == "euler":
-        strata = payload.get("strata")
-        if not isinstance(strata, list):
-            diag.add("$.payload.strata", "expected a list of stratum records")
-        else:
-            for i, rec in enumerate(strata):
-                if not isinstance(rec, dict) or "isotropy" not in rec or "chiOrbit" not in rec:
-                    diag.add(
-                        f"$.payload.strata[{i}]",
-                        "expected {isotropy, chiOrbit}",
-                    )
+        _check_isotropy_records(
+            diag, payload.get("strata"), "$.payload.strata", "stratum", "chiOrbit", degree
+        )
 
 
 def _validate_equivariant(diag, op, payload):
@@ -541,13 +627,9 @@ def _validate_equivariant(diag, op, payload):
         return
     degree = payload["group"]["degree"]
     if op == "radial":
-        orbits = payload.get("orbits")
-        if not isinstance(orbits, list):
-            diag.add("$.payload.orbits", "expected a list of orbit records")
-        else:
-            for i, rec in enumerate(orbits):
-                if not isinstance(rec, dict) or "isotropy" not in rec or "index" not in rec:
-                    diag.add(f"$.payload.orbits[{i}]", "expected {isotropy, index}")
+        _check_isotropy_records(
+            diag, payload.get("orbits"), "$.payload.orbits", "orbit", "index", degree
+        )
     elif op == "ph-check":
         records = payload.get("orbit_indices")
         if not isinstance(records, list):
@@ -565,17 +647,16 @@ def _validate_equivariant(diag, op, payload):
                     f"$.payload.orbit_indices[{i}].subgroup",
                     degree,
                 )
-                if not isinstance(rec["index"], dict):
-                    diag.add(
-                        f"$.payload.orbit_indices[{i}].index",
-                        "expected {classIndex: coefficient} over the subgroup",
-                    )
-        if not isinstance(payload.get("chi"), dict):
-            diag.add("$.payload.chi", "expected {classIndex: coefficient}")
+                _check_element(
+                    diag,
+                    rec["index"],
+                    f"$.payload.orbit_indices[{i}].index",
+                    "expected {classIndex: coefficient} over the subgroup",
+                )
+        _check_element(diag, payload.get("chi"), "$.payload.chi")
     elif op == "gsv-from-radial":
         for name in ("radial", "chibar"):
-            if not isinstance(payload.get(name), dict):
-                diag.add(f"$.payload.{name}", "expected {classIndex: coefficient}")
+            _check_element(diag, payload.get(name), f"$.payload.{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +742,8 @@ def _run_smooth(report, command, payload, cap, run_oracle):
         report.certificates["algebra_basis"] = [
             str(_P(variables, {m: 1})) for m in form.algebra.basis
         ]
+        if form.algebra.dimension == 0:
+            report.flags.append("NONSINGULAR")
         action = _make_action(payload, variables)
         if action is not None:
             report.values["invariant_dimension"] = sm.invariant_dimension(

@@ -67,21 +67,6 @@ class RationalMatrix:
             ]
         )
 
-    def mul_vector(self, v):
-        if self.cols != len(v):
-            raise RejectedInputError("vector length does not match")
-        return [
-            sum((self.entries[i][k] * Fraction(v[k]) for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        ]
-
-    def is_symmetric(self):
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
-
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.entries == other.entries
 
@@ -116,38 +101,6 @@ def rref(rows):
         if r == len(m):
             break
     return m[:r], pivots
-
-
-def rank(rows):
-    return len(rref(_rows_of(rows))[0])
-
-
-def invert(matrix):
-    """Exact inverse of a square matrix; RejectedInputError when singular."""
-    m = _rows_of(matrix)
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise RejectedInputError("inverse needs a square matrix")
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise RejectedInputError("matrix is singular")
-    return [row[n:] for row in red[:n]]
-
-
-def solve(matrix, rhs):
-    """Solve M x = rhs exactly for square invertible M."""
-    inv = invert(matrix)
-    return [
-        sum((inv[i][k] * Fraction(rhs[k]) for k in range(len(rhs))), Fraction(0))
-        for i in range(len(inv))
-    ]
-
-
-def column_space_basis(rows):
-    """Indices of a maximal independent set of columns plus the rref rows."""
-    red, pivots = rref(_rows_of(rows))
-    return pivots, red
 
 
 def symmetric_signature(matrix):

@@ -224,6 +224,10 @@ def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
             "complexified zero set is positive dimensional: "
             "the germ is not algebraically isolated"
         )
+    if algebra.dimension == 0:
+        # the germ does not vanish at the origin: the algebra is zero and
+        # the residue pairing is the empty form, of signature 0
+        return ELKForm(algebra, [], [], [])
     jac = jacobian_det(list(vf.components))
     jac_coords = algebra.coords(jac)
     if functional is None:
@@ -268,6 +272,8 @@ class GroupAction:
                 raise RejectedInputError(
                     f"action matrices must be {n} x {n} for this context"
                 )
+            if len(rref(m.entries)[1]) != n:
+                raise RejectedInputError("action matrices must be invertible")
             mats.append(m)
         identity = RationalMatrix.identity(n)
         elements = {identity.entries: identity}
@@ -376,8 +382,10 @@ def invariant_signature(form, action, degree_cap=DEFAULT_DEGREE_CAP):
     algebra = form.algebra
     if not ideal_is_invariant(algebra, action, degree_cap):
         raise RejectedInputError("ideal is not invariant under the action")
-    mats = _action_matrices(algebra, action)
     n = algebra.dimension
+    if n == 0:
+        return 0
+    mats = _action_matrices(algebra, action)
     averaged = [Fraction(0)] * n
     for m in mats:
         for j in range(n):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from singindex.errors import DegreeCapError, NotIsolatedError
+from singindex.errors import DegreeCapError, InternalCheckError, NotIsolatedError
+from singindex import grobner
 from singindex.grobner import (
     INFINITE,
     Ideal,
@@ -186,6 +187,23 @@ def test_normal_form_idempotent():
 def test_quotient_rejects_non_isolated():
     with pytest.raises(NotIsolatedError):
         quotient_algebra(Ideal([X * Y], "local"))
+
+
+def test_quotient_certificate_catches_a_missing_basis_element(monkeypatch):
+    # without x*y the staircase of (x^2 + y^3, x*y) stays finite but has
+    # 8 monomials instead of 5; Buchberger's criterion modulo m^(T+1)
+    # must refuse it
+    real = grobner.standard_basis
+
+    def lossy(ideal, order=None, degree_cap=grobner.DEFAULT_DEGREE_CAP):
+        sb = real(ideal, order, degree_cap)
+        kept = [g for g in sb.elements if g.leading_term(sb.order)[0] != (1, 1)]
+        assert len(kept) == len(sb.elements) - 1
+        return grobner.StandardBasis(kept, sb.order, sb.locality, sb.ideal)
+
+    monkeypatch.setattr(grobner, "standard_basis", lossy)
+    with pytest.raises(InternalCheckError):
+        quotient_algebra(Ideal([X**2 + Y**3, X * Y], "local"))
 
 
 def test_degree_cap_aborts():

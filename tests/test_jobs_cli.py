@@ -104,6 +104,21 @@ def test_run_nonsingular_flag():
     assert "NONSINGULAR" in report.flags
 
 
+@pytest.mark.parametrize("action", [None, [[[0, 1], [1, 0]]]])
+@pytest.mark.parametrize("command", ["elk", "smooth-index"])
+def test_unit_ideal_is_nonsingular(command, action):
+    payload = {"variables": ["x", "y"], "data": ["1+x", "y"]}
+    if action is not None:
+        payload["action"] = action
+    report, code = run_job(doc(command, payload))
+    assert code == 0
+    assert report.values["index"] == 0
+    assert "NONSINGULAR" in report.flags
+    if command == "elk" and action is not None:
+        assert report.values["invariant_dimension"] == 0
+        assert report.values["invariant_signature"] == 0
+
+
 def test_run_degree_cap_exit_4():
     report, code = run_job(
         doc(
@@ -246,3 +261,47 @@ def test_cli_command_mismatch_rejected(tmp_path):
     job.write_text(json.dumps({"command": "elk", "payload": {}}))
     with pytest.raises(SystemExit):
         main(["icis", str(job)])
+
+
+GROUP = {"degree": 2, "generators": [[2, 1]]}
+DET_N = {"m": 2, "n": 3, "i": 1, "j": 2}
+POSET = {"strata": ["a", "b"], "covers": [[0, 1]], "n": {"0,1": 2}}
+PLANE_GERM = {"variables": ["x", "y"], "data": ["x", "y"]}
+
+REJECTED = {
+    "options-not-object": ("strat", "det-n", DET_N, [1]),
+    "options-seed-string": ("strat", "det-n", DET_N, {"seed": "a"}),
+    "options-cap-string": ("strat", "det-n", DET_N, {"degree_cap": "a"}),
+    "options-cap-negative": ("strat", "det-n", DET_N, {"degree_cap": -3}),
+    "action-entry-string": ("elk", "", {**PLANE_GERM, "action": [[["a", "0"], ["0", "1"]]]}, {}),
+    "action-entry-exponent": ("elk", "", {**PLANE_GERM, "action": [[["1e999999999", "0"], ["0", "1"]]]}, {}),
+    "action-entry-singular": ("elk", "", {**PLANE_GERM, "action": [[[0, 0], [0, 1]]]}, {}),
+    "class-key-string": ("burnside", "r0", {"group": GROUP, "a": {"x": 1}}, {}),
+    "coefficient-string": ("burnside", "mul", {"group": GROUP, "a": {"0": "x"}, "b": {"0": 1}}, {}),
+    "chi-class-key": ("equivariant", "gsv-from-radial", {"group": GROUP, "radial": {"x": 1}, "chibar": {"0": 1}}, {}),
+    "group-degree-string": ("burnside", "classes", {"group": {"degree": "2", "generators": [[2, 1]]}}, {}),
+    "permutation-entry-string": ("burnside", "classes", {"group": {"degree": 2, "generators": [[2, "1"]]}}, {}),
+    "isotropy-string": ("equivariant", "radial", {"group": GROUP, "orbits": [{"isotropy": "99", "index": 1}]}, {}),
+    "chi-orbit-list": ("burnside", "euler", {"group": GROUP, "strata": [{"isotropy": 0, "chiOrbit": []}]}, {}),
+    "slice-key-outside-poset": ("strat", "mobius", {**POSET, "n": {"0,99": 1}}, {}),
+    "slice-value-string": ("strat", "mobius", {**POSET, "n": {"0,1": "x"}}, {}),
+    "target-outside-poset": ("strat", "radial-from-eu", {**POSET, "vectors": {"eu": [1, 2]}, "target": 5}, {}),
+    "icis-seed-string": ("icis", "", {"variables": ["x", "y"], "equations": ["x"], "form": ["0", "1"], "seed": "a"}, {}),
+    "icis-want-unhashable": ("icis", "", {"variables": ["x", "y"], "equations": ["x"], "form": ["0", "1"], "want": [[1]]}, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_bad_payload_is_rejected_not_raised(case):
+    command, op, payload, options = REJECTED[case]
+    report, code = run_job({"command": command, "op": op, "payload": payload, "options": options})
+    assert code == 2
+    assert report.status == "rejected"
+
+
+def test_cli_rejects_options_that_are_not_an_object(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "strat", "op": "det-n", "payload": DET_N, "options": [1]}))
+    assert main(["strat", str(job), "--format", "json"]) == 2
+    diagnostics = json.loads(capsys.readouterr().out)["values"]["diagnostics"]
+    assert diagnostics == [{"path": "$.options", "message": "options must be a JSON object"}]

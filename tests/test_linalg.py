@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from singindex.errors import RejectedInputError
-from singindex.linalg import RationalMatrix, invert, rref, symmetric_signature
+from singindex.linalg import RationalMatrix, rref, symmetric_signature
 
 from helpers import random_unimodular
 
@@ -38,17 +38,6 @@ def test_signature_congruence_invariance():
         ut = u.transpose()
         congruent = ut.mul(RationalMatrix(base)).mul(u)
         assert symmetric_signature(congruent) == expected
-
-
-def test_invert_round_trip():
-    m = RationalMatrix([[1, 2], [3, 4]])
-    inv = RationalMatrix(invert(m))
-    assert inv.mul(m) == RationalMatrix.identity(2)
-
-
-def test_invert_singular_rejected():
-    with pytest.raises(RejectedInputError):
-        invert([[1, 2], [2, 4]])
 
 
 def test_rref_pivots():

@@ -6,7 +6,7 @@ import pytest
 from singindex.errors import NotIsolatedError, RejectedInputError
 from singindex.grobner import INFINITE, Ideal, quotient_algebra
 from singindex.linalg import symmetric_signature
-from singindex.oracles import boundary_degree_3d, winding_degree
+from singindex.oracles import boundary_degree_3d, macaulay_colength, winding_degree
 from singindex.smooth import (
     ELKForm,
     GroupAction,
@@ -75,6 +75,23 @@ def test_elk_three_variables(components, expected):
     germ = VectorFieldGerm(("x", "y", "z"), components, field="R")
     assert elk_index(germ) == expected
     assert boundary_degree_3d(components, ("x", "y", "z")) == expected
+
+
+QUOTIENT_CASES = (
+    [(PLANE, components) for components, _ in ELK_CASES]
+    + [(("x", "y", "z"), components) for components, _ in SPACE_CASES]
+    + [
+        (("z1", "z2"), ["z1^2", "z2^3"]),
+        (("z1", "z2"), ["z1^2 - z2", "z2^2"]),
+        (PLANE, ["x^2", "y^2"]),
+    ]
+)
+
+
+@pytest.mark.parametrize("variables,components", QUOTIENT_CASES)
+def test_quotient_dimension_matches_macaulay_oracle(variables, components):
+    algebra = quotient_algebra(Ideal.from_strings(components, variables))
+    assert algebra.dimension == macaulay_colength(components, variables)
 
 
 def test_elk_requires_real_tag():
