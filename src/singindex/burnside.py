@@ -9,6 +9,17 @@ computed through marks (componentwise product, triangular back-solve),
 which is quadratic in the number of classes; a direct orbit-counting
 route ships in the oracles module to validate it.
 
+The subgroup lattice is built up to conjugacy by cyclic extension
+(Neubüser 1960; Pfeiffer, "The subgroups of M24, or how to compute the
+table of marks of a finite group", Experimental Math. 6, 1997): only
+class representatives are extended, each by one generator of every
+cyclic subgroup it misses, and every new class is filled as an orbit
+under conjugation by the generators (see PermutationGroup.subgroups for
+why this finds every subgroup).  The marks are then read off the class
+members: |(G/K)^H| = |G| / (|K| |class(K)|) times the number of
+conjugates of K that contain H.  The oracles module keeps the brute
+force versions of both, closure of every extension and coset counting.
+
 Geometric inputs (Euler characteristics of orbit spaces, local indices,
 isotropy assignments) are always user supplied; this module never
 computes topology.
@@ -25,7 +36,7 @@ DEFAULT_GROUP_CAP = 128
 
 def _compose(p, q):
     """(p . q)(i) = p(q(i))."""
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def _inverse(p):
@@ -75,6 +86,7 @@ class PermutationGroup:
         self.elements = sorted(_closure(self.degree, gens, cap))
         self.identity = tuple(range(self.degree))
         self._subgroup_cache = None
+        self._subgroup_orbits = None
         self._class_cache = None
         self._marks_cache = None
 
@@ -90,6 +102,7 @@ class PermutationGroup:
         g.elements = sorted(elements)
         g.identity = tuple(range(degree))
         g._subgroup_cache = None
+        g._subgroup_orbits = None
         g._class_cache = None
         g._marks_cache = None
         if g.identity not in set(elements):
@@ -111,31 +124,86 @@ class PermutationGroup:
 
     # -- subgroup machinery
 
+    def subgroup_generated_by(self, generators):
+        """The subgroup generated by elements of this group.  A generator
+        outside the group is rejected before any closure is taken, so the
+        work stays bounded by the group order."""
+        gens = [tuple(g) for g in generators]
+        members = self.element_set()
+        if not all(g in members for g in gens):
+            raise RejectedInputError("not a subgroup of this group")
+        return _closure(self.degree, gens)
+
+    def _cyclic_generators(self):
+        """One generator of each cyclic subgroup, in element order."""
+        seen = set()
+        out = []
+        for g in self.elements:
+            cyclic = _closure(self.degree, [g])
+            if cyclic not in seen:
+                seen.add(cyclic)
+                out.append(g)
+        return out
+
+    def _conjugacy_orbit(self, sub):
+        """The conjugacy class of a subgroup, as its orbit under
+        conjugation by the generators."""
+        orbit = {sub}
+        frontier = [sub]
+        while frontier:
+            current = frontier.pop()
+            for g in self.generators:
+                image = self.conjugate_subgroup(current, g)
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        return frozenset(orbit)
+
     def subgroups(self):
-        """Every subgroup, as a frozenset of elements.  Enumeration by
-        closure of extensions, pruned by Lagrange divisibility."""
+        """Every subgroup, as a frozenset of elements, sorted by order and
+        then by sorted element list.
+
+        Cyclic extension (Neubüser 1960; Pfeiffer, Experimental Math. 6,
+        1997): starting from the trivial group, each conjugacy-class
+        representative H, with its short generator list, is extended by
+        each chosen cyclic generator c outside H, closing gens(H) + [c].
+        A result not seen before opens a new class, filled at once as its
+        orbit under conjugation by the group's generators, and its
+        representative is extended in turn.
+
+        Every subgroup is found: a subgroup K > 1 has a maximal subgroup
+        M < K, and K = <M, c> for any c in K \\ M.  Conjugating by x with
+        xMx^-1 = H, the representative of M's class, gives xKx^-1 =
+        <H, xcx^-1> = <H, c'>, where c' is the chosen generator of the
+        cyclic group <xcx^-1>, and c' lies outside H.  By induction on the
+        order, H is found and extended, so K's class is reached and K lies
+        in the orbit that fills it.
+        """
         if self._subgroup_cache is not None:
             return self._subgroup_cache
-        trivial = frozenset([self.identity])
-        found = {trivial}
-        frontier = {trivial}
         n = self.order
-        while frontier:
-            fresh = set()
-            for sub in frontier:
-                if len(sub) == n:
+        cyclic = self._cyclic_generators()
+        trivial = frozenset([self.identity])
+        known = {trivial}
+        orbits = [frozenset([trivial])]
+        todo = [(trivial, [])]
+        while todo:
+            rep, gens = todo.pop()
+            for c in cyclic:
+                if c in rep:
                     continue
-                for g in self.elements:
-                    if g in sub:
-                        continue
-                    bigger = _closure(self.degree, set(sub) | {g})
-                    if n % len(bigger) != 0:
-                        raise InternalCheckError("closure violated Lagrange")
-                    if bigger not in found:
-                        found.add(bigger)
-                        fresh.add(bigger)
-            frontier = fresh
-        self._subgroup_cache = sorted(found, key=lambda s: (len(s), sorted(s)))
+                extended = gens + [c]
+                bigger = _closure(self.degree, extended)
+                if n % len(bigger) != 0:
+                    raise InternalCheckError("closure violated Lagrange")
+                if bigger in known:
+                    continue
+                orbit = self._conjugacy_orbit(bigger)
+                known.update(orbit)
+                orbits.append(orbit)
+                todo.append((bigger, extended))
+        self._subgroup_orbits = orbits
+        self._subgroup_cache = sorted(known, key=lambda s: (len(s), sorted(s)))
         return self._subgroup_cache
 
     def conjugate_subgroup(self, sub, g):
@@ -147,20 +215,22 @@ class PermutationGroup:
         ties broken by the canonical (minimal) sorted element list."""
         if self._class_cache is not None:
             return self._class_cache
-        remaining = set(self.subgroups())
-        classes = []
-        while remaining:
-            seed = next(iter(remaining))
-            members = {self.conjugate_subgroup(seed, g) for g in self.elements}
-            canonical = min(members, key=lambda s: sorted(s))
-            classes.append((canonical, members))
-            remaining -= members
+        self.subgroups()
+        classes = [
+            (min(members, key=lambda s: sorted(s)), members)
+            for members in self._subgroup_orbits
+        ]
         classes.sort(key=lambda pair: (len(pair[0]), sorted(pair[0])))
         result = []
         lookup = {}
         for index, (canonical, members) in enumerate(classes):
             result.append(
-                SubgroupClass(index=index, representative=canonical, order=len(canonical))
+                SubgroupClass(
+                    index=index,
+                    representative=canonical,
+                    order=len(canonical),
+                    members=members,
+                )
             )
             for m in members:
                 lookup[m] = index
@@ -193,28 +263,30 @@ class PermutationGroup:
     def table_of_marks(self):
         """Rows indexed by the G-set class G/K, columns by the fixing
         subgroup class H: entry |(G/K)^H|.  Lower triangular for the
-        sorted class list; diagonal |N_G(K)| / |K| > 0."""
+        sorted class list; diagonal |N_G(K)| / |K| > 0.
+
+        A coset gK is fixed by H exactly when H lies in gKg^-1, and each
+        conjugate of K arises from |N_G(K)| = |G| / |class(K)| elements g,
+        so |(G/K)^H| = |G| / (|K| |class(K)|) times the number of class
+        members containing H: one subset test per member."""
         if self._marks_cache is not None:
             return self._marks_cache
         classes = self.classes()
         matrix = []
         for row_class in classes:
-            k_sub = row_class.representative
-            cosets = self.cosets(k_sub)
-            row = []
-            for col_class in classes:
-                h_rep = col_class.representative
-                count = 0
-                for coset in cosets:
-                    g = next(iter(coset))
-                    ginv = _inverse(g)
-                    if all(
-                        _compose(_compose(ginv, h), g) in k_sub for h in h_rep
-                    ):
-                        count += 1
-                row.append(count)
-            matrix.append(row)
-        self._marks_cache = TableOfMarks(self, tuple(tuple(r) for r in matrix))
+            normalizer_index, rest = divmod(
+                self.order, row_class.order * len(row_class.members)
+            )
+            if rest:
+                raise InternalCheckError("class size does not divide |G| / |K|")
+            matrix.append(
+                tuple(
+                    normalizer_index
+                    * sum(1 for k in row_class.members if col_class.representative <= k)
+                    for col_class in classes
+                )
+            )
+        self._marks_cache = TableOfMarks(self, tuple(matrix))
         return self._marks_cache
 
     def __eq__(self, other):
@@ -232,14 +304,15 @@ class PermutationGroup:
 
 
 class SubgroupClass:
-    """One conjugacy class of subgroups."""
+    """One conjugacy class of subgroups, with all its members."""
 
-    __slots__ = ("index", "representative", "order")
+    __slots__ = ("index", "representative", "order", "members")
 
-    def __init__(self, index, representative, order):
+    def __init__(self, index, representative, order, members):
         self.index = index
         self.representative = representative
         self.order = order
+        self.members = members
 
     def __repr__(self):
         return f"SubgroupClass(index={self.index}, order={self.order})"
@@ -502,10 +575,7 @@ def _isotropy_index(group, isotropy):
         if not (0 <= isotropy < len(group.classes())):
             raise RejectedInputError(f"no subgroup class with index {isotropy}")
         return isotropy
-    generated = _closure(
-        group.degree, [tuple(g) for g in isotropy] + [group.identity]
-    )
-    return group.class_of(generated)
+    return group.class_of(group.subgroup_generated_by(isotropy))
 
 
 def equivariant_ph_check(group, orbit_indices, chi_g):

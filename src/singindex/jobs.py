@@ -283,6 +283,10 @@ def _validate_smooth(diag, command, payload):
         isinstance(variables, list) and variables and all(isinstance(v, str) for v in variables),
         "$.payload.variables",
         "expected a non-empty list of variable names",
+    ) or not diag.require(
+        len(set(variables)) == len(variables),
+        "$.payload.variables",
+        "variable names must be distinct",
     ):
         return
     n = len(variables)
@@ -364,6 +368,10 @@ def _validate_icis(diag, payload):
         isinstance(variables, list) and variables and all(isinstance(v, str) for v in variables),
         "$.payload.variables",
         "expected a non-empty list of variable names",
+    ) or not diag.require(
+        len(set(variables)) == len(variables),
+        "$.payload.variables",
+        "variable names must be distinct",
     ):
         return
     n = len(variables)
@@ -943,10 +951,7 @@ def _element(group, data):
 
 
 def _subgroup_from_generators(group, gens):
-    perms = [tuple(x - 1 for x in g) for g in gens]
-    from .burnside import _closure
-
-    return _closure(group.degree, perms + [group.identity])
+    return group.subgroup_generated_by([tuple(x - 1 for x in g) for g in gens])
 
 
 def _run_burnside(report, op, payload, run_oracle):

@@ -4,7 +4,9 @@ Each routine here recomputes a quantity of the main pipeline by a
 different method: colengths by Macaulay-style truncated linear algebra
 with no standard bases anywhere, local degrees of plane and space germs
 by explicit boundary-surface winding counts in exact rational arithmetic,
-and Burnside products by orbit counting on explicit product G-sets.
+Burnside products by orbit counting on explicit product G-sets, the
+subgroup lattice by closing every extension of every subgroup, and the
+table of marks by counting fixed cosets.
 They back the test suite and the CLI's --oracle mode.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .burnside import BurnsideElement, _compose
+from .burnside import BurnsideElement, _compose, _inverse
 from .errors import RejectedInputError
 from .grobner import INFINITE
 from .poly import (
@@ -397,3 +399,62 @@ def restriction_by_orbits(group, class_index, subgroup):
         idx = h_group.class_of(stab)
         coeffs[idx] = coeffs.get(idx, 0) + 1
     return BurnsideElement(h_group, coeffs), h_group
+
+
+# ---------------------------------------------------------------------------
+# subgroup lattice and table of marks by brute force
+
+
+def _generated(elements):
+    """Closure of a set of permutations under composition (the subgroup
+    they generate, since the group is finite)."""
+    found = set(elements)
+    while True:
+        products = {_compose(a, b) for a in found for b in found}
+        if products <= found:
+            return frozenset(found)
+        found |= products
+
+
+def subgroups_by_closure(degree, elements):
+    """Every subgroup of the group with the given elements, found by
+    closing each known subgroup together with each element in turn."""
+    trivial = frozenset([tuple(range(degree))])
+    found = {trivial}
+    frontier = {trivial}
+    while frontier:
+        fresh = set()
+        for sub in frontier:
+            for g in elements:
+                if g in sub:
+                    continue
+                bigger = _generated(sub | {g})
+                if bigger not in found:
+                    found.add(bigger)
+                    fresh.add(bigger)
+        frontier = fresh
+    return found
+
+
+def marks_by_cosets(group):
+    """Table of marks over the group's subgroup classes, each entry
+    |(G/K)^H| counted as the left cosets gK with g^-1 H g inside K."""
+    classes = group.classes()
+    matrix = []
+    for row_class in classes:
+        k_sub = row_class.representative
+        cosets = group.cosets(k_sub)
+        row = []
+        for col_class in classes:
+            count = 0
+            for coset in cosets:
+                g = next(iter(coset))
+                ginv = _inverse(g)
+                if all(
+                    _compose(_compose(ginv, h), g) in k_sub
+                    for h in col_class.representative
+                ):
+                    count += 1
+            row.append(count)
+        matrix.append(tuple(row))
+    return tuple(matrix)

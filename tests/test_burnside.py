@@ -16,7 +16,12 @@ from singindex.burnside import (
     subgroup_as_group,
 )
 from singindex.errors import RejectedInputError
-from singindex.oracles import burnside_mul_by_orbits, restriction_by_orbits
+from singindex.oracles import (
+    burnside_mul_by_orbits,
+    marks_by_cosets,
+    restriction_by_orbits,
+    subgroups_by_closure,
+)
 
 
 def z2():
@@ -106,6 +111,52 @@ def test_s3_mixed_product_is_free():
 
 def s4():
     return PermutationGroup(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+
+
+def d6():
+    return PermutationGroup(6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])
+
+
+def c2_4():
+    return PermutationGroup(
+        8,
+        [
+            [1, 0, 2, 3, 4, 5, 6, 7],
+            [0, 1, 3, 2, 4, 5, 6, 7],
+            [0, 1, 2, 3, 5, 4, 6, 7],
+            [0, 1, 2, 3, 4, 5, 7, 6],
+        ],
+    )
+
+
+def a5():
+    return PermutationGroup(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
+
+
+def s5():
+    return PermutationGroup(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+
+
+@pytest.mark.parametrize("make", [z2, z4, v4, s3, d4, a4, s4, d6, c2_4])
+def test_subgroups_match_closure_oracle(make):
+    group = make()
+    subgroups = group.subgroups()
+    assert len(set(subgroups)) == len(subgroups)
+    assert set(subgroups) == subgroups_by_closure(group.degree, group.elements)
+
+
+@pytest.mark.parametrize("make", [s4, a5, s5])
+def test_marks_match_coset_oracle(make):
+    group = make()
+    assert group.table_of_marks().matrix == marks_by_cosets(group)
+
+
+def test_s5_lattice():
+    group = s5()
+    assert len(group.subgroups()) == 156
+    assert [c.order for c in group.classes()] == [
+        1, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 8, 10, 12, 12, 20, 24, 60, 120
+    ]
 
 
 def test_marks_homomorphism_multiplicative():

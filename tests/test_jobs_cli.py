@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from singindex import burnside
 from singindex.cli import main
 from singindex.grobner import INFINITE
 from singindex.jobs import Report, run_job, validate
@@ -305,3 +306,56 @@ def test_cli_rejects_options_that_are_not_an_object(tmp_path, capsys):
     assert main(["strat", str(job), "--format", "json"]) == 2
     diagnostics = json.loads(capsys.readouterr().out)["values"]["diagnostics"]
     assert diagnostics == [{"path": "$.options", "message": "options must be a JSON object"}]
+
+
+DUPLICATE_VARIABLES = {
+    "smooth-index": {"variables": ["x", "x"], "data": ["x", "x"]},
+    "elk": {"variables": ["x", "x"], "data": ["x", "x"]},
+    "collection": {
+        "variables": ["x", "x"],
+        "data": {"rank": 1, "partition": [1, 1], "matrices": [[["x"]], [["x"]]]},
+    },
+    "icis": {"variables": ["x", "x", "y"], "equations": ["x"], "form": ["0", "0", "1"]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DUPLICATE_VARIABLES))
+def test_duplicate_variable_names_are_rejected(command):
+    report, code = run_job(doc(command, DUPLICATE_VARIABLES[command]))
+    assert code == 2
+    assert report.values["diagnostics"] == [
+        {"path": "$.payload.variables", "message": "variable names must be distinct"}
+    ]
+
+
+# C2 on 8 points; (1 2) and (1 ... 8) generate all of S8
+C2_OF_DEGREE_8 = {"degree": 8, "generators": [[2, 1, 3, 4, 5, 6, 7, 8]]}
+OUTSIDE_C2 = [[2, 1, 3, 4, 5, 6, 7, 8], [2, 3, 4, 5, 6, 7, 8, 1]]
+OUTSIDE_SUBGROUP = {
+    "restrict": ("burnside", {"a": {"0": 1}, "subgroup": OUTSIDE_C2}),
+    "induce": ("burnside", {"a": {"0": 1}, "subgroup": OUTSIDE_C2}),
+    "euler": ("burnside", {"strata": [{"isotropy": OUTSIDE_C2, "chiOrbit": 1}]}),
+    "radial": ("equivariant", {"orbits": [{"isotropy": OUTSIDE_C2, "index": 1}]}),
+    "ph-check": (
+        "equivariant",
+        {"orbit_indices": [{"subgroup": OUTSIDE_C2, "index": {"0": 1}}], "chi": {"0": 1}},
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OUTSIDE_SUBGROUP))
+def test_subgroup_outside_the_group_is_rejected_before_closure(monkeypatch, op):
+    closed = []
+    real_closure = burnside._closure
+
+    def spy(degree, perms, cap=None):
+        result = real_closure(degree, perms, cap)
+        closed.append(len(result))
+        return result
+
+    monkeypatch.setattr(burnside, "_closure", spy)
+    command, payload = OUTSIDE_SUBGROUP[op]
+    report, code = run_job(doc(command, {"group": C2_OF_DEGREE_8, **payload}, op=op))
+    assert code == 2
+    assert report.values["error"] == "not a subgroup of this group"
+    assert closed and max(closed) <= 2
