@@ -27,11 +27,17 @@ computes topology.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from .errors import InternalCheckError, RejectedInputError
 
 DEFAULT_GROUP_CAP = 128
+
+# the lattice enumeration stops with RejectedInputError past this many
+# subgroups: the group cap bounds the order, not the lattice (C2^6, of
+# order 64, has 2825 subgroups and C2^7 has 29212 classes)
+MAX_SUBGROUPS = 512
 
 
 def _compose(p, q):
@@ -178,6 +184,10 @@ class PermutationGroup:
         cyclic group <xcx^-1>, and c' lies outside H.  By induction on the
         order, H is found and extended, so K's class is reached and K lies
         in the orbit that fills it.
+
+        Representatives are extended breadth first, small subgroups with
+        cheap closures before large ones, so a group with more than
+        MAX_SUBGROUPS subgroups is rejected after little work.
         """
         if self._subgroup_cache is not None:
             return self._subgroup_cache
@@ -186,9 +196,9 @@ class PermutationGroup:
         trivial = frozenset([self.identity])
         known = {trivial}
         orbits = [frozenset([trivial])]
-        todo = [(trivial, [])]
+        todo = deque([(trivial, [])])
         while todo:
-            rep, gens = todo.pop()
+            rep, gens = todo.popleft()
             for c in cyclic:
                 if c in rep:
                     continue
@@ -200,6 +210,10 @@ class PermutationGroup:
                     continue
                 orbit = self._conjugacy_orbit(bigger)
                 known.update(orbit)
+                if len(known) > MAX_SUBGROUPS:
+                    raise RejectedInputError(
+                        f"the subgroup lattice has more than {MAX_SUBGROUPS} subgroups"
+                    )
                 orbits.append(orbit)
                 todo.append((bigger, extended))
         self._subgroup_orbits = orbits

@@ -28,6 +28,7 @@ from .errors import (
     RejectedInputError,
 )
 from .poly import (
+    DEFAULT_DEGREE_CAP,
     GLOBAL_ORDER,
     LOCAL_ORDER,
     MonomialOrder,
@@ -40,8 +41,6 @@ from .poly import (
     monomials_up_to_degree,
     parse_polynomial,
 )
-
-DEFAULT_DEGREE_CAP = 40
 
 
 class _Infinite:

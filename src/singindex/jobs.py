@@ -1,11 +1,18 @@
-"""Job documents: validation, dispatch, and reports.
+"""Job documents: parsing, dispatch, and reports.
 
 A job document is JSON of the shape
 
     { "command": "...", "op": "...", "payload": {...}, "options": {...} }
 
-where the payload schema depends on the command (see README).  Validation
-produces diagnostics with JSON paths and performs no computation.
+where the payload schema depends on the command (see README).  Each
+document is read once: one walk per command records the diagnostics,
+with JSON paths, and yields the typed arguments of the command's runner
+(polynomials, fractions, 0-based permutations, class indices, slice
+keys, defaults filled in).  The runner never reads the document itself.
+Parsing expands polynomials under the job's degree cap but computes
+nothing else: no group closure, no basis.  ``validate`` is that parse,
+returning only the diagnostics.
+
 Reports carry the requested values, the flags, an auditable set of
 certificates (intermediate colengths, basis sizes, marks matrices), and a
 rule tag per value naming the identity that produced it.
@@ -28,17 +35,8 @@ from .errors import (
     NotIsolatedError,
     RejectedInputError,
 )
-from .grobner import DEFAULT_DEGREE_CAP, INFINITE, Ideal, colength
-
-COMMANDS = (
-    "smooth-index",
-    "elk",
-    "collection",
-    "icis",
-    "strat",
-    "burnside",
-    "equivariant",
-)
+from .grobner import DEFAULT_DEGREE_CAP, INFINITE
+from .poly import Polynomial, parse_polynomial
 
 STRAT_OPS = (
     "mobius",
@@ -68,6 +66,11 @@ class Report:
     certificates: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
     oracle: dict = field(default_factory=dict)
+
+    def put(self, name, value, rule):
+        """Record a value with the rule that produced it."""
+        self.values[name] = value
+        self.rules[name] = rule
 
     def to_dict(self):
         return {
@@ -154,517 +157,555 @@ def _pretty(value):
 
 
 # ---------------------------------------------------------------------------
-# validation
+# parsing: one walk over the document
 
 
-class Diagnostics:
-    def __init__(self):
-        self.items = []
-
-    def add(self, path, message):
-        self.items.append({"path": path, "message": message})
-
-    def require(self, condition, path, message):
-        if not condition:
-            self.add(path, message)
-        return condition
+def _is_int(value):
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_polys(diag, value, path, count=None):
-    if not isinstance(value, list) or not all(
-        isinstance(x, str) for x in value
-    ):
-        diag.add(path, "expected a list of polynomial strings")
-        return False
-    if count is not None and len(value) != count:
-        diag.add(path, f"expected {count} entries, found {len(value)}")
-        return False
-    return True
+def _decimal(text):
+    """The value of a string of decimal digits, else None."""
+    if isinstance(text, str) and text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            return None
+    return None
 
 
 def _is_permutation(value, degree):
     """A permutation of 1..degree in one-line notation."""
     return (
         isinstance(value, list)
-        and all(isinstance(x, int) for x in value)
+        and len(value) == max(degree, 0)
+        and all(map(_is_int, value))
         and sorted(value) == list(range(1, degree + 1))
     )
 
 
-def _is_rational(value):
-    """Accepted as an exact rational by ``Fraction(str(value))``.  Strings
-    in exponent notation are refused: "1e999999999" would expand to a
-    billion-digit integer."""
-    if isinstance(value, str) and "e" in value.lower():
-        return False
-    try:
-        Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
+def _zero_based(perm):
+    return tuple(x - 1 for x in perm)
 
 
-def _check_group(diag, value, path):
-    if not isinstance(value, dict):
-        diag.add(path, "expected a group object {degree, generators}")
-        return False
-    d = value.get("degree", 0)
-    ok = diag.require(
-        isinstance(d, int) and d >= 1,
-        path + ".degree",
-        "degree must be a positive integer",
-    )
-    gens = value.get("generators")
-    if not isinstance(gens, list) or not gens:
-        diag.add(path + ".generators", "expected a non-empty list of permutations")
-        return False
-    if not isinstance(d, int):
-        return False
-    for i, g in enumerate(gens):
-        if not _is_permutation(g, d):
-            diag.add(
-                f"{path}.generators[{i}]",
-                f"expected a permutation of 1..{d} in one-line notation",
+class _Job:
+    """A job document, read once.
+
+    Reading records diagnostics with JSON paths, in the order the fields
+    are met, and leaves the typed arguments of the command's runner as
+    attributes: polynomials, fractions, 0-based permutations, integer
+    class indices, (i, j) slice keys, with defaults filled in.  Nothing is
+    computed: no group closure, no basis.
+
+    Faults in polynomial text and field tags are ``late``: they are
+    reported only when the document has the right shape.  A polynomial
+    above the degree cap is kept in ``over_cap`` and aborts the job only
+    when there is nothing to reject.
+    """
+
+    def __init__(self, document):
+        self.shape, self.late = [], []
+        self.over_cap = None
+        self.seed, self.cap = 0, DEFAULT_DEGREE_CAP
+        self.command, self.op, self.runner = "", "", None
+        if not isinstance(document, dict):
+            self.add("$", "job document must be a JSON object")
+            return
+        self.command, self.op = document.get("command", ""), document.get("op", "")
+        if self.command not in COMMANDS:
+            self.add("$.command", f"command must be one of {', '.join(COMMANDS)}")
+            return
+        payload = document.get("payload")
+        if not isinstance(payload, dict):
+            self.add("$.payload", "payload must be a JSON object")
+            return
+        self._read_options(document.get("options", {}))
+        parse, self.runner = _HANDLERS[self.command]
+        parse(self, payload)
+
+    @property
+    def diagnostics(self):
+        return self.shape or self.late
+
+    def add(self, path, message, late=False):
+        (self.late if late else self.shape).append({"path": path, "message": message})
+
+    def require(self, condition, path, message, late=False):
+        if not condition:
+            self.add(path, message, late)
+        return condition
+
+    def _read_options(self, options):
+        if not isinstance(options, dict):
+            self.add("$.options", "options must be a JSON object")
+            return
+        if "seed" in options:
+            self.seed = self.integer(options["seed"], "$.options.seed", "seed must be an integer")
+        if "degree_cap" in options:
+            cap = self.integer(
+                options["degree_cap"],
+                "$.options.degree_cap",
+                "degree_cap must be a positive integer",
+                low=1,
             )
-            ok = False
-    return ok
+            self.cap = DEFAULT_DEGREE_CAP if cap is None else cap
+
+    # -- typed readers: each records a diagnostic per fault and returns the
+    # typed value, None where there is none; a job with a diagnostic never
+    # runs, so only a parse function that stops early looks at the None
+
+    def integer(self, value, path, message="expected an integer", low=None):
+        ok = _is_int(value) and (low is None or value >= low)
+        return value if self.require(ok, path, message) else None
+
+    def integers(self, value, path, length, message=None):
+        ok = isinstance(value, list) and len(value) == length and all(map(_is_int, value))
+        return value if self.require(ok, path, message or f"expected {length} integers") else None
+
+    def permutations(self, value, path, degree):
+        if not isinstance(value, list) or not value:
+            self.add(path, "expected a non-empty list of permutations")
+            return None
+        ok = True
+        for i, g in enumerate(value):
+            ok &= self.require(
+                _is_permutation(g, degree),
+                f"{path}[{i}]",
+                f"expected a permutation of 1..{degree} in one-line notation",
+            )
+        return [_zero_based(g) for g in value] if ok else None
+
+    def element(self, value, path, message="expected {classIndex: coefficient}"):
+        """A Burnside element: class indices to integer coefficients."""
+        if not isinstance(value, dict):
+            self.add(path, message)
+            return None
+        out = {}
+        for key, coeff in value.items():
+            index = key if _is_int(key) else _decimal(key)
+            if index is None:
+                self.add(f"{path}[{key!r}]", "class index must be an integer")
+            elif self.require(_is_int(coeff), f"{path}[{key!r}]", "coefficient must be an integer"):
+                out[index] = coeff
+        return out
+
+    def polynomials(self, value, path, count=None):
+        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+            self.add(path, "expected a list of polynomial strings")
+            return None
+        if count is not None and len(value) != count:
+            self.add(path, f"expected {count} entries, found {len(value)}")
+            return None
+        return [self.polynomial(text, f"{path}[{i}]") for i, text in enumerate(value)]
+
+    def polynomial(self, text, path):
+        try:
+            return parse_polynomial(text, self.variables, self.cap)
+        except RejectedInputError as err:
+            self.add(path, str(err), late=True)
+        except DegreeCapError as err:
+            self.over_cap = self.over_cap or err
+        return None
+
+    def rational(self, value, path):
+        """An exact rational.  Strings in exponent notation are refused:
+        "1e999999999" would expand to a billion-digit integer."""
+        if not (isinstance(value, str) and "e" in value.lower()):
+            try:
+                return Fraction(str(value))
+            except (ValueError, ZeroDivisionError):
+                pass
+        self.add(path, "expected a rational number")
+        return None
+
+    def read_variables(self, payload):
+        value = payload.get("variables")
+        if not self.require(
+            isinstance(value, list) and value and all(isinstance(v, str) for v in value),
+            "$.payload.variables",
+            "expected a non-empty list of variable names",
+        ) or not self.require(
+            len(set(value)) == len(value), "$.payload.variables", "variable names must be distinct"
+        ):
+            return False
+        self.variables = tuple(value)
+        return True
+
+    def read_op(self, ops):
+        return self.require(
+            self.op in ops, "$.op", f"{self.command} op must be one of {', '.join(ops)}"
+        )
 
 
 def validate(document):
-    """Schema diagnostics for a job document; no computation performed."""
-    diag = Diagnostics()
-    if not isinstance(document, dict):
-        diag.add("$", "job document must be a JSON object")
-        return diag.items
-    command = document.get("command")
-    if command not in COMMANDS:
-        diag.add("$.command", f"command must be one of {', '.join(COMMANDS)}")
-        return diag.items
-    payload = document.get("payload")
-    if not isinstance(payload, dict):
-        diag.add("$.payload", "payload must be a JSON object")
-        return diag.items
-    op = document.get("op", "")
-    _validate_options(diag, document.get("options", {}))
-
-    if command in ("smooth-index", "elk", "collection"):
-        _validate_smooth(diag, command, payload)
-    elif command == "icis":
-        _validate_icis(diag, payload)
-    elif command == "strat":
-        _validate_strat(diag, op, payload)
-    elif command == "burnside":
-        _validate_burnside(diag, op, payload)
-    elif command == "equivariant":
-        _validate_equivariant(diag, op, payload)
-    return diag.items
+    """Diagnostics of a job document: it is parsed, polynomials expanded
+    under the degree cap, but nothing is computed."""
+    return _Job(document).diagnostics
 
 
-def _validate_options(diag, options):
-    if not isinstance(options, dict):
-        diag.add("$.options", "options must be a JSON object")
+def _parse_smooth(job, payload):
+    if not job.read_variables(payload):
         return
-    if "seed" in options:
-        diag.require(
-            isinstance(options["seed"], int), "$.options.seed", "seed must be an integer"
-        )
-    if "degree_cap" in options:
-        cap = options["degree_cap"]
-        diag.require(
-            isinstance(cap, int) and cap >= 1,
-            "$.options.degree_cap",
-            "degree_cap must be a positive integer",
-        )
-
-
-def _validate_smooth(diag, command, payload):
-    variables = payload.get("variables")
-    if not diag.require(
-        isinstance(variables, list) and variables and all(isinstance(v, str) for v in variables),
-        "$.payload.variables",
-        "expected a non-empty list of variable names",
-    ) or not diag.require(
-        len(set(variables)) == len(variables),
-        "$.payload.variables",
-        "variable names must be distinct",
-    ):
-        return
-    n = len(variables)
-    kind = payload.get("kind", "vector_field" if command != "collection" else "collection")
-    if command == "collection":
-        kind = "collection"
-    if kind in ("vector_field", "one_form"):
-        _check_polys(diag, payload.get("data"), "$.payload.data", count=n)
-        if command == "elk" and payload.get("field", "R") != "R":
-            diag.add("$.payload.field", "the signature index needs field 'R'")
-    elif kind == "collection":
-        data = payload.get("data")
-        if not isinstance(data, dict):
-            diag.add("$.payload.data", "expected {rank, partition, matrices}")
-            return
-        rank = data.get("rank")
-        partition = data.get("partition")
-        if not diag.require(
-            isinstance(rank, int) and rank >= 1,
-            "$.payload.data.rank",
-            "rank must be a positive integer",
-        ):
-            return
-        if not diag.require(
-            isinstance(partition, list)
-            and partition
-            and all(isinstance(k, int) and k >= 1 for k in partition),
-            "$.payload.data.partition",
-            "partition must be a list of positive integers",
-        ):
-            return
-        diag.require(
-            sum(partition) == n,
-            "$.payload.data.partition",
-            f"partition must sum to the variable count {n} "
-            "(the hypothesis of the collection index formula)",
-        )
-        matrices = data.get("matrices")
-        if not isinstance(matrices, list) or len(matrices) != len(partition):
-            diag.add(
-                "$.payload.data.matrices",
-                "expected one section matrix per partition entry",
+    n = len(job.variables)
+    elk = job.command == "elk"
+    job.kind = payload.get("kind", "vector_field")
+    if job.command == "collection":
+        job.kind = "collection"
+    job.action = None
+    if job.kind in ("vector_field", "one_form"):
+        job.data = job.polynomials(payload.get("data"), "$.payload.data", n)
+        job.field = payload.get("field", "R" if elk else "C")
+        if elk:
+            job.require(
+                job.field == "R", "$.payload.field", "the signature index needs field 'R'"
             )
+        else:
+            job.require(
+                job.field in ("R", "C"),
+                "$.payload.field",
+                "ground field tag must be 'R' or 'C'",
+                late=True,
+            )
+    elif job.kind == "collection":
+        if not _parse_sections(job, payload.get("data"), n):
             return
-        for i, (k, mat) in enumerate(zip(partition, matrices)):
-            want_cols = rank - k + 1
-            path = f"$.payload.data.matrices[{i}]"
-            if want_cols < 1:
-                diag.add(path, f"partition entry {k} exceeds the rank {rank}")
-                continue
-            if not isinstance(mat, list) or len(mat) != rank or any(
-                not isinstance(row, list) or len(row) != want_cols for row in mat
-            ):
-                diag.add(path, f"expected a {rank} x {want_cols} matrix of polynomials")
+        job.require(
+            not elk,
+            "$.payload.kind",
+            "the signature index needs kind vector_field or one_form",
+            late=True,
+        )
     else:
-        diag.add("$.payload.kind", "kind must be vector_field, one_form or collection")
+        job.add("$.payload.kind", "kind must be vector_field, one_form or collection")
     action = payload.get("action")
-    if action is not None:
-        if not isinstance(action, list) or not all(
-            isinstance(m, list) and len(m) == n and all(
-                isinstance(r, list) and len(r) == n for r in m
-            )
-            for m in action
-        ):
-            diag.add("$.payload.action", f"expected a list of {n} x {n} matrices")
-            return
-        for k, m in enumerate(action):
-            for i, r in enumerate(m):
-                for j, x in enumerate(r):
-                    if not _is_rational(x):
-                        diag.add(
-                            f"$.payload.action[{k}][{i}][{j}]", "expected a rational number"
-                        )
-
-
-def _validate_icis(diag, payload):
-    variables = payload.get("variables")
-    if not diag.require(
-        isinstance(variables, list) and variables and all(isinstance(v, str) for v in variables),
-        "$.payload.variables",
-        "expected a non-empty list of variable names",
-    ) or not diag.require(
-        len(set(variables)) == len(variables),
-        "$.payload.variables",
-        "variable names must be distinct",
+    if action is None:
+        return
+    if not isinstance(action, list) or not all(
+        isinstance(m, list)
+        and len(m) == n
+        and all(isinstance(r, list) and len(r) == n for r in m)
+        for m in action
     ):
+        job.add("$.payload.action", f"expected a list of {n} x {n} matrices")
         return
-    n = len(variables)
-    equations = payload.get("equations")
-    if not isinstance(equations, list) or not all(isinstance(e, str) for e in equations):
-        diag.add("$.payload.equations", "expected a list of polynomial strings")
+    job.action = [
+        [
+            [job.rational(x, f"$.payload.action[{k}][{i}][{j}]") for j, x in enumerate(r)]
+            for i, r in enumerate(m)
+        ]
+        for k, m in enumerate(action)
+    ]
+
+
+def _parse_sections(job, data, n):
+    """The rank, partition and section matrices of a collection; False
+    when the rest of the payload is not worth reading."""
+    if not isinstance(data, dict):
+        job.add("$.payload.data", "expected {rank, partition, matrices}")
+        return False
+    job.rank = job.integer(
+        data.get("rank"), "$.payload.data.rank", "rank must be a positive integer", low=1
+    )
+    if job.rank is None:
+        return False
+    job.partition = data.get("partition")
+    if not job.require(
+        isinstance(job.partition, list)
+        and job.partition
+        and all(_is_int(k) and k >= 1 for k in job.partition),
+        "$.payload.data.partition",
+        "partition must be a list of positive integers",
+    ):
+        return False
+    job.require(
+        sum(job.partition) == n,
+        "$.payload.data.partition",
+        f"partition must sum to the variable count {n} "
+        "(the hypothesis of the collection index formula)",
+    )
+    matrices = data.get("matrices")
+    if not isinstance(matrices, list) or len(matrices) != len(job.partition):
+        job.add("$.payload.data.matrices", "expected one section matrix per partition entry")
+        return False
+    job.matrices = []
+    for i, (k, mat) in enumerate(zip(job.partition, matrices)):
+        cols = job.rank - k + 1
+        path = f"$.payload.data.matrices[{i}]"
+        if cols < 1:
+            job.add(path, f"partition entry {k} exceeds the rank {job.rank}")
+        elif not isinstance(mat, list) or len(mat) != job.rank or any(
+            not isinstance(row, list) or len(row) != cols for row in mat
+        ):
+            job.add(path, f"expected a {job.rank} x {cols} matrix of polynomials")
+        else:
+            job.matrices.append([
+                [job.polynomial(e, f"{path}[{a}][{b}]") for b, e in enumerate(row)]
+                for a, row in enumerate(mat)
+            ])
+    return True
+
+
+def _parse_icis(job, payload):
+    if not job.read_variables(payload):
         return
-    diag.require(
-        len(equations) <= n,
+    n = len(job.variables)
+    job.equations = job.polynomials(payload.get("equations"), "$.payload.equations")
+    if job.equations is None:
+        return
+    job.require(
+        len(job.equations) <= n,
         "$.payload.equations",
         "cannot have more equations than variables",
     )
-    dim = n - len(equations)
-    has_form = "form" in payload
-    has_coll = "collection" in payload
-    if has_form == has_coll:
-        diag.add("$.payload", "provide exactly one of 'form' or 'collection'")
+    dim = n - len(job.equations)
+    job.form = job.groups = None
+    if ("form" in payload) == ("collection" in payload):
+        job.add("$.payload", "provide exactly one of 'form' or 'collection'")
         return
-    if has_form:
-        _check_polys(diag, payload.get("form"), "$.payload.form", count=n)
-    else:
-        coll = payload.get("collection")
-        if not isinstance(coll, dict):
-            diag.add("$.payload.collection", "expected {partition, groups}")
-            return
-        partition = coll.get("partition")
-        groups = coll.get("groups")
-        if not diag.require(
-            isinstance(partition, list)
-            and all(isinstance(k, int) and k >= 1 for k in partition),
-            "$.payload.collection.partition",
-            "partition must be a list of positive integers",
-        ):
-            return
-        diag.require(
-            sum(partition) == dim,
-            "$.payload.collection.partition",
-            f"partition must sum to dim V = {dim} "
-            "(the hypothesis of the collection index formula)",
-        )
-        if not isinstance(groups, list) or len(groups) != len(partition):
-            diag.add("$.payload.collection.groups", "expected one group per partition entry")
-            return
-        for i, (k, group) in enumerate(zip(partition, groups)):
-            want = dim - k + 1
-            if not isinstance(group, list) or len(group) != want:
-                diag.add(
-                    f"$.payload.collection.groups[{i}]",
-                    f"expected {want} forms for partition entry {k}",
-                )
-                continue
-            for j, form in enumerate(group):
-                _check_polys(
-                    diag, form, f"$.payload.collection.groups[{i}][{j}]", count=n
-                )
+    if "form" in payload:
+        job.form = job.polynomials(payload["form"], "$.payload.form", n)
+    elif not _parse_form_groups(job, payload["collection"], n, dim):
+        return
     if "seed" in payload:
-        diag.require(isinstance(payload["seed"], int), "$.payload.seed", "seed must be an integer")
-    want = payload.get("want", ["gsv"])
-    if not isinstance(want, list) or not all(
-        w in ("gsv", "milnor", "radial", "homological") for w in want
+        job.seed = job.integer(payload["seed"], "$.payload.seed", "seed must be an integer")
+    job.want = payload.get("want", ["gsv"])
+    job.require(
+        isinstance(job.want, list)
+        and all(w in ("gsv", "milnor", "radial", "homological") for w in job.want),
+        "$.payload.want",
+        "want entries must be gsv, milnor, radial, homological",
+    )
+
+
+def _parse_form_groups(job, coll, n, dim):
+    if not isinstance(coll, dict):
+        job.add("$.payload.collection", "expected {partition, groups}")
+        return False
+    job.partition = coll.get("partition")
+    if not job.require(
+        isinstance(job.partition, list) and all(_is_int(k) and k >= 1 for k in job.partition),
+        "$.payload.collection.partition",
+        "partition must be a list of positive integers",
     ):
-        diag.add("$.payload.want", "want entries must be gsv, milnor, radial, homological")
+        return False
+    job.require(
+        sum(job.partition) == dim,
+        "$.payload.collection.partition",
+        f"partition must sum to dim V = {dim} "
+        "(the hypothesis of the collection index formula)",
+    )
+    groups = coll.get("groups")
+    if not isinstance(groups, list) or len(groups) != len(job.partition):
+        job.add("$.payload.collection.groups", "expected one group per partition entry")
+        return False
+    job.groups = []
+    for i, (k, group) in enumerate(zip(job.partition, groups)):
+        want = dim - k + 1
+        if job.require(
+            isinstance(group, list) and len(group) == want,
+            f"$.payload.collection.groups[{i}]",
+            f"expected {want} forms for partition entry {k}",
+        ):
+            job.groups.append([
+                job.polynomials(form, f"$.payload.collection.groups[{i}][{j}]", n)
+                for j, form in enumerate(group)
+            ])
+    return True
 
 
-def _validate_strat(diag, op, payload):
-    if op not in STRAT_OPS:
-        diag.add("$.op", f"strat op must be one of {', '.join(STRAT_OPS)}")
+def _parse_strat(job, payload):
+    if not job.read_op(STRAT_OPS):
         return
+    op = job.op
     if op == "det-n":
-        for key in ("m", "n", "i", "j"):
-            diag.require(
-                isinstance(payload.get(key), int),
-                f"$.payload.{key}",
-                "expected an integer",
-            )
-        return
-    if op == "proportionality":
-        for key in ("eu_variety", "local_index", "claimed_eu"):
-            diag.require(
-                isinstance(payload.get(key), int),
-                f"$.payload.{key}",
-                "expected an integer",
-            )
-        return
-    if op in ("radial-from-phn", "phn-from-radial"):
-        if not diag.require(
-            isinstance(payload.get("t"), int) and payload.get("t", 0) >= 1,
-            "$.payload.t",
-            "t must be a positive integer",
-        ):
-            return
-        t = payload["t"]
-        explicit = "nvals" if op == "radial-from-phn" else "mvals"
-        if explicit not in payload and not (
-            isinstance(payload.get("m"), int) and isinstance(payload.get("n"), int)
-        ):
-            diag.add(
-                f"$.payload.{explicit}",
-                f"provide {explicit} (length {t}) or integers m and n "
-                "to derive them from the binomial formulas",
-            )
-        elif explicit in payload:
-            vals = payload[explicit]
-            if not (
-                isinstance(vals, list)
-                and len(vals) == t
-                and all(isinstance(v, int) for v in vals)
-            ):
-                diag.add(f"$.payload.{explicit}", f"expected {t} integers")
+        job.ints = [job.integer(payload.get(key), f"$.payload.{key}") for key in "mnij"]
+    elif op == "proportionality":
+        names = ("eu_variety", "local_index", "claimed_eu")
+        job.ints = [job.integer(payload.get(key), f"$.payload.{key}") for key in names]
+    elif op in ("radial-from-phn", "phn-from-radial"):
+        _parse_chain(job, payload)
+    else:
+        _parse_poset(job, payload)
 
-        def want_int_list(name, length):
-            vals = payload.get(name)
-            if not (
-                isinstance(vals, list)
-                and len(vals) == length
-                and all(isinstance(v, int) for v in vals)
-            ):
-                diag.add(f"$.payload.{name}", f"expected {length} integers")
 
-        if op == "radial-from-phn":
-            want_int_list("phn", t)
-            diag.require(
-                isinstance(payload.get("dim_v"), int),
-                "$.payload.dim_v",
-                "expected an integer",
-            )
-            diag.require(
-                isinstance(payload.get("chibar"), int),
-                "$.payload.chibar",
-                "expected an integer",
-            )
-        else:
-            want_int_list("radial", t)
-            want_int_list("chibars", t)
-            want_int_list("dims", t)
+def _parse_chain(job, payload):
+    """A chain of rank strata: t, its slice numbers (given, or integers m
+    and n for the binomial formulas) and the per-stratum vectors."""
+    t = job.t = job.integer(payload.get("t"), "$.payload.t", "t must be a positive integer", low=1)
+    if t is None:
         return
-    strata = payload.get("strata")
-    if not diag.require(
+    explicit = "nvals" if job.op == "radial-from-phn" else "mvals"
+    job.slices = job.mn = None
+    if explicit in payload:
+        job.slices = job.integers(payload[explicit], f"$.payload.{explicit}", t)
+    elif _is_int(payload.get("m")) and _is_int(payload.get("n")):
+        job.mn = payload["m"], payload["n"]
+    else:
+        job.add(
+            f"$.payload.{explicit}",
+            f"provide {explicit} (length {t}) or integers m and n "
+            "to derive them from the binomial formulas",
+        )
+    if job.op == "radial-from-phn":
+        job.phn = job.integers(payload.get("phn"), "$.payload.phn", t)
+        job.dim_v = job.integer(payload.get("dim_v"), "$.payload.dim_v")
+        job.chibar = job.integer(payload.get("chibar"), "$.payload.chibar")
+    else:
+        job.radial, job.chibars, job.dims = (
+            job.integers(payload.get(name), f"$.payload.{name}", t)
+            for name in ("radial", "chibars", "dims")
+        )
+
+
+def _parse_poset(job, payload):
+    job.strata = strata = payload.get("strata")
+    if not job.require(
         isinstance(strata, list) and strata,
         "$.payload.strata",
         "expected a non-empty list of stratum labels",
     ):
         return
     covers = payload.get("covers", [])
-    if not isinstance(covers, list) or not all(
-        isinstance(c, list) and len(c) == 2 and all(isinstance(x, int) for x in c)
-        for c in covers
+    if job.require(
+        isinstance(covers, list)
+        and all(isinstance(c, list) and len(c) == 2 and all(map(_is_int, c)) for c in covers),
+        "$.payload.covers",
+        "expected a list of [i, j] index pairs",
     ):
-        diag.add("$.payload.covers", "expected a list of [i, j] index pairs")
+        job.covers = [tuple(c) for c in covers]
     nmap = payload.get("n", {})
+    job.entries = {}
     if not isinstance(nmap, dict):
-        diag.add("$.payload.n", "expected an object with 'i,j' keys")
-    else:
-        for key, value in nmap.items():
-            parts = key.split(",")
-            if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
-                diag.add(f"$.payload.n[{key!r}]", "keys must look like 'i,j'")
-            elif not all(int(p) < len(strata) for p in parts):
-                diag.add(
-                    f"$.payload.n[{key!r}]",
-                    f"stratum indices must be below the stratum count {len(strata)}",
-                )
-            elif not isinstance(value, int):
-                diag.add(f"$.payload.n[{key!r}]", "expected an integer")
-    if op in ("radial-from-eu", "eu-from-radial"):
-        name = "eu" if op == "radial-from-eu" else "radial"
-        vectors = payload.get("vectors", {})
-        vec = vectors.get(name) if isinstance(vectors, dict) else None
-        if not (
-            isinstance(vec, list)
-            and len(vec) == len(strata)
-            and all(isinstance(x, int) for x in vec)
-        ):
-            diag.add(
-                f"$.payload.vectors.{name}",
-                f"expected {len(strata)} integers (one per stratum)",
-            )
-        target = payload.get("target")
-        if target is not None and not (isinstance(target, int) and 0 <= target < len(strata)):
-            diag.add("$.payload.target", f"expected a stratum index below {len(strata)}")
-
-
-def _check_perm_list(diag, value, path, degree):
-    if not isinstance(value, list) or not value:
-        diag.add(path, "expected a non-empty list of permutations")
-        return False
-    ok = True
-    for i, g in enumerate(value):
-        if not _is_permutation(g, degree):
-            diag.add(
-                f"{path}[{i}]",
-                f"expected a permutation of 1..{degree} in one-line notation",
-            )
-            ok = False
-    return ok
-
-
-def _check_element(diag, value, path, message="expected {classIndex: coefficient}"):
-    """A Burnside element: integer class indices mapped to integers."""
-    if not isinstance(value, dict):
-        diag.add(path, message)
+        job.add("$.payload.n", "expected an object with 'i,j' keys")
+        nmap = {}
+    for key, value in nmap.items():
+        ij = [_decimal(p.strip()) for p in key.split(",")] if isinstance(key, str) else []
+        path = f"$.payload.n[{key!r}]"
+        if len(ij) != 2 or None in ij:
+            job.add(path, "keys must look like 'i,j'")
+        elif job.require(
+            max(ij) < len(strata),
+            path,
+            f"stratum indices must be below the stratum count {len(strata)}",
+        ) and job.integer(value, path) is not None:
+            job.entries[tuple(ij)] = value
+    if job.op == "mobius":
         return
-    for key, coeff in value.items():
-        try:
-            int(key)
-        except (TypeError, ValueError):
-            diag.add(f"{path}[{key!r}]", "class index must be an integer")
-            continue
-        if not isinstance(coeff, int):
-            diag.add(f"{path}[{key!r}]", "coefficient must be an integer")
+    name = "eu" if job.op == "radial-from-eu" else "radial"
+    vectors = payload.get("vectors", {})
+    job.vector = job.integers(
+        vectors.get(name) if isinstance(vectors, dict) else None,
+        f"$.payload.vectors.{name}",
+        len(strata),
+        f"expected {len(strata)} integers (one per stratum)",
+    )
+    job.target = payload.get("target")
+    if job.target is not None:
+        job.require(
+            _is_int(job.target) and 0 <= job.target < len(strata),
+            "$.payload.target",
+            f"expected a stratum index below {len(strata)}",
+        )
 
 
-def _check_isotropy_records(diag, records, path, kind, value_key, degree):
+def _parse_group(job, payload, ops):
+    """The op and the group {degree, generators} of a Burnside-ring job."""
+    if not job.read_op(ops):
+        return False
+    group = payload.get("group")
+    if not isinstance(group, dict):
+        job.add("$.payload.group", "expected a group object {degree, generators}")
+        return False
+    degree = group.get("degree", 0)
+    ok = job.require(
+        _is_int(degree) and degree >= 1,
+        "$.payload.group.degree",
+        "degree must be a positive integer",
+    )
+    generators = group.get("generators")
+    if not isinstance(generators, list) or not generators:
+        job.add("$.payload.group.generators", "expected a non-empty list of permutations")
+        return False
+    if not _is_int(degree):
+        return False
+    job.degree = degree
+    job.generators = job.permutations(generators, "$.payload.group.generators", degree)
+    return ok and job.generators is not None
+
+
+def _parse_isotropy(job, records, path, kind, value_key):
     """Records {isotropy, value}: the isotropy is a subgroup class index or
     a list of generating permutations, the value an integer."""
     if not isinstance(records, list):
-        diag.add(path, f"expected a list of {kind} records")
-        return
+        job.add(path, f"expected a list of {kind} records")
+        return None
+    out = []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or "isotropy" not in rec or value_key not in rec:
-            diag.add(f"{path}[{i}]", f"expected {{isotropy, {value_key}}}")
+            job.add(f"{path}[{i}]", f"expected {{isotropy, {value_key}}}")
             continue
         isotropy = rec["isotropy"]
-        if not isinstance(isotropy, int) and not (
-            isinstance(isotropy, list) and all(_is_permutation(g, degree) for g in isotropy)
-        ):
-            diag.add(
+        if isinstance(isotropy, list) and all(_is_permutation(g, job.degree) for g in isotropy):
+            isotropy = [_zero_based(g) for g in isotropy]
+        else:
+            job.require(
+                _is_int(isotropy),
                 f"{path}[{i}].isotropy",
-                f"expected a class index or a list of permutations of 1..{degree}",
+                f"expected a class index or a list of permutations of 1..{job.degree}",
             )
-        if not isinstance(rec[value_key], int):
-            diag.add(f"{path}[{i}].{value_key}", "expected an integer")
+        out.append((isotropy, job.integer(rec[value_key], f"{path}[{i}].{value_key}")))
+    return out
 
 
-def _validate_burnside(diag, op, payload):
-    if op not in BURNSIDE_OPS:
-        diag.add("$.op", f"burnside op must be one of {', '.join(BURNSIDE_OPS)}")
+def _parse_burnside(job, payload):
+    """Both Burnside-ring commands, burnside and equivariant: the group,
+    then what the op needs."""
+    ops = BURNSIDE_OPS if job.command == "burnside" else EQUIVARIANT_OPS
+    if not _parse_group(job, payload, ops):
         return
-    if not _check_group(diag, payload.get("group"), "$.payload.group"):
-        return
-    degree = payload["group"]["degree"]
+    op = job.op
+    if op in ("mul", "r0", "restrict", "induce"):
+        job.a = job.element(payload.get("a"), "$.payload.a")
     if op == "mul":
-        for name in ("a", "b"):
-            _check_element(diag, payload.get(name), f"$.payload.{name}")
-    elif op == "r0":
-        _check_element(diag, payload.get("a"), "$.payload.a")
+        job.b = job.element(payload.get("b"), "$.payload.b")
     elif op in ("restrict", "induce"):
-        _check_element(diag, payload.get("a"), "$.payload.a")
-        _check_perm_list(diag, payload.get("subgroup"), "$.payload.subgroup", degree)
-    elif op == "euler":
-        _check_isotropy_records(
-            diag, payload.get("strata"), "$.payload.strata", "stratum", "chiOrbit", degree
+        job.subgroup = job.permutations(
+            payload.get("subgroup"), "$.payload.subgroup", job.degree
         )
-
-
-def _validate_equivariant(diag, op, payload):
-    if op not in EQUIVARIANT_OPS:
-        diag.add("$.op", f"equivariant op must be one of {', '.join(EQUIVARIANT_OPS)}")
-        return
-    if not _check_group(diag, payload.get("group"), "$.payload.group"):
-        return
-    degree = payload["group"]["degree"]
-    if op == "radial":
-        _check_isotropy_records(
-            diag, payload.get("orbits"), "$.payload.orbits", "orbit", "index", degree
+    elif op == "euler":
+        job.records = _parse_isotropy(
+            job, payload.get("strata"), "$.payload.strata", "stratum", "chiOrbit"
+        )
+    elif op == "radial":
+        job.records = _parse_isotropy(
+            job, payload.get("orbits"), "$.payload.orbits", "orbit", "index"
         )
     elif op == "ph-check":
         records = payload.get("orbit_indices")
+        job.orbit_indices = []
         if not isinstance(records, list):
-            diag.add("$.payload.orbit_indices", "expected a list of {subgroup, index}")
-        else:
-            for i, rec in enumerate(records):
-                if not isinstance(rec, dict) or "subgroup" not in rec or "index" not in rec:
-                    diag.add(
-                        f"$.payload.orbit_indices[{i}]", "expected {subgroup, index}"
-                    )
-                    continue
-                _check_perm_list(
-                    diag,
-                    rec["subgroup"],
-                    f"$.payload.orbit_indices[{i}].subgroup",
-                    degree,
-                )
-                _check_element(
-                    diag,
-                    rec["index"],
-                    f"$.payload.orbit_indices[{i}].index",
-                    "expected {classIndex: coefficient} over the subgroup",
-                )
-        _check_element(diag, payload.get("chi"), "$.payload.chi")
+            job.add("$.payload.orbit_indices", "expected a list of {subgroup, index}")
+            records = []
+        for i, rec in enumerate(records):
+            path = f"$.payload.orbit_indices[{i}]"
+            if job.require(
+                isinstance(rec, dict) and "subgroup" in rec and "index" in rec,
+                path,
+                "expected {subgroup, index}",
+            ):
+                job.orbit_indices.append((
+                    job.permutations(rec["subgroup"], path + ".subgroup", job.degree),
+                    job.element(
+                        rec["index"],
+                        path + ".index",
+                        "expected {classIndex: coefficient} over the subgroup",
+                    ),
+                ))
+        job.chi = job.element(payload.get("chi"), "$.payload.chi")
     elif op == "gsv-from-radial":
-        for name in ("radial", "chibar"):
-            _check_element(diag, payload.get(name), f"$.payload.{name}")
+        job.radial = job.element(payload.get("radial"), "$.payload.radial")
+        job.chibar = job.element(payload.get("chibar"), "$.payload.chibar")
 
 
 # ---------------------------------------------------------------------------
@@ -672,36 +713,24 @@ def _validate_equivariant(diag, op, payload):
 
 
 def run_job(document, run_oracle=False):
-    """Execute a validated job document and return (report, exit_code)."""
-    diagnostics = validate(document)
-    if diagnostics:
+    """Parse a job document, run it and return (report, exit_code)."""
+    job = _Job(document)
+    if job.diagnostics:
         report = Report(
-            command=str(document.get("command", "")),
-            op=str(document.get("op", "")),
+            command=str(job.command),
+            op=str(job.op),
             status="rejected",
-            values={"diagnostics": diagnostics},
+            values={"diagnostics": job.diagnostics},
         )
         return report, 2
 
-    command = document["command"]
-    op = document.get("op", "")
-    payload = document["payload"]
-    options = dict(document.get("options", {}))
-    seed = int(options.get("seed", 0))
-    cap = int(options.get("degree_cap", DEFAULT_DEGREE_CAP))
-    report = Report(command=command, op=op, options={"seed": seed, "degree_cap": cap})
-
+    report = Report(
+        command=job.command, op=job.op, options={"seed": job.seed, "degree_cap": job.cap}
+    )
     try:
-        if command in ("smooth-index", "elk", "collection"):
-            _run_smooth(report, command, payload, cap, run_oracle)
-        elif command == "icis":
-            _run_icis(report, payload, seed, cap, run_oracle)
-        elif command == "strat":
-            _run_strat(report, op, payload, run_oracle)
-        elif command == "burnside":
-            _run_burnside(report, op, payload, run_oracle)
-        elif command == "equivariant":
-            _run_equivariant(report, op, payload)
+        if job.over_cap is not None:
+            raise job.over_cap
+        job.runner(report, job, run_oracle)
     except RejectedInputError as err:
         report.status = "rejected"
         report.values["error"] = str(err)
@@ -723,50 +752,35 @@ def run_job(document, run_oracle=False):
     return report, 0
 
 
-def _make_action(payload, variables):
-    matrices = payload.get("action")
-    if not matrices:
-        return None
-    parsed = [
-        [[Fraction(str(x)) for x in row] for row in matrix] for matrix in matrices
-    ]
-    return sm.GroupAction(variables, parsed)
-
-
-def _run_smooth(report, command, payload, cap, run_oracle):
-    variables = tuple(payload["variables"])
-    kind = payload.get("kind", "collection" if command == "collection" else "vector_field")
-    if command == "collection":
-        kind = "collection"
-
-    if command == "elk":
-        germ = sm.VectorFieldGerm(variables, payload["data"], field="R")
+def _run_smooth(report, job, run_oracle):
+    variables, cap = job.variables, job.cap
+    if job.command == "elk":
+        germ = sm.VectorFieldGerm(variables, job.data, field="R")
         form = sm.elk_form(germ, cap)
-        report.values["index"] = form.signature()
-        report.rules["index"] = "signature-of-residue-pairing"
+        report.put("index", form.signature(), "signature-of-residue-pairing")
         report.certificates["algebra_dimension"] = form.algebra.dimension
-        from .poly import Polynomial as _P
-
         report.certificates["algebra_basis"] = [
-            str(_P(variables, {m: 1})) for m in form.algebra.basis
+            str(Polynomial(variables, {m: 1})) for m in form.algebra.basis
         ]
         if form.algebra.dimension == 0:
             report.flags.append("NONSINGULAR")
-        action = _make_action(payload, variables)
-        if action is not None:
-            report.values["invariant_dimension"] = sm.invariant_dimension(
-                form.algebra, action, cap
+        if job.action:
+            action = sm.GroupAction(variables, job.action)
+            report.put(
+                "invariant_dimension",
+                sm.invariant_dimension(form.algebra, action, cap),
+                "trace-average-over-group",
             )
-            report.rules["invariant_dimension"] = "trace-average-over-group"
-            report.values["invariant_signature"] = sm.invariant_signature(
-                form, action, cap
+            report.put(
+                "invariant_signature",
+                sm.invariant_signature(form, action, cap),
+                "signature-on-invariant-subspace",
             )
-            report.rules["invariant_signature"] = "signature-on-invariant-subspace"
         if run_oracle:
             if len(variables) == 2:
-                got = oracles.winding_degree(payload["data"], variables)
+                got = oracles.winding_degree(germ.components)
             elif len(variables) == 3:
-                got = oracles.boundary_degree_3d(payload["data"], variables)
+                got = oracles.boundary_degree_3d(germ.components)
             else:
                 report.oracle = {"supported": False}
                 return
@@ -777,29 +791,23 @@ def _run_smooth(report, command, payload, cap, run_oracle):
             }
         return
 
-    if kind == "vector_field":
-        germ = sm.VectorFieldGerm(variables, payload["data"], field=payload.get("field", "C"))
+    if job.kind == "vector_field":
+        germ = sm.VectorFieldGerm(variables, job.data, field=job.field)
         value = sm.palamodov_index(germ, cap)
-        report.values["index"] = value
-        report.rules["index"] = "colength-of-component-ideal"
+        report.put("index", value, "colength-of-component-ideal")
         gens = list(germ.components)
-    elif kind == "one_form":
-        germ = sm.OneFormGerm(variables, payload["data"], field=payload.get("field", "C"))
+    elif job.kind == "one_form":
+        germ = sm.OneFormGerm(variables, job.data, field=job.field)
         value = sm.complex_form_index(germ, cap)
-        report.values["index"] = value
-        report.rules["index"] = "colength-of-coefficient-ideal"
+        report.put("index", value, "colength-of-coefficient-ideal")
         report.values["real_part_relation"] = (
             f"(-1)^{len(variables)} * index of the real part on R^{2 * len(variables)}"
         )
         gens = list(germ.coefficients)
     else:
-        data = payload["data"]
-        coll = sm.SectionCollection(
-            variables, data["rank"], data["partition"], data["matrices"]
-        )
+        coll = sm.SectionCollection(variables, job.rank, job.partition, job.matrices)
         value = sm.collection_index(coll, cap)
-        report.values["index"] = value
-        report.rules["index"] = "minors-ideal-colength"
+        report.put("index", value, "minors-ideal-colength")
         gens = list(coll.minors_ideal().generators)
     if value == 0:
         report.flags.append("NONSINGULAR")
@@ -813,45 +821,38 @@ def _run_smooth(report, command, payload, cap, run_oracle):
     report.certificates["ideal_generators"] = len(gens)
 
 
-def _run_icis(report, payload, seed, cap, run_oracle):
-    variables = tuple(payload["variables"])
-    germ = ic.ICISGerm(variables, payload["equations"])
-    want = payload.get("want", ["gsv"])
-    if "seed" in payload:
-        seed = int(payload["seed"])
-        report.options["seed"] = seed
-    if "collection" in payload:
+ICIS_RULES = {
+    "gsv": "minors-ideal-colength",
+    "milnor": "slice-recursion",
+    "radial": "gsv-minus-milnor",
+    "homological": "equals-gsv-on-complete-intersections",
+}
+
+
+def _run_icis(report, job, run_oracle):
+    germ = ic.ICISGerm(job.variables, job.equations)
+    want, seed, cap = job.want, job.seed, job.cap
+    report.options["seed"] = seed
+    if job.groups is not None:
         if set(want) & {"radial", "homological"}:
             raise RejectedInputError(
                 "radial and homological indices are defined for single "
                 "1-forms, not collections"
             )
-        coll = payload["collection"]
-        value = ic.gsv_index_collection(
-            germ, coll["partition"], coll["groups"], cap
-        )
-        report.values["gsv"] = value
-        report.rules["gsv"] = "minors-ideal-colength"
+        value = ic.gsv_index_collection(germ, job.partition, job.groups, cap)
+        report.put("gsv", value, ICIS_RULES["gsv"])
         if "milnor" in want:
-            report.values["milnor"] = ic.milnor_number(germ, seed, cap)
-            report.rules["milnor"] = "slice-recursion"
+            report.put("milnor", ic.milnor_number(germ, seed, cap), ICIS_RULES["milnor"])
         report.certificates["isolated_singularity_colength"] = (
             ic.isolatedness_certificate(germ, cap)
         )
         return
-    res = ic.icis_report(germ, payload["form"], want=want, seed=seed, degree_cap=cap)
-    rules = {
-        "gsv": "minors-ideal-colength",
-        "milnor": "slice-recursion",
-        "radial": "gsv-minus-milnor",
-        "homological": "equals-gsv-on-complete-intersections",
-    }
+    res = ic.icis_report(germ, job.form, want=want, seed=seed, degree_cap=cap)
     for name in want:
-        report.values[name] = getattr(res, name)
-        report.rules[name] = rules[name]
+        report.put(name, getattr(res, name), ICIS_RULES[name])
     report.certificates.update(res.certificates)
     if run_oracle and "gsv" in want:
-        form = sm.OneFormGerm(variables, payload["form"])
+        form = sm.OneFormGerm(job.variables, job.form)
         ideal = ic._stacked_minors_ideal(germ, [list(form.coefficients)])
         got = oracles.macaulay_colength(list(ideal.generators))
         report.oracle = {
@@ -861,63 +862,40 @@ def _run_icis(report, payload, seed, cap, run_oracle):
         }
 
 
-def _parse_poset(payload):
-    poset = st.StratPoset(payload["strata"], [tuple(c) for c in payload.get("covers", [])])
-    entries = {}
-    for key, value in payload.get("n", {}).items():
-        i, j = (int(p) for p in key.split(","))
-        entries[(i, j)] = value
-    return poset, st.SliceData(poset, entries)
-
-
-def _run_strat(report, op, payload, run_oracle):
+def _run_strat(report, job, run_oracle):
+    op = job.op
     if op == "det-n":
-        m, n, i, j = payload["m"], payload["n"], payload["i"], payload["j"]
-        report.values["n"] = st.det_n(m, n, i, j)
-        report.values["m"] = st.det_m(m, n, i, j)
-        report.rules["n"] = "binomial-slice-formula"
-        report.rules["m"] = "binomial-slice-formula-inverse"
+        report.put("n", st.det_n(*job.ints), "binomial-slice-formula")
+        report.put("m", st.det_m(*job.ints), "binomial-slice-formula-inverse")
         return
     if op == "proportionality":
-        report.values["proportional"] = st.proportionality_check(
-            payload["eu_variety"], payload["local_index"], payload["claimed_eu"]
+        report.put(
+            "proportional",
+            st.proportionality_check(*job.ints),
+            "obstruction-proportional-to-radial-index",
         )
-        report.rules["proportional"] = "obstruction-proportional-to-radial-index"
         return
-    if op == "radial-from-phn":
-        nvals = payload.get("nvals")
-        if nvals is None:
-            m, n = payload["m"], payload["n"]
-            nvals = [st.det_n(m, n, i, payload["t"]) for i in range(1, payload["t"] + 1)]
-        report.values["radial"] = st.radial_from_phn(
-            payload["t"],
-            nvals,
-            st.IndexVector(payload["phn"], "PHN"),
-            payload["dim_v"],
-            payload["chibar"],
-        )
-        report.rules["radial"] = "nash-index-weighted-sum"
-        return
-    if op == "phn-from-radial":
-        mvals = payload.get("mvals")
-        if mvals is None:
-            m, n = payload["m"], payload["n"]
-            mvals = [st.det_m(m, n, i, payload["t"]) for i in range(1, payload["t"] + 1)]
-        report.values["phn"] = st.phn_from_radial(
-            payload["t"],
-            mvals,
-            st.IndexVector(payload["radial"], "radial"),
-            payload["chibars"],
-            payload["dims"],
-        )
-        report.rules["phn"] = "mobius-weighted-radial-sum"
+    if op in ("radial-from-phn", "phn-from-radial"):
+        t = job.t
+        det = st.det_n if op == "radial-from-phn" else st.det_m
+        slices = job.slices if job.mn is None else [det(*job.mn, i, t) for i in range(1, t + 1)]
+        if op == "radial-from-phn":
+            phn = st.IndexVector(job.phn, "PHN")
+            value = st.radial_from_phn(t, slices, phn, job.dim_v, job.chibar)
+            report.put("radial", value, "nash-index-weighted-sum")
+        else:
+            rad = st.IndexVector(job.radial, "radial")
+            value = st.phn_from_radial(t, slices, rad, job.chibars, job.dims)
+            report.put("phn", value, "mobius-weighted-radial-sum")
         return
 
-    poset, data = _parse_poset(payload)
+    poset = st.StratPoset(job.strata, job.covers)
+    data = st.SliceData(poset, job.entries)
     if op == "mobius":
         inverse = st.mobius_inverse(data)
-        report.values["m"] = {f"{i},{j}": v for (i, j), v in sorted(inverse.items())}
-        report.rules["m"] = "mobius-inversion"
+        report.put(
+            "m", {f"{i},{j}": v for (i, j), v in sorted(inverse.items())}, "mobius-inversion"
+        )
         if run_oracle:
             ok = True
             for i in range(poset.size):
@@ -929,51 +907,45 @@ def _run_strat(report, op, payload, run_oracle):
                         )
                         ok = ok and s == (1 if i == k else 0)
             report.oracle = {"kind": "product-identity", "match": ok}
-        return
-    vectors = payload.get("vectors", {})
-    if op == "radial-from-eu":
-        eu = st.IndexVector(vectors["eu"], "Eu")
-        report.values["radial"] = st.radial_from_eu(data, eu, payload.get("target"))
-        report.rules["radial"] = "slice-weighted-obstruction-sum"
+    elif op == "radial-from-eu":
+        eu = st.IndexVector(job.vector, "Eu")
+        value = st.radial_from_eu(data, eu, job.target)
+        report.put("radial", value, "slice-weighted-obstruction-sum")
     else:
-        rad = st.IndexVector(vectors["radial"], "radial")
-        report.values["eu"] = st.eu_from_radial(data, rad, payload.get("target"))
-        report.rules["eu"] = "mobius-weighted-radial-sum"
+        rad = st.IndexVector(job.vector, "radial")
+        report.put("eu", st.eu_from_radial(data, rad, job.target), "mobius-weighted-radial-sum")
 
 
-def _load_group(payload):
-    g = payload["group"]
-    return br.PermutationGroup.from_one_based(g["degree"], g["generators"])
-
-
-def _element(group, data):
-    return br.BurnsideElement(group, {int(k): int(v) for k, v in data.items()})
-
-
-def _subgroup_from_generators(group, gens):
-    return group.subgroup_generated_by([tuple(x - 1 for x in g) for g in gens])
-
-
-def _run_burnside(report, op, payload, run_oracle):
-    group = _load_group(payload)
-    report.certificates["group_order"] = group.order
+def _run_burnside(report, job, run_oracle):
+    """Both Burnside-ring commands."""
+    op = job.op
+    group = br.PermutationGroup(job.degree, job.generators)
+    if job.command == "burnside":
+        report.certificates["group_order"] = group.order
     if op == "classes":
-        report.values["classes"] = [
-            {"index": c.index, "order": c.order} for c in group.classes()
-        ]
-        report.rules["classes"] = "subgroup-conjugacy-classification"
+        classes = [{"index": c.index, "order": c.order} for c in group.classes()]
+        report.put("classes", classes, "subgroup-conjugacy-classification")
         return
     if op == "marks":
-        report.values["marks"] = [list(r) for r in group.table_of_marks().matrix]
-        report.rules["marks"] = "fixed-point-counts"
+        marks = [list(r) for r in group.table_of_marks().matrix]
+        report.put("marks", marks, "fixed-point-counts")
+        return
+    if op == "r0":
+        report.put("r0", br.r0(br.BurnsideElement(group, job.a)), "coefficient-sum")
+        return
+    if op == "ph-check":
+        orbit_indices = []
+        for generators, index in job.orbit_indices:
+            h_group = br.subgroup_as_group(group, group.subgroup_generated_by(generators))
+            orbit_indices.append((br.BurnsideElement(h_group, index), h_group))
+        chi = br.BurnsideElement(group, job.chi)
+        holds = br.equivariant_ph_check(group, orbit_indices, chi)
+        report.put("holds", holds, "equivariant-poincare-hopf")
         return
     if op == "mul":
-        a = _element(group, payload["a"])
-        b = _element(group, payload["b"])
-        product = br.burnside_mul(a, b)
-        report.values["product"] = product
-        report.values["pretty"] = str(product)
-        report.rules["product"] = "marks-product"
+        a = br.BurnsideElement(group, job.a)
+        b = br.BurnsideElement(group, job.b)
+        name, value, rule = "product", br.burnside_mul(a, b), "marks-product"
         if run_oracle:
             total = br.BurnsideElement.zero(group)
             for i, ca in a.coefficients.items():
@@ -984,80 +956,42 @@ def _run_burnside(report, op, payload, run_oracle):
             report.oracle = {
                 "kind": "orbit-counting",
                 "value": {str(k): v for k, v in total.coefficients.items()},
-                "match": total == product,
+                "match": total == value,
             }
-        return
-    if op == "r0":
-        report.values["r0"] = br.r0(_element(group, payload["a"]))
-        report.rules["r0"] = "coefficient-sum"
-        return
-    if op == "restrict":
-        sub = _subgroup_from_generators(group, payload["subgroup"])
-        restricted = br.restriction(_element(group, payload["a"]), sub)
-        report.values["restriction"] = restricted
-        report.values["pretty"] = str(restricted)
+    elif op == "restrict":
+        sub = group.subgroup_generated_by(job.subgroup)
+        value = br.restriction(br.BurnsideElement(group, job.a), sub)
+        name, rule = "restriction", "coset-orbit-decomposition"
         report.values["subgroup_classes"] = [
-            {"index": c.index, "order": c.order} for c in restricted.group.classes()
+            {"index": c.index, "order": c.order} for c in value.group.classes()
         ]
-        report.rules["restriction"] = "coset-orbit-decomposition"
-        return
-    if op == "induce":
-        sub = _subgroup_from_generators(group, payload["subgroup"])
-        h_group = br.subgroup_as_group(group, sub)
-        induced = br.induction(_element(h_group, payload["a"]), group)
-        report.values["induction"] = induced
-        report.values["pretty"] = str(induced)
-        report.rules["induction"] = "subgroup-class-transport"
-        return
-    if op == "euler":
-        strata = [
-            (
-                rec["isotropy"]
-                if isinstance(rec["isotropy"], int)
-                else [tuple(x - 1 for x in g) for g in rec["isotropy"]],
-                rec["chiOrbit"],
-            )
-            for rec in payload["strata"]
-        ]
-        chi = br.equivariant_euler(group, strata)
-        report.values["chi"] = chi
-        report.values["pretty"] = str(chi)
-        report.rules["chi"] = "orbit-space-weighted-sum"
-        return
+    elif op == "induce":
+        h_group = br.subgroup_as_group(group, group.subgroup_generated_by(job.subgroup))
+        value = br.induction(br.BurnsideElement(h_group, job.a), group)
+        name, rule = "induction", "subgroup-class-transport"
+    elif op == "euler":
+        value = br.equivariant_euler(group, job.records)
+        name, rule = "chi", "orbit-space-weighted-sum"
+    elif op == "radial":
+        value = br.equivariant_radial_index(group, job.records)
+        name, rule = "radial", "orbit-sum-with-multiplicities"
+    else:
+        radial = br.BurnsideElement(group, job.radial)
+        value = br.equivariant_gsv_from_radial(radial, br.BurnsideElement(group, job.chibar))
+        name, rule = "gsv", "radial-plus-reduced-euler"
+    report.put(name, value, rule)
+    report.values["pretty"] = str(value)
 
 
-def _run_equivariant(report, op, payload):
-    group = _load_group(payload)
-    if op == "radial":
-        records = [
-            (
-                rec["isotropy"]
-                if isinstance(rec["isotropy"], int)
-                else [tuple(x - 1 for x in g) for g in rec["isotropy"]],
-                rec["index"],
-            )
-            for rec in payload["orbits"]
-        ]
-        value = br.equivariant_radial_index(group, records)
-        report.values["radial"] = value
-        report.values["pretty"] = str(value)
-        report.rules["radial"] = "orbit-sum-with-multiplicities"
-        return
-    if op == "ph-check":
-        orbit_indices = []
-        for rec in payload["orbit_indices"]:
-            sub = _subgroup_from_generators(group, rec["subgroup"])
-            h_group = br.subgroup_as_group(group, sub)
-            orbit_indices.append((_element(h_group, rec["index"]), h_group))
-        chi = _element(group, payload["chi"])
-        ok = br.equivariant_ph_check(group, orbit_indices, chi)
-        report.values["holds"] = ok
-        report.rules["holds"] = "equivariant-poincare-hopf"
-        return
-    if op == "gsv-from-radial":
-        rad = _element(group, payload["radial"])
-        chibar = _element(group, payload["chibar"])
-        value = br.equivariant_gsv_from_radial(rad, chibar)
-        report.values["gsv"] = value
-        report.values["pretty"] = str(value)
-        report.rules["gsv"] = "radial-plus-reduced-euler"
+# command -> (parse function, runner)
+_HANDLERS = {
+    "smooth-index": (_parse_smooth, _run_smooth),
+    "elk": (_parse_smooth, _run_smooth),
+    "collection": (_parse_smooth, _run_smooth),
+    "icis": (_parse_icis, _run_icis),
+    "strat": (_parse_strat, _run_strat),
+    "burnside": (_parse_burnside, _run_burnside),
+    "equivariant": (_parse_burnside, _run_burnside),
+}
+
+COMMANDS = tuple(_HANDLERS)

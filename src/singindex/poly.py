@@ -9,7 +9,10 @@ owning context.
 The text grammar accepted by :func:`parse_polynomial` is the wire format
 used by every JSON job file: variables are identifiers, coefficients are
 integers or ``a/b`` rationals, and the operators are ``+ - * ^`` (plus
-parentheses), e.g. ``x^2 + 2/3*x*y - z``.
+parentheses), e.g. ``x^2 + 2/3*x*y - z``.  The parser bounds what it
+builds before it builds it: a product or power above the degree cap
+raises ``DegreeCapError``, and a power whose coefficients would run past
+``MAX_POWER_BITS`` bits is rejected.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ import itertools
 import re
 from fractions import Fraction
 
-from .errors import RejectedInputError
+from .errors import DegreeCapError, RejectedInputError
+
+# total degree beyond which basis computations abort, and polynomial text
+# is refused as it is parsed
+DEFAULT_DEGREE_CAP = 40
+
+# estimated coefficient size, in bits, beyond which a power is refused
+MAX_POWER_BITS = 4096
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -436,7 +446,10 @@ def _tokenize(text):
                 break
             raise RejectedInputError(f"cannot tokenize polynomial near {tail[:15]!r}")
         if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int"))))
+            try:
+                tokens.append(("int", int(m.group("int"))))
+            except ValueError:  # more digits than int() reads
+                raise RejectedInputError("integer in polynomial text is too long") from None
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
         else:
@@ -445,11 +458,26 @@ def _tokenize(text):
     return tokens
 
 
+def _coefficient_bits(p):
+    """Bits of the largest coefficient (numerator and denominator) plus
+    the bits of the term count: e times this estimates the coefficient
+    size of p^e."""
+    height = max(c.numerator.bit_length() + c.denominator.bit_length() for c in p.terms.values())
+    return height + len(p.terms).bit_length()
+
+
 class _Parser:
-    def __init__(self, tokens, context):
+    def __init__(self, tokens, context, degree_cap):
         self.tokens = tokens
         self.pos = 0
         self.context = tuple(context)
+        self.degree_cap = degree_cap
+
+    def bound_degree(self, degree):
+        if degree > self.degree_cap:
+            raise DegreeCapError(
+                f"polynomial degree {degree} exceeds the degree cap {self.degree_cap}"
+            )
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -494,7 +522,9 @@ class _Parser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                p = p * self.factor()
+                q = self.factor()
+                self.bound_degree(p.degree() + q.degree())
+                p = p * q
             else:
                 return p
 
@@ -506,6 +536,12 @@ class _Parser:
             ekind, eval_ = self.take()
             if ekind != "int":
                 raise RejectedInputError("exponent must be a non-negative integer")
+            if eval_ > 1 and not p.is_zero:
+                self.bound_degree(p.degree() * eval_)
+                if eval_ * _coefficient_bits(p) > MAX_POWER_BITS:
+                    raise RejectedInputError(
+                        f"power coefficients would exceed {MAX_POWER_BITS} bits"
+                    )
             p = p**eval_
         return p
 
@@ -532,13 +568,16 @@ class _Parser:
         raise RejectedInputError(f"unexpected token {val!r} in polynomial text")
 
 
-def parse_polynomial(text, variables):
+def parse_polynomial(text, variables, degree_cap=DEFAULT_DEGREE_CAP):
     """Parse the wire-format grammar into a Polynomial over `variables`."""
     if isinstance(text, Polynomial):
         if tuple(text.context) != tuple(variables):
             raise RejectedInputError("polynomial context does not match variables")
         return text
-    return _Parser(_tokenize(str(text)), variables).parse()
+    try:
+        return _Parser(_tokenize(str(text)), variables, degree_cap).parse()
+    except RecursionError:
+        raise RejectedInputError("polynomial text nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------

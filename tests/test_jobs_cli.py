@@ -1,8 +1,11 @@
+import copy
 import json
+import random
+import time
 
 import pytest
 
-from singindex import burnside
+from singindex import burnside, jobs
 from singindex.cli import main
 from singindex.grobner import INFINITE
 from singindex.jobs import Report, run_job, validate
@@ -289,6 +292,12 @@ REJECTED = {
     "target-outside-poset": ("strat", "radial-from-eu", {**POSET, "vectors": {"eu": [1, 2]}, "target": 5}, {}),
     "icis-seed-string": ("icis", "", {"variables": ["x", "y"], "equations": ["x"], "form": ["0", "1"], "seed": "a"}, {}),
     "icis-want-unhashable": ("icis", "", {"variables": ["x", "y"], "equations": ["x"], "form": ["0", "1"], "want": [[1]]}, {}),
+    "group-degree-bool": ("burnside", "classes", {"group": {"degree": True, "generators": [[1]]}}, {}),
+    "coefficient-bool": ("burnside", "r0", {"group": GROUP, "a": {"0": True}}, {}),
+    "options-cap-bool": ("strat", "det-n", DET_N, {"degree_cap": True}),
+    "class-key-space": ("burnside", "r0", {"group": GROUP, "a": {" 1": 1}}, {}),
+    "polynomial-nesting": ("smooth-index", "", {**PLANE_GERM, "data": ["(" * 3000 + "x" + ")" * 3000, "y"]}, {}),
+    "polynomial-long-integer": ("smooth-index", "", {**PLANE_GERM, "data": ["1" * 5000, "y"]}, {}),
 }
 
 
@@ -359,3 +368,162 @@ def test_subgroup_outside_the_group_is_rejected_before_closure(monkeypatch, op):
     assert code == 2
     assert report.values["error"] == "not a subgroup of this group"
     assert closed and max(closed) <= 2
+
+
+PLANE = ["x", "y"]
+BOUNDED_PARSE = {
+    "x^100000000000": (PLANE, 4),
+    "x^1000000": (PLANE, 4),
+    "x^41": (PLANE, 4),
+    "(1+x+y+z)^80": (["x", "y", "z"], 4),
+    "((((9)^40)^40)^40)^40": (PLANE, 2),
+}
+
+
+@pytest.mark.parametrize("text", sorted(BOUNDED_PARSE))
+def test_polynomials_are_bounded_before_they_are_expanded(text):
+    variables, exit_code = BOUNDED_PARSE[text]
+    data = [text] + variables[1:]
+    start = time.perf_counter()
+    report, code = run_job(doc("smooth-index", {"variables": variables, "data": data}))
+    assert time.perf_counter() - start < 1
+    assert code == exit_code
+
+
+def test_polynomial_text_faults_are_path_diagnostics():
+    payload = {"variables": ["x", "y"], "data": ["x +", "y"], "field": "Q"}
+    report, code = run_job(doc("smooth-index", payload))
+    assert code == 2
+    assert report.values["diagnostics"] == [
+        {"path": "$.payload.data[0]", "message": "unexpected token None in polynomial text"},
+        {"path": "$.payload.field", "message": "ground field tag must be 'R' or 'C'"},
+    ]
+    # polynomial text is judged only on a document of the right shape
+    payload["action"] = "x"
+    assert validate(doc("smooth-index", payload)) == [
+        {"path": "$.payload.action", "message": "expected a list of 2 x 2 matrices"}
+    ]
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_subgroup_lattice_is_bounded(k):
+    # C2^6 and C2^7 lie inside the group cap but have 2825 and more subgroups
+    swaps = []
+    for t in range(k):
+        perm = list(range(1, 2 * k + 1))
+        perm[2 * t], perm[2 * t + 1] = perm[2 * t + 1], perm[2 * t]
+        swaps.append(perm)
+    group = {"degree": 2 * k, "generators": swaps}
+    start = time.perf_counter()
+    report, code = run_job(doc("burnside", {"group": group}, op="marks"))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "subgroup lattice" in report.values["error"]
+
+
+VALID = [
+    doc("smooth-index", {"variables": ["z1", "z2"], "kind": "vector_field", "data": ["z1^2", "z2^3"]}),
+    doc("smooth-index", {"variables": ["z1", "z2"], "kind": "one_form", "data": ["z1", "0"]}),
+    doc("elk", {"field": "R", "variables": ["x", "y"], "data": ["x^3", "y^3"], "action": [[[0, 1], [1, 0]]]}),
+    doc("collection", {"variables": ["x", "y"], "data": {"rank": 1, "partition": [1, 1], "matrices": [[["x"]], [["y^2"]]]}}),
+    doc("icis", {"variables": ["x", "y", "z"], "equations": ["x^2 + y^2 + z^2"], "form": ["0", "0", "1"], "want": ["gsv", "milnor", "radial"]}),
+    doc("icis", {"variables": ["x", "y", "z"], "equations": ["x^2 + y^3 + z^2"], "collection": {"partition": [2], "groups": [[["0", "0", "1"]]]}}),
+    doc("strat", DET_N, op="det-n"),
+    doc("strat", {"eu_variety": 2, "local_index": 3, "claimed_eu": 6}, op="proportionality"),
+    doc("strat", POSET, op="mobius"),
+    doc("strat", {**POSET, "vectors": {"eu": [1, 2]}, "target": 1}, op="radial-from-eu"),
+    doc("strat", {**POSET, "vectors": {"radial": [1, 2]}}, op="eu-from-radial"),
+    doc("strat", {"t": 2, "m": 2, "n": 3, "phn": [1, 2], "dim_v": 3, "chibar": 1}, op="radial-from-phn"),
+    doc("strat", {"t": 2, "mvals": [1, -1], "radial": [1, 2], "chibars": [0, 1], "dims": [0, 2]}, op="phn-from-radial"),
+    doc("burnside", {"group": {"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}, "a": {"1": 1}, "b": {"2": 1}}, op="mul"),
+    doc("burnside", {"group": GROUP, "a": {"0": 2, "1": -1}, "subgroup": [[1, 2]]}, op="restrict", options={"seed": 1}),
+    doc("burnside", {"group": GROUP, "a": {"0": 1}, "subgroup": [[2, 1]]}, op="induce"),
+    doc("burnside", {"group": GROUP, "strata": [{"isotropy": 1, "chiOrbit": 2}, {"isotropy": [[1, 2]], "chiOrbit": 0}]}, op="euler"),
+    doc("burnside", {"group": GROUP}, op="marks"),
+    doc("equivariant", {"group": GROUP, "orbits": [{"isotropy": [[2, 1]], "index": 1}]}, op="radial"),
+    doc("equivariant", {"group": GROUP, "orbit_indices": [{"subgroup": [[2, 1]], "index": {"1": 1}}] * 2, "chi": {"1": 2}}, op="ph-check"),
+    doc("equivariant", {"group": GROUP, "radial": {"0": 1}, "chibar": {"1": -1}}, op="gsv-from-radial"),
+]
+
+BAD_VALUES = [None, True, -1, "x", [], {}, 10**12, [[1, [2]]]]
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) location below the document root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize("document", VALID, ids=lambda d: f"{d['command']}-{d['op']}")
+def test_valid_documents_run(document):
+    assert run_job(copy.deepcopy(document))[1] in (0, 3)
+
+
+def test_mutated_documents_never_raise():
+    rng = random.Random(2021)
+    for _ in range(4000):
+        document = copy.deepcopy(rng.choice(VALID))
+        path = rng.choice(list(_paths(document)))
+        node = document
+        for key in path[:-1]:
+            node = node[key]
+        if rng.random() < 0.2:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(rng.choice(BAD_VALUES))
+        report, code = run_job(document)
+        assert code in (0, 2, 3, 4), (document, report.to_json())
+
+
+class _Watched(dict):
+    """A JSON object that records reads once `sealed` holds."""
+
+    def __init__(self, data, reads):
+        super().__init__({k: _watch(v, reads) for k, v in data.items()})
+        self.reads = reads
+
+    def _read(self):
+        if self.reads["sealed"]:
+            self.reads["after"] += 1
+
+    def __getitem__(self, key):
+        self._read()
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._read()
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self._read()
+        return super().__contains__(key)
+
+    def items(self):
+        self._read()
+        return super().items()
+
+
+def _watch(value, reads):
+    if isinstance(value, dict):
+        return _Watched(value, reads)
+    if isinstance(value, list):
+        return [_watch(v, reads) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("document", VALID, ids=lambda d: f"{d['command']}-{d['op']}")
+def test_runners_never_read_the_document(monkeypatch, document):
+    reads = {"sealed": False, "after": 0}
+    parse = jobs._Job.__init__
+
+    def parse_then_seal(self, document):
+        parse(self, document)
+        reads["sealed"] = True
+
+    monkeypatch.setattr(jobs._Job, "__init__", parse_then_seal)
+    report, code = run_job(_watch(document, reads))
+    assert code in (0, 3)
+    assert reads["sealed"] and reads["after"] == 0

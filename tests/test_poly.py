@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from singindex.errors import RejectedInputError
+from singindex.errors import DegreeCapError, RejectedInputError
 from singindex.poly import (
     GLOBAL_ORDER,
     LOCAL_ORDER,
@@ -49,6 +49,18 @@ def test_parser_round_trip():
 def test_parser_rejects_unknown_variable():
     with pytest.raises(RejectedInputError):
         parse_polynomial("x + w", CTX)
+
+
+def test_parser_bounds_degree_and_coefficients_before_expanding():
+    with pytest.raises(DegreeCapError):
+        parse_polynomial("x^41", CTX)
+    with pytest.raises(DegreeCapError):
+        parse_polynomial("x^20 * y^21", CTX)
+    assert parse_polynomial("x^41", CTX, degree_cap=41) == X**41
+    assert parse_polynomial("(x*y)^20", CTX) == (X * Y) ** 20
+    with pytest.raises(RejectedInputError):
+        parse_polynomial("((((9)^40)^40)^40)^40", CTX)
+    assert parse_polynomial("0^100000000000 + 9^40", CTX) == Polynomial.constant(CTX, 9**40)
 
 
 def test_ring_axioms_randomized():
