@@ -35,3 +35,8 @@ class GenericityError(SingindexError):
 class InternalCheckError(SingindexError):
     """An internal consistency assertion failed.  Indicates a bug, not a
     user error; these should never occur on valid input."""
+
+
+class OracleBudgetError(SingindexError):
+    """An independent cross-check ran past its work budget.  The check is
+    skipped, not failed: it says nothing about the main result."""

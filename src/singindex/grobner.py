@@ -1,11 +1,12 @@
-"""Global Groebner bases, local standard bases, colengths, quotient algebras.
+"""Standard bases, colengths and quotient algebras in the local ring at the
+origin.
 
-Global ideals go through Buchberger's algorithm with the normal selection
-strategy (minimal lcm degree first, deterministic tie-break), giving a
-reduced basis with a strong normal form.
-
-Local ideals (the ring of germs at the origin) use the negative-degree
-reverse-lexicographic order and Mora's ecart-controlled weak normal form.
+Every index this library computes is an invariant of a germ at an isolated
+singular point, so every ideal lives in the ring of germs at the origin.
+Standard bases are computed under the negative-degree reverse-lexicographic
+order (``LOCAL_ORDER``) with Mora's ecart-controlled weak normal form and
+the normal selection strategy (minimal lcm degree first, deterministic
+tie-break).
 The weak normal form decides membership (it returns zero exactly on
 elements of the localized ideal) but only determines classes up to a unit
 factor.  Exact class representatives come from the strong normal form
@@ -31,7 +32,6 @@ from .poly import (
     DEFAULT_DEGREE_CAP,
     GLOBAL_ORDER,
     LOCAL_ORDER,
-    MonomialOrder,
     Polynomial,
     monomial_degree,
     monomial_divides,
@@ -67,15 +67,11 @@ INFINITE = _Infinite()
 
 
 class Ideal:
-    """A finitely generated ideal with a locality tag.
+    """A finitely generated ideal of the local ring at the origin (germs)."""
 
-    locality 'local' means the ideal lives in the local ring at the
-    origin (germs); 'global' means the polynomial ring itself.
-    """
+    __slots__ = ("generators", "context")
 
-    __slots__ = ("generators", "context", "locality")
-
-    def __init__(self, generators, locality="local"):
+    def __init__(self, generators):
         gens = list(generators)
         if not gens:
             raise RejectedInputError("ideal needs at least one generator")
@@ -83,10 +79,6 @@ class Ideal:
         for g in gens:
             if g.context != ctx:
                 raise RejectedInputError("ideal generators must share one context")
-        if locality in ("local-at-origin", "local"):
-            locality = "local"
-        elif locality != "global":
-            raise RejectedInputError(f"unknown locality {locality!r}")
         seen = []
         for g in gens:
             if not g.is_zero and g not in seen:
@@ -95,24 +87,16 @@ class Ideal:
             seen = [Polynomial.zero(ctx)]
         object.__setattr__(self, "generators", tuple(seen))
         object.__setattr__(self, "context", ctx)
-        object.__setattr__(self, "locality", locality)
 
     def __setattr__(self, *a):
         raise AttributeError("Ideal is immutable")
 
     @classmethod
-    def from_strings(cls, texts, variables, locality="local"):
-        return cls([parse_polynomial(t, variables) for t in texts], locality)
-
-    def default_order(self):
-        return LOCAL_ORDER if self.locality == "local" else GLOBAL_ORDER
-
-    def translate(self, point):
-        """The same ideal with the origin moved to `point`."""
-        return Ideal([g.translate(point) for g in self.generators], self.locality)
+    def from_strings(cls, texts, variables):
+        return cls([parse_polynomial(t, variables) for t in texts])
 
     def __repr__(self):
-        return f"Ideal({[str(g) for g in self.generators]!r}, locality={self.locality!r})"
+        return f"Ideal({[str(g) for g in self.generators]!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -141,36 +125,32 @@ def _truncate(poly, bound):
     )
 
 
-def _strong_normal_form(p, basis, order, cap, truncation=None):
-    """Strong normal form: no monomial of the result is divisible by a
-    basis leading term.
+def _strong_normal_form(p, basis, truncation):
+    """Strong normal form modulo the power of the maximal ideal above the
+    truncation bound: no monomial of the result is divisible by a basis
+    leading term.
 
-    With a truncation bound, terms of total degree above it are dropped
-    after every step, so the reduction runs modulo the next power of the
-    maximal ideal.  A local order refines the degree, so each step still
-    lowers the leading monomial within the finite set of monomials of
-    degree at most the bound, and the reduction terminates.
+    Terms of total degree above the bound are dropped after every step.
+    The local order refines the degree, so each step lowers the leading
+    monomial within the finite set of monomials of degree at most the
+    bound, and the reduction terminates.
     """
     ctx = p.context
     remainder = {}
-    work = p if truncation is None else _truncate(p, truncation)
+    work = _truncate(p, truncation)
     while not work.is_zero:
-        if truncation is None:
-            _check_cap(work, cap)
-        m, c = work.leading_term(order)
+        m, c = work.leading_term(LOCAL_ORDER)
         hit = next((b for b in basis if monomial_divides(b[0], m)), None)
         if hit is None:
             remainder[m] = c
             work = work - Polynomial(ctx, {m: c})
         else:
             lt, lc, g = hit
-            work = work - g.term_mul(monomial_quotient(m, lt), c / lc)
-            if truncation is not None:
-                work = _truncate(work, truncation)
+            work = _truncate(work - g.term_mul(monomial_quotient(m, lt), c / lc), truncation)
     return Polynomial(ctx, remainder)
 
 
-def _normal_form_mora(p, basis, order, cap, truncation=None):
+def _normal_form_mora(p, basis, cap, truncation=None):
     """Mora's weak normal form with ecart control.
 
     Returns h with leading monomial not divisible by any basis leading
@@ -184,7 +164,7 @@ def _normal_form_mora(p, basis, order, cap, truncation=None):
     while not h.is_zero:
         if truncation is None:
             _check_cap(h, cap)
-        lm, lc = h.leading_term(order)
+        lm, lc = h.leading_term(LOCAL_ORDER)
         divisors = [entry for entry in pool if monomial_divides(entry[0], lm)]
         if not divisors:
             return h
@@ -202,7 +182,7 @@ def _normal_form_mora(p, basis, order, cap, truncation=None):
 # basis completion
 
 
-def _spoly(f_lt, f, g_lt, g, order):
+def _spoly(f_lt, f, g_lt, g):
     lcm = monomial_lcm(f_lt, g_lt)
     a = f.term_mul(monomial_quotient(lcm, f_lt), Fraction(1))
     b = g.term_mul(monomial_quotient(lcm, g_lt), Fraction(1))
@@ -210,20 +190,18 @@ def _spoly(f_lt, f, g_lt, g, order):
 
 
 class StandardBasis:
-    """Computed basis (reduced for global orders, minimal for local ones);
-    leading coefficients are normalized to 1."""
+    """Computed minimal standard basis under ``LOCAL_ORDER``; leading
+    coefficients are normalized to 1."""
 
-    __slots__ = ("elements", "order", "locality", "ideal", "_lead")
+    __slots__ = ("elements", "ideal", "_lead")
 
-    def __init__(self, elements, order, locality, ideal):
+    def __init__(self, elements, ideal):
         object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "locality", locality)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(
             self,
             "_lead",
-            tuple((g.leading_term(order)[0], g.leading_term(order)[1], g) for g in elements),
+            tuple(g.leading_term(LOCAL_ORDER) + (g,) for g in elements),
         )
 
     def __setattr__(self, *a):
@@ -233,21 +211,18 @@ class StandardBasis:
         return [lt for lt, _, _ in self._lead]
 
     def normal_form(self, p, degree_cap=DEFAULT_DEGREE_CAP):
-        """Strong normal form for global bases, Mora weak normal form for
-        local ones.  Either way, the result is zero exactly when p is a
-        member of the ideal (localized, in the local case)."""
+        """Mora's weak normal form: zero exactly when p is a member of the
+        localized ideal."""
         if p.context != self.ideal.context:
             raise RejectedInputError("context mismatch in normal form")
-        if self.locality == "global":
-            return _strong_normal_form(p, self._lead, self.order, degree_cap)
-        return _normal_form_mora(p, self._lead, self.order, degree_cap)
+        return _normal_form_mora(p, self._lead, degree_cap)
 
     def contains(self, p, degree_cap=DEFAULT_DEGREE_CAP):
         return self.normal_form(p, degree_cap).is_zero
 
 
-def _completion(generators, order, degree_cap, truncation=None):
-    """Pair-completion loop shared by Buchberger and Mora.
+def _completion(generators, degree_cap, truncation=None):
+    """Mora's pair-completion loop.
 
     S-pairs are processed by minimal lcm total degree with a
     deterministic tie-break on generator indices so reruns are
@@ -259,10 +234,10 @@ def _completion(generators, order, degree_cap, truncation=None):
             g = _truncate(g, truncation)
         if g.is_zero:
             continue
-        g = g.monic(order)
+        g = g.monic(LOCAL_ORDER)
         if g not in basis:
             basis.append(g)
-    lead = [(g.leading_term(order)[0], Fraction(1), g) for g in basis]
+    lead = [(g.leading_term(LOCAL_ORDER)[0], Fraction(1), g) for g in basis]
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
 
@@ -274,21 +249,13 @@ def _completion(generators, order, degree_cap, truncation=None):
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        lt_i, lt_j = lead[i][0], lead[j][0]
-        if not order.is_local:
-            # product criterion (valid for global orders)
-            if monomial_lcm(lt_i, lt_j) == monomial_mul(lt_i, lt_j):
-                continue
-        s = _spoly(lt_i, basis[i], lt_j, basis[j], order)
-        if order.is_local:
-            h = _normal_form_mora(s, lead, order, degree_cap, truncation)
-        else:
-            h = _strong_normal_form(s, lead, order, degree_cap)
+        s = _spoly(lead[i][0], basis[i], lead[j][0], basis[j])
+        h = _normal_form_mora(s, lead, degree_cap, truncation)
         if h.is_zero:
             continue
-        h = h.monic(order)
+        h = h.monic(LOCAL_ORDER)
         basis.append(h)
-        lead.append((h.leading_term(order)[0], Fraction(1), h))
+        lead.append((h.leading_term(LOCAL_ORDER)[0], Fraction(1), h))
         k = len(basis) - 1
         pairs.update((k, t) for t in range(k))
 
@@ -317,7 +284,7 @@ def _staircase_count_below(lead_monomials, nvars, bound):
     return count
 
 
-def _deepened_local_basis(ideal, order, degree_cap):
+def _deepened_local_basis(ideal, degree_cap):
     """Local standard basis via Mora completion truncated modulo rising
     powers of the maximal ideal.
 
@@ -333,14 +300,14 @@ def _deepened_local_basis(ideal, order, degree_cap):
     nvars = len(ctx)
     previous = None
     for bound in range(1, degree_cap + 1):
-        elements = _completion(ideal.generators, order, degree_cap, truncation=bound)
+        elements = _completion(ideal.generators, degree_cap, truncation=bound)
         if not elements:
             previous = None
             continue
         if any(e.min_degree() == 0 for e in elements):
             # a unit appeared: the ideal is the whole local ring
             return elements
-        lead = [e.leading_term(order)[0] for e in elements]
+        lead = [e.leading_term(LOCAL_ORDER)[0] for e in elements]
         count = _staircase_count_below(lead, nvars, bound)
         if previous is not None and count == previous:
             boundary = [
@@ -361,40 +328,23 @@ def _monomials_of_exact_degree(nvars, degree):
     ]
 
 
-def standard_basis(ideal, order=None, degree_cap=DEFAULT_DEGREE_CAP):
-    """Compute a standard basis of the ideal.
+def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP):
+    """Compute a minimal standard basis of the germ ideal by Mora's
+    algorithm under ``LOCAL_ORDER``.
 
-    Global ideals run Buchberger's algorithm with full tail reduction
-    (the reduced basis).  Local ideals run Mora's algorithm; when the
-    plain run overshoots its degree budget, the computation restarts
-    truncated modulo powers of the maximal ideal with iterative
+    When the plain run overshoots its degree budget, the computation
+    restarts truncated modulo powers of the maximal ideal with iterative
     deepening, which returns exactly the same leading-term data for the
     germ whenever it stabilizes (and aborts with DEGREE_CAP otherwise).
     """
-    if order is None:
-        order = ideal.default_order()
-    if order.is_local != (ideal.locality == "local"):
-        raise RejectedInputError("order locality does not match ideal locality")
-
-    if order.is_local:
-        max_degree = max(g.degree() for g in ideal.generators)
-        soft_cap = min(degree_cap, max(12, 2 * max_degree + 4))
-        try:
-            minimal = _completion(ideal.generators, order, soft_cap)
-        except DegreeCapError:
-            minimal = _deepened_local_basis(ideal, order, degree_cap)
-    else:
-        minimal = _completion(ideal.generators, order, degree_cap)
-        # tail-reduce for the reduced Groebner basis
-        lead = [(g.leading_term(order)[0], Fraction(1), g) for g in minimal]
-        reduced = []
-        for pos, g in enumerate(minimal):
-            others = [lead[q] for q in range(len(minimal)) if q != pos]
-            reduced.append(_strong_normal_form(g, others, order, degree_cap).monic(order))
-        minimal = reduced
-
-    minimal = sorted(minimal, key=lambda g: order.key(g.leading_term(order)[0]))
-    return StandardBasis(minimal, order, ideal.locality, ideal)
+    max_degree = max(g.degree() for g in ideal.generators)
+    soft_cap = min(degree_cap, max(12, 2 * max_degree + 4))
+    try:
+        minimal = _completion(ideal.generators, soft_cap)
+    except DegreeCapError:
+        minimal = _deepened_local_basis(ideal, degree_cap)
+    minimal = sorted(minimal, key=lambda g: LOCAL_ORDER.key(g.leading_term(LOCAL_ORDER)[0]))
+    return StandardBasis(minimal, ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +390,11 @@ def staircase_monomials(sb):
     return out
 
 
-def colength(ideal_or_basis, degree_cap=DEFAULT_DEGREE_CAP):
+def colength(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """dim of the quotient by the ideal, as a rational vector space,
     counted as the number of standard monomials; INFINITE when the ideal
     is not zero-dimensional."""
-    sb = (
-        ideal_or_basis
-        if isinstance(ideal_or_basis, StandardBasis)
-        else standard_basis(ideal_or_basis, degree_cap=degree_cap)
-    )
-    stairs = staircase_monomials(sb)
+    stairs = staircase_monomials(standard_basis(ideal, degree_cap=degree_cap))
     if stairs is INFINITE:
         return INFINITE
     return len(stairs)
@@ -457,9 +402,7 @@ def colength(ideal_or_basis, degree_cap=DEFAULT_DEGREE_CAP):
 
 def localized_colength(ideal, point, degree_cap=DEFAULT_DEGREE_CAP):
     """Colength of the ideal in the local ring at `point`."""
-    moved = Ideal(
-        [g.translate(point) for g in ideal.generators], "local"
-    )
+    moved = Ideal([g.translate(point) for g in ideal.generators])
     return colength(moved, degree_cap)
 
 
@@ -473,20 +416,19 @@ class QuotientAlgebra:
     basis monomials are the standard monomials of the computed standard
     basis, sorted ascending; the class of 1 is the unit (for the unit
     ideal the basis is empty and the algebra is zero).  Classes are read
-    off the strong normal form, modulo ``m^(truncation+1)`` for local
-    ideals.  Multiplication is looked up from a table of reduced basis
-    products, so it is exact, commutative, and associative by
-    construction of the reduction.
+    off the strong normal form modulo ``m^(truncation+1)``.
+    Multiplication is looked up from a table of reduced basis products,
+    so it is exact, commutative, and associative by construction of the
+    reduction.
     """
 
-    def __init__(self, sb, basis, truncation, degree_cap):
+    def __init__(self, sb, basis, truncation):
         self.ideal = sb.ideal
         self.standard_basis = sb
         self.context = sb.ideal.context
         self.basis = tuple(basis)
         self.dimension = len(basis)
         self.truncation = truncation
-        self._degree_cap = degree_cap
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._table = {}
         if self.basis and (0,) * len(self.context) not in self._index:
@@ -494,10 +436,7 @@ class QuotientAlgebra:
 
     def _normal_form(self, poly):
         """Strong normal form of poly, supported on the basis monomials."""
-        sb = self.standard_basis
-        return _strong_normal_form(
-            poly, sb._lead, sb.order, self._degree_cap, self.truncation
-        )
+        return _strong_normal_form(poly, self.standard_basis._lead, self.truncation)
 
     def coords(self, poly):
         """Coordinates of the class of poly in the monomial basis."""
@@ -545,12 +484,11 @@ def _certify_truncated_basis(algebra):
     element missing from the computation is caught.  A basis element
     outside I would pass unnoticed; it only shrinks the staircase.
     """
-    sb = algebra.standard_basis
-    lead = sb._lead
+    lead = algebra.standard_basis._lead
     checks = list(algebra.ideal.generators)
     for i in range(len(lead)):
         for j in range(i):
-            checks.append(_spoly(lead[i][0], lead[i][2], lead[j][0], lead[j][2], sb.order))
+            checks.append(_spoly(lead[i][0], lead[i][2], lead[j][0], lead[j][2]))
     for p in checks:
         if not algebra._normal_form(p).is_zero:
             raise InternalCheckError(
@@ -563,22 +501,19 @@ def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """Quotient algebra with basis and exact multiplication.
 
     Raises NotIsolatedError when the colength is infinite; the unit ideal
-    gives the zero algebra.  For a local ideal, classes are computed
-    modulo ``I + m^(T+1)`` with T the top staircase degree: every
-    monomial of degree T+1 is a leading monomial, so m^(T+1) lies in the
-    localized ideal and the truncation is exact.  The local case
-    certifies itself by Buchberger's criterion modulo m^(T+1).
+    gives the zero algebra.  Classes are computed modulo ``I + m^(T+1)``
+    with T the top staircase degree: every monomial of degree T+1 is a
+    leading monomial, so m^(T+1) lies in the localized ideal and the
+    truncation is exact.  The algebra certifies itself by Buchberger's
+    criterion modulo m^(T+1).
     """
     sb = standard_basis(ideal, degree_cap=degree_cap)
-    stairs = staircase_monomials(sb)
-    if stairs is INFINITE:
+    basis = staircase_monomials(sb)
+    if basis is INFINITE:
         raise NotIsolatedError(
             "ideal is not zero-dimensional: singular point not isolated"
         )
-    basis = sorted(stairs, key=GLOBAL_ORDER.key)
-    if ideal.locality == "global":
-        return QuotientAlgebra(sb, basis, None, degree_cap)
     truncation = max((monomial_degree(m) for m in basis), default=0)
-    algebra = QuotientAlgebra(sb, basis, truncation, degree_cap)
+    algebra = QuotientAlgebra(sb, basis, truncation)
     _certify_truncated_basis(algebra)
     return algebra

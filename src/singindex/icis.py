@@ -74,7 +74,7 @@ def _stacked_minors_ideal(germ, extra_rows):
         gens.extend(m for m in minors(rows, size) if not m.is_zero)
     if not gens:
         raise RejectedInputError("empty ideal: no equations and no forms")
-    return Ideal(gens, "local")
+    return Ideal(gens)
 
 
 def isolatedness_certificate(germ, degree_cap=DEFAULT_DEGREE_CAP):
@@ -83,12 +83,7 @@ def isolatedness_certificate(germ, degree_cap=DEFAULT_DEGREE_CAP):
     smooth, where the value is 0 or the critical locus is empty)."""
     if not germ.equations:
         return 0
-    rows = germ.gradient_rows()
-    size = len(rows)
-    gens = list(germ.equations) + [
-        m for m in minors(rows, size) if not m.is_zero
-    ]
-    return colength(Ideal(gens, "local"), degree_cap)
+    return colength(_stacked_minors_ideal(germ, []), degree_cap)
 
 
 def gsv_index_1form(germ, form, degree_cap=DEFAULT_DEGREE_CAP):
@@ -127,7 +122,7 @@ def gsv_index_collection(germ, partition, groups, degree_cap=DEFAULT_DEGREE_CAP)
         gens.extend(m for m in minors(rows, len(rows)) if not m.is_zero)
     if not gens:
         raise RejectedInputError("empty ideal: no equations and no forms")
-    return colength(Ideal(gens, "local"), degree_cap)
+    return colength(Ideal(gens), degree_cap)
 
 
 def _as_form(germ, form):
@@ -162,7 +157,7 @@ def _milnor_chain(equations, ctx, rng, dim, degree_cap, retries=5):
     """mu via the slicing recursion; raises _SliceRetry when a linear form
     fails to be generic so the caller can redraw."""
     if dim == 0:
-        c = colength(Ideal(list(equations), "local"), degree_cap)
+        c = colength(Ideal(list(equations)), degree_cap)
         if c is INFINITE:
             raise _SliceRetry
         return c - 1
@@ -175,7 +170,7 @@ def _milnor_chain(equations, ctx, rng, dim, degree_cap, retries=5):
         gens = list(equations) + [
             m for m in minors(rows, len(rows)) if not m.is_zero
         ]
-        lg = colength(Ideal(gens, "local"), degree_cap)
+        lg = colength(Ideal(gens), degree_cap)
         if lg is INFINITE:
             continue
         try:
@@ -198,7 +193,7 @@ def milnor_number(germ, seed=0, degree_cap=DEFAULT_DEGREE_CAP, certify=True):
     if not germ.equations:
         return 0
     if germ.dim == 0:
-        c = colength(Ideal(list(germ.equations), "local"), degree_cap)
+        c = colength(Ideal(list(germ.equations)), degree_cap)
         if c is INFINITE:
             raise NotIsolatedError("zero-dimensional germ has infinite multiplicity")
         return c - 1

@@ -50,7 +50,7 @@ class VectorFieldGerm:
         self.field = field
 
     def ideal(self):
-        return Ideal(self.components, "local")
+        return Ideal(self.components)
 
 
 class OneFormGerm:
@@ -70,7 +70,7 @@ class OneFormGerm:
         self.field = field
 
     def ideal(self):
-        return Ideal(self.coefficients, "local")
+        return Ideal(self.coefficients)
 
 
 class SectionCollection:
@@ -119,7 +119,7 @@ class SectionCollection:
         nonzero = [g for g in gens if not g.is_zero]
         if not nonzero:
             nonzero = [Polynomial.zero(self.variables)]
-        return Ideal(nonzero, "local")
+        return Ideal(nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +313,12 @@ class GroupAction:
         return poly.substitute(self.substitution(matrix))
 
 
-def ideal_is_invariant(algebra_or_ideal, action, degree_cap=DEFAULT_DEGREE_CAP):
-    """Check invariance of the ideal by normal-forming the transformed
-    generators; enough to check the generators of the group."""
-    if hasattr(algebra_or_ideal, "standard_basis"):
-        sb = algebra_or_ideal.standard_basis
-        gens = algebra_or_ideal.ideal.generators
-    else:
-        from .grobner import standard_basis as _sb
-
-        sb = _sb(algebra_or_ideal, degree_cap=degree_cap)
-        gens = algebra_or_ideal.generators
+def ideal_is_invariant(algebra, action, degree_cap=DEFAULT_DEGREE_CAP):
+    """Check invariance of the algebra's ideal by normal-forming the
+    transformed generators; enough to check the generators of the group."""
+    sb = algebra.standard_basis
     for g in action.generators:
-        for f in gens:
+        for f in algebra.ideal.generators:
             if not sb.contains(action.transform(f, g), degree_cap):
                 return False
     return True

@@ -118,12 +118,6 @@ class SliceData:
         """The vector n_{i, target} over all strata (0 off the cone)."""
         return [self.value(i, target) for i in range(self.poset.size)]
 
-    def top_column(self):
-        top = self.poset.top()
-        if top is None:
-            raise RejectedInputError("poset has no unique top stratum")
-        return self.column(top)
-
 
 @dataclass(frozen=True)
 class IndexVector:

@@ -70,7 +70,7 @@ def test_criterion_1_colength_oracle_equivalence():
                 tail = random_polynomial(ctx, rng, max_degree=4, terms=rng.randint(1, 2))
                 tail = tail - Polynomial.constant(ctx, tail.constant_term())
                 gens.append(Polynomial(ctx, {pure: Fraction(1)}) + tail)
-            ideal = Ideal(gens, "local")
+            ideal = Ideal(gens)
             value = colength(ideal)
             if value is INFINITE or not 1 <= value <= 20:
                 continue

@@ -16,7 +16,7 @@ from singindex.grobner import (
     staircase_monomials,
     standard_basis,
 )
-from singindex.poly import Polynomial, monomial_divides
+from singindex.poly import LOCAL_ORDER, Polynomial, monomial_divides
 from singindex.oracles import macaulay_colength
 
 from helpers import random_polynomial, random_unimodular, substitute_all
@@ -27,42 +27,37 @@ Y = Polynomial.variable(CTX, "y")
 
 
 def test_monomial_ideal_is_its_own_basis():
-    sb = standard_basis(Ideal([X**2, Y**3], "local"))
+    sb = standard_basis(Ideal([X**2, Y**3]))
     assert sorted(sb.leading_monomials()) == [(0, 3), (2, 0)]
     assert set(sb.elements) == {X**2, Y**3}
 
 
-def test_linear_reduction():
-    sb = standard_basis(Ideal([X + Y, X - Y], "global"))
-    assert set(sb.elements) == {X, Y}
-
-
 def test_local_basis_leading_terms():
-    sb = standard_basis(Ideal([X**2 + Y**3, X * Y], "local"))
+    sb = standard_basis(Ideal([X**2 + Y**3, X * Y]))
     assert sorted(sb.leading_monomials()) == [(0, 4), (1, 1), (2, 0)]
 
 
 def test_zero_dimensionality():
-    assert is_zero_dimensional(standard_basis(Ideal([X**2, Y**3], "local")))
-    assert not is_zero_dimensional(standard_basis(Ideal([X * Y], "local")))
+    assert is_zero_dimensional(standard_basis(Ideal([X**2, Y**3])))
+    assert not is_zero_dimensional(standard_basis(Ideal([X * Y])))
     ctx3 = ("x", "y", "z")
     gens = [
         Polynomial.variable(ctx3, "x"),
         Polynomial.variable(ctx3, "y") ** 3,
         Polynomial.variable(ctx3, "z") ** 2,
     ]
-    assert is_zero_dimensional(standard_basis(Ideal(gens, "local")))
+    assert is_zero_dimensional(standard_basis(Ideal(gens)))
 
 
 def test_colength_examples():
-    assert colength(Ideal([X, Y], "local")) == 1
-    assert colength(Ideal([X**2, Y**3], "local")) == 6
-    assert colength(Ideal([X**2 + Y**3, X * Y], "local")) == 5
-    assert colength(Ideal([X * Y], "local")) is INFINITE
+    assert colength(Ideal([X, Y])) == 1
+    assert colength(Ideal([X**2, Y**3])) == 6
+    assert colength(Ideal([X**2 + Y**3, X * Y])) == 5
+    assert colength(Ideal([X * Y])) is INFINITE
 
 
 def test_membership_through_normal_form():
-    sb = standard_basis(Ideal([X**2 + Y**3, X * Y], "local"))
+    sb = standard_basis(Ideal([X**2 + Y**3, X * Y]))
     assert sb.contains(X**3)  # x^3 = x(x^2+y^3) - y^2(xy)
     assert not sb.contains(Y**3)
 
@@ -76,11 +71,11 @@ def test_colength_invariant_under_linear_change():
         [X**2 - Y**2, X * Y],
     ]
     for gens in instances:
-        base = colength(Ideal(gens, "local"))
+        base = colength(Ideal(gens))
         for _ in range(5):
             u = random_unimodular(2, rng)
             moved = substitute_all(gens, CTX, u)
-            assert colength(Ideal(moved, "local")) == base
+            assert colength(Ideal(moved)) == base
 
 
 def test_monomial_staircase_direct_count():
@@ -94,7 +89,7 @@ def test_monomial_staircase_direct_count():
         if not all(any(e[i] > 0 and all(e[j] == 0 for j in range(2) if j != i) for e in exps) for i in range(2)):
             continue  # keep only zero-dimensional monomial ideals
         gens = [Polynomial(CTX, {e: Fraction(1)}) for e in exps]
-        value = colength(Ideal(gens, "local"))
+        value = colength(Ideal(gens))
         direct = sum(
             1
             for a in range(6)
@@ -120,28 +115,26 @@ def test_homogeneous_local_equals_global():
                 gens.append(Polynomial(CTX, terms))
         if len(gens) < 2:
             continue
-        local = colength(Ideal(gens, "local"))
-        global_ = colength(Ideal(gens, "global"))
-        assert local == global_
+        assert colength(Ideal(gens)) == macaulay_colength(gens)
         trials += 1
 
 
 def test_quotient_algebra_examples():
-    q = quotient_algebra(Ideal([X, Y], "local"))
+    q = quotient_algebra(Ideal([X, Y]))
     assert q.dimension == 1 and q.basis == ((0, 0),)
 
-    q = quotient_algebra(Ideal([X**2, Y**2], "local"))
+    q = quotient_algebra(Ideal([X**2, Y**2]))
     assert set(q.basis) == {(0, 0), (1, 0), (0, 1), (1, 1)}
     xx = q.multiply_coords(q.coords(X), q.coords(X))
     assert all(c == 0 for c in xx)
 
-    q = quotient_algebra(Ideal([X**2 - Y**3, Y**4], "local"))
+    q = quotient_algebra(Ideal([X**2 - Y**3, Y**4]))
     assert q.dimension == 8
 
 
 def test_quotient_algebra_associative_and_unital():
     for gens in ([X**2, Y**2], [X**2 - Y**2, X * Y], [X**2 + Y**3, X * Y]):
-        q = quotient_algebra(Ideal(gens, "local"))
+        q = quotient_algebra(Ideal(gens))
         assert q.dimension <= 8
         unit = q.coords(Polynomial.one(CTX))
         vectors = [
@@ -158,35 +151,51 @@ def test_quotient_algebra_associative_and_unital():
 def test_basis_spairs_reduce_to_zero():
     from singindex.grobner import _spoly
 
-    for gens, locality in (
-        ([X**2 + Y**3, X * Y], "local"),
-        ([X**2 - Y**2, X * Y], "local"),
-        ([X**3 - Y, Y**2 + X], "global"),
-    ):
-        sb = standard_basis(Ideal(gens, locality))
+    for gens in ([X**2 + Y**3, X * Y], [X**2 - Y**2, X * Y]):
+        sb = standard_basis(Ideal(gens))
         elements = list(sb.elements)
         for i in range(len(elements)):
-            lt_i, lc_i = elements[i].leading_term(sb.order)
+            lt_i, lc_i = elements[i].leading_term(LOCAL_ORDER)
             assert lc_i == 1
             for j in range(i):
-                lt_j, _ = elements[j].leading_term(sb.order)
-                s = _spoly(lt_i, elements[i], lt_j, elements[j], sb.order)
+                lt_j, _ = elements[j].leading_term(LOCAL_ORDER)
+                s = _spoly(lt_i, elements[i], lt_j, elements[j])
                 if not s.is_zero:
                     assert sb.normal_form(s).is_zero
 
 
 def test_normal_form_idempotent():
     rng = random.Random(41)
-    q = quotient_algebra(Ideal([X**2 + Y**3, X * Y], "local"))
+    q = quotient_algebra(Ideal([X**2 + Y**3, X * Y]))
     for _ in range(10):
         p = random_polynomial(CTX, rng)
         once = q.reduce(p)
         assert q.reduce(once) == once
 
 
+def test_class_representatives_agree_with_membership():
+    # classes come from the truncated strong normal form, membership from
+    # Mora's weak normal form: p lies in the localized ideal exactly when
+    # its class is zero, and p minus its representative always does
+    rng = random.Random(47)
+    outcomes = set()
+    for gens in ([X**2 + Y**3, X * Y], [X**2 - Y**2, X * Y], [X**2 - Y**3, Y**4], [X**2, Y**2]):
+        sb = standard_basis(Ideal(gens))
+        q = quotient_algebra(Ideal(gens))
+        for _ in range(12):
+            p = random_polynomial(CTX, rng)
+            if rng.random() < 0.5:
+                p = sum((random_polynomial(CTX, rng, max_degree=2) * g for g in gens), Polynomial.zero(CTX))
+            rep = q.reduce(p)
+            assert rep.is_zero == sb.contains(p)
+            assert sb.contains(p - rep)
+            outcomes.add(rep.is_zero)
+    assert outcomes == {True, False}
+
+
 def test_quotient_rejects_non_isolated():
     with pytest.raises(NotIsolatedError):
-        quotient_algebra(Ideal([X * Y], "local"))
+        quotient_algebra(Ideal([X * Y]))
 
 
 def test_quotient_certificate_catches_a_missing_basis_element(monkeypatch):
@@ -195,30 +204,30 @@ def test_quotient_certificate_catches_a_missing_basis_element(monkeypatch):
     # must refuse it
     real = grobner.standard_basis
 
-    def lossy(ideal, order=None, degree_cap=grobner.DEFAULT_DEGREE_CAP):
-        sb = real(ideal, order, degree_cap)
-        kept = [g for g in sb.elements if g.leading_term(sb.order)[0] != (1, 1)]
+    def lossy(ideal, degree_cap=grobner.DEFAULT_DEGREE_CAP):
+        sb = real(ideal, degree_cap)
+        kept = [g for g in sb.elements if g.leading_term(LOCAL_ORDER)[0] != (1, 1)]
         assert len(kept) == len(sb.elements) - 1
-        return grobner.StandardBasis(kept, sb.order, sb.locality, sb.ideal)
+        return grobner.StandardBasis(kept, sb.ideal)
 
     monkeypatch.setattr(grobner, "standard_basis", lossy)
     with pytest.raises(InternalCheckError):
-        quotient_algebra(Ideal([X**2 + Y**3, X * Y], "local"))
+        quotient_algebra(Ideal([X**2 + Y**3, X * Y]))
 
 
 def test_degree_cap_aborts():
     # a basis computation cannot even express the inputs under a tiny cap
     with pytest.raises(DegreeCapError):
-        standard_basis(Ideal([X**2 + Y**3, X * Y], "local"), degree_cap=2)
+        standard_basis(Ideal([X**2 + Y**3, X * Y]), degree_cap=2)
 
 
 def test_localized_colength():
     # (x^2 - 1/4, y): simple zeros at (1/2, 0) and (-1/2, 0)
     gens = [X**2 - Fraction(1, 4), Y]
-    assert localized_colength(Ideal(gens, "local"), [Fraction(1, 2), Fraction(0)]) == 1
-    assert localized_colength(Ideal(gens, "local"), [Fraction(-1, 2), Fraction(0)]) == 1
+    assert localized_colength(Ideal(gens), [Fraction(1, 2), Fraction(0)]) == 1
+    assert localized_colength(Ideal(gens), [Fraction(-1, 2), Fraction(0)]) == 1
     # nothing vanishes at the origin
-    assert localized_colength(Ideal(gens, "local"), [Fraction(0), Fraction(0)]) == 0
+    assert localized_colength(Ideal(gens), [Fraction(0), Fraction(0)]) == 0
 
 
 def test_engine_matches_macaulay_oracle_small():
@@ -231,7 +240,7 @@ def test_engine_matches_macaulay_oracle_small():
             Polynomial(CTX, {(0, rng.randint(1, 3)): Fraction(1)})
             + random_polynomial(CTX, rng, max_degree=3, terms=2),
         ]
-        ideal = Ideal(gens, "local")
+        ideal = Ideal(gens)
         value = colength(ideal)
         if value is INFINITE or value > 20:
             continue

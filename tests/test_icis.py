@@ -91,7 +91,7 @@ def test_milnor_agrees_with_jacobian_ideal_for_hypersurfaces():
         germ = ICISGerm(SPACE, [f])
         poly = germ.equations[0]
         jac = [poly.derivative(i) for i in range(3)]
-        oracle = colength(Ideal(jac, "local"))
+        oracle = colength(Ideal(jac))
         assert milnor_number(germ) == oracle
 
 

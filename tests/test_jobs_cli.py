@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from singindex import burnside, jobs
+from singindex import burnside, jobs, oracles
 from singindex.cli import main
 from singindex.grobner import INFINITE
 from singindex.jobs import Report, run_job, validate
@@ -182,6 +182,25 @@ def test_run_burnside_mul_with_oracle():
     report, code = run_job(doc("burnside", payload, op="mul"), run_oracle=True)
     assert code == 0
     assert report.oracle["match"]
+
+
+MACAULAY_CHECKED = [
+    doc("smooth-index", {"variables": ["x", "y"], "data": ["x^2 + y^3", "x*y"]}),
+    doc("icis", {"variables": ["x", "y", "z"], "equations": ["x^2 + y^2 + z^2"],
+                 "form": ["0", "0", "1"], "want": ["gsv"]}),
+]
+
+
+@pytest.mark.parametrize("document", MACAULAY_CHECKED, ids=["smooth-index", "icis"])
+def test_macaulay_oracle_past_its_budget_is_unsupported(document, monkeypatch):
+    report, code = run_job(document, run_oracle=True)
+    assert code == 0
+    assert report.oracle["kind"] == "macaulay-truncation" and report.oracle["match"]
+    monkeypatch.setattr(oracles, "MACAULAY_BUDGET", 10)
+    capped, code = run_job(document, run_oracle=True)
+    assert code == 0
+    assert capped.oracle == {"kind": "macaulay-truncation", "supported": False}
+    assert capped.values == report.values
 
 
 def test_run_equivariant_ph_check():
@@ -376,6 +395,7 @@ BOUNDED_PARSE = {
     "x^1000000": (PLANE, 4),
     "x^41": (PLANE, 4),
     "(1+x+y+z)^80": (["x", "y", "z"], 4),
+    "(1+x+y+z)^30": (["x", "y", "z"], 2),
     "((((9)^40)^40)^40)^40": (PLANE, 2),
 }
 

@@ -195,7 +195,7 @@ def test_collection_partition_must_sum():
 
 def square_algebra():
     x = VectorFieldGerm(PLANE, ["x^2", "y^2"])
-    return quotient_algebra(Ideal(list(x.components), "local"))
+    return quotient_algebra(Ideal(list(x.components)))
 
 
 def test_invariant_dimension_examples():
