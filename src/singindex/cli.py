@@ -25,7 +25,7 @@ import sys
 
 from .errors import SingindexError
 from .grobner import DEFAULT_DEGREE_CAP
-from .jobs import COMMANDS, Report, run_job, validate
+from .jobs import COMMANDS, run_job, validate
 
 
 def _build_parser():

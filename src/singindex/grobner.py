@@ -16,12 +16,21 @@ localized ideal, the truncation is faithful, and the reduction lands on
 the staircase monomials (Greuel-Pfister, *A Singular Introduction to
 Commutative Algebra*, the chapters on Mora's normal form and the
 Hilbert-Samuel function).
+
+Colengths take another route first.  :func:`colength` hands the ideal to
+``singindex.dual``: a modular rank of Macaulay matrices proposes the
+colength mu at the first plateau D0 of the truncated dimensions, and an
+exact rational dual basis certifies dim_Q(D0) >= mu >= dim_Q(D0+1), which
+with monotonicity and Nakayama makes mu the colength.  Mora's standard
+basis is only the fallback, for ideals that route cannot certify:
+germs that are not isolated, and germs past its size bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .dual import dual_colength
 from .errors import (
     DegreeCapError,
     InternalCheckError,
@@ -64,6 +73,12 @@ class _Infinite:
 
 
 INFINITE = _Infinite()
+
+# work budget of colength's plain reruns with a doubled degree cap (see
+# standard_basis), in terms of the polynomials under weak normal form
+# reduction, summed over the reduction steps of all reruns; CPython 3.11
+# on one x86-64 core reduces about 100000 terms a second
+PLAIN_RERUN_WORK = 20_000
 
 
 class Ideal:
@@ -150,20 +165,36 @@ def _strong_normal_form(p, basis, truncation):
     return Polynomial(ctx, remainder)
 
 
-def _normal_form_mora(p, basis, cap, truncation=None):
+class _WorkBudget:
+    """Terms a run of weak normal forms may still reduce; spending past
+    zero raises DegreeCapError."""
+
+    def __init__(self, terms):
+        self.left = terms
+
+    def spend(self, terms):
+        self.left -= terms
+        if self.left < 0:
+            raise DegreeCapError("plain completion spent its work budget")
+
+
+def _normal_form_mora(p, basis, cap, truncation=None, budget=None):
     """Mora's weak normal form with ecart control.
 
     Returns h with leading monomial not divisible by any basis leading
     term; h is u*p reduced for some unit u of the local ring, so h == 0
     exactly when p lies in the localized ideal.  With a truncation bound,
     arithmetic happens modulo the corresponding power of the maximal
-    ideal, which bounds every intermediate degree.
+    ideal, which bounds every intermediate degree.  A work budget is
+    charged the terms of h at every step.
     """
     h = p if truncation is None else _truncate(p, truncation)
     pool = [(lt, lc, g, _ecart(g, lt)) for (lt, lc, g) in basis]
     while not h.is_zero:
         if truncation is None:
             _check_cap(h, cap)
+        if budget is not None:
+            budget.spend(len(h.terms))
         lm, lc = h.leading_term(LOCAL_ORDER)
         divisors = [entry for entry in pool if monomial_divides(entry[0], lm)]
         if not divisors:
@@ -221,7 +252,7 @@ class StandardBasis:
         return self.normal_form(p, degree_cap).is_zero
 
 
-def _completion(generators, degree_cap, truncation=None):
+def _completion(generators, degree_cap, truncation=None, budget=None):
     """Mora's pair-completion loop.
 
     S-pairs are processed by minimal lcm total degree with a
@@ -250,7 +281,7 @@ def _completion(generators, degree_cap, truncation=None):
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
         s = _spoly(lead[i][0], basis[i], lead[j][0], basis[j])
-        h = _normal_form_mora(s, lead, degree_cap, truncation)
+        h = _normal_form_mora(s, lead, degree_cap, truncation, budget)
         if h.is_zero:
             continue
         h = h.monic(LOCAL_ORDER)
@@ -328,7 +359,7 @@ def _monomials_of_exact_degree(nvars, degree):
     ]
 
 
-def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP):
+def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP, rerun_work=0):
     """Compute a minimal standard basis of the germ ideal by Mora's
     algorithm under ``LOCAL_ORDER``.
 
@@ -336,15 +367,37 @@ def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     restarts truncated modulo powers of the maximal ideal with iterative
     deepening, which returns exactly the same leading-term data for the
     germ whenever it stabilizes (and aborts with DEGREE_CAP otherwise).
+    Deepening never finds an infinite staircase.  With a positive
+    `rerun_work`, the plain run is first repeated with its cap doubled,
+    up to the degree cap, until a run completes or the reruns have
+    reduced that many terms in all (see ``PLAIN_RERUN_WORK``): a completed
+    run is a standard basis whatever its cap, finite staircase or not.
     """
     max_degree = max(g.degree() for g in ideal.generators)
     soft_cap = min(degree_cap, max(12, 2 * max_degree + 4))
     try:
         minimal = _completion(ideal.generators, soft_cap)
     except DegreeCapError:
-        minimal = _deepened_local_basis(ideal, degree_cap)
+        minimal = _plain_reruns(ideal.generators, soft_cap, degree_cap, rerun_work)
+        if minimal is None:
+            minimal = _deepened_local_basis(ideal, degree_cap)
     minimal = sorted(minimal, key=lambda g: LOCAL_ORDER.key(g.leading_term(LOCAL_ORDER)[0]))
     return StandardBasis(minimal, ideal)
+
+
+def _plain_reruns(generators, cap, degree_cap, work):
+    """Plain completion with the cap doubled after each failed run, up to
+    the degree cap, under one work budget for all runs; None when no run
+    completes."""
+    budget = _WorkBudget(work)
+    while 0 < work and cap < degree_cap:
+        cap = min(2 * cap, degree_cap)
+        try:
+            return _completion(generators, cap, budget=budget)
+        except DegreeCapError:
+            if budget.left < 0:
+                return None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +444,26 @@ def staircase_monomials(sb):
 
 
 def colength(ideal, degree_cap=DEFAULT_DEGREE_CAP):
-    """dim of the quotient by the ideal, as a rational vector space,
-    counted as the number of standard monomials; INFINITE when the ideal
-    is not zero-dimensional."""
-    stairs = staircase_monomials(standard_basis(ideal, degree_cap=degree_cap))
+    """dim of the local quotient by the ideal, as a rational vector space;
+    INFINITE when the ideal is not zero-dimensional.
+
+    ``dual.dual_colength`` answers first: 0 when a generator has a
+    non-zero constant term, and otherwise the colength mu proposed by a
+    modular rank and certified by an exact rational dual basis of the
+    Macaulay matrix at the first plateau D0.  The certificate proves
+    dim_Q(D0) >= mu >= dim_Q(D0+1) for the quotients by I + m^(D+1); they
+    never shrink as D grows, so both equal mu, and by Nakayama mu is the
+    colength.  Only when that route certifies nothing does Mora's
+    standard basis count the staircase, with plain reruns at doubled caps
+    before deepening (``PLAIN_RERUN_WORK``).  That fallback alone returns
+    INFINITE, and raises DegreeCapError when it completes nothing below
+    the degree cap.
+    """
+    value = dual_colength(ideal.generators, degree_cap)
+    if value is not None:
+        return value
+    sb = standard_basis(ideal, degree_cap=degree_cap, rerun_work=PLAIN_RERUN_WORK)
+    stairs = staircase_monomials(sb)
     if stairs is INFINITE:
         return INFINITE
     return len(stairs)

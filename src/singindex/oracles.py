@@ -19,7 +19,6 @@ from .errors import OracleBudgetError, RejectedInputError
 from .grobner import INFINITE
 from .poly import (
     GLOBAL_ORDER,
-    Polynomial,
     monomial_degree,
     monomials_up_to_degree,
     parse_polynomial,

@@ -24,7 +24,6 @@ from fractions import Fraction
 from .errors import InternalCheckError, NotIsolatedError, RejectedInputError
 from .grobner import (
     DEFAULT_DEGREE_CAP,
-    INFINITE,
     Ideal,
     colength,
     quotient_algebra,
