@@ -13,12 +13,16 @@ a non-decreasing sequence.  Once dim(D0) = dim(D0+1), Nakayama puts
 m^(D0+1) inside the localized ideal and dim(D0) is the colength
 (Marinari-Moeller-Mora, ISSAC 1995; Mourrain, JPAA 117-118, 1997).
 
-* **Probe.**  The generators are scaled to integer coefficients and
-  M_B is brought to echelon form modulo the first of ``PRIMES``, each
-  pivot at the lowest-degree column of its row, for B = 2, 4, 8, ...
-  up to the degree cap and ``MAX_COLUMNS``.  M_D is M_B with the columns
-  above degree D dropped, so its rank mod p is the number of pivots of
-  degree at most D: one echelon form gives dim_p(D) for every D <= B.
+* **Probe.**  A generator with a non-zero constant term is a unit, and
+  the colength is 0.  Otherwise the generators are scaled to integer
+  coefficients and M_B is brought to echelon form modulo the first of
+  ``PRIMES``, each pivot at the lowest-degree column of its row, for
+  B = 2, 4, 6, ... up to the degree cap and ``MAX_COLUMNS``.  M_D is M_B
+  with the columns above degree D dropped, so its rank mod p is the
+  number of pivots of degree at most D: one echelon form gives dim_p(D)
+  for every D <= B.  B grows by 2, not by doubling, because the last
+  elimination dominates and a doubled B can have several times the
+  columns that the plateau needs.
 * **Certificate.**  At the first plateau dim_p(D0) = dim_p(D0+1) = mu,
   the mu null vectors of M_D0 mod p that are the identity on the free
   (non-pivot) columns are lifted to the rationals by Chinese remaindering
@@ -179,9 +183,7 @@ def _certified(gens, columns, d0, mu, pivots):
     """mu when the dual basis of M_d0 lifts and certifies, else None."""
     ncols = sum(1 for m in columns if sum(m) <= d0)
     rows = _macaulay_rows(gens, columns[:ncols], d0)
-    free = None
-    modulus = 1
-    residues = None
+    free = residues = None
     for i, p in enumerate(PRIMES):
         if i:
             pivots = _echelon(rows, ncols, p)
@@ -230,7 +232,7 @@ def _combine(residues, modulus, basis, p):
     """Chinese remaindering of the running residues mod `modulus` with the
     null vectors mod p."""
     if residues is None:
-        return {f: list(v) for f, v in basis.items()}
+        return basis
     inv = pow(modulus, -1, p)
     out = {}
     for f, old in residues.items():

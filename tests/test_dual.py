@@ -86,6 +86,7 @@ def _seeded_ideals():
     )
     out += _chain_ideals(ICISGerm(XYZ, ["x^3 + 2*y^3 + z^3"]))
     out += _chain_ideals(ICISGerm(XYZ, ["z - 2*x + y", "x^2 + 3*y^3"]))
+    # the Tjurina ideal of T_{4,4,4}: colength 10, below mu = 11
     out.append(_stacked_minors_ideal(ICISGerm(XYZ, ["x^4 + y^4 + z^4 + 2*x*y*z"]), []))
     return out
 
@@ -98,12 +99,6 @@ def test_three_routes_agree_on_isolated_germs():
         assert certified is not None, ideal
         assert certified == _mora_count(ideal) == macaulay_colength(list(ideal.generators))
         assert colength(ideal) == certified
-
-
-def test_tjurina_ideal_of_t444_is_certified():
-    # T_{4,4,4} is not quasi-homogeneous: Tjurina number 10 below mu = 11
-    ideal = _stacked_minors_ideal(ICISGerm(XYZ, ["x^4 + y^4 + z^4 + 2*x*y*z"]), [])
-    assert dual.dual_colength(ideal.generators, grobner.DEFAULT_DEGREE_CAP) == 10
 
 
 def test_routes_agree_on_unit_and_non_isolated_germs():
