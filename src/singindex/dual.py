@@ -1,11 +1,13 @@
-"""Local colengths by the Macaulay inverse system: a modular rank
-proposes the colength, an exact rational dual basis certifies it.
+"""The local algebra by the Macaulay inverse system: a modular rank
+proposes the colength, an exact rational dual basis certifies it and
+gives the coordinates of every class.
 
 For a bound D let M_D be the Macaulay matrix of the ideal: its columns
-are the N_D monomials of degree at most D, sorted by degree, and its
-rows are the products m*g truncated above degree D, for every generator
-g and every monomial m.  Its null vectors are the functionals on
-polynomials of degree at most D that vanish on I + m^(D+1), so
+are the N_D monomials of degree at most D, sorted by ``LOCAL_ORDER``
+from the largest down (so by ascending degree), and its rows are the
+products m*g truncated above degree D, for every generator g and every
+monomial m.  Its null vectors are the functionals on polynomials of
+degree at most D that vanish on I + m^(D+1), so
 
     dim(D) = dim R/(I + m^(D+1)) = N_D - rank M_D,
 
@@ -16,7 +18,7 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
 * **Probe.**  A generator with a non-zero constant term is a unit, and
   the colength is 0.  Otherwise the generators are scaled to integer
   coefficients and M_B is brought to echelon form modulo the first of
-  ``PRIMES``, each pivot at the lowest-degree column of its row, for
+  ``PRIMES``, each pivot at the first column of its row, for
   B = 2, 4, 6, ... up to the degree cap and ``MAX_COLUMNS``.  M_D is M_B
   with the columns above degree D dropped, so its rank mod p is the
   number of pivots of degree at most D: one echelon form gives dim_p(D)
@@ -32,10 +34,21 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
   proves dim_Q(D0) >= mu.  The rank of an integer matrix modulo a prime
   never exceeds its rational rank, so dim_Q(D0+1) <= dim_p(D0+1) = mu,
   and by monotonicity dim_Q(D0) = dim_Q(D0+1) = mu: the colength is mu.
+* **Classes.**  The certified vectors then span the functionals on the
+  polynomials of degree at most D0 that vanish on I, and m^(D0+1) lies
+  in I: a polynomial is in I exactly when all of them vanish on its
+  terms of degree at most D0, and its class is the combination of the
+  free monomials with those values as coefficients.  The pivot of each
+  echelon row sits at its leading monomial under ``LOCAL_ORDER``, so
+  for all but finitely many primes the free monomials are the staircase
+  of Mora's standard basis of I.  The certificate proves that they are
+  a basis of the local algebra, not that they are that staircase.
 
 An unlucky prime or a wrong reconstruction can only make the check
 fail; then the next prime is tried, and past the last one the caller
-falls back to Mora's standard basis.  Nothing here guesses INFINITE.
+falls back to Mora's standard basis (or, when Mora's staircase already
+fixed the size of M, stops with an internal error).  Nothing here
+guesses INFINITE.
 This route shares no code with ``oracles.macaulay_colength``, which
 recomputes the same dimensions over the rationals for the tests.
 """
@@ -43,6 +56,7 @@ recomputes the same dimensions over the rationals for the tests.
 from __future__ import annotations
 
 from math import comb, isqrt, lcm
+from typing import NamedTuple
 
 from .errors import InternalCheckError
 from .poly import monomials_up_to_degree
@@ -63,39 +77,55 @@ PRIMES = (
 MAX_COLUMNS = 300
 
 
-def dual_colength(generators, degree_cap):
-    """Certified colength of the germ ideal spanned by the generators
+class DualBasis(NamedTuple):
+    """A certified dual basis of M_D0.  `columns` are the monomials of
+    degree at most D0 in column order; `vectors` maps the index of each
+    free column to its vector, as (integer numerators, one per column,
+    positive denominator).  The colength is len(vectors)."""
+
+    columns: list
+    vectors: dict
+
+
+def dual_basis(generators, degree_cap, top=None):
+    """Certified dual basis of the germ ideal spanned by the generators
     (which share one context), or None when the probe finds no plateau
     within its bounds or the certificate fails at every prime.  A
-    generator with a non-zero constant term is a unit: 0."""
+    generator with a non-zero constant term is a unit: the basis is
+    empty.  With `top`, M_top is built at once, whatever its size,
+    in place of the probe's bounds."""
     if any(g.constant_term() != 0 for g in generators):
-        return 0
+        return DualBasis([], {})
     gens = [_integer_terms(g) for g in generators if not g.is_zero]
     if not gens:
         return None
     nvars = len(generators[0].context)
-    bound = 0
-    while True:
-        bound = _next_bound(nvars, bound, degree_cap)
-        if bound is None:
-            return None
-        columns = monomials_up_to_degree(nvars, bound + 1)
+    for bound in _probe_bounds(nvars, degree_cap) if top is None else [top]:
+        # degree-lexicographic exponents, each reversed: sorted by
+        # LOCAL_ORDER from the largest down
+        columns = [m[::-1] for m in monomials_up_to_degree(nvars, bound + 1)]
         p = PRIMES[0]
         pivots = _echelon(_macaulay_rows(gens, columns, bound), len(columns), p)
         dims = _dimensions(columns, pivots, bound)
         for d0 in range(bound):
             if dims[d0] == dims[d0 + 1]:
                 return _certified(gens, columns, d0, dims[d0], pivots)
+    return None
 
 
-def _next_bound(nvars, bound, degree_cap):
-    """The probe's next bound after `bound`: two more, at most the degree
+def _probe_bounds(nvars, degree_cap):
+    """The probe's bounds: each two more than the last, at most the degree
     cap, and lowered to the largest bound whose matrix has at most
-    MAX_COLUMNS columns; None when no larger bound is left."""
-    nxt = min(bound + 2, degree_cap)
-    while nxt > bound and comb(nxt + nvars, nvars) > MAX_COLUMNS:
-        nxt -= 1
-    return nxt if nxt > bound else None
+    MAX_COLUMNS columns, for as long as they grow."""
+    bound = 0
+    while True:
+        nxt = min(bound + 2, degree_cap)
+        while nxt > bound and comb(nxt + nvars, nvars) > MAX_COLUMNS:
+            nxt -= 1
+        if nxt <= bound:
+            return
+        yield nxt
+        bound = nxt
 
 
 def _integer_terms(poly):
@@ -138,7 +168,7 @@ def _macaulay_rows(gens, columns, bound):
 
 
 def _echelon(rows, ncols, p):
-    """Row echelon form mod p with the pivot of each row at its lowest
+    """Row echelon form mod p with the pivot of each row at its first
     column.  Returns {pivot column: [(column, value), ...]}, the entries of
     the pivot row after its pivot, normalized so that the pivot is 1."""
     pivots = {}
@@ -180,7 +210,8 @@ def _dimensions(columns, pivots, bound):
 
 
 def _certified(gens, columns, d0, mu, pivots):
-    """mu when the dual basis of M_d0 lifts and certifies, else None."""
+    """The dual basis of M_d0 when its mu vectors lift and certify, else
+    None."""
     ncols = sum(1 for m in columns if sum(m) <= d0)
     rows = _macaulay_rows(gens, columns[:ncols], d0)
     free = residues = None
@@ -205,7 +236,7 @@ def _certified(gens, columns, d0, mu, pivots):
             certify_dual_basis(rows, ncols, free, vectors)
         except InternalCheckError:
             continue
-        return mu
+        return DualBasis(columns[:ncols], vectors)
     return None
 
 

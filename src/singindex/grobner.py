@@ -9,28 +9,26 @@ the normal selection strategy (minimal lcm degree first, deterministic
 tie-break).
 The weak normal form decides membership (it returns zero exactly on
 elements of the localized ideal) but only determines classes up to a unit
-factor.  Exact class representatives come from the strong normal form
-taken modulo ``I + m^(T+1)``, T the top staircase degree: the local order
-refines the degree filtration, so ``m^(T+1)`` is contained in the
-localized ideal, the truncation is faithful, and the reduction lands on
-the staircase monomials (Greuel-Pfister, *A Singular Introduction to
-Commutative Algebra*, the chapters on Mora's normal form and the
-Hilbert-Samuel function).
+factor (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
+the chapter on Mora's normal form).
 
-Colengths take another route first.  :func:`colength` hands the ideal to
-``singindex.dual``: a modular rank of Macaulay matrices proposes the
-colength mu at the first plateau D0 of the truncated dimensions, and an
-exact rational dual basis certifies dim_Q(D0) >= mu >= dim_Q(D0+1), which
-with monotonicity and Nakayama makes mu the colength.  Mora's standard
-basis is only the fallback, for ideals that route cannot certify:
-germs that are not isolated, and germs past its size bound.
+Colengths and classes take another route first.  :func:`colength` and
+:func:`quotient_algebra` hand the ideal to ``singindex.dual``: a modular
+rank of Macaulay matrices proposes the colength mu at the first plateau
+D0 of the truncated dimensions, and an exact rational dual basis
+certifies dim_Q(D0) >= mu >= dim_Q(D0+1), which with monotonicity and
+Nakayama makes mu the colength.  The same dual basis gives the
+coordinates of every class in the local algebra.  Mora's standard basis
+is only the fallback, for ideals the probe cannot certify: germs that
+are not isolated, and germs past its size bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .dual import dual_colength
+from .dual import dual_basis
 from .errors import (
     DegreeCapError,
     InternalCheckError,
@@ -74,7 +72,7 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
-# work budget of colength's plain reruns with a doubled degree cap (see
+# work budget of the plain reruns with a doubled degree cap (see
 # standard_basis), in terms of the polynomials under weak normal form
 # reduction, summed over the reduction steps of all reruns; CPython 3.11
 # on one x86-64 core reduces about 100000 terms a second
@@ -138,31 +136,6 @@ def _truncate(poly, bound):
         poly.context,
         {m: c for m, c in poly.terms.items() if monomial_degree(m) <= bound},
     )
-
-
-def _strong_normal_form(p, basis, truncation):
-    """Strong normal form modulo the power of the maximal ideal above the
-    truncation bound: no monomial of the result is divisible by a basis
-    leading term.
-
-    Terms of total degree above the bound are dropped after every step.
-    The local order refines the degree, so each step lowers the leading
-    monomial within the finite set of monomials of degree at most the
-    bound, and the reduction terminates.
-    """
-    ctx = p.context
-    remainder = {}
-    work = _truncate(p, truncation)
-    while not work.is_zero:
-        m, c = work.leading_term(LOCAL_ORDER)
-        hit = next((b for b in basis if monomial_divides(b[0], m)), None)
-        if hit is None:
-            remainder[m] = c
-            work = work - Polynomial(ctx, {m: c})
-        else:
-            lt, lc, g = hit
-            work = _truncate(work - g.term_mul(monomial_quotient(m, lt), c / lc), truncation)
-    return Polynomial(ctx, remainder)
 
 
 class _WorkBudget:
@@ -359,38 +332,38 @@ def _monomials_of_exact_degree(nvars, degree):
     ]
 
 
-def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP, rerun_work=0):
+def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """Compute a minimal standard basis of the germ ideal by Mora's
     algorithm under ``LOCAL_ORDER``.
 
-    When the plain run overshoots its degree budget, the computation
-    restarts truncated modulo powers of the maximal ideal with iterative
-    deepening, which returns exactly the same leading-term data for the
-    germ whenever it stabilizes (and aborts with DEGREE_CAP otherwise).
-    Deepening never finds an infinite staircase.  With a positive
-    `rerun_work`, the plain run is first repeated with its cap doubled,
-    up to the degree cap, until a run completes or the reruns have
-    reduced that many terms in all (see ``PLAIN_RERUN_WORK``): a completed
-    run is a standard basis whatever its cap, finite staircase or not.
+    When the plain run overshoots its soft degree cap, it is repeated
+    with the cap doubled, up to the degree cap, until a run completes or
+    the reruns have reduced ``PLAIN_RERUN_WORK`` terms in all: a
+    completed run is a standard basis whatever its cap, finite staircase
+    or not.  Past that, the computation restarts truncated modulo powers
+    of the maximal ideal with iterative deepening, which returns exactly
+    the same leading-term data for the germ whenever it stabilizes (and
+    aborts with DEGREE_CAP otherwise).  Deepening never finds an infinite
+    staircase.
     """
     max_degree = max(g.degree() for g in ideal.generators)
     soft_cap = min(degree_cap, max(12, 2 * max_degree + 4))
     try:
         minimal = _completion(ideal.generators, soft_cap)
     except DegreeCapError:
-        minimal = _plain_reruns(ideal.generators, soft_cap, degree_cap, rerun_work)
+        minimal = _plain_reruns(ideal.generators, soft_cap, degree_cap)
         if minimal is None:
             minimal = _deepened_local_basis(ideal, degree_cap)
     minimal = sorted(minimal, key=lambda g: LOCAL_ORDER.key(g.leading_term(LOCAL_ORDER)[0]))
     return StandardBasis(minimal, ideal)
 
 
-def _plain_reruns(generators, cap, degree_cap, work):
+def _plain_reruns(generators, cap, degree_cap):
     """Plain completion with the cap doubled after each failed run, up to
     the degree cap, under one work budget for all runs; None when no run
     completes."""
-    budget = _WorkBudget(work)
-    while 0 < work and cap < degree_cap:
+    budget = _WorkBudget(PLAIN_RERUN_WORK)
+    while cap < degree_cap:
         cap = min(2 * cap, degree_cap)
         try:
             return _completion(generators, cap, budget=budget)
@@ -447,22 +420,21 @@ def colength(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """dim of the local quotient by the ideal, as a rational vector space;
     INFINITE when the ideal is not zero-dimensional.
 
-    ``dual.dual_colength`` answers first: 0 when a generator has a
-    non-zero constant term, and otherwise the colength mu proposed by a
-    modular rank and certified by an exact rational dual basis of the
-    Macaulay matrix at the first plateau D0.  The certificate proves
+    ``dual.dual_basis`` answers first: empty when a generator has a
+    non-zero constant term, and otherwise the mu vectors, mu proposed by
+    a modular rank, of an exact rational dual basis of the Macaulay
+    matrix at the first plateau D0.  The certificate proves
     dim_Q(D0) >= mu >= dim_Q(D0+1) for the quotients by I + m^(D+1); they
     never shrink as D grows, so both equal mu, and by Nakayama mu is the
     colength.  Only when that route certifies nothing does Mora's
-    standard basis count the staircase, with plain reruns at doubled caps
-    before deepening (``PLAIN_RERUN_WORK``).  That fallback alone returns
+    standard basis count the staircase.  That fallback alone returns
     INFINITE, and raises DegreeCapError when it completes nothing below
     the degree cap.
     """
-    value = dual_colength(ideal.generators, degree_cap)
-    if value is not None:
-        return value
-    sb = standard_basis(ideal, degree_cap=degree_cap, rerun_work=PLAIN_RERUN_WORK)
+    dual = dual_basis(ideal.generators, degree_cap)
+    if dual is not None:
+        return len(dual.vectors)
+    sb = standard_basis(ideal, degree_cap=degree_cap)
     stairs = staircase_monomials(sb)
     if stairs is INFINITE:
         return INFINITE
@@ -480,39 +452,44 @@ def localized_colength(ideal, point, degree_cap=DEFAULT_DEGREE_CAP):
 
 
 class QuotientAlgebra:
-    """Finite dimensional algebra O/I with a monomial basis.
+    """Finite dimensional local algebra O/I with a certified monomial
+    basis, built on a certified dual basis of the Macaulay matrix M_D0
+    (see ``singindex.dual``).
 
-    basis monomials are the standard monomials of the computed standard
-    basis, sorted ascending; the class of 1 is the unit (for the unit
-    ideal the basis is empty and the algebra is zero).  Classes are read
-    off the strong normal form modulo ``m^(truncation+1)``.
-    Multiplication is looked up from a table of reduced basis products,
-    so it is exact, commutative, and associative by construction of the
-    reduction.
+    The basis monomials are the free columns of that dual basis, sorted
+    ascending: they are a basis of O/I, which for all but finitely many
+    primes is the staircase of Mora's standard basis under
+    ``LOCAL_ORDER``; the class of 1 is the unit (for the unit ideal the
+    basis is empty and the algebra is zero).  The coordinates of a class
+    are the values of the dual vectors on the terms of degree at most
+    D0; m^(D0+1) lies in I, so they are exact, and a polynomial lies in
+    I exactly when they all vanish.  The product of two basis monomials
+    is a monomial, so its coordinates are its column of the dual basis,
+    and 0 above degree D0.
     """
 
-    def __init__(self, sb, basis, truncation):
-        self.ideal = sb.ideal
-        self.standard_basis = sb
-        self.context = sb.ideal.context
-        self.basis = tuple(basis)
-        self.dimension = len(basis)
-        self.truncation = truncation
-        self._index = {m: i for i, m in enumerate(self.basis)}
-        self._table = {}
-        if self.basis and (0,) * len(self.context) not in self._index:
+    def __init__(self, ideal, dual):
+        self.ideal = ideal
+        self.context = ideal.context
+        self._column = {m: k for k, m in enumerate(dual.columns)}
+        self.basis = tuple(sorted((dual.columns[f] for f in dual.vectors), key=GLOBAL_ORDER.key))
+        self.dimension = len(self.basis)
+        self._vectors = [dual.vectors[self._column[m]] for m in self.basis]
+        if self.basis and self.basis[0] != (0,) * len(self.context):
             raise InternalCheckError("unit monomial missing from quotient basis")
-
-    def _normal_form(self, poly):
-        """Strong normal form of poly, supported on the basis monomials."""
-        return _strong_normal_form(poly, self.standard_basis._lead, self.truncation)
 
     def coords(self, poly):
         """Coordinates of the class of poly in the monomial basis."""
         if poly.context != self.context:
             raise RejectedInputError("context mismatch in quotient reduction")
-        terms = self._normal_form(poly).terms
-        return [terms.get(m, Fraction(0)) for m in self.basis]
+        terms = [(self._column.get(m), c) for m, c in poly.terms.items()]
+        terms = [(k, c) for k, c in terms if k is not None]
+        scale = lcm(*(c.denominator for _, c in terms))
+        terms = [(k, c.numerator * (scale // c.denominator)) for k, c in terms]
+        return [
+            Fraction(sum(a * nums[k] for k, a in terms), scale * den)
+            for nums, den in self._vectors
+        ]
 
     def reduce(self, poly):
         """Canonical representative supported on the basis monomials."""
@@ -520,13 +497,10 @@ class QuotientAlgebra:
         return Polynomial(self.context, dict(zip(self.basis, cs)))
 
     def basis_product_coords(self, i, j):
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        if key not in self._table:
-            prod = Polynomial(self.context, {monomial_mul(self.basis[i], self.basis[j]): Fraction(1)})
-            self._table[key] = tuple(self.coords(prod))
-        return self._table[key]
+        k = self._column.get(monomial_mul(self.basis[i], self.basis[j]))
+        if k is None:
+            return (Fraction(0),) * self.dimension
+        return tuple(Fraction(nums[k], den) for nums, den in self._vectors)
 
     def multiply_coords(self, u, v):
         """Product of two classes given by coordinate vectors."""
@@ -543,46 +517,27 @@ class QuotientAlgebra:
         return out
 
 
-def _certify_truncated_basis(algebra):
-    """Buchberger's criterion modulo ``m^(T+1)``, T the truncation bound.
-
-    Every ideal generator and every S-polynomial of the basis must have
-    truncated strong normal form zero.  Then I + m^(T+1) lies in the
-    ideal generated by the basis and m^(T+1), and the staircase below T+1
-    is a vector space basis of the quotient by the latter: a basis
-    element missing from the computation is caught.  A basis element
-    outside I would pass unnoticed; it only shrinks the staircase.
-    """
-    lead = algebra.standard_basis._lead
-    checks = list(algebra.ideal.generators)
-    for i in range(len(lead)):
-        for j in range(i):
-            checks.append(_spoly(lead[i][0], lead[i][2], lead[j][0], lead[j][2]))
-    for p in checks:
-        if not algebra._normal_form(p).is_zero:
-            raise InternalCheckError(
-                "standard basis fails Buchberger's criterion modulo "
-                f"m^{algebra.truncation + 1}"
-            )
-
-
 def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):
-    """Quotient algebra with basis and exact multiplication.
+    """Quotient algebra with a certified monomial basis and exact
+    multiplication.
 
-    Raises NotIsolatedError when the colength is infinite; the unit ideal
-    gives the zero algebra.  Classes are computed modulo ``I + m^(T+1)``
-    with T the top staircase degree: every monomial of degree T+1 is a
-    leading monomial, so m^(T+1) lies in the localized ideal and the
-    truncation is exact.  The algebra certifies itself by Buchberger's
-    criterion modulo m^(T+1).
+    The dual probe goes first, as in :func:`colength`; its certificate
+    proves the dimension and makes every coordinate exact.  When it
+    certifies nothing, Mora's standard basis decides: NotIsolatedError
+    when the colength is infinite, and otherwise its top staircase degree
+    T puts m^(T+1) inside I, so M_(T+1) has its plateau at T and its dual
+    basis is built and certified at that size.  The unit ideal gives the
+    zero algebra.
     """
-    sb = standard_basis(ideal, degree_cap=degree_cap)
-    basis = staircase_monomials(sb)
-    if basis is INFINITE:
-        raise NotIsolatedError(
-            "ideal is not zero-dimensional: singular point not isolated"
-        )
-    truncation = max((monomial_degree(m) for m in basis), default=0)
-    algebra = QuotientAlgebra(sb, basis, truncation)
-    _certify_truncated_basis(algebra)
-    return algebra
+    dual = dual_basis(ideal.generators, degree_cap)
+    if dual is None:
+        stairs = staircase_monomials(standard_basis(ideal, degree_cap=degree_cap))
+        if stairs is INFINITE:
+            raise NotIsolatedError(
+                "ideal is not zero-dimensional: singular point not isolated"
+            )
+        top = max(monomial_degree(m) for m in stairs)
+        dual = dual_basis(ideal.generators, degree_cap, top=top + 1)
+        if dual is None:
+            raise InternalCheckError("no dual basis certifies the standard basis staircase")
+    return QuotientAlgebra(ideal, dual)

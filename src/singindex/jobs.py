@@ -560,21 +560,29 @@ def _parse_chain(job, payload):
 
 
 def _parse_poset(job, payload):
-    job.strata = strata = payload.get("strata")
+    strata = payload.get("strata")
     if not job.require(
         isinstance(strata, list) and strata,
         "$.payload.strata",
         "expected a non-empty list of stratum labels",
     ):
         return
+    distinct = job.require(
+        len(set(map(str, strata))) == len(strata),
+        "$.payload.strata",
+        "stratum labels must be distinct",
+    )
     covers = payload.get("covers", [])
     if job.require(
         isinstance(covers, list)
         and all(isinstance(c, list) and len(c) == 2 and all(map(_is_int, c)) for c in covers),
         "$.payload.covers",
         "expected a list of [i, j] index pairs",
-    ):
-        job.covers = [tuple(c) for c in covers]
+    ) and distinct:
+        try:
+            job.poset = st.StratPoset(strata, [tuple(c) for c in covers])
+        except RejectedInputError as err:
+            job.add("$.payload.covers", str(err))
     nmap = payload.get("n", {})
     job.entries = {}
     if not isinstance(nmap, dict):
@@ -769,12 +777,12 @@ def _run_smooth(report, job, run_oracle):
             action = sm.GroupAction(variables, job.action)
             report.put(
                 "invariant_dimension",
-                sm.invariant_dimension(form.algebra, action, cap),
+                sm.invariant_dimension(form.algebra, action),
                 "trace-average-over-group",
             )
             report.put(
                 "invariant_signature",
-                sm.invariant_signature(form, action, cap),
+                sm.invariant_signature(form, action),
                 "signature-on-invariant-subspace",
             )
         if run_oracle:
@@ -890,7 +898,7 @@ def _run_strat(report, job, run_oracle):
             report.put("phn", value, "mobius-weighted-radial-sum")
         return
 
-    poset = st.StratPoset(job.strata, job.covers)
+    poset = job.poset
     data = st.SliceData(poset, job.entries)
     if op == "mobius":
         inverse = st.mobius_inverse(data)

@@ -312,15 +312,14 @@ class GroupAction:
         return poly.substitute(self.substitution(matrix))
 
 
-def ideal_is_invariant(algebra, action, degree_cap=DEFAULT_DEGREE_CAP):
-    """Check invariance of the algebra's ideal by normal-forming the
-    transformed generators; enough to check the generators of the group."""
-    sb = algebra.standard_basis
-    for g in action.generators:
-        for f in algebra.ideal.generators:
-            if not sb.contains(action.transform(f, g), degree_cap):
-                return False
-    return True
+def ideal_is_invariant(algebra, action):
+    """Check invariance of the algebra's ideal: every transformed
+    generator has class 0; enough to check the generators of the group."""
+    return not any(
+        any(algebra.coords(action.transform(f, g)))
+        for g in action.generators
+        for f in algebra.ideal.generators
+    )
 
 
 def _action_matrices(algebra, action):
@@ -349,10 +348,10 @@ def _averaging_projector(mats, order):
     return [[x * inv for x in row] for row in avg]
 
 
-def invariant_dimension(algebra, action, degree_cap=DEFAULT_DEGREE_CAP):
+def invariant_dimension(algebra, action):
     """Dimension of the subspace of the quotient algebra fixed by the
     action: 1/|G| times the sum of the traces of the group elements."""
-    if not ideal_is_invariant(algebra, action, degree_cap):
+    if not ideal_is_invariant(algebra, action):
         raise RejectedInputError("ideal is not invariant under the action")
     mats = _action_matrices(algebra, action)
     total = sum(sum(m[i][i] for i in range(len(m))) for m in mats)
@@ -362,7 +361,7 @@ def invariant_dimension(algebra, action, degree_cap=DEFAULT_DEGREE_CAP):
     return int(value)
 
 
-def invariant_signature(form, action, degree_cap=DEFAULT_DEGREE_CAP):
+def invariant_signature(form, action):
     """Signature of the residue pairing restricted to the invariant part
     of the algebra.
 
@@ -372,7 +371,7 @@ def invariant_signature(form, action, degree_cap=DEFAULT_DEGREE_CAP):
     signature does not depend on the admissible functional chosen.
     """
     algebra = form.algebra
-    if not ideal_is_invariant(algebra, action, degree_cap):
+    if not ideal_is_invariant(algebra, action):
         raise RejectedInputError("ideal is not invariant under the action")
     n = algebra.dimension
     if n == 0:

@@ -1,6 +1,6 @@
-"""The dual route for colengths: a mod-p Macaulay probe proposes, an exact
-rational dual basis certifies, and Mora's standard basis is only the
-fallback."""
+"""The dual route for colengths and quotient algebras: a mod-p Macaulay
+probe proposes, an exact rational dual basis certifies, and Mora's
+standard basis is only the fallback."""
 
 import random
 from fractions import Fraction
@@ -8,10 +8,9 @@ from fractions import Fraction
 import pytest
 
 from singindex import dual, grobner, icis
-from singindex.errors import DegreeCapError, InternalCheckError
+from singindex.errors import InternalCheckError
 from singindex.grobner import (
     INFINITE,
-    PLAIN_RERUN_WORK,
     Ideal,
     colength,
     staircase_monomials,
@@ -20,15 +19,15 @@ from singindex.grobner import (
 from singindex.icis import ICISGerm, _stacked_minors_ideal, milnor_number
 from singindex.jobs import run_job
 from singindex.oracles import macaulay_colength
-from singindex.poly import Polynomial, parse_polynomial
+from singindex.poly import LOCAL_ORDER, Polynomial, parse_polynomial
 from singindex.smooth import SectionCollection
 
 from helpers import random_unimodular, substitute_all
 
 XYZ = ("x", "y", "z")
 CTX = ("x", "y")
-# smooth-index germ that is not isolated (the ideal lies in (x)) and
-# whose plain Mora run overshoots the soft cap
+# germ that is not isolated (the ideal lies in (x)) and whose plain Mora
+# run overshoots the soft cap
 EXIT_4_GERM = ["2*x*z^2 + 2*x^2*y^2*z", "3*x*z^5", "0"]
 
 
@@ -69,8 +68,14 @@ def _chain_ideals(germ):
     return seen
 
 
+def _dual_count(ideal):
+    """The colength certified by the dual probe, or None."""
+    basis = dual.dual_basis(ideal.generators, grobner.DEFAULT_DEGREE_CAP)
+    return None if basis is None else len(basis.vectors)
+
+
 def _mora_count(ideal, degree_cap=grobner.DEFAULT_DEGREE_CAP):
-    stairs = staircase_monomials(standard_basis(ideal, degree_cap, rerun_work=PLAIN_RERUN_WORK))
+    stairs = staircase_monomials(standard_basis(ideal, degree_cap))
     return INFINITE if stairs is INFINITE else len(stairs)
 
 
@@ -95,7 +100,9 @@ def test_three_routes_agree_on_isolated_germs():
     ideals = _seeded_ideals()
     assert len(ideals) > 10
     for ideal in ideals:
-        certified = dual.dual_colength(ideal.generators, grobner.DEFAULT_DEGREE_CAP)
+        columns = dual.dual_basis(ideal.generators, grobner.DEFAULT_DEGREE_CAP).columns
+        assert columns == LOCAL_ORDER.sorted_descending(columns)
+        certified = _dual_count(ideal)
         assert certified is not None, ideal
         assert certified == _mora_count(ideal) == macaulay_colength(list(ideal.generators))
         assert colength(ideal) == certified
@@ -106,7 +113,7 @@ def test_routes_agree_on_unit_and_non_isolated_germs():
     assert colength(unit) == _mora_count(unit) == macaulay_colength(list(unit.generators)) == 0
     for texts in (["x^2", "y^3", "x*y*z^2"], ["x*y", "x*z"], EXIT_4_GERM):
         ideal = _ideal(texts)
-        assert dual.dual_colength(ideal.generators, grobner.DEFAULT_DEGREE_CAP) is None
+        assert dual.dual_basis(ideal.generators, grobner.DEFAULT_DEGREE_CAP) is None
         assert _mora_count(ideal) is INFINITE
         assert macaulay_colength(list(ideal.generators), max_truncation=10) is INFINITE
         assert colength(ideal) is INFINITE
@@ -114,22 +121,43 @@ def test_routes_agree_on_unit_and_non_isolated_germs():
 
 @pytest.mark.parametrize("cap", [24, 40, 80])
 def test_exit_4_germ_is_infinite_at_every_cap(cap):
-    doc = {
-        "command": "smooth-index",
-        "payload": {"variables": list(XYZ), "data": EXIT_4_GERM},
-        "options": {"degree_cap": cap},
+    # the same situation exits the same way in both commands
+    reports = {}
+    for command in ("smooth-index", "elk"):
+        doc = {
+            "command": command,
+            "payload": {"variables": list(XYZ), "data": EXIT_4_GERM},
+            "options": {"degree_cap": cap},
+        }
+        report, code = run_job(doc)
+        assert code == 3, (command, report.values)
+        assert report.status == "non-isolated"
+        reports[command] = report
+    assert reports["smooth-index"].values["index"] is INFINITE
+
+
+def test_isolated_germ_past_the_probe_bound_goes_through_mora(monkeypatch):
+    # D0 = 10 in three variables needs more than MAX_COLUMNS columns: Mora
+    # gives the top staircase degree 10, and M_11 is built whatever its size
+    ideal = _ideal(["x^11", "y", "z"])
+    assert dual.dual_basis(ideal.generators, grobner.DEFAULT_DEGREE_CAP) is None
+    calls = _count_mora(monkeypatch)
+    tops = []
+    real = grobner.dual_basis
+
+    def spy(generators, degree_cap, top=None):
+        tops.append(top)
+        return real(generators, degree_cap, top)
+
+    monkeypatch.setattr(grobner, "dual_basis", spy)
+    report, code = run_job({"command": "elk", "payload": {"variables": list(XYZ), "data": ["x^11", "y", "z"]}})
+    assert code == 0
+    assert report.values == {"index": 1}
+    assert report.certificates == {
+        "algebra_dimension": 11,
+        "algebra_basis": ["1", "x"] + [f"x^{k}" for k in range(2, 11)],
     }
-    report, code = run_job(doc)
-    assert code == 3
-    assert report.values["index"] is INFINITE
-
-
-def test_plain_reruns_stay_out_of_the_default_standard_basis():
-    # deepening alone never finds the infinite staircase of this germ
-    ideal = _ideal(EXIT_4_GERM)
-    with pytest.raises(DegreeCapError):
-        standard_basis(ideal, degree_cap=24)
-    assert _mora_count(ideal, 24) is INFINITE
+    assert len(calls) == 1 and tops == [None, 11]
 
 
 def _certificate_of(ideal, monkeypatch):
@@ -142,7 +170,7 @@ def _certificate_of(ideal, monkeypatch):
         seen.append((rows, ncols, free, vectors))
 
     monkeypatch.setattr(dual, "certify_dual_basis", spy)
-    assert dual.dual_colength(ideal.generators, grobner.DEFAULT_DEGREE_CAP) is not None
+    assert _dual_count(ideal) is not None
     monkeypatch.undo()
     return seen[0]
 
@@ -230,6 +258,14 @@ def _workload_documents():
         for ideal, kind in zip(germs, ("vector_field", "one_form"))
     ]
     docs.append({"command": "smooth-index", "payload": {"variables": list(XYZ), "data": ["x^2 + 3", "y^2", "z^3"]}})
+    docs.append({"command": "elk", "payload": {"variables": list(XYZ), "data": [str(g) for g in germs[1].generators]}})
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    docs.append(
+        {
+            "command": "elk",
+            "payload": {"variables": list(XYZ), "data": ["x^3 + y*z^2", "y^3 + x*z^2", "z^3"], "action": [swap]},
+        }
+    )
     for equations, form in (
         (["x^4 + y^4 + z^4 + 2*x*y*z"], ["0", "0", "1"]),
         (["x^3 + 2*y^3 + 3*z^3"], ["0", "0", "1"]),

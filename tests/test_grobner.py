@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from singindex.errors import DegreeCapError, InternalCheckError, NotIsolatedError
-from singindex import grobner
+from singindex import dual
 from singindex.grobner import (
     INFINITE,
     Ideal,
@@ -16,7 +16,7 @@ from singindex.grobner import (
     staircase_monomials,
     standard_basis,
 )
-from singindex.poly import LOCAL_ORDER, Polynomial, monomial_divides
+from singindex.poly import LOCAL_ORDER, Polynomial, monomial_divides, monomials_up_to_degree
 from singindex.oracles import macaulay_colength
 
 from helpers import random_polynomial, random_unimodular, substitute_all
@@ -174,9 +174,9 @@ def test_normal_form_idempotent():
 
 
 def test_class_representatives_agree_with_membership():
-    # classes come from the truncated strong normal form, membership from
-    # Mora's weak normal form: p lies in the localized ideal exactly when
-    # its class is zero, and p minus its representative always does
+    # classes come from the certified dual basis, membership from Mora's
+    # weak normal form: p lies in the localized ideal exactly when its
+    # class is zero, and p minus its representative always does
     rng = random.Random(47)
     outcomes = set()
     for gens in ([X**2 + Y**3, X * Y], [X**2 - Y**2, X * Y], [X**2 - Y**3, Y**4], [X**2, Y**2]):
@@ -198,21 +198,44 @@ def test_quotient_rejects_non_isolated():
         quotient_algebra(Ideal([X * Y]))
 
 
-def test_quotient_certificate_catches_a_missing_basis_element(monkeypatch):
-    # without x*y the staircase of (x^2 + y^3, x*y) stays finite but has
-    # 8 monomials instead of 5; Buchberger's criterion modulo m^(T+1)
-    # must refuse it
-    real = grobner.standard_basis
+def _corrupt_lifted_dual_bases(monkeypatch, times):
+    """Add 1 to one entry off the free columns of the first lifted dual
+    vector, in the first `times` reconstructions."""
+    real = dual._reconstruct
+    done = []
 
-    def lossy(ideal, degree_cap=grobner.DEFAULT_DEGREE_CAP):
-        sb = real(ideal, degree_cap)
-        kept = [g for g in sb.elements if g.leading_term(LOCAL_ORDER)[0] != (1, 1)]
-        assert len(kept) == len(sb.elements) - 1
-        return grobner.StandardBasis(kept, sb.ideal)
+    def corrupt(residues, modulus):
+        vectors = real(residues, modulus)
+        if vectors is None or len(done) >= times:
+            return vectors
+        f = min(vectors)
+        nums, den = vectors[f]
+        k = next(k for k in range(len(nums)) if k not in vectors)
+        vectors[f] = (nums[:k] + [nums[k] + 1] + nums[k + 1:], den)
+        done.append(k)
+        return vectors
 
-    monkeypatch.setattr(grobner, "standard_basis", lossy)
+    monkeypatch.setattr(dual, "_reconstruct", corrupt)
+    return done
+
+
+@pytest.mark.parametrize("gens", [[X**2 + Y**3, X * Y], [X**2 - Y**3, Y**4]])
+def test_no_algebra_on_a_corrupted_dual_basis(monkeypatch, gens):
+    ideal = Ideal(gens)
+    sound = quotient_algebra(ideal)
+    probes = [Polynomial(CTX, {m: Fraction(1)}) for m in monomials_up_to_degree(2, 6)]
+    # corrupted at the first prime: the next prime gives the same algebra
+    done = _corrupt_lifted_dual_bases(monkeypatch, 1)
+    algebra = quotient_algebra(ideal)
+    assert done
+    assert algebra.basis == sound.basis
+    assert [algebra.coords(p) for p in probes] == [sound.coords(p) for p in probes]
+    # corrupted at every prime: no algebra at all
+    monkeypatch.undo()
+    done = _corrupt_lifted_dual_bases(monkeypatch, len(dual.PRIMES) + 10)
     with pytest.raises(InternalCheckError):
-        quotient_algebra(Ideal([X**2 + Y**3, X * Y]))
+        quotient_algebra(ideal)
+    assert done
 
 
 def test_degree_cap_aborts():

@@ -356,6 +356,21 @@ def test_duplicate_variable_names_are_rejected(command):
     ]
 
 
+BAD_POSETS = {
+    "cover-outside-the-poset": (["a", "b"], [[0, 5]], "$.payload.covers", "bad cover pair (0, 5)"),
+    "cyclic-covers": (["a", "b", "c"], [[0, 1], [1, 2], [2, 0]], "$.payload.covers", "order relation has a cycle"),
+    "repeated-label": (["a", "a"], [[0, 1]], "$.payload.strata", "stratum labels must be distinct"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_POSETS))
+def test_poset_refusals_carry_a_path(case):
+    strata, covers, path, message = BAD_POSETS[case]
+    report, code = run_job({"command": "strat", "op": "mobius", "payload": {"strata": strata, "covers": covers}})
+    assert code == 2
+    assert report.values == {"diagnostics": [{"path": path, "message": message}]}
+
+
 # C2 on 8 points; (1 2) and (1 ... 8) generate all of S8
 C2_OF_DEGREE_8 = {"degree": 8, "generators": [[2, 1, 3, 4, 5, 6, 7, 8]]}
 OUTSIDE_C2 = [[2, 1, 3, 4, 5, 6, 7, 8], [2, 3, 4, 5, 6, 7, 8, 1]]

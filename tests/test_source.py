@@ -42,3 +42,29 @@ def _imported_modules(name):
 def test_oracles_and_the_dual_route_share_no_code():
     assert "dual" not in _imported_modules("oracles.py")
     assert "oracles" not in _imported_modules("dual.py")
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_unreferenced_private_functions():
+    # a private module-level function or private method must be named
+    # somewhere in the package outside its own body
+    trees = {path.name: _tree(path.name) for path in sorted(SRC.glob("*.py"))}
+    references = [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unused = []
+    for fname, tree in trees.items():
+        for top in tree.body:
+            for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if not isinstance(node, ast.FunctionDef) or not _private(node.name):
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if not any(name == node.name and key not in own for name, key in references):
+                    unused.append(f"{fname} {node.name}")
+    assert unused == []
