@@ -44,11 +44,16 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
   of Mora's standard basis of I.  The certificate proves that they are
   a basis of the local algebra, not that they are that staircase.
 
+* **Sparse matrices.**  :func:`certified_dual_basis` lifts and checks
+  the dual basis of any sparse matrix in echelon form the same way.
+  Mora's fallback in ``grobner.quotient_algebra`` hands it the rows
+  that the border of a standard basis staircase needs, not the whole
+  Macaulay matrix.
+
 An unlucky prime or a wrong reconstruction can only make the check
 fail; then the next prime is tried, and past the last one the caller
-falls back to Mora's standard basis (or, when Mora's staircase already
-fixed the size of M, stops with an internal error).  Nothing here
-guesses INFINITE.
+falls back to Mora's standard basis (or, in that fallback, stops with
+an internal error).  Nothing here guesses INFINITE.
 This route shares no code with ``oracles.macaulay_colength``, which
 recomputes the same dimensions over the rationals for the tests.
 """
@@ -78,39 +83,50 @@ MAX_COLUMNS = 300
 
 
 class DualBasis(NamedTuple):
-    """A certified dual basis of M_D0.  `columns` are the monomials of
-    degree at most D0 in column order; `vectors` maps the index of each
-    free column to its vector, as (integer numerators, one per column,
-    positive denominator).  The colength is len(vectors)."""
+    """A certified dual basis.  `columns` are monomials in column order:
+    those of degree at most D0 for M_D0, fewer for a sparse matrix;
+    `vectors` maps the index of each free column to its vector, as
+    (integer numerators, one per column, positive denominator).  The
+    colength is len(vectors)."""
 
     columns: list
     vectors: dict
 
 
-def dual_basis(generators, degree_cap, top=None):
+def dual_basis(generators, degree_cap):
     """Certified dual basis of the germ ideal spanned by the generators
     (which share one context), or None when the probe finds no plateau
     within its bounds or the certificate fails at every prime.  A
     generator with a non-zero constant term is a unit: the basis is
-    empty.  With `top`, M_top is built at once, whatever its size,
-    in place of the probe's bounds."""
+    empty."""
     if any(g.constant_term() != 0 for g in generators):
         return DualBasis([], {})
     gens = [_integer_terms(g) for g in generators if not g.is_zero]
     if not gens:
         return None
     nvars = len(generators[0].context)
-    for bound in _probe_bounds(nvars, degree_cap) if top is None else [top]:
+    for bound in _probe_bounds(nvars, degree_cap):
         # degree-lexicographic exponents, each reversed: sorted by
         # LOCAL_ORDER from the largest down
         columns = [m[::-1] for m in monomials_up_to_degree(nvars, bound + 1)]
-        p = PRIMES[0]
-        pivots = _echelon(_macaulay_rows(gens, columns, bound), len(columns), p)
+        pivots = _echelon(_macaulay_rows(gens, columns, bound), len(columns), PRIMES[0])
         dims = _dimensions(columns, pivots, bound)
         for d0 in range(bound):
             if dims[d0] == dims[d0 + 1]:
-                return _certified(gens, columns, d0, dims[d0], pivots)
+                ncols = sum(1 for m in columns if sum(m) <= d0)
+                rows = _macaulay_rows(gens, columns[:ncols], d0)
+                return _certified(rows, columns[:ncols], dims[d0], pivots)
     return None
+
+
+def certified_dual_basis(rows, columns):
+    """Certified dual basis of a sparse matrix in echelon form: `rows` are
+    dicts column index -> non-zero integer, the first column of each row
+    is its pivot, and no two rows share one, so the rank is the number of
+    rows.  The free columns are the columns without a pivot; None when
+    the vectors do not lift and certify."""
+    pivots = _echelon(rows, len(columns), PRIMES[0])
+    return _certified(rows, columns, len(columns) - len(rows), pivots)
 
 
 def _probe_bounds(nvars, degree_cap):
@@ -173,6 +189,12 @@ def _echelon(rows, ncols, p):
     the pivot row after its pivot, normalized so that the pivot is 1."""
     pivots = {}
     for row in rows:
+        c = min(row)
+        if c not in pivots and row[c] % p:
+            # a new pivot at the first column: nothing to eliminate
+            inv = pow(row[c], -1, p)
+            pivots[c] = [(k, v * inv % p) for k, v in sorted(row.items()) if k > c and v % p]
+            continue
         vec = [0] * ncols
         for k, v in row.items():
             vec[k] = v
@@ -209,11 +231,11 @@ def _dimensions(columns, pivots, bound):
     return dims
 
 
-def _certified(gens, columns, d0, mu, pivots):
-    """The dual basis of M_d0 when its mu vectors lift and certify, else
-    None."""
-    ncols = sum(1 for m in columns if sum(m) <= d0)
-    rows = _macaulay_rows(gens, columns[:ncols], d0)
+def _certified(rows, columns, mu, pivots):
+    """The dual basis of the rows, over the given columns, when its mu
+    vectors lift and certify, else None.  `pivots` is the echelon form
+    of the rows modulo the first prime."""
+    ncols = len(columns)
     free = residues = None
     for i, p in enumerate(PRIMES):
         if i:
@@ -236,7 +258,7 @@ def _certified(gens, columns, d0, mu, pivots):
             certify_dual_basis(rows, ncols, free, vectors)
         except InternalCheckError:
             continue
-        return DualBasis(columns[:ncols], vectors)
+        return DualBasis(columns, vectors)
     return None
 
 

@@ -12,7 +12,12 @@ class SingindexError(Exception):
 
 class RejectedInputError(SingindexError, ValueError):
     """Input violates a documented precondition (wrong shape, mixed
-    variable contexts, non-symmetric matrix, inconsistent data, ...)."""
+    variable contexts, non-symmetric matrix, inconsistent data, ...).
+    `field`, when the raiser knows it, names the input field at fault."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class NotIsolatedError(SingindexError):

@@ -20,7 +20,9 @@ certifies dim_Q(D0) >= mu >= dim_Q(D0+1), which with monotonicity and
 Nakayama makes mu the colength.  The same dual basis gives the
 coordinates of every class in the local algebra.  Mora's standard basis
 is only the fallback, for ideals the probe cannot certify: germs that
-are not isolated, and germs past its size bound.
+are not isolated, and germs past its size bound.  There the classes
+come from a sparse Macaulay matrix of standard basis multiples, as
+many rows as the border of the staircase needs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .dual import dual_basis
+from .dual import DualBasis, certified_dual_basis, dual_basis
 from .errors import (
     DegreeCapError,
     InternalCheckError,
@@ -453,28 +455,32 @@ def localized_colength(ideal, point, degree_cap=DEFAULT_DEGREE_CAP):
 
 class QuotientAlgebra:
     """Finite dimensional local algebra O/I with a certified monomial
-    basis, built on a certified dual basis of the Macaulay matrix M_D0
-    (see ``singindex.dual``).
+    basis, built on a certified dual basis (see ``singindex.dual``).
 
-    The basis monomials are the free columns of that dual basis, sorted
-    ascending: they are a basis of O/I, which for all but finitely many
-    primes is the staircase of Mora's standard basis under
-    ``LOCAL_ORDER``; the class of 1 is the unit (for the unit ideal the
-    basis is empty and the algebra is zero).  The coordinates of a class
-    are the values of the dual vectors on the terms of degree at most
-    D0; m^(D0+1) lies in I, so they are exact, and a polynomial lies in
-    I exactly when they all vanish.  The product of two basis monomials
-    is a monomial, so its coordinates are its column of the dual basis,
-    and 0 above degree D0.
+    The basis monomials are the free columns of the dual basis, sorted
+    ascending, and the class of 1 is the unit (for the unit ideal the
+    basis is empty and the algebra is zero).  The coordinates of the
+    class of a column monomial are the values of the dual vectors there.
+    Every monomial above the top column degree D0 lies in I.  A monomial
+    of degree at most D0 without a column is x_i*u, and its class is the
+    sum over the basis monomials b of class(u)_b * class(x_i*b).  The
+    columns of the Macaulay probe are all the monomials of degree at most
+    D0; those of the Mora fallback (see :func:`quotient_algebra`) are the
+    basis and its border, which holds every x_i*b of degree at most D0.
+    A polynomial lies in I exactly when its coordinates all vanish.
     """
 
     def __init__(self, ideal, dual):
         self.ideal = ideal
         self.context = ideal.context
         self._column = {m: k for k, m in enumerate(dual.columns)}
+        self._top = max(map(monomial_degree, dual.columns), default=-1)
+        n = len(self.context)
+        self._variables = [tuple(int(k == i) for k in range(n)) for i in range(n)]
         self.basis = tuple(sorted((dual.columns[f] for f in dual.vectors), key=GLOBAL_ORDER.key))
         self.dimension = len(self.basis)
         self._vectors = [dual.vectors[self._column[m]] for m in self.basis]
+        self._products = {}
         if self.basis and self.basis[0] != (0,) * len(self.context):
             raise InternalCheckError("unit monomial missing from quotient basis")
 
@@ -482,25 +488,48 @@ class QuotientAlgebra:
         """Coordinates of the class of poly in the monomial basis."""
         if poly.context != self.context:
             raise RejectedInputError("context mismatch in quotient reduction")
-        terms = [(self._column.get(m), c) for m, c in poly.terms.items()]
-        terms = [(k, c) for k, c in terms if k is not None]
+        terms, products = [], []
+        for m, c in poly.terms.items():
+            k = self._column.get(m)
+            if k is not None:
+                terms.append((k, c))
+            elif monomial_degree(m) <= self._top:
+                products.append((m, c))
         scale = lcm(*(c.denominator for _, c in terms))
         terms = [(k, c.numerator * (scale // c.denominator)) for k, c in terms]
-        return [
+        out = [
             Fraction(sum(a * nums[k] for k, a in terms), scale * den)
             for nums, den in self._vectors
         ]
+        for m, c in products:
+            for k, v in enumerate(self._monomial_coords(m)):
+                out[k] += c * v
+        return out
 
     def reduce(self, poly):
         """Canonical representative supported on the basis monomials."""
         cs = self.coords(poly)
         return Polynomial(self.context, dict(zip(self.basis, cs)))
 
-    def basis_product_coords(self, i, j):
-        k = self._column.get(monomial_mul(self.basis[i], self.basis[j]))
-        if k is None:
+    def _monomial_coords(self, m):
+        k = self._column.get(m)
+        if k is not None:
+            return tuple(Fraction(nums[k], den) for nums, den in self._vectors)
+        if monomial_degree(m) > self._top:
             return (Fraction(0),) * self.dimension
-        return tuple(Fraction(nums[k], den) for nums, den in self._vectors)
+        out = self._products.get(m)
+        if out is None:
+            x = self._variables[next(i for i, e in enumerate(m) if e)]
+            out = [Fraction(0)] * self.dimension
+            for a, b in zip(self._monomial_coords(monomial_quotient(m, x)), self.basis):
+                if a:
+                    for k, v in enumerate(self._monomial_coords(monomial_mul(x, b))):
+                        out[k] += a * v
+            out = self._products[m] = tuple(out)
+        return out
+
+    def basis_product_coords(self, i, j):
+        return self._monomial_coords(monomial_mul(self.basis[i], self.basis[j]))
 
     def multiply_coords(self, u, v):
         """Product of two classes given by coordinate vectors."""
@@ -516,6 +545,42 @@ class QuotientAlgebra:
                         out[k] += a * b * c
         return out
 
+    def _certify_multiplication(self):
+        """Check exactly that the classes come from a quotient of O/I:
+        multiplication by a variable raises the degree of every basis
+        monomial (so it is nilpotent), multiplications by two variables
+        commute, and every generator of I has class 0.  Then taking
+        coordinates is a map of O-modules from O/I onto Q^dimension, which
+        sends the basis monomials to the unit vectors."""
+        times = [
+            [self._monomial_coords(monomial_mul(x, b)) for b in self.basis]
+            for x in self._variables
+        ]
+        degree = [monomial_degree(b) for b in self.basis]
+        if any(
+            v and degree[t] <= degree[s]
+            for column in times
+            for s, image in enumerate(column)
+            for t, v in enumerate(image)
+        ):
+            raise InternalCheckError("multiplication by a variable keeps a degree")
+
+        def apply(column, vec):
+            return [
+                sum((a * image[t] for a, image in zip(vec, column) if a), Fraction(0))
+                for t in range(self.dimension)
+            ]
+
+        if any(
+            apply(ti, tj[s]) != apply(tj, ti[s])
+            for i, ti in enumerate(times)
+            for tj in times[:i]
+            for s in range(self.dimension)
+        ):
+            raise InternalCheckError("multiplications by two variables do not commute")
+        if any(any(self.coords(g)) for g in self.ideal.generators):
+            raise InternalCheckError("a generator of the ideal has a non-zero class")
+
 
 def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """Quotient algebra with a certified monomial basis and exact
@@ -524,20 +589,67 @@ def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     The dual probe goes first, as in :func:`colength`; its certificate
     proves the dimension and makes every coordinate exact.  When it
     certifies nothing, Mora's standard basis decides: NotIsolatedError
-    when the colength is infinite, and otherwise its top staircase degree
-    T puts m^(T+1) inside I, so M_(T+1) has its plateau at T and its dual
-    basis is built and certified at that size.  The unit ideal gives the
-    zero algebra.
+    when the colength is infinite.  Otherwise its staircase S is the
+    basis, m^(T+1) lies in I for the top staircase degree T, and
+    :func:`_border_dual_basis` gives the classes of S and of its border.
+    The dimension is then Mora's, as in :func:`colength`, and the classes
+    are certified to be those of a quotient of O/I of that dimension.
+    The unit ideal gives the zero algebra.
     """
     dual = dual_basis(ideal.generators, degree_cap)
+    if dual is not None:
+        return QuotientAlgebra(ideal, dual)
+    sb = standard_basis(ideal, degree_cap=degree_cap)
+    stairs = staircase_monomials(sb)
+    if stairs is INFINITE:
+        raise NotIsolatedError("ideal is not zero-dimensional: singular point not isolated")
+    algebra = QuotientAlgebra(ideal, _border_dual_basis(sb, stairs))
+    algebra._certify_multiplication()
+    return algebra
+
+
+def _border_dual_basis(sb, stairs):
+    """Certified dual basis of the staircase and its border, of degree at
+    most the top staircase degree T.
+
+    The border monomials seed a sparse Macaulay matrix: every monomial u
+    of degree at most T outside the staircase that it reaches gets one
+    row, the multiple of a standard basis element (the shortest one) with
+    leading monomial u, truncated above T, whose other monomials it
+    reaches in turn.  Under ``LOCAL_ORDER`` from the largest down the
+    pivot of each row is its first column, and the staircase monomials
+    are the free columns.  The cost follows the rows that the border
+    needs, not the number of monomials of degree at most T."""
+    top = max(map(monomial_degree, stairs))
+    n = len(sb.ideal.context)
+    wanted = set(stairs) | {
+        monomial_mul(s, tuple(int(k == i) for k in range(n))) for s in stairs for i in range(n)
+    }
+    lead = sorted(zip(sb.leading_monomials(), sb.elements), key=lambda e: len(e[1].terms))
+    reached = set(stairs)
+    rows = []
+    todo = list(wanted)
+    while todo:
+        u = todo.pop()
+        if u in reached or monomial_degree(u) > top:
+            continue
+        reached.add(u)
+        lt, g = next(e for e in lead if monomial_divides(e[0], u))
+        row = _truncate(g.term_mul(monomial_quotient(u, lt), Fraction(1)), top)
+        rows.append(row)
+        todo.extend(row.terms)
+    columns = LOCAL_ORDER.sorted_descending(reached)
+    index = {m: k for k, m in enumerate(columns)}
+    matrix = []
+    for row in rows:
+        scale = lcm(*(c.denominator for c in row.terms.values()))
+        matrix.append({index[m]: int(c * scale) for m, c in row.terms.items()})
+    dual = certified_dual_basis(matrix, columns)
     if dual is None:
-        stairs = staircase_monomials(standard_basis(ideal, degree_cap=degree_cap))
-        if stairs is INFINITE:
-            raise NotIsolatedError(
-                "ideal is not zero-dimensional: singular point not isolated"
-            )
-        top = max(monomial_degree(m) for m in stairs)
-        dual = dual_basis(ideal.generators, degree_cap, top=top + 1)
-        if dual is None:
-            raise InternalCheckError("no dual basis certifies the standard basis staircase")
-    return QuotientAlgebra(ideal, dual)
+        raise InternalCheckError("no dual basis certifies the standard basis staircase")
+    keep = [k for k, m in enumerate(columns) if m in wanted]
+    position = {k: i for i, k in enumerate(keep)}
+    vectors = {
+        position[f]: ([nums[k] for k in keep], den) for f, (nums, den) in dual.vectors.items()
+    }
+    return DualBasis([columns[k] for k in keep], vectors)

@@ -567,22 +567,17 @@ def _parse_poset(job, payload):
         "expected a non-empty list of stratum labels",
     ):
         return
-    distinct = job.require(
-        len(set(map(str, strata))) == len(strata),
-        "$.payload.strata",
-        "stratum labels must be distinct",
-    )
     covers = payload.get("covers", [])
     if job.require(
         isinstance(covers, list)
         and all(isinstance(c, list) and len(c) == 2 and all(map(_is_int, c)) for c in covers),
         "$.payload.covers",
         "expected a list of [i, j] index pairs",
-    ) and distinct:
+    ):
         try:
             job.poset = st.StratPoset(strata, [tuple(c) for c in covers])
         except RejectedInputError as err:
-            job.add("$.payload.covers", str(err))
+            job.add(f"$.payload.{err.field}", str(err))
     nmap = payload.get("n", {})
     job.entries = {}
     if not isinstance(nmap, dict):

@@ -33,11 +33,11 @@ class StratPoset:
         self.labels = [str(x) for x in labels]
         n = len(self.labels)
         if len(set(self.labels)) != n:
-            raise RejectedInputError("stratum labels must be distinct")
+            raise RejectedInputError("stratum labels must be distinct", field="strata")
         below = [set() for _ in range(n)]  # below[j] = {i : i < j}
         for i, j in covers:
             if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise RejectedInputError(f"bad cover pair ({i}, {j})")
+                raise RejectedInputError(f"bad cover pair ({i}, {j})", field="covers")
             below[j].add(i)
         # transitive closure
         changed = True
@@ -52,7 +52,7 @@ class StratPoset:
                     changed = True
         for j in range(n):
             if j in below[j]:
-                raise RejectedInputError("order relation has a cycle")
+                raise RejectedInputError("order relation has a cycle", field="covers")
         self._below = below
 
     @property

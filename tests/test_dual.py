@@ -136,28 +136,32 @@ def test_exit_4_germ_is_infinite_at_every_cap(cap):
     assert reports["smooth-index"].values["index"] is INFINITE
 
 
-def test_isolated_germ_past_the_probe_bound_goes_through_mora(monkeypatch):
-    # D0 = 10 in three variables needs more than MAX_COLUMNS columns: Mora
-    # gives the top staircase degree 10, and M_11 is built whatever its size
-    ideal = _ideal(["x^11", "y", "z"])
-    assert dual.dual_basis(ideal.generators, grobner.DEFAULT_DEGREE_CAP) is None
+@pytest.mark.parametrize("names, k, index", [(XYZ, 11, 1), (("x", "y", "z", "w", "v"), 40, 0)])
+def test_isolated_germ_past_the_probe_bound_goes_through_mora(monkeypatch, names, k, index):
+    # D0 = k - 1 needs more than MAX_COLUMNS columns: Mora gives the
+    # staircase 1, x, ..., x^(k-1), and the sparse matrix of its border has
+    # one row y*x^i, z*x^i, ... per border monomial of degree below k, not
+    # one column per monomial of degree at most k
+    data = [f"x^{k}"] + list(names[1:])
+    assert dual.dual_basis(_ideal(data, names).generators, grobner.DEFAULT_DEGREE_CAP) is None
     calls = _count_mora(monkeypatch)
-    tops = []
-    real = grobner.dual_basis
+    shapes = []
+    real = grobner.certified_dual_basis
 
-    def spy(generators, degree_cap, top=None):
-        tops.append(top)
-        return real(generators, degree_cap, top)
+    def spy(rows, columns):
+        shapes.append((len(rows), len(columns)))
+        return real(rows, columns)
 
-    monkeypatch.setattr(grobner, "dual_basis", spy)
-    report, code = run_job({"command": "elk", "payload": {"variables": list(XYZ), "data": ["x^11", "y", "z"]}})
+    monkeypatch.setattr(grobner, "certified_dual_basis", spy)
+    report, code = run_job({"command": "elk", "payload": {"variables": list(names), "data": data}})
     assert code == 0
-    assert report.values == {"index": 1}
+    assert report.values == {"index": index}
     assert report.certificates == {
-        "algebra_dimension": 11,
-        "algebra_basis": ["1", "x"] + [f"x^{k}" for k in range(2, 11)],
+        "algebra_dimension": k,
+        "algebra_basis": ["1", "x"] + [f"x^{e}" for e in range(2, k)],
     }
-    assert len(calls) == 1 and tops == [None, 11]
+    border = (len(names) - 1) * (k - 1)
+    assert len(calls) == 1 and shapes == [(border, k + border)]
 
 
 def _certificate_of(ideal, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from singindex.errors import DegreeCapError, InternalCheckError, NotIsolatedError
-from singindex import dual
+from singindex import dual, grobner
 from singindex.grobner import (
     INFINITE,
     Ideal,
@@ -196,6 +196,75 @@ def test_class_representatives_agree_with_membership():
 def test_quotient_rejects_non_isolated():
     with pytest.raises(NotIsolatedError):
         quotient_algebra(Ideal([X * Y]))
+
+
+def _force_mora(monkeypatch):
+    monkeypatch.setattr(grobner, "dual_basis", lambda generators, degree_cap: None)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[X**2 + Y**3, X * Y], [X**2 - Y**3, Y**4], [X**3 + Y**4, X * Y**2 - Y**5], [X**2 * Y + Y**4, X**3 - X * Y**2]],
+)
+def test_mora_fallback_gives_the_probe_algebra(monkeypatch, gens):
+    # the fallback keeps only the columns of the staircase and its border
+    # and multiplies up the classes of the other monomials
+    ideal = Ideal(gens)
+    probe = quotient_algebra(ideal)
+    probes = [Polynomial(CTX, {m: Fraction(1)}) for m in monomials_up_to_degree(2, 9)]
+    probes.append(sum(probes[3:], gens[0]) * gens[1] + X * Y)
+    _force_mora(monkeypatch)
+    mora = quotient_algebra(ideal)
+    assert mora.basis == probe.basis
+    assert [mora.coords(p) for p in probes] == [probe.coords(p) for p in probes]
+    pairs = [(i, j) for i in range(probe.dimension) for j in range(probe.dimension)]
+    assert [mora.basis_product_coords(i, j) for i, j in pairs] == [
+        probe.basis_product_coords(i, j) for i, j in pairs
+    ]
+
+
+def test_quotient_certificate_catches_a_missing_basis_element(monkeypatch):
+    # without x*y the staircase of (x^2 + y^3, x*y) stays finite but has
+    # 8 monomials instead of 5: no quotient of O/I has that dimension, and
+    # the multiplication check of the Mora fallback must refuse it
+    real = grobner.standard_basis
+
+    def lossy(ideal, degree_cap=grobner.DEFAULT_DEGREE_CAP):
+        sb = real(ideal, degree_cap)
+        kept = [g for g in sb.elements if g.leading_term(LOCAL_ORDER)[0] != (1, 1)]
+        assert len(kept) == len(sb.elements) - 1
+        return grobner.StandardBasis(kept, sb.ideal)
+
+    _force_mora(monkeypatch)
+    monkeypatch.setattr(grobner, "standard_basis", lossy)
+    with pytest.raises(InternalCheckError):
+        quotient_algebra(Ideal([X**2 + Y**3, X * Y]))
+
+
+def test_mora_fallback_refuses_every_tampered_border_entry(monkeypatch):
+    # one unit added to the class of one border monomial, at every basis
+    # coordinate: each check of the multiplication refuses some of them
+    ideal = Ideal([X**2 + Y**3, X * Y])
+    sb = standard_basis(ideal)
+    border = grobner._border_dual_basis(sb, staircase_monomials(sb))
+    _force_mora(monkeypatch)
+    refusals = []
+    for f, (nums, den) in border.vectors.items():
+        for k in range(len(nums)):
+            if k in border.vectors:
+                continue
+            vectors = {**border.vectors, f: (nums[:k] + [nums[k] + den] + nums[k + 1 :], den)}
+            tampered = grobner.DualBasis(border.columns, vectors)
+            monkeypatch.setattr(grobner, "_border_dual_basis", lambda sb, stairs: tampered)
+            with pytest.raises(InternalCheckError) as err:
+                quotient_algebra(ideal)
+            refusals.append(str(err.value))
+    assert len(refusals) == 15
+    assert set(refusals) == {
+        "multiplication by a variable keeps a degree",
+        "multiplications by two variables do not commute",
+        "a generator of the ideal has a non-zero class",
+    }
 
 
 def _corrupt_lifted_dual_bases(monkeypatch, times):
