@@ -528,22 +528,39 @@ class QuotientAlgebra:
             out = self._products[m] = tuple(out)
         return out
 
-    def basis_product_coords(self, i, j):
-        return self._monomial_coords(monomial_mul(self.basis[i], self.basis[j]))
+    def functional(self, weights):
+        """The functional phi(p) = sum_k weights[k] * coords(p)[k], for
+        rational weights, as a memoized function of a monomial.  The
+        weights fold once into one vector over the columns, the sum of
+        weights[k] times dual vector k; phi at a column monomial is one
+        entry of it, and 0 above the top column degree.  Only a monomial
+        of degree at most the top without a column (one of the Mora
+        fallback's) goes through its coordinates."""
+        terms = [(Fraction(w), nums, den) for w, (nums, den) in zip(weights, self._vectors) if w]
+        scale = lcm(*(w.denominator * den for w, _, den in terms))
+        folded = [0] * len(self._column)
+        for w, nums, den in terms:
+            factor = w.numerator * (scale // (w.denominator * den))
+            for k, v in enumerate(nums):
+                if v:
+                    folded[k] += factor * v
+        values = {}
 
-    def multiply_coords(self, u, v):
-        """Product of two classes given by coordinate vectors."""
-        out = [Fraction(0)] * self.dimension
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                for k, c in enumerate(self.basis_product_coords(i, j)):
-                    if c != 0:
-                        out[k] += a * b * c
-        return out
+        def phi(m):
+            value = values.get(m)
+            if value is None:
+                k = self._column.get(m)
+                if k is not None:
+                    value = Fraction(folded[k], scale)
+                elif monomial_degree(m) > self._top:
+                    value = Fraction(0)
+                else:
+                    coords = self._monomial_coords(m)
+                    value = sum((w * c for w, c in zip(weights, coords) if w), Fraction(0))
+                values[m] = value
+            return value
+
+        return phi
 
     def _certify_multiplication(self):
         """Check exactly that the classes come from a quotient of O/I:

@@ -579,7 +579,7 @@ def _parse_poset(job, payload):
         except RejectedInputError as err:
             job.add(f"$.payload.{err.field}", str(err))
     nmap = payload.get("n", {})
-    job.entries = {}
+    entries = {}
     if not isinstance(nmap, dict):
         job.add("$.payload.n", "expected an object with 'i,j' keys")
         nmap = {}
@@ -593,7 +593,12 @@ def _parse_poset(job, payload):
             path,
             f"stratum indices must be below the stratum count {len(strata)}",
         ) and job.integer(value, path) is not None:
-            job.entries[tuple(ij)] = value
+            entries[tuple(ij)] = value
+    if not job.shape:
+        try:
+            job.slice_data = st.SliceData(job.poset, entries)
+        except RejectedInputError as err:
+            job.add("$.payload.n", str(err), late=True)
     if job.op == "mobius":
         return
     name = "eu" if job.op == "radial-from-eu" else "radial"
@@ -893,8 +898,8 @@ def _run_strat(report, job, run_oracle):
             report.put("phn", value, "mobius-weighted-radial-sum")
         return
 
-    poset = job.poset
-    data = st.SliceData(poset, job.entries)
+    data = job.slice_data
+    poset = data.poset
     if op == "mobius":
         inverse = st.mobius_inverse(data)
         report.put(

@@ -6,15 +6,18 @@ quotient algebras:
 * the colength index of a holomorphic vector field (the local index at an
   algebraically isolated zero equals the dimension of the local algebra);
 * the signature index of a real analytic vector field or 1-form: the
-  residue pairing on the local algebra is realized by a linear functional
-  that is positive on the Jacobian class, and the local degree is the
-  signature of the resulting symmetric form;
+  local degree is the signature of <a, b> = phi(ab) on the local algebra
+  for any functional phi vanishing on the ideal and positive on the
+  Jacobian class (Eisenbud-Levine 1977, Khimshiashvili 1977); phi is one
+  vector over the dual basis columns, so a Gram entry is one lookup;
 * the colength index of a collection of sections of a trivial bundle,
   computed from the ideal of maximal minors of the section matrices.
 
 Finite linear group actions on the variables act on the quotient algebra;
 the dimension of the invariant subspace and the signature of the pairing
-restricted to it are the equivariant quantities exposed here.
+restricted to it are the equivariant quantities exposed here.  Both come
+from one Reynolds projector, the coordinates of the group averages of
+the basis monomials.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .grobner import (
     quotient_algebra,
 )
 from .linalg import RationalMatrix, rref, symmetric_signature
-from .poly import GLOBAL_ORDER, Polynomial, minors, jacobian_det, monomial_degree, parse_polynomial
+from .poly import GLOBAL_ORDER, Polynomial, jacobian_det, minors, monomial_degree, monomial_mul
+from .poly import parse_polynomial
 
 
 class VectorFieldGerm:
@@ -154,9 +158,11 @@ def collection_index(coll, degree_cap=DEFAULT_DEGREE_CAP):
 
 class ELKForm:
     """The residue-pairing data of a real germ with algebraically isolated
-    zero: the local algebra, the class of the Jacobian determinant, a
-    linear functional positive on that class, and the Gram matrix of the
-    induced symmetric bilinear form."""
+    zero: the local algebra, the coordinates of the Jacobian class, a
+    linear functional phi on the coordinates, positive on that class, and
+    the Gram matrix [phi(b_i b_j)] of the induced symmetric bilinear form
+    on the basis monomials.  Any such phi vanishes on the ideal, so the
+    form is nondegenerate and its signature is the local degree."""
 
     def __init__(self, algebra, jacobian_coords, functional, gram):
         self.algebra = algebra
@@ -171,10 +177,6 @@ class ELKForm:
                 "residue pairing degenerated; input is inconsistent"
             )
         return pos - neg
-
-
-def _apply_functional(functional, coords):
-    return sum((f * c for f, c in zip(functional, coords)), Fraction(0))
 
 
 def _choose_functional(algebra, jac_coords):
@@ -196,23 +198,15 @@ def _choose_functional(algebra, jac_coords):
     return functional
 
 
-def _gram_matrix(algebra, functional):
-    n = algebra.dimension
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(_apply_functional(functional, algebra.basis_product_coords(i, j)))
-        rows.append(row)
-    return RationalMatrix(rows)
-
-
 def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
     """Build the residue-pairing form of a real vector field germ.
 
-    The functional may be overridden by any linear functional with a
-    positive value on the Jacobian class; the signature does not depend
-    on the choice.
+    The functional may be overridden by any linear functional on the
+    coordinates with a positive value on the Jacobian class; the
+    signature does not depend on the choice.  Either one is folded once
+    into a vector over the dual basis columns (``QuotientAlgebra.
+    functional``), and each Gram entry is a lookup at the column of the
+    product monomial.
     """
     if vf.field != "R":
         raise RejectedInputError("the signature index needs the real ground field tag")
@@ -233,11 +227,13 @@ def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
         functional = _choose_functional(algebra, jac_coords)
     else:
         functional = [Fraction(f) for f in functional]
-        if _apply_functional(functional, jac_coords) <= 0:
+        if sum(f * c for f, c in zip(functional, jac_coords)) <= 0:
             raise RejectedInputError(
                 "functional must be positive on the Jacobian class"
             )
-    gram = _gram_matrix(algebra, functional)
+    phi = algebra.functional(functional)
+    basis = algebra.basis
+    gram = RationalMatrix([[phi(monomial_mul(a, b)) for b in basis] for a in basis])
     return ELKForm(algebra, jac_coords, functional, gram)
 
 
@@ -322,53 +318,52 @@ def ideal_is_invariant(algebra, action):
     )
 
 
-def _action_matrices(algebra, action):
-    """Matrix of the substitution by each group element on the algebra, in
-    the monomial basis (columns are images of basis monomials)."""
-    out = []
+def _reynolds_columns(algebra, action):
+    """The Reynolds projector of the action on the algebra, by columns:
+    the coordinates of R(b) = (1/|G|) * sum over g of b(g x), for each
+    basis monomial b.  One coordinate computation per basis monomial."""
     ctx = algebra.context
-    for g in action.elements:
-        images = action.substitution(g)
-        cols = []
-        for b in algebra.basis:
-            mono = Polynomial(ctx, {b: Fraction(1)})
-            cols.append(algebra.coords(mono.substitute(images)))
-        out.append([[cols[j][i] for j in range(algebra.dimension)] for i in range(algebra.dimension)])
-    return out
+    images = [action.substitution(g) for g in action.elements]
+    average = Fraction(1, action.order)
+    columns = []
+    for b in algebra.basis:
+        mono = Polynomial(ctx, {b: average})
+        columns.append(algebra.coords(sum((mono.substitute(i) for i in images), Polynomial.zero(ctx))))
+    return columns
 
 
-def _averaging_projector(mats, order):
-    n = len(mats[0])
-    avg = [[Fraction(0)] * n for _ in range(n)]
-    for m in mats:
-        for i in range(n):
-            for j in range(n):
-                avg[i][j] += m[i][j]
-    inv = Fraction(1, order)
-    return [[x * inv for x in row] for row in avg]
+def _trace(columns):
+    """Trace of the Reynolds projector: the dimension of its image, the
+    invariant subspace, since R is idempotent."""
+    value = sum((column[j] for j, column in enumerate(columns)), Fraction(0))
+    if value.denominator != 1:
+        raise InternalCheckError("trace average failed to be an integer")
+    return int(value)
 
 
 def invariant_dimension(algebra, action):
     """Dimension of the subspace of the quotient algebra fixed by the
-    action: 1/|G| times the sum of the traces of the group elements."""
+    action: the trace of the Reynolds projector, which is 1/|G| times the
+    sum of the traces of the group elements."""
     if not ideal_is_invariant(algebra, action):
         raise RejectedInputError("ideal is not invariant under the action")
-    mats = _action_matrices(algebra, action)
-    total = sum(sum(m[i][i] for i in range(len(m))) for m in mats)
-    value = Fraction(total, action.order)
-    if value.denominator != 1:
-        raise InternalCheckError("trace average failed to be an integer")
-    return int(value)
+    return _trace(_reynolds_columns(algebra, action))
 
 
 def invariant_signature(form, action):
     """Signature of the residue pairing restricted to the invariant part
     of the algebra.
 
-    The stored functional is averaged over the group first, making the
-    bilinear form invariant, which keeps the trivial isotypic component
-    orthogonal to the rest; the restriction is then nondegenerate and its
-    signature does not depend on the admissible functional chosen.
+    With the Reynolds projector P and the Gram matrix G of the form's
+    functional phi, P^T G P is [phi(R b_i * R b_j)].  The averaged
+    functional phi o R is admissible when phi(R Jac) > 0 (checked), and
+    it equals phi on products of invariants, so this matrix is the Gram
+    matrix of an invariant pairing, pulled back from the invariant
+    subspace along P.  An invariant pairing keeps the trivial isotypic
+    component orthogonal to the rest, so it is nondegenerate there and
+    its signature does not depend on the admissible functional chosen.
+    The check that the inertia of P^T G P counts exactly
+    n - (invariant dimension) zeros is that nondegeneracy.
     """
     algebra = form.algebra
     if not ideal_is_invariant(algebra, action):
@@ -376,41 +371,20 @@ def invariant_signature(form, action):
     n = algebra.dimension
     if n == 0:
         return 0
-    mats = _action_matrices(algebra, action)
-    averaged = [Fraction(0)] * n
-    for m in mats:
-        for j in range(n):
-            averaged[j] += sum(form.functional[i] * m[i][j] for i in range(n))
-    averaged = [a / action.order for a in averaged]
-    if _apply_functional(averaged, form.jacobian_coords) <= 0:
+    columns = _reynolds_columns(algebra, action)
+    averaged = [sum(f * c for f, c in zip(form.functional, column)) for column in columns]
+    if sum(a * j for a, j in zip(averaged, form.jacobian_coords)) <= 0:
         raise RejectedInputError(
             "averaged functional is not positive on the Jacobian class; "
             "the form data is not compatible with the action"
         )
-    gram = _gram_matrix(algebra, averaged)
-    projector = _averaging_projector(mats, action.order)
-    # basis of the invariant subspace: independent columns of the projector
-    transposed = [[projector[i][j] for i in range(n)] for j in range(n)]
-    reduced, pivots = rref(transposed)
-    basis_vectors = [[projector[i][p] for i in range(n)] for p in pivots]
-    if not basis_vectors:
-        return 0
-    g = gram.entries
-    restricted = [
-        [
-            sum(
-                u[i] * g[i][j] * v[j]
-                for i in range(n)
-                for j in range(n)
-                if u[i] != 0 and g[i][j] != 0
-            )
-            for v in basis_vectors
-        ]
-        for u in basis_vectors
-    ]
+    g = form.gram.entries
+    sparse = [[(k, c) for k, c in enumerate(column) if c] for column in columns]
+    g_p = [[sum(row[l] * c for l, c in col) for row in g] for col in sparse]
+    restricted = [[sum(c * gp[k] for k, c in col) for gp in g_p] for col in sparse]
     pos, neg, zero = symmetric_signature(restricted)
-    if zero != 0:
-        raise InternalCheckError("restricted pairing degenerated unexpectedly")
+    if zero != n - _trace(columns):
+        raise InternalCheckError("pairing degenerated on the invariant subspace")
     return pos - neg
 
 

@@ -136,7 +136,9 @@ def test_exit_4_germ_is_infinite_at_every_cap(cap):
     assert reports["smooth-index"].values["index"] is INFINITE
 
 
-@pytest.mark.parametrize("names, k, index", [(XYZ, 11, 1), (("x", "y", "z", "w", "v"), 40, 0)])
+@pytest.mark.parametrize(
+    "names, k, index", [(XYZ, 11, 1), (("x", "y", "z", "w", "v"), 40, 0), (("x", "y", "z", "w"), 40, 0)]
+)
 def test_isolated_germ_past_the_probe_bound_goes_through_mora(monkeypatch, names, k, index):
     # D0 = k - 1 needs more than MAX_COLUMNS columns: Mora gives the
     # staircase 1, x, ..., x^(k-1), and the sparse matrix of its border has

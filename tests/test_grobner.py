@@ -16,7 +16,13 @@ from singindex.grobner import (
     staircase_monomials,
     standard_basis,
 )
-from singindex.poly import LOCAL_ORDER, Polynomial, monomial_divides, monomials_up_to_degree
+from singindex.poly import (
+    LOCAL_ORDER,
+    Polynomial,
+    monomial_divides,
+    monomial_mul,
+    monomials_up_to_degree,
+)
 from singindex.oracles import macaulay_colength
 
 from helpers import random_polynomial, random_unimodular, substitute_all
@@ -125,27 +131,25 @@ def test_quotient_algebra_examples():
 
     q = quotient_algebra(Ideal([X**2, Y**2]))
     assert set(q.basis) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    xx = q.multiply_coords(q.coords(X), q.coords(X))
-    assert all(c == 0 for c in xx)
+    assert not any(q.coords(q.reduce(X) * q.reduce(X)))
 
     q = quotient_algebra(Ideal([X**2 - Y**3, Y**4]))
     assert q.dimension == 8
 
 
 def test_quotient_algebra_associative_and_unital():
+    # the product of two classes is the class of the product of their
+    # representatives: 1 is its unit, and it is associative
     for gens in ([X**2, Y**2], [X**2 - Y**2, X * Y], [X**2 + Y**3, X * Y]):
         q = quotient_algebra(Ideal(gens))
         assert q.dimension <= 8
-        unit = q.coords(Polynomial.one(CTX))
-        vectors = [
-            q.coords(Polynomial(CTX, {m: Fraction(1)})) for m in q.basis
-        ]
-        for u in vectors:
-            assert q.multiply_coords(unit, u) == list(u)
-        for a, b, c in itertools.product(vectors, repeat=3):
-            left = q.multiply_coords(q.multiply_coords(a, b), c)
-            right = q.multiply_coords(a, q.multiply_coords(b, c))
-            assert left == right
+        unit = q.reduce(Polynomial.one(CTX))
+        assert q.coords(unit) == [1] + [0] * (q.dimension - 1)
+        classes = [q.reduce(Polynomial(CTX, {m: Fraction(1)})) for m in q.basis]
+        for u in classes:
+            assert q.reduce(unit * u) == u
+        for a, b, c in itertools.product(classes, repeat=3):
+            assert q.reduce(q.reduce(a * b) * c) == q.reduce(a * q.reduce(b * c))
 
 
 def test_basis_spairs_reduce_to_zero():
@@ -217,10 +221,19 @@ def test_mora_fallback_gives_the_probe_algebra(monkeypatch, gens):
     mora = quotient_algebra(ideal)
     assert mora.basis == probe.basis
     assert [mora.coords(p) for p in probes] == [probe.coords(p) for p in probes]
-    pairs = [(i, j) for i in range(probe.dimension) for j in range(probe.dimension)]
-    assert [mora.basis_product_coords(i, j) for i, j in pairs] == [
-        probe.basis_product_coords(i, j) for i, j in pairs
+    products = [
+        Polynomial(CTX, {monomial_mul(a, b): Fraction(1)})
+        for a in probe.basis
+        for b in probe.basis
     ]
+    assert [mora.coords(p) for p in products] == [probe.coords(p) for p in products]
+    # a functional folded over the dual columns agrees too, also on the
+    # fallback's monomials without a column
+    weights = [Fraction(k + 1, 2 * k + 3) for k in range(probe.dimension)]
+    phi, psi = mora.functional(weights), probe.functional(weights)
+    for p in probes[:-1]:
+        (m,) = p.terms
+        assert phi(m) == psi(m) == sum(w * c for w, c in zip(weights, probe.coords(p)))
 
 
 def test_quotient_certificate_catches_a_missing_basis_element(monkeypatch):

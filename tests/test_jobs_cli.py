@@ -357,16 +357,21 @@ def test_duplicate_variable_names_are_rejected(command):
 
 
 BAD_POSETS = {
-    "cover-outside-the-poset": (["a", "b"], [[0, 5]], "$.payload.covers", "bad cover pair (0, 5)"),
-    "cyclic-covers": (["a", "b", "c"], [[0, 1], [1, 2], [2, 0]], "$.payload.covers", "order relation has a cycle"),
-    "repeated-label": (["a", "a"], [[0, 1]], "$.payload.strata", "stratum labels must be distinct"),
+    "cover-outside-the-poset": (["a", "b"], [[0, 5]], {}, "$.payload.covers", "bad cover pair (0, 5)"),
+    "cyclic-covers": (["a", "b", "c"], [[0, 1], [1, 2], [2, 0]], {}, "$.payload.covers", "order relation has a cycle"),
+    "repeated-label": (["a", "a"], [[0, 1]], {}, "$.payload.strata", "stratum labels must be distinct"),
+    "slice-on-incomparable-pair": (
+        ["a", "b"], [], {"0,1": 2}, "$.payload.n", "entry (0, 1) given on an incomparable pair"
+    ),
+    "slice-diagonal-not-1": (["a", "b"], [[0, 1]], {"0,0": 2}, "$.payload.n", "diagonal entries must all be 1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_POSETS))
 def test_poset_refusals_carry_a_path(case):
-    strata, covers, path, message = BAD_POSETS[case]
-    report, code = run_job({"command": "strat", "op": "mobius", "payload": {"strata": strata, "covers": covers}})
+    strata, covers, n, path, message = BAD_POSETS[case]
+    payload = {"strata": strata, "covers": covers, "n": n}
+    report, code = run_job({"command": "strat", "op": "mobius", "payload": payload})
     assert code == 2
     assert report.values == {"diagnostics": [{"path": path, "message": message}]}
 

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from singindex.errors import NotIsolatedError, RejectedInputError
-from singindex.grobner import INFINITE, Ideal, quotient_algebra
+from singindex.dual import dual_basis
+from singindex.grobner import DEFAULT_DEGREE_CAP, INFINITE, Ideal, QuotientAlgebra, quotient_algebra
+from singindex.jobs import run_job
 from singindex.linalg import symmetric_signature
 from singindex.oracles import boundary_degree_3d, macaulay_colength, winding_degree
+from singindex.poly import Polynomial
 from singindex.smooth import (
     ELKForm,
     GroupAction,
@@ -228,30 +232,52 @@ def test_action_closure_cap():
         GroupAction(PLANE, [[[1, 1], [0, 1]]], cap=64)
 
 
-def _projection_signature_oracle(form, action):
-    """Independent route: signature of P^T G P where P is the averaging
-    projector and G the Gram matrix of the group-averaged functional."""
-    from singindex.smooth import _action_matrices, _averaging_projector, _gram_matrix
+def _equivariant_oracle(form, action):
+    """Independent route to (invariant dimension, invariant signature).
 
+    Each group element gets its matrix on the algebra from the
+    coordinates of the substituted basis monomials; their average P is
+    the averaging projector, whose trace is the invariant dimension.
+    The stored functional is averaged over the group, its Gram matrix G
+    is built from the full coordinate vectors of the basis products, and
+    the signature is that of P^T G P."""
     algebra = form.algebra
-    mats = _action_matrices(algebra, action)
+    ctx = algebra.context
     n = algebra.dimension
-    averaged = [Fraction(0)] * n
-    for m in mats:
-        for j in range(n):
-            averaged[j] += sum(form.functional[i] * m[i][j] for i in range(n))
-    averaged = [a / action.order for a in averaged]
-    gram = _gram_matrix(algebra, averaged).entries
-    p = _averaging_projector(mats, action.order)
+    monomials = [Polynomial(ctx, {b: Fraction(1)}) for b in algebra.basis]
+    projector = [[Fraction(0)] * n for _ in range(n)]
+    for g in action.elements:
+        images = [
+            sum((Polynomial.variable(ctx, v) * c for v, c in zip(ctx, row)), Polynomial.zero(ctx))
+            for row in g.entries
+        ]
+        for j, b in enumerate(algebra.basis):
+            image = Polynomial.one(ctx)
+            for x, e in zip(images, b):
+                image = image * x**e
+            for i, c in enumerate(algebra.coords(image)):
+                projector[i][j] += c / action.order
+    dimension = sum(projector[i][i] for i in range(n))
+    assert dimension.denominator == 1
+    averaged = [sum(form.functional[i] * projector[i][j] for i in range(n)) for j in range(n)]
+    gram = [
+        [sum(a * c for a, c in zip(averaged, algebra.coords(p * q))) for q in monomials]
+        for p in monomials
+    ]
     pt_g_p = [
         [
-            sum(p[k][i] * gram[k][l] * p[l][j] for k in range(n) for l in range(n))
+            sum(
+                projector[k][i] * gram[k][l] * projector[l][j]
+                for k in range(n)
+                for l in range(n)
+                if projector[k][i] and projector[l][j]
+            )
             for j in range(n)
         ]
         for i in range(n)
     ]
     pos, neg, _zero = symmetric_signature(pt_g_p)
-    return pos - neg
+    return int(dimension), pos - neg
 
 
 def test_invariant_signature_examples():
@@ -266,9 +292,9 @@ def test_invariant_signature_examples():
     antipodal = GroupAction(PLANE, [[[-1, 0], [0, -1]]])
     assert invariant_signature(form, swap) == 2
     assert invariant_signature(form, antipodal) == 1
-    # projection-then-diagonalize oracle agrees
-    assert _projection_signature_oracle(form, swap) == 2
-    assert _projection_signature_oracle(form, antipodal) == 1
+    # the per-element oracle agrees
+    assert _equivariant_oracle(form, swap) == (invariant_dimension(form.algebra, swap), 2) == (6, 2)
+    assert _equivariant_oracle(form, antipodal) == (invariant_dimension(form.algebra, antipodal), 1) == (5, 1)
 
 
 def test_invariant_signature_quarter_turn():
@@ -282,7 +308,58 @@ def test_invariant_signature_quarter_turn():
     assert quarter.order == 4
     assert invariant_dimension(form.algebra, quarter) == 3
     assert invariant_signature(form, quarter) == 1
-    assert _projection_signature_oracle(form, quarter) == 1
+    assert _equivariant_oracle(form, quarter) == (3, 1)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_invariant_parts_of_the_benchmark_documents_match_the_oracle(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import make_stream
+
+    jobs = [
+        job
+        for rnd in make_stream("elk-signature", seed, 3)
+        for job in rnd
+        if job.family.startswith("elk-action")
+    ]
+    assert len(jobs) == 12
+    for job in jobs:
+        report, code = run_job(job.doc)
+        assert code == 0
+        payload = job.doc["payload"]
+        form = elk_form(VectorFieldGerm(payload["variables"], payload["data"], field="R"))
+        action = GroupAction(payload["variables"], payload["action"])
+        assert _equivariant_oracle(form, action) == (
+            report.values["invariant_dimension"],
+            report.values["invariant_signature"],
+        )
+        assert report.values["invariant_dimension"] == job.expect["values"]["invariant_dimension"]
+
+
+def test_elk_form_reads_the_gram_matrix_off_the_dual_columns(monkeypatch):
+    # on the probe's route every product monomial of degree at most D0 is
+    # a column, so neither functional needs the multiplication recursion
+    calls = []
+    real = QuotientAlgebra._monomial_coords
+
+    def spy(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(QuotientAlgebra, "_monomial_coords", spy)
+    germs = [VectorFieldGerm(PLANE, c, field="R") for c, _ in ELK_CASES]
+    germs += [VectorFieldGerm(("x", "y", "z"), c, field="R") for c, _ in SPACE_CASES]
+    for germ in germs:
+        assert dual_basis(list(germ.components), DEFAULT_DEGREE_CAP) is not None
+        form = elk_form(germ)
+        custom = [Fraction(k % 3 - 1, k + 1) for k in range(form.algebra.dimension)]
+        value = sum(c * j for c, j in zip(custom, form.jacobian_coords))
+        if value == 0:
+            custom = [c + f for c, f in zip(custom, form.functional)]
+        elif value < 0:
+            custom = [-c for c in custom]
+        assert elk_index(germ, functional=custom) == form.signature()
+    assert calls == []
 
 
 def test_invariant_signature_one_dimensional():
