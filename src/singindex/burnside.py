@@ -1,7 +1,9 @@
 """Finite permutation groups and their Burnside rings.
 
 A group comes in as permutation generators on {1..d}; elements are
-enumerated by closure.  The Burnside ring is realized concretely through
+enumerated by closure, then numbered in sorted order, and one
+multiplication table on those indices serves every later step.  The
+Burnside ring is realized concretely through
 the table of marks: the matrix of fixed-point counts |(G/K)^H| over
 conjugacy classes of subgroups, lower triangular with positive diagonal
 |N_G(K)| / |K| once classes are sorted by ascending order.  Products are
@@ -15,9 +17,12 @@ table of marks of a finite group", Experimental Math. 6, 1997): only
 class representatives are extended, each by one generator of every
 cyclic subgroup it misses, and every new class is filled as an orbit
 under conjugation by the generators (see PermutationGroup.subgroups for
-why this finds every subgroup).  The marks are then read off the class
-members: |(G/K)^H| = |G| / (|K| |class(K)|) times the number of
-conjugates of K that contain H.  The oracles module keeps the brute
+why this finds every subgroup).  Each extension is closed coset by
+coset by table lookups (Dimino; Butler, "Fundamental Algorithms for
+Permutation Groups", LNCS 559, 1991), and a subgroup is an int bitmask
+over the element indices.  The marks are then read off the class
+members, one bitmask subset test each: |(G/K)^H| = |G| / (|K|
+|class(K)|) times the number of conjugates of K that contain H.  The oracles module keeps the brute
 force versions of both, closure of every extension and coset counting.
 
 Geometric inputs (Euler characteristics of orbit spaces, local indices,
@@ -71,12 +76,46 @@ def _closure(degree, perms, cap=None):
     return frozenset(elements)
 
 
+def _mask(points):
+    """The bitmask of a set of element indices."""
+    out = 0
+    for i in points:
+        out |= 1 << i
+    return out
+
+
+def _dimino(rows, elems, mask, gens, c):
+    """<H, c> for H = <gens>, given by its element indices and bitmask,
+    closed coset by coset (Dimino; Butler, LNCS 559, 1991).  The result
+    is kept a union of right cosets H.r: when a representative r times a
+    generator s falls outside it, the whole coset H.(r.s) joins by
+    lookups.  Once no such product falls outside, the union is closed
+    under right multiplication by gens + [c], so it is <H, c>."""
+    hrows = [rows[h] for h in elems]
+    elems = list(elems)
+    gens = gens + [c]
+    reps = [0]
+    for r in reps:
+        row = rows[r]
+        for s in gens:
+            x = row[s]
+            if not mask >> x & 1:
+                coset = [h_row[x] for h_row in hrows]
+                elems += coset
+                mask |= _mask(coset)
+                reps.append(x)
+    return elems, mask
+
+
 class PermutationGroup:
     """A finite permutation group with enumerated elements.
 
     Generators may be given 0-based; :meth:`from_one_based` accepts the
     wire format where permutations act on {1..d}.
     """
+
+    # computed on first use, once per group
+    _table = _lattice = _subgroup_cache = _class_cache = _marks_cache = None
 
     def __init__(self, degree, generators, cap=DEFAULT_GROUP_CAP):
         self.degree = int(degree)
@@ -91,10 +130,6 @@ class PermutationGroup:
         self.generators = gens
         self.elements = sorted(_closure(self.degree, gens, cap))
         self.identity = tuple(range(self.degree))
-        self._subgroup_cache = None
-        self._subgroup_orbits = None
-        self._class_cache = None
-        self._marks_cache = None
 
     @classmethod
     def from_one_based(cls, degree, generators, cap=DEFAULT_GROUP_CAP):
@@ -107,10 +142,6 @@ class PermutationGroup:
         g.generators = sorted(elements)
         g.elements = sorted(elements)
         g.identity = tuple(range(degree))
-        g._subgroup_cache = None
-        g._subgroup_orbits = None
-        g._class_cache = None
-        g._marks_cache = None
         if g.identity not in set(elements):
             raise RejectedInputError("element set does not contain the identity")
         return g
@@ -122,48 +153,53 @@ class PermutationGroup:
     def element_set(self):
         return frozenset(self.elements)
 
+    def _indexed(self):
+        """(index, rows, gens): index i stands for self.elements[i], so
+        sorted index lists order like sorted element lists and the identity
+        is 0; rows[a][b] is the index of elements[a] . elements[b]; gens
+        indexes generators.  Only their rows are composed: the row of g.x
+        is the row of x looked up in the row of g."""
+        if self._table is None:
+            els = self.elements
+            index = {g: i for i, g in enumerate(els)}
+            rows = [None] * len(els)
+            rows[0] = list(range(len(els)))
+            reached, gens, gen_rows = [0], [], []
+            for p in self.generators:
+                if rows[index[p]] is not None:
+                    continue
+                gens.append(index[p])
+                gen_rows.append([index[_compose(p, q)] for q in els])
+                for x in reached:
+                    for g_row in gen_rows:
+                        y = g_row[x]
+                        if rows[y] is None:
+                            rows[y] = [g_row[v] for v in rows[x]]
+                            reached.append(y)
+            self._table = (index, rows, gens)
+        return self._table
+
     def is_subgroup(self, subset):
         subset = frozenset(subset)
-        if not subset <= self.element_set():
-            return False
-        return _closure(self.degree, subset) == subset
+        return subset <= self.element_set() and self.subgroup_generated_by(subset) == subset
 
     # -- subgroup machinery
 
     def subgroup_generated_by(self, generators):
         """The subgroup generated by elements of this group.  A generator
         outside the group is rejected before any closure is taken, so the
-        work stays bounded by the group order."""
-        gens = [tuple(g) for g in generators]
-        members = self.element_set()
-        if not all(g in members for g in gens):
+        work stays bounded by the group order.  It is closed by one
+        Dimino step per generator not yet in it."""
+        index, rows, _ = self._indexed()
+        points = [index.get(tuple(g)) for g in generators]
+        if None in points:
             raise RejectedInputError("not a subgroup of this group")
-        return _closure(self.degree, gens)
-
-    def _cyclic_generators(self):
-        """One generator of each cyclic subgroup, in element order."""
-        seen = set()
-        out = []
-        for g in self.elements:
-            cyclic = _closure(self.degree, [g])
-            if cyclic not in seen:
-                seen.add(cyclic)
-                out.append(g)
-        return out
-
-    def _conjugacy_orbit(self, sub):
-        """The conjugacy class of a subgroup, as its orbit under
-        conjugation by the generators."""
-        orbit = {sub}
-        frontier = [sub]
-        while frontier:
-            current = frontier.pop()
-            for g in self.generators:
-                image = self.conjugate_subgroup(current, g)
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        return frozenset(orbit)
+        elems, mask, gens = [0], 1, []
+        for g in points:
+            if not mask >> g & 1:
+                elems, mask = _dimino(rows, elems, mask, gens, g)
+                gens.append(g)
+        return frozenset(map(self.elements.__getitem__, elems))
 
     def subgroups(self):
         """Every subgroup, as a frozenset of elements, sorted by order and
@@ -185,6 +221,12 @@ class PermutationGroup:
         order, H is found and extended, so K's class is reached and K lies
         in the orbit that fills it.
 
+        All of it runs on element indices (see _indexed): cyclic
+        generators from power chains in the table, <H, c> closed coset by
+        coset from the elements of H (_dimino), subgroups as bitmasks,
+        conjugation as one index map per generator.  The element sets are
+        built once, at the end.
+
         Representatives are extended breadth first, small subgroups with
         cheap closures before large ones, so a group with more than
         MAX_SUBGROUPS subgroups is rejected after little work.
@@ -192,37 +234,56 @@ class PermutationGroup:
         if self._subgroup_cache is not None:
             return self._subgroup_cache
         n = self.order
-        cyclic = self._cyclic_generators()
-        trivial = frozenset([self.identity])
-        known = {trivial}
-        orbits = [frozenset([trivial])]
-        todo = deque([(trivial, [])])
+        _, rows, gens = self._indexed()
+        inverse = {g: rows[g].index(0) for g in gens}
+        conjugations = [[rows[x][inverse[g]] for x in rows[g]] for g in gens]
+        cyclic, seen = [], set()
+        for g in range(1, n):
+            power, mask = g, 0
+            while power:
+                mask |= 1 << power
+                power = rows[power][g]
+            if mask not in seen:
+                seen.add(mask)
+                cyclic.append(g)
+        members = {1: [0]}
+        orbits = [[1]]
+        todo = deque([([0], 1, [])])
         while todo:
-            rep, gens = todo.popleft()
+            elems, mask, extended = todo.popleft()
+            done = mask
             for c in cyclic:
-                if c in rep:
+                if done >> c & 1:
                     continue
-                extended = gens + [c]
-                bigger = _closure(self.degree, extended)
+                bigger, big = _dimino(rows, elems, mask, extended, c)
+                # <H, x> = <H, c> for x in Hc, the coset _dimino adds first
+                done |= _mask(bigger[len(elems):2 * len(elems)])
                 if n % len(bigger) != 0:
                     raise InternalCheckError("closure violated Lagrange")
-                if bigger in known:
+                if big in members:
                     continue
-                orbit = self._conjugacy_orbit(bigger)
-                known.update(orbit)
-                if len(known) > MAX_SUBGROUPS:
+                orbit = {big: bigger}
+                frontier = [bigger]
+                for current in frontier:
+                    for conj in conjugations:
+                        image = [conj[e] for e in current]
+                        image_mask = _mask(image)
+                        if image_mask not in orbit:
+                            orbit[image_mask] = image
+                            frontier.append(image)
+                members.update(orbit)
+                if len(members) > MAX_SUBGROUPS:
                     raise RejectedInputError(
                         f"the subgroup lattice has more than {MAX_SUBGROUPS} subgroups"
                     )
-                orbits.append(orbit)
-                todo.append((bigger, extended))
-        self._subgroup_orbits = orbits
-        self._subgroup_cache = sorted(known, key=lambda s: (len(s), sorted(s)))
+                orbits.append(list(orbit))
+                todo.append((bigger, big, extended + [c]))
+        key = {m: (len(e), sorted(e)) for m, e in members.items()}
+        as_set = {m: frozenset(map(self.elements.__getitem__, e)) for m, e in members.items()}
+        classes = [(min(orbit, key=key.get), orbit) for orbit in orbits]
+        self._lattice = (sorted(classes, key=lambda c: key[c[0]]), as_set)
+        self._subgroup_cache = [as_set[m] for m in sorted(members, key=key.get)]
         return self._subgroup_cache
-
-    def conjugate_subgroup(self, sub, g):
-        ginv = _inverse(g)
-        return frozenset(_compose(_compose(g, h), ginv) for h in sub)
 
     def subgroup_classes(self):
         """Conjugacy classes of subgroups, sorted by ascending order with
@@ -230,24 +291,12 @@ class PermutationGroup:
         if self._class_cache is not None:
             return self._class_cache
         self.subgroups()
-        classes = [
-            (min(members, key=lambda s: sorted(s)), members)
-            for members in self._subgroup_orbits
+        classes, as_set = self._lattice
+        result = [
+            SubgroupClass(i, as_set[rep], len(as_set[rep]), frozenset(map(as_set.get, orbit)))
+            for i, (rep, orbit) in enumerate(classes)
         ]
-        classes.sort(key=lambda pair: (len(pair[0]), sorted(pair[0])))
-        result = []
-        lookup = {}
-        for index, (canonical, members) in enumerate(classes):
-            result.append(
-                SubgroupClass(
-                    index=index,
-                    representative=canonical,
-                    order=len(canonical),
-                    members=members,
-                )
-            )
-            for m in members:
-                lookup[m] = index
+        lookup = {member: c.index for c in result for member in c.members}
         self._class_cache = (result, lookup)
         return self._class_cache
 
@@ -286,8 +335,9 @@ class PermutationGroup:
         if self._marks_cache is not None:
             return self._marks_cache
         classes = self.classes()
+        masks = self._lattice[0]
         matrix = []
-        for row_class in classes:
+        for row_class, (_, row_masks) in zip(classes, masks):
             normalizer_index, rest = divmod(
                 self.order, row_class.order * len(row_class.members)
             )
@@ -295,9 +345,8 @@ class PermutationGroup:
                 raise InternalCheckError("class size does not divide |G| / |K|")
             matrix.append(
                 tuple(
-                    normalizer_index
-                    * sum(1 for k in row_class.members if col_class.representative <= k)
-                    for col_class in classes
+                    normalizer_index * sum(1 for k in row_masks if rep & ~k == 0)
+                    for rep, _ in masks
                 )
             )
         self._marks_cache = TableOfMarks(self, tuple(matrix))
@@ -498,49 +547,36 @@ def subgroup_as_group(group, subgroup):
 
 
 def restriction(a, subgroup):
-    """Restrict a G-element to a subgroup H: decompose each G/K into
-    H-orbits with their stabilizers H meet gKg^{-1}.  Returns the element
-    over the subgroup (as its own PermutationGroup)."""
+    """Restrict a G-element to a subgroup H: G/K splits into one H-orbit
+    per double coset HgK, the cosets (hg)K, whose stabilizer is H meet
+    gKg^-1.  Returns the element over the subgroup (as its own
+    PermutationGroup)."""
     group = a.group
     h_group = (
         subgroup
         if isinstance(subgroup, PermutationGroup)
         else subgroup_as_group(group, subgroup)
     )
-    h_set = h_group.element_set()
-    if not h_set <= group.element_set():
+    if not h_group.element_set() <= group.element_set():
         raise RejectedInputError("not a subgroup of this group")
+    index, rows, _ = group._indexed()
+    h_rows = [rows[index[h]] for h in h_group.elements]
     out = BurnsideElement.zero(h_group)
     for class_index, coeff in a.coefficients.items():
-        k_sub = group.classes()[class_index].representative
-        cosets = group.cosets(k_sub)
-        unseen = set(range(len(cosets)))
-        position = {coset: i for i, coset in enumerate(cosets)}
-        while unseen:
-            start = unseen.pop()
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                current = frontier.pop()
-                rep = next(iter(cosets[current]))
-                for h in h_group.generators:
-                    image = position[
-                        frozenset(_compose(h, _compose(rep, k)) for k in k_sub)
-                    ]
-                    if image not in orbit:
-                        orbit.add(image)
-                        frontier.append(image)
-            unseen -= orbit
-            rep = next(iter(cosets[start]))
+        k_points = [index[k] for k in group.classes()[class_index].representative]
+        k_mask, seen = _mask(k_points), 0
+        for g in range(group.order):
+            if seen >> g & 1:
+                continue
+            for h_row in h_rows:
+                seen |= _mask([rows[h_row[g]][k] for k in k_points])
+            g_inv = rows[g].index(0)
             stabilizer = frozenset(
                 h
-                for h in h_set
-                if frozenset(_compose(h, _compose(rep, k)) for k in k_sub)
-                == cosets[start]
+                for h, h_row in zip(h_group.elements, h_rows)
+                if k_mask >> rows[g_inv][h_row[g]] & 1
             )
-            out = out + BurnsideElement(
-                h_group, {h_group.class_of(stabilizer): coeff}
-            )
+            out = out + BurnsideElement(h_group, {h_group.class_of(stabilizer): coeff})
     return out
 
 

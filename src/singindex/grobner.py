@@ -568,25 +568,30 @@ class QuotientAlgebra:
         monomial (so it is nilpotent), multiplications by two variables
         commute, and every generator of I has class 0.  Then taking
         coordinates is a map of O-modules from O/I onto Q^dimension, which
-        sends the basis monomials to the unit vectors."""
+        sends the basis monomials to the unit vectors.  Images are kept
+        sparse, {coordinate: non-zero value}."""
         times = [
-            [self._monomial_coords(monomial_mul(x, b)) for b in self.basis]
+            [
+                {t: v for t, v in enumerate(self._monomial_coords(monomial_mul(x, b))) if v}
+                for b in self.basis
+            ]
             for x in self._variables
         ]
         degree = [monomial_degree(b) for b in self.basis]
         if any(
-            v and degree[t] <= degree[s]
+            degree[t] <= degree[s]
             for column in times
             for s, image in enumerate(column)
-            for t, v in enumerate(image)
+            for t in image
         ):
             raise InternalCheckError("multiplication by a variable keeps a degree")
 
         def apply(column, vec):
-            return [
-                sum((a * image[t] for a, image in zip(vec, column) if a), Fraction(0))
-                for t in range(self.dimension)
-            ]
+            out = {}
+            for s, a in vec.items():
+                for t, v in column[s].items():
+                    out[t] = out.get(t, 0) + a * v
+            return {t: v for t, v in out.items() if v}
 
         if any(
             apply(ti, tj[s]) != apply(tj, ti[s])

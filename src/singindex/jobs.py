@@ -278,17 +278,20 @@ class _Job:
         return [_zero_based(g) for g in value] if ok else None
 
     def element(self, value, path, message="expected {classIndex: coefficient}"):
-        """A Burnside element: class indices to integer coefficients."""
+        """A Burnside element: (JSON path, class index, integer
+        coefficient) per key.  Whether the group has that class is known
+        only once the job runs (see _element)."""
         if not isinstance(value, dict):
             self.add(path, message)
             return None
-        out = {}
+        out = []
         for key, coeff in value.items():
             index = key if _is_int(key) else _decimal(key)
+            key_path = f"{path}[{key!r}]"
             if index is None:
-                self.add(f"{path}[{key!r}]", "class index must be an integer")
-            elif self.require(_is_int(coeff), f"{path}[{key!r}]", "coefficient must be an integer"):
-                out[index] = coeff
+                self.add(key_path, "class index must be an integer")
+            elif self.require(_is_int(coeff), key_path, "coefficient must be an integer"):
+                out.append((key_path, index, coeff))
         return out
 
     def polynomials(self, value, path, count=None):
@@ -645,7 +648,8 @@ def _parse_group(job, payload, ops):
 
 def _parse_isotropy(job, records, path, kind, value_key):
     """Records {isotropy, value}: the isotropy is a subgroup class index or
-    a list of generating permutations, the value an integer."""
+    a list of generating permutations, the value an integer.  Each record
+    keeps the JSON path of its isotropy."""
     if not isinstance(records, list):
         job.add(path, f"expected a list of {kind} records")
         return None
@@ -663,7 +667,8 @@ def _parse_isotropy(job, records, path, kind, value_key):
                 f"{path}[{i}].isotropy",
                 f"expected a class index or a list of permutations of 1..{job.degree}",
             )
-        out.append((isotropy, job.integer(rec[value_key], f"{path}[{i}].{value_key}")))
+        value = job.integer(rec[value_key], f"{path}[{i}].{value_key}")
+        out.append((isotropy, value, f"{path}[{i}].isotropy"))
     return out
 
 
@@ -742,7 +747,10 @@ def run_job(document, run_oracle=False):
         job.runner(report, job, run_oracle)
     except RejectedInputError as err:
         report.status = "rejected"
-        report.values["error"] = str(err)
+        if err.field is None:
+            report.values["error"] = str(err)
+        else:  # found at run time, with the JSON path of the input at fault
+            report.values["diagnostics"] = [{"path": err.field, "message": str(err)}]
         return report, 2
     except NotIsolatedError as err:
         report.status = "non-isolated"
@@ -925,6 +933,28 @@ def _run_strat(report, job, run_oracle):
         report.put("eu", st.eu_from_radial(data, rad, job.target), "mobius-weighted-radial-sum")
 
 
+def _class_index(group, index, path):
+    """A class index read at a JSON path; one the group has no class for
+    is refused with that path."""
+    if not 0 <= index < len(group.classes()):
+        raise RejectedInputError(f"no subgroup class with index {index}", field=path)
+    return index
+
+
+def _element(group, entries):
+    """The Burnside element of parsed (path, class index, coefficient)
+    entries, checked in document order."""
+    return br.BurnsideElement(group, {_class_index(group, i, path): c for path, i, c in entries})
+
+
+def _isotropy(group, records):
+    """Parsed isotropy records as (isotropy, value), class indices checked."""
+    return [
+        (_class_index(group, iso, path) if _is_int(iso) else iso, value)
+        for iso, value, path in records
+    ]
+
+
 def _run_burnside(report, job, run_oracle):
     """Both Burnside-ring commands."""
     op = job.op
@@ -940,20 +970,20 @@ def _run_burnside(report, job, run_oracle):
         report.put("marks", marks, "fixed-point-counts")
         return
     if op == "r0":
-        report.put("r0", br.r0(br.BurnsideElement(group, job.a)), "coefficient-sum")
+        report.put("r0", br.r0(_element(group, job.a)), "coefficient-sum")
         return
     if op == "ph-check":
         orbit_indices = []
         for generators, index in job.orbit_indices:
             h_group = br.subgroup_as_group(group, group.subgroup_generated_by(generators))
-            orbit_indices.append((br.BurnsideElement(h_group, index), h_group))
-        chi = br.BurnsideElement(group, job.chi)
+            orbit_indices.append((_element(h_group, index), h_group))
+        chi = _element(group, job.chi)
         holds = br.equivariant_ph_check(group, orbit_indices, chi)
         report.put("holds", holds, "equivariant-poincare-hopf")
         return
     if op == "mul":
-        a = br.BurnsideElement(group, job.a)
-        b = br.BurnsideElement(group, job.b)
+        a = _element(group, job.a)
+        b = _element(group, job.b)
         name, value, rule = "product", br.burnside_mul(a, b), "marks-product"
         if run_oracle:
             total = br.BurnsideElement.zero(group)
@@ -969,24 +999,24 @@ def _run_burnside(report, job, run_oracle):
             }
     elif op == "restrict":
         sub = group.subgroup_generated_by(job.subgroup)
-        value = br.restriction(br.BurnsideElement(group, job.a), sub)
+        value = br.restriction(_element(group, job.a), sub)
         name, rule = "restriction", "coset-orbit-decomposition"
         report.values["subgroup_classes"] = [
             {"index": c.index, "order": c.order} for c in value.group.classes()
         ]
     elif op == "induce":
         h_group = br.subgroup_as_group(group, group.subgroup_generated_by(job.subgroup))
-        value = br.induction(br.BurnsideElement(h_group, job.a), group)
+        value = br.induction(_element(h_group, job.a), group)
         name, rule = "induction", "subgroup-class-transport"
     elif op == "euler":
-        value = br.equivariant_euler(group, job.records)
+        value = br.equivariant_euler(group, _isotropy(group, job.records))
         name, rule = "chi", "orbit-space-weighted-sum"
     elif op == "radial":
-        value = br.equivariant_radial_index(group, job.records)
+        value = br.equivariant_radial_index(group, _isotropy(group, job.records))
         name, rule = "radial", "orbit-sum-with-multiplicities"
     else:
-        radial = br.BurnsideElement(group, job.radial)
-        value = br.equivariant_gsv_from_radial(radial, br.BurnsideElement(group, job.chibar))
+        radial = _element(group, job.radial)
+        value = br.equivariant_gsv_from_radial(radial, _element(group, job.chibar))
         name, rule = "gsv", "radial-plus-reduced-euler"
     report.put(name, value, rule)
     report.values["pretty"] = str(value)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from singindex.burnside import (
+    MAX_SUBGROUPS,
     BurnsideElement,
     PermutationGroup,
     burnside_mul,
@@ -48,6 +49,14 @@ def a4():
     return PermutationGroup(4, [[1, 0, 3, 2], [1, 2, 0, 3]])
 
 
+def conjugate(sub, g):
+    """g sub g^-1, composing permutations as (p . q)(i) = p(q(i))."""
+    g_inv = [0] * len(g)
+    for i, x in enumerate(g):
+        g_inv[x] = i
+    return frozenset(tuple(g[h[g_inv[i]]] for i in range(len(g))) for h in sub)
+
+
 def class_of_order(group, order, which=0):
     found = [c for c in group.classes() if c.order == order]
     return found[which].index
@@ -79,7 +88,7 @@ def test_class_ordering_and_marks_shape():
             normalizer = sum(
                 1
                 for g in group.elements
-                if group.conjugate_subgroup(k_sub, g) == k_sub
+                if conjugate(k_sub, g) == k_sub
             )
             assert marks[i][i] == normalizer // len(k_sub) > 0
 
@@ -137,12 +146,63 @@ def s5():
     return PermutationGroup(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
 
 
-@pytest.mark.parametrize("make", [z2, z4, v4, s3, d4, a4, s4, d6, c2_4])
+def dihedral(n):
+    return PermutationGroup(n, [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]])
+
+
+def d12():
+    return dihedral(12)
+
+
+def d15():
+    return dihedral(15)
+
+
+def c24():
+    return PermutationGroup(24, [[(i + 1) % 24 for i in range(24)]])
+
+
+def c7xc7():
+    a = [(i + 1) % 7 for i in range(7)] + list(range(7, 14))
+    b = list(range(7)) + [7 + (i + 1) % 7 for i in range(7)]
+    return PermutationGroup(14, [a, b])
+
+
+def c2_6():
+    return PermutationGroup(
+        12, [[4 * k + 1 - i if i // 2 == k else i for i in range(12)] for k in range(6)]
+    )
+
+
+@pytest.mark.parametrize(
+    "make", [z2, z4, v4, s3, d4, a4, s4, d6, c2_4, d12, d15, c24, c7xc7, a5]
+)
 def test_subgroups_match_closure_oracle(make):
     group = make()
     subgroups = group.subgroups()
     assert len(set(subgroups)) == len(subgroups)
     assert set(subgroups) == subgroups_by_closure(group.degree, group.elements)
+
+
+@pytest.mark.parametrize("make", [s3, d4, a4, s4, d6, c2_4, d12])
+def test_classes_partition_the_oracle_lattice_by_conjugation(make):
+    group = make()
+    lattice = subgroups_by_closure(group.degree, group.elements)
+    by_conjugation = {frozenset(conjugate(sub, g) for g in group.elements) for sub in lattice}
+    classes = group.classes()
+    assert {c.members for c in classes} == by_conjugation
+    for c in classes:
+        assert c.representative == min(c.members, key=sorted)
+        assert c.order == len(c.representative)
+
+
+def test_lattice_past_max_subgroups_is_rejected():
+    # C2^6 has 2825 subgroups
+    group = c2_6()
+    assert group.order == 64
+    with pytest.raises(RejectedInputError) as err:
+        group.classes()
+    assert str(err.value) == f"the subgroup lattice has more than {MAX_SUBGROUPS} subgroups"
 
 
 @pytest.mark.parametrize("make", [s4, a5, s5])

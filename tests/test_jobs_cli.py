@@ -409,6 +409,57 @@ def test_subgroup_outside_the_group_is_rejected_before_closure(monkeypatch, op):
     assert closed and max(closed) <= 2
 
 
+# S3 has four subgroup classes and its subgroup <(1 2)> two
+S3_GROUP = {"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}
+ISOTROPY_99 = [{"isotropy": 0, "chiOrbit": 1}, {"isotropy": 99, "chiOrbit": 1}]
+BAD_CLASS_INDEX = {
+    "a": ("burnside", "mul", {"a": {"99": 1}, "b": {"0": 1}}, "$.payload.a['99']"),
+    "b": ("burnside", "mul", {"a": {"0": 1}, "b": {"0": 2, "99": 1}}, "$.payload.b['99']"),
+    "chi": ("equivariant", "ph-check", {"orbit_indices": [], "chi": {"99": 1}}, "$.payload.chi['99']"),
+    "radial": (
+        "equivariant", "gsv-from-radial", {"radial": {"99": 1}, "chibar": {}}, "$.payload.radial['99']"
+    ),
+    "chibar": (
+        "equivariant",
+        "gsv-from-radial",
+        {"radial": {"0": 1}, "chibar": {"99": 1}},
+        "$.payload.chibar['99']",
+    ),
+    "strata-isotropy": ("burnside", "euler", {"strata": ISOTROPY_99}, "$.payload.strata[1].isotropy"),
+    "orbits-isotropy": (
+        "equivariant", "radial", {"orbits": [{"isotropy": 99, "index": 1}]}, "$.payload.orbits[0].isotropy"
+    ),
+    "orbit-index": (
+        "equivariant",
+        "ph-check",
+        {"orbit_indices": [{"subgroup": [[2, 1, 3]], "index": {"99": 1}}], "chi": {"0": 1}},
+        "$.payload.orbit_indices[0].index['99']",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_CLASS_INDEX))
+def test_class_index_refusals_carry_a_path(field):
+    command, op, payload, path = BAD_CLASS_INDEX[field]
+    report, code = run_job(doc(command, {"group": S3_GROUP, **payload}, op=op))
+    assert code == 2
+    assert report.status == "rejected"
+    assert report.values == {
+        "diagnostics": [{"path": path, "message": "no subgroup class with index 99"}]
+    }
+
+
+def test_orbit_index_is_checked_against_the_subgroup_classes():
+    # class 3 exists in S3 but not in its subgroup <(1 2)>
+    orbit = {"subgroup": [[2, 1, 3]], "index": {"3": 1}}
+    payload = {"group": S3_GROUP, "orbit_indices": [orbit], "chi": {"0": 1}}
+    report, code = run_job(doc("equivariant", payload, op="ph-check"))
+    assert code == 2
+    assert report.values["diagnostics"] == [
+        {"path": "$.payload.orbit_indices[0].index['3']", "message": "no subgroup class with index 3"}
+    ]
+
+
 PLANE = ["x", "y"]
 BOUNDED_PARSE = {
     "x^100000000000": (PLANE, 4),

@@ -44,6 +44,25 @@ def test_oracles_and_the_dual_route_share_no_code():
     assert "oracles" not in _imported_modules("dual.py")
 
 
+def test_oracles_take_from_burnside_only_what_they_check_with():
+    # the lattice and marks oracles must stay off the multiplication
+    # table and the bitmask code of the paths they check
+    imports = [
+        node
+        for node in ast.walk(_tree("oracles.py"))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    names = {
+        alias.name
+        for node in imports
+        if isinstance(node, ast.ImportFrom) and node.module == "burnside"
+        for alias in node.names
+    }
+    assert names == {"BurnsideElement", "_compose", "_inverse", "subgroup_as_group"}
+    # nor the module itself, through `import` or `from . import`
+    assert not any(alias.name.endswith("burnside") for node in imports for alias in node.names)
+
+
 def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
