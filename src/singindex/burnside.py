@@ -1,9 +1,7 @@
 """Finite permutation groups and their Burnside rings.
 
 A group comes in as permutation generators on {1..d}; elements are
-enumerated by closure, then numbered in sorted order, and one
-multiplication table on those indices serves every later step.  The
-Burnside ring is realized concretely through
+enumerated by closure.  The Burnside ring is realized concretely through
 the table of marks: the matrix of fixed-point counts |(G/K)^H| over
 conjugacy classes of subgroups, lower triangular with positive diagonal
 |N_G(K)| / |K| once classes are sorted by ascending order.  Products are
@@ -17,13 +15,14 @@ table of marks of a finite group", Experimental Math. 6, 1997): only
 class representatives are extended, each by one generator of every
 cyclic subgroup it misses, and every new class is filled as an orbit
 under conjugation by the generators (see PermutationGroup.subgroups for
-why this finds every subgroup).  Each extension is closed coset by
-coset by table lookups (Dimino; Butler, "Fundamental Algorithms for
-Permutation Groups", LNCS 559, 1991), and a subgroup is an int bitmask
-over the element indices.  The marks are then read off the class
-members, one bitmask subset test each: |(G/K)^H| = |G| / (|K|
-|class(K)|) times the number of conjugates of K that contain H.  The oracles module keeps the brute
-force versions of both, closure of every extension and coset counting.
+why this finds every subgroup).  It runs on one multiplication table
+over the sorted elements' indices: each extension is closed coset by
+coset (Dimino; Butler, "Fundamental Algorithms for Permutation Groups",
+LNCS 559, 1991), and a subgroup is an int bitmask.  The marks are then
+read off the class members: |(G/K)^H| = |G| / (|K| |class(K)|) times
+the number of conjugates of K that contain H, one bitmask test each.
+The oracles module keeps the brute force versions of both, closure of
+every extension and coset counting.
 
 Geometric inputs (Euler characteristics of orbit spaces, local indices,
 isotropy assignments) are always user supplied; this module never
@@ -221,11 +220,9 @@ class PermutationGroup:
         order, H is found and extended, so K's class is reached and K lies
         in the orbit that fills it.
 
-        All of it runs on element indices (see _indexed): cyclic
-        generators from power chains in the table, <H, c> closed coset by
-        coset from the elements of H (_dimino), subgroups as bitmasks,
-        conjugation as one index map per generator.  The element sets are
-        built once, at the end.
+        It runs on element indices (see _indexed): cyclic generators from
+        power chains, <H, c> closed by _dimino from the elements of H,
+        subgroups as bitmasks, one conjugation map per generator.
 
         Representatives are extended breadth first, small subgroups with
         cheap closures before large ones, so a group with more than
