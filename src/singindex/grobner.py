@@ -42,13 +42,13 @@ from .poly import (
     GLOBAL_ORDER,
     LOCAL_ORDER,
     Polynomial,
+    as_polynomial,
     monomial_degree,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
     monomial_quotient,
     monomials_up_to_degree,
-    parse_polynomial,
 )
 
 
@@ -108,7 +108,7 @@ class Ideal:
 
     @classmethod
     def from_strings(cls, texts, variables):
-        return cls([parse_polynomial(t, variables) for t in texts])
+        return cls([as_polynomial(t, variables) for t in texts])
 
     def __repr__(self):
         return f"Ideal({[str(g) for g in self.generators]!r})"
@@ -178,7 +178,7 @@ def _normal_form_mora(p, basis, cap, truncation=None, budget=None):
         h_ecart = _ecart(h, lm)
         if best[3] > h_ecart:
             pool.append((lm, lc, h, h_ecart))
-        h = h - best[2].term_mul(monomial_quotient(lm, best[0]), lc / best[1])
+        h = h - best[2].term_mul(monomial_quotient(lm, best[0]), Fraction(lc, best[1]))
         if truncation is not None:
             h = _truncate(h, truncation)
     return h
@@ -190,8 +190,8 @@ def _normal_form_mora(p, basis, cap, truncation=None, budget=None):
 
 def _spoly(f_lt, f, g_lt, g):
     lcm = monomial_lcm(f_lt, g_lt)
-    a = f.term_mul(monomial_quotient(lcm, f_lt), Fraction(1))
-    b = g.term_mul(monomial_quotient(lcm, g_lt), Fraction(1))
+    a = f.term_mul(monomial_quotient(lcm, f_lt), 1)
+    b = g.term_mul(monomial_quotient(lcm, g_lt), 1)
     return a - b
 
 
@@ -243,7 +243,7 @@ def _completion(generators, degree_cap, truncation=None, budget=None):
         g = g.monic(LOCAL_ORDER)
         if g not in basis:
             basis.append(g)
-    lead = [(g.leading_term(LOCAL_ORDER)[0], Fraction(1), g) for g in basis]
+    lead = [(g.leading_term(LOCAL_ORDER)[0], 1, g) for g in basis]
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
 
@@ -261,7 +261,7 @@ def _completion(generators, degree_cap, truncation=None, budget=None):
             continue
         h = h.monic(LOCAL_ORDER)
         basis.append(h)
-        lead.append((h.leading_term(LOCAL_ORDER)[0], Fraction(1), h))
+        lead.append((h.leading_term(LOCAL_ORDER)[0], 1, h))
         k = len(basis) - 1
         pairs.update((k, t) for t in range(k))
 
@@ -317,7 +317,7 @@ def _deepened_local_basis(ideal, degree_cap):
         count = _staircase_count_below(lead, nvars, bound)
         if previous is not None and count == previous:
             boundary = [
-                Polynomial(ctx, {mono: Fraction(1)})
+                Polynomial(ctx, {mono: 1})
                 for mono in _monomials_of_exact_degree(nvars, bound)
                 if not any(monomial_divides(lt, mono) for lt in lead)
             ]
@@ -530,12 +530,15 @@ class QuotientAlgebra:
 
     def functional(self, weights):
         """The functional phi(p) = sum_k weights[k] * coords(p)[k], for
-        rational weights, as a memoized function of a monomial.  The
-        weights fold once into one vector over the columns, the sum of
-        weights[k] times dual vector k; phi at a column monomial is one
-        entry of it, and 0 above the top column degree.  Only a monomial
-        of degree at most the top without a column (one of the Mora
-        fallback's) goes through its coordinates."""
+        rational weights, as (scaled, scale): a positive integer scale
+        and a memoized function of a monomial m whose value is
+        scale * phi(m).  The weights fold once into one integer vector
+        over the columns, scale times the sum of weights[k] times dual
+        vector k; scaled at a column monomial is one entry of it, an
+        int, and 0 above the top column degree.  Only a monomial of
+        degree at most the top without a column (one of the Mora
+        fallback's) goes through its coordinates; its value is exact but
+        need not be an integer."""
         terms = [(Fraction(w), nums, den) for w, (nums, den) in zip(weights, self._vectors) if w]
         scale = lcm(*(w.denominator * den for w, _, den in terms))
         folded = [0] * len(self._column)
@@ -546,21 +549,21 @@ class QuotientAlgebra:
                     folded[k] += factor * v
         values = {}
 
-        def phi(m):
+        def scaled(m):
             value = values.get(m)
             if value is None:
                 k = self._column.get(m)
                 if k is not None:
-                    value = Fraction(folded[k], scale)
+                    value = folded[k]
                 elif monomial_degree(m) > self._top:
-                    value = Fraction(0)
+                    value = 0
                 else:
                     coords = self._monomial_coords(m)
-                    value = sum((w * c for w, c in zip(weights, coords) if w), Fraction(0))
+                    value = scale * sum((w * c for w, c in zip(weights, coords) if w), Fraction(0))
                 values[m] = value
             return value
 
-        return phi
+        return scaled, scale
 
     def _certify_multiplication(self):
         """Check exactly that the classes come from a quotient of O/I:
@@ -657,7 +660,7 @@ def _border_dual_basis(sb, stairs):
             continue
         reached.add(u)
         lt, g = next(e for e in lead if monomial_divides(e[0], u))
-        row = _truncate(g.term_mul(monomial_quotient(u, lt), Fraction(1)), top)
+        row = _truncate(g.term_mul(monomial_quotient(u, lt), 1), top)
         rows.append(row)
         todo.extend(row.terms)
     columns = LOCAL_ORDER.sorted_descending(reached)

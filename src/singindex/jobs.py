@@ -457,6 +457,13 @@ def _parse_icis(job, payload):
     job.equations = job.polynomials(payload.get("equations"), "$.payload.equations")
     if job.equations is None:
         return
+    for i, equation in enumerate(job.equations):
+        job.require(
+            equation is None or equation.constant_term() == 0,
+            f"$.payload.equations[{i}]",
+            "equations must vanish at the origin",
+            late=True,
+        )
     job.require(
         len(job.equations) <= n,
         "$.payload.equations",

@@ -1,24 +1,20 @@
 """Exact dense linear algebra over the rationals.
 
-Everything here works on lists of lists of Fractions.  A thin
-RationalMatrix wrapper is provided for the public surface; the free
-functions accept either form.  The one non-textbook routine is
-:func:`symmetric_signature`, an exact congruent diagonalization that
-yields the inertia (pos, neg, zero) of a symmetric matrix without ever
-computing eigenvalues.
+The free functions work on lists of lists of exact rationals (ints and
+Fractions); a thin immutable RationalMatrix of Fractions is provided for
+the public surface, and :func:`symmetric_signature` accepts either form.
+That routine yields the inertia (pos, neg, zero) of a symmetric matrix
+without ever computing eigenvalues: it scales the matrix to integers and
+runs a fraction-free (Bareiss) symmetric elimination, so its inner loop
+is plain ``int`` arithmetic with one exact division per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import RejectedInputError
-
-
-def _rows_of(m):
-    if isinstance(m, RationalMatrix):
-        return [list(r) for r in m.entries]
-    return [[Fraction(x) for x in r] for r in m]
 
 
 class RationalMatrix:
@@ -106,59 +102,93 @@ def rref(rows):
 def symmetric_signature(matrix):
     """Inertia (pos, neg, zero) of a symmetric rational matrix.
 
-    Exact symmetric Gaussian elimination: congruence transformations
-    preserve inertia (Sylvester), so we diagonalize with simultaneous
-    row/column operations and count signs.  A zero diagonal with a
-    non-zero off-diagonal entry is repaired by the standard congruence
-    that adds the partner row/column, turning the hyperbolic pair into a
-    usable pivot.
+    Congruences preserve inertia (Sylvester's law), and so does scaling
+    by a positive number, so the matrix is first multiplied by the lcm
+    of its denominators.  A symmetric permutation is a congruence too:
+    the inertia is the sum of those of the blocks that the connected
+    components of the non-zero pattern cut out (Gram matrices of local
+    algebras pair few basis monomials, and most blocks have one or two
+    rows).  Each block goes to :func:`_bareiss_inertia`.
     """
-    a = _rows_of(matrix)
-    n = len(a)
-    if any(len(r) != n for r in a):
+    rows = matrix.entries if isinstance(matrix, RationalMatrix) else matrix
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise RejectedInputError("signature needs a square matrix")
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise RejectedInputError("signature needs a symmetric matrix")
+    if all(type(x) is int for row in rows for x in row):
+        a = [list(row) for row in rows]
+    else:
+        a = [[Fraction(x) for x in row] for row in rows]
+        scale = lcm(*(x.denominator for row in a for x in row))
+        a = [[x.numerator * (scale // x.denominator) for x in row] for row in a]
+    if any(list(column) != row for row, column in zip(a, zip(*a))):
+        raise RejectedInputError("signature needs a symmetric matrix")
+    inertia = [0, 0, 0]
+    left = set(range(n))
+    while left:
+        todo = [left.pop()]
+        block = []
+        while todo:
+            i = todo.pop()
+            block.append(i)
+            linked = [j for j in left if a[i][j]]
+            left.difference_update(linked)
+            todo.extend(linked)
+        block.sort()
+        for k, count in enumerate(_bareiss_inertia([[a[i][j] for j in block] for i in block])):
+            inertia[k] += count
+    return tuple(inertia)
+
+
+def _bareiss_inertia(a):
+    """Inertia (pos, neg, zero) of a symmetric integer matrix, given as
+    rows that this function may overwrite.
+
+    Symmetric elimination runs fraction-free (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination",
+    Math. Comp. 22, 1968) on the trailing block only: with the pivot d
+    at the front of the block and the previous pivot p (1 at the start),
+    every entry becomes (d*a_ij - a_i0*a_0j) // p.  The division is
+    exact, because each entry of the block is a minor of the integer
+    matrix by Sylvester's identity.  The pivots are the leading principal
+    minors d_1, d_2, ... of the matrix as permuted and transformed below,
+    so the k-th pivot of its LDL^T factorisation is d_k/d_(k-1), of sign
+    sign(d_k)*sign(d_(k-1)).  A non-zero diagonal entry of the block is
+    moved to the front by a symmetric swap.  When the diagonal of the
+    block is zero but an entry a_ij is not, the congruence that adds row
+    and column j to row and column i makes a_ii = 2*a_ij a usable pivot.
+    It has integer entries and leaves the eliminated rows alone, so the
+    block it produces is the Bareiss block of the transformed integer
+    matrix, and every later division stays exact.  A zero block counts
+    its size as zero eigenvalues.  No float and no modulus is involved.
+    """
     pos = neg = zero = 0
-    start = 0
-    while start < n:
-        pivot = next((i for i in range(start, n) if a[i][i] != 0), None)
+    previous = 1
+    while a:
+        pivot = next((i for i, row in enumerate(a) if row[i]), None)
         if pivot is None:
             pair = next(
-                (
-                    (i, j)
-                    for i in range(start, n)
-                    for j in range(i + 1, n)
-                    if a[i][j] != 0
-                ),
+                ((i, j) for i, row in enumerate(a) for j in range(i + 1, len(a)) if row[j]),
                 None,
             )
             if pair is None:
-                zero += n - start
+                zero += len(a)
                 break
             i, j = pair
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            pivot = i
-        if pivot != start:
-            a[start], a[pivot] = a[pivot], a[start]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
             for row in a:
-                row[start], row[pivot] = row[pivot], row[start]
-        d = a[start][start]
-        if d > 0:
+                row[i] += row[j]
+            pivot = i
+        if pivot:
+            a[0], a[pivot] = a[pivot], a[0]
+            for row in a:
+                row[0], row[pivot] = row[pivot], row[0]
+        top = a[0]
+        d = top[0]
+        if (d > 0) == (previous > 0):
             pos += 1
         else:
             neg += 1
-        for i in range(start + 1, n):
-            if a[i][start] != 0:
-                f = a[i][start] / d
-                for k in range(n):
-                    a[i][k] -= f * a[start][k]
-                for k in range(n):
-                    a[k][i] -= f * a[k][start]
-        start += 1
+        top = top[1:]
+        a = [[(d * x - row[0] * y) // previous for x, y in zip(row[1:], top)] for row in a[1:]]
+        previous = d
     return pos, neg, zero

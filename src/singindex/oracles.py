@@ -5,17 +5,19 @@ different method: colengths by Macaulay-style truncated linear algebra
 with no standard bases anywhere, local degrees of plane and space germs
 by explicit boundary-surface winding counts in exact rational arithmetic,
 Burnside products by orbit counting on explicit product G-sets, the
-subgroup lattice by closing every extension of every subgroup, and the
-table of marks by counting fixed cosets.
+subgroup lattice by closing every extension of every subgroup, the
+table of marks by counting fixed cosets, and the inertia of a symmetric
+matrix from the signs of its characteristic polynomial.
 They back the test suite and the CLI's --oracle mode.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .burnside import BurnsideElement, _compose, _inverse
-from .errors import OracleBudgetError, RejectedInputError
+from .errors import InternalCheckError, OracleBudgetError, RejectedInputError
 from .grobner import INFINITE
 from .poly import (
     GLOBAL_ORDER,
@@ -423,35 +425,46 @@ def restriction_by_orbits(group, class_index, subgroup):
 # subgroup lattice and table of marks by brute force
 
 
-def _generated(elements):
-    """Closure of a set of permutations under composition (the subgroup
-    they generate, since the group is finite)."""
-    found = set(elements)
-    while True:
-        products = {_compose(a, b) for a in found for b in found}
-        if products <= found:
-            return frozenset(found)
-        found |= products
+def _generated(generators, degree):
+    """The subgroup generated by a list of permutations, by a frontier
+    closure from the identity: each new element is multiplied by each
+    generator once (inverses are positive powers in a finite group)."""
+    identity = tuple(range(degree))
+    found = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in generators:
+                b = _compose(a, g)
+                if b not in found:
+                    found.add(b)
+                    fresh.append(b)
+        frontier = fresh
+    return frozenset(found)
 
 
 def subgroups_by_closure(degree, elements):
     """Every subgroup of the group with the given elements, found by
-    closing each known subgroup together with each element in turn."""
+    closing each known subgroup together with each element in turn.
+    Each subgroup keeps the generators it was first found with, so a
+    closure costs its order times the number of generators."""
     trivial = frozenset([tuple(range(degree))])
-    found = {trivial}
-    frontier = {trivial}
+    found = {trivial: []}
+    frontier = [trivial]
     while frontier:
-        fresh = set()
+        fresh = []
         for sub in frontier:
             for g in elements:
                 if g in sub:
                     continue
-                bigger = _generated(sub | {g})
+                generators = found[sub] + [g]
+                bigger = _generated(generators, degree)
                 if bigger not in found:
-                    found.add(bigger)
-                    fresh.add(bigger)
+                    found[bigger] = generators
+                    fresh.append(bigger)
         frontier = fresh
-    return found
+    return set(found)
 
 
 def marks_by_cosets(group):
@@ -476,3 +489,59 @@ def marks_by_cosets(group):
             row.append(count)
         matrix.append(tuple(row))
     return tuple(matrix)
+
+
+# ---------------------------------------------------------------------------
+# inertia of a symmetric matrix from its characteristic polynomial
+
+
+def signature_by_charpoly(matrix):
+    """Inertia (pos, neg, zero) of a symmetric rational matrix, read off
+    its characteristic polynomial det(tI - A).
+
+    The matrix is first multiplied by the lcm of its denominators, which
+    changes the sign of no eigenvalue.  The Faddeev-LeVerrier recursion
+    M_1 = I, c_(n-k) = -tr(A M_k) / k, M_(k+1) = A M_k + c_(n-k) I gives
+    the coefficients c_n = 1, c_(n-1), ..., c_0; those of an integer
+    matrix are integers, and M_(n+1) = p(A) is 0 (Cayley-Hamilton), both
+    of which are checked.  A symmetric matrix has only
+    real eigenvalues, so Descartes' rule of signs is exact: the sign
+    changes of the coefficients count the positive eigenvalues, those of
+    p(-t) the negative ones, and the lowest power of t with a non-zero
+    coefficient is the number of zero eigenvalues."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows) or any(
+        rows[i][j] != rows[j][i] for i in range(n) for j in range(i)
+    ):
+        raise RejectedInputError("the signature oracle needs a symmetric matrix")
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    a = [[(x * scale).numerator for x in row] for row in rows]
+    nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in a]
+    coefficients = [1]  # of t^n, t^(n-1), ..., t^0
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = []
+        for entries in nonzero:
+            row = [0] * n
+            for l, x in entries:
+                row = [r + x * y for r, y in zip(row, m[l])]
+            am.append(row)
+        c = Fraction(-sum(am[i][i] for i in range(n)), k)
+        if c.denominator != 1:
+            raise InternalCheckError("characteristic polynomial of an integer matrix is not integral")
+        coefficients.append(c.numerator)
+        m = [[x + c.numerator * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
+    if any(any(row) for row in m):
+        # M_(n+1) = p(A) = 0 by Cayley-Hamilton
+        raise InternalCheckError("characteristic polynomial does not annihilate the matrix")
+    zero = n - max(k for k, c in enumerate(coefficients) if c)
+
+    def sign_changes(signs):
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    pos = sign_changes([c > 0 for c in coefficients if c])
+    neg = sign_changes([(c > 0) == ((n - k) % 2 == 0) for k, c in enumerate(coefficients) if c])
+    if pos + neg + zero != n:
+        raise InternalCheckError("characteristic polynomial has non-real roots")
+    return pos, neg, zero

@@ -1,10 +1,14 @@
 """Exact multivariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction` throughout; nothing downstream ever
-touches floating point, because every index this library computes is an
-integer and rounding would corrupt it.  A monomial is a plain tuple of
-non-negative exponents whose length equals the number of variables of the
-owning context.
+A coefficient is exact: a Python ``int`` when it is an integer, and a
+``fractions.Fraction`` (denominator other than 1) only when it is not.
+Integer arithmetic is several times faster than Fraction arithmetic, and
+most germs have integer coefficients.  Nothing downstream ever touches
+floating point, because every index this library computes is an integer
+and rounding would corrupt it; a true division of two coefficients goes
+through ``Fraction``, since ``int / int`` is a float.  A monomial is a
+plain tuple of non-negative exponents whose length equals the number of
+variables of the owning context.
 
 The text grammar accepted by :func:`parse_polynomial` is the wire format
 used by every JSON job file: variables are identifiers, coefficients are
@@ -21,6 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import DegreeCapError, RejectedInputError
 
@@ -41,7 +46,7 @@ MAX_TERMS = 2000
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
@@ -131,21 +136,34 @@ LOCAL_ORDER = MonomialOrder("negdegrevlex")
 # polynomials
 
 
-def _as_fraction(c):
+def _coefficient(c):
+    """An exact rational in normal form: an int when it is an integer,
+    else a Fraction.  Anything else, floats included, is refused."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise RejectedInputError(f"coefficient {c!r} is not rational")
 
 
-class Polynomial:
-    """Immutable multivariate polynomial with Fraction coefficients.
+def _check_monomial(mono, context):
+    mono = tuple(mono)
+    if len(mono) != len(context) or any(e < 0 for e in mono):
+        raise RejectedInputError(f"bad monomial {mono!r} for context {context!r}")
+    return mono
 
-    ``terms`` maps exponent tuples to non-zero coefficients; zero
-    coefficients are pruned eagerly so equal polynomials compare equal.
-    All arithmetic requires both operands to share the same variable
-    context.
+
+class Polynomial:
+    """Immutable multivariate polynomial with exact rational coefficients.
+
+    ``terms`` maps exponent tuples to non-zero coefficients, each an int
+    when it is an integer and a Fraction with denominator other than 1
+    otherwise; zero coefficients are pruned eagerly so equal polynomials
+    compare equal.  All arithmetic requires both operands to share the
+    same variable context.  The constructor validates its monomials and
+    coefficients; results of arithmetic are built by ``_make``, which
+    only prunes and normalises, since their monomials come from
+    validated ones.
     """
 
     __slots__ = ("context", "terms")
@@ -153,17 +171,29 @@ class Polynomial:
     def __init__(self, context, terms):
         context = tuple(context)
         clean = {}
-        n = len(context)
         for mono, coeff in terms.items():
-            coeff = _as_fraction(coeff)
-            if coeff == 0:
-                continue
-            mono = tuple(mono)
-            if len(mono) != n or any(e < 0 for e in mono):
-                raise RejectedInputError(f"bad monomial {mono!r} for context {context!r}")
-            clean[mono] = coeff
+            coeff = _coefficient(coeff)
+            if coeff:
+                clean[_check_monomial(mono, context)] = coeff
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, context, terms):
+        """Trusted constructor over a validated context and monomials:
+        drops zero coefficients and stores integral ones as ints."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "context", context)
+        object.__setattr__(
+            p,
+            "terms",
+            {
+                m: c if type(c) is int or c.denominator != 1 else c.numerator
+                for m, c in terms.items()
+                if c
+            },
+        )
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -176,11 +206,11 @@ class Polynomial:
 
     @classmethod
     def one(cls, context):
-        return cls(context, {(0,) * len(context): Fraction(1)})
+        return cls(context, {(0,) * len(context): 1})
 
     @classmethod
     def constant(cls, context, c):
-        return cls(context, {(0,) * len(context): _as_fraction(c)})
+        return cls(context, {(0,) * len(context): c})
 
     @classmethod
     def variable(cls, context, name):
@@ -190,7 +220,7 @@ class Polynomial:
         except ValueError:
             raise RejectedInputError(f"unknown variable {name!r} in context {context!r}")
         mono = tuple(1 if j == i else 0 for j in range(len(context)))
-        return cls(context, {mono: Fraction(1)})
+        return cls(context, {mono: 1})
 
     # -- basic queries
 
@@ -211,7 +241,7 @@ class Polynomial:
         return min(monomial_degree(m) for m in self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.context), Fraction(0))
+        return self.terms.get((0,) * len(self.context), 0)
 
     def leading_term(self, order):
         """(monomial, coefficient) of the largest monomial under `order`."""
@@ -221,7 +251,7 @@ class Polynomial:
         return m, self.terms[m]
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(mono), Fraction(0))
+        return self.terms.get(tuple(mono), 0)
 
     # -- arithmetic
 
@@ -237,17 +267,13 @@ class Polynomial:
         self._check_context(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Polynomial(self.context, terms)
+            terms[m] = terms.get(m, 0) + c
+        return Polynomial._make(self.context, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.context, {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(self.context, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -259,19 +285,15 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Polynomial(self.context, {m: c * v for m, v in self.terms.items()})
+            c = _coefficient(other)
+            return Polynomial._make(self.context, {m: c * v for m, v in self.terms.items()})
         self._check_context(other)
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = monomial_mul(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return Polynomial(self.context, terms)
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return Polynomial._make(self.context, terms)
 
     __rmul__ = __mul__
 
@@ -288,17 +310,17 @@ class Polynomial:
         return result
 
     def scale(self, c):
-        return self * _as_fraction(c)
+        return self * _coefficient(c)
 
     def monic(self, order):
         _, lc = self.leading_term(order)
-        return self.scale(Fraction(1) / lc)
+        return self if lc == 1 else self.scale(Fraction(1) / lc)
 
     def term_mul(self, mono, coeff):
         """Multiply by coeff * x^mono without building a Polynomial."""
-        mono = tuple(mono)
-        coeff = _as_fraction(coeff)
-        return Polynomial(
+        mono = _check_monomial(mono, self.context)
+        coeff = _coefficient(coeff)
+        return Polynomial._make(
             self.context,
             {monomial_mul(m, mono): c * coeff for m, c in self.terms.items()},
         )
@@ -326,8 +348,8 @@ class Polynomial:
             if e == 0:
                 continue
             dm = m[:var] + (e - 1,) + m[var + 1 :]
-            terms[dm] = terms.get(dm, Fraction(0)) + c * e
-        return Polynomial(self.context, terms)
+            terms[dm] = terms.get(dm, 0) + c * e
+        return Polynomial._make(self.context, terms)
 
     def substitute(self, images):
         """Compose with a map sending each variable to a polynomial.
@@ -380,8 +402,8 @@ class Polynomial:
     def evaluate(self, point):
         if len(point) != len(self.context):
             raise RejectedInputError("evaluation point has wrong length")
-        point = [_as_fraction(p) for p in point]
-        total = Fraction(0)
+        point = [_coefficient(p) for p in point]
+        total = Fraction(0)  # the value is a Fraction even when integral
         for m, c in self.terms.items():
             v = c
             for x, e in zip(point, m):
@@ -583,6 +605,15 @@ class _Parser:
         if kind == "op" and val == "-":
             return -self.atom()
         raise RejectedInputError(f"unexpected token {val!r} in polynomial text")
+
+
+def as_polynomial(value, variables):
+    """A Polynomial over `variables` as it is, without a second parse;
+    anything else goes to parse_polynomial, which parses text and
+    refuses a Polynomial over other variables."""
+    if isinstance(value, Polynomial) and value.context == tuple(variables):
+        return value
+    return parse_polynomial(value, variables)
 
 
 def parse_polynomial(text, variables, degree_cap=DEFAULT_DEGREE_CAP):

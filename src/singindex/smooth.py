@@ -23,6 +23,7 @@ the basis monomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InternalCheckError, NotIsolatedError, RejectedInputError
 from .grobner import (
@@ -32,8 +33,15 @@ from .grobner import (
     quotient_algebra,
 )
 from .linalg import RationalMatrix, rref, symmetric_signature
-from .poly import GLOBAL_ORDER, Polynomial, jacobian_det, minors, monomial_degree, monomial_mul
-from .poly import parse_polynomial
+from .poly import (
+    GLOBAL_ORDER,
+    Polynomial,
+    as_polynomial,
+    jacobian_det,
+    minors,
+    monomial_degree,
+    monomial_mul,
+)
 
 
 class VectorFieldGerm:
@@ -41,9 +49,7 @@ class VectorFieldGerm:
 
     def __init__(self, variables, components, field="C"):
         self.variables = tuple(variables)
-        self.components = tuple(
-            parse_polynomial(c, self.variables) for c in components
-        )
+        self.components = tuple(as_polynomial(c, self.variables) for c in components)
         if len(self.components) != len(self.variables):
             raise RejectedInputError(
                 "component count must equal the variable count"
@@ -61,9 +67,7 @@ class OneFormGerm:
 
     def __init__(self, variables, coefficients, field="C"):
         self.variables = tuple(variables)
-        self.coefficients = tuple(
-            parse_polynomial(c, self.variables) for c in coefficients
-        )
+        self.coefficients = tuple(as_polynomial(c, self.variables) for c in coefficients)
         if len(self.coefficients) != len(self.variables):
             raise RejectedInputError(
                 "coefficient count must equal the variable count"
@@ -104,9 +108,7 @@ class SectionCollection:
                 raise RejectedInputError(
                     f"partition entry {k} exceeds the bundle rank {self.rank}"
                 )
-            rows = [
-                [parse_polynomial(e, self.variables) for e in row] for row in mat
-            ]
+            rows = [[as_polynomial(e, self.variables) for e in row] for row in mat]
             if len(rows) != self.rank or any(len(r) != want_cols for r in rows):
                 raise RejectedInputError(
                     f"group matrix must be {self.rank} x {want_cols}"
@@ -161,14 +163,17 @@ class ELKForm:
     zero: the local algebra, the coordinates of the Jacobian class, a
     linear functional phi on the coordinates, positive on that class, and
     the Gram matrix [phi(b_i b_j)] of the induced symmetric bilinear form
-    on the basis monomials.  Any such phi vanishes on the ideal, so the
-    form is nondegenerate and its signature is the local degree."""
+    on the basis monomials, as an integer matrix `gram` over one positive
+    `denominator`.  Any such phi vanishes on the ideal, so the form is
+    nondegenerate and its signature is the local degree; the positive
+    denominator does not change the signature."""
 
-    def __init__(self, algebra, jacobian_coords, functional, gram):
+    def __init__(self, algebra, jacobian_coords, functional, gram, denominator):
         self.algebra = algebra
         self.jacobian_coords = tuple(jacobian_coords)
         self.functional = tuple(functional)
         self.gram = gram
+        self.denominator = denominator
 
     def signature(self):
         pos, neg, zero = symmetric_signature(self.gram)
@@ -204,9 +209,12 @@ def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
     The functional may be overridden by any linear functional on the
     coordinates with a positive value on the Jacobian class; the
     signature does not depend on the choice.  Either one is folded once
-    into a vector over the dual basis columns (``QuotientAlgebra.
-    functional``), and each Gram entry is a lookup at the column of the
-    product monomial.
+    into an integer vector over the dual basis columns, scale times phi
+    (``QuotientAlgebra.functional``), and each Gram entry is a lookup at
+    the column of the product monomial.  A product monomial of the Mora
+    fallback without a column may give a non-integral entry; then the
+    whole matrix is multiplied by the lcm of their denominators, so the
+    Gram matrix is always integral over one positive denominator.
     """
     if vf.field != "R":
         raise RejectedInputError("the signature index needs the real ground field tag")
@@ -220,7 +228,7 @@ def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
     if algebra.dimension == 0:
         # the germ does not vanish at the origin: the algebra is zero and
         # the residue pairing is the empty form, of signature 0
-        return ELKForm(algebra, [], [], [])
+        return ELKForm(algebra, [], [], [], 1)
     jac = jacobian_det(list(vf.components))
     jac_coords = algebra.coords(jac)
     if functional is None:
@@ -231,10 +239,13 @@ def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
             raise RejectedInputError(
                 "functional must be positive on the Jacobian class"
             )
-    phi = algebra.functional(functional)
+    scaled, scale = algebra.functional(functional)
     basis = algebra.basis
-    gram = RationalMatrix([[phi(monomial_mul(a, b)) for b in basis] for a in basis])
-    return ELKForm(algebra, jac_coords, functional, gram)
+    gram = [[scaled(monomial_mul(a, b)) for b in basis] for a in basis]
+    extra = lcm(*(v.denominator for row in gram for v in row))
+    if extra != 1:
+        gram = [[int(v * extra) for v in row] for row in gram]
+    return ELKForm(algebra, jac_coords, functional, gram, scale * extra)
 
 
 def elk_index(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
@@ -321,14 +332,15 @@ def ideal_is_invariant(algebra, action):
 def _reynolds_columns(algebra, action):
     """The Reynolds projector of the action on the algebra, by columns:
     the coordinates of R(b) = (1/|G|) * sum over g of b(g x), for each
-    basis monomial b.  One coordinate computation per basis monomial."""
+    basis monomial b.  One coordinate computation per basis monomial, on
+    the sum over g, which keeps integer coefficients integers."""
     ctx = algebra.context
     images = [action.substitution(g) for g in action.elements]
-    average = Fraction(1, action.order)
     columns = []
     for b in algebra.basis:
-        mono = Polynomial(ctx, {b: average})
-        columns.append(algebra.coords(sum((mono.substitute(i) for i in images), Polynomial.zero(ctx))))
+        mono = Polynomial(ctx, {b: 1})
+        total = sum((mono.substitute(i) for i in images), Polynomial.zero(ctx))
+        columns.append([Fraction(c, action.order) for c in algebra.coords(total)])
     return columns
 
 
@@ -363,7 +375,9 @@ def invariant_signature(form, action):
     component orthogonal to the rest, so it is nondegenerate there and
     its signature does not depend on the admissible functional chosen.
     The check that the inertia of P^T G P counts exactly
-    n - (invariant dimension) zeros is that nondegeneracy.
+    n - (invariant dimension) zeros is that nondegeneracy.  P is scaled
+    to integers first, and G is an integer matrix, so the product is
+    formed in ints; the positive square of the scale changes no sign.
     """
     algebra = form.algebra
     if not ideal_is_invariant(algebra, action):
@@ -378,8 +392,12 @@ def invariant_signature(form, action):
             "averaged functional is not positive on the Jacobian class; "
             "the form data is not compatible with the action"
         )
-    g = form.gram.entries
-    sparse = [[(k, c) for k, c in enumerate(column) if c] for column in columns]
+    g = form.gram
+    scale = lcm(*(c.denominator for column in columns for c in column))
+    sparse = [
+        [(k, c.numerator * (scale // c.denominator)) for k, c in enumerate(column) if c]
+        for column in columns
+    ]
     g_p = [[sum(row[l] * c for l, c in col) for row in g] for col in sparse]
     restricted = [[sum(c * gp[k] for k, c in col) for gp in g_p] for col in sparse]
     pos, neg, zero = symmetric_signature(restricted)
@@ -402,7 +420,7 @@ def realify(variables, components):
     local degree of the real system equals the complex colength.
     """
     variables = tuple(variables)
-    components = [parse_polynomial(c, variables) for c in components]
+    components = [as_polynomial(c, variables) for c in components]
     real_vars = []
     for v in variables:
         real_vars.extend((f"{v}_re", f"{v}_im"))
@@ -424,7 +442,7 @@ def realify(variables, components):
             base, ipow = mono[:-1], mono[-1]
             sign = -1 if (ipow // 2) % 2 else 1
             target = re_terms if ipow % 2 == 0 else im_terms
-            target[base] = target.get(base, Fraction(0)) + sign * coeff
+            target[base] = target.get(base, 0) + sign * coeff
         out.append(Polynomial(tuple(real_vars), re_terms))
         out.append(Polynomial(tuple(real_vars), im_terms))
     return tuple(real_vars), out

@@ -230,10 +230,31 @@ def test_mora_fallback_gives_the_probe_algebra(monkeypatch, gens):
     # a functional folded over the dual columns agrees too, also on the
     # fallback's monomials without a column
     weights = [Fraction(k + 1, 2 * k + 3) for k in range(probe.dimension)]
-    phi, psi = mora.functional(weights), probe.functional(weights)
+    # (scale times the functional, over that positive integer scale); the
+    # probe's values are all integers
+    (phi, phi_scale), (psi, psi_scale) = mora.functional(weights), probe.functional(weights)
     for p in probes[:-1]:
         (m,) = p.terms
-        assert phi(m) == psi(m) == sum(w * c for w, c in zip(weights, probe.coords(p)))
+        value = sum(w * c for w, c in zip(weights, probe.coords(p)))
+        assert phi(m) == phi_scale * value and psi(m) == psi_scale * value
+        assert isinstance(psi(m), int)
+
+
+def test_mora_divides_integer_coefficients_exactly(monkeypatch):
+    # with integer coefficients, reducing by a basis element of leading
+    # coefficient 1 divides two ints: the quotient must be exact, never a
+    # float (which the coefficients refuse)
+    gens = [X**2 + 2 * X * Y**2 + Y**5, X * Y + 3 * Y**4]
+    sb = standard_basis(Ideal(gens))
+    coefficients = [c for g in sb.elements for c in g.terms.values()]
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in coefficients)
+    assert Fraction(-9, 5) in coefficients
+    assert len(staircase_monomials(sb)) == macaulay_colength(gens) == 7
+    _force_mora(monkeypatch)
+    assert colength(Ideal(gens)) == 7
+    algebra = quotient_algebra(Ideal(gens))
+    assert algebra.dimension == 7
+    assert not any(algebra.coords(gens[0] * X + gens[1] * Y**2))
 
 
 def test_quotient_certificate_catches_a_missing_basis_element(monkeypatch):

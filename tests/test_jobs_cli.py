@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -228,6 +229,47 @@ def test_run_icis_report():
     assert code == 0
     assert report.values == {"gsv": 2, "milnor": 1, "radial": 1, "homological": 2}
     assert report.rules["gsv"] == "minors-ideal-colength"
+
+
+def test_icis_equation_off_the_origin_is_a_path_diagnostic():
+    payload = {
+        "variables": ["x", "y", "z"],
+        "equations": ["x^2 + y^2 + z^2", "x - y + 1"],
+        "form": ["0", "0", "1"],
+    }
+    report, code = run_job(doc("icis", payload))
+    assert code == 2
+    assert report.status == "rejected"
+    assert report.values == {
+        "diagnostics": [
+            {"path": "$.payload.equations[1]", "message": "equations must vanish at the origin"}
+        ]
+    }
+    assert validate(doc("icis", payload)) == report.values["diagnostics"]
+
+
+def test_an_elk_document_parses_each_polynomial_once(monkeypatch):
+    texts = []
+    real = jobs.parse_polynomial
+
+    def spy(text, *args, **kwargs):
+        texts.append(text)
+        return real(text, *args, **kwargs)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("singindex")]
+    for module in modules:
+        if getattr(module, "parse_polynomial", None) is real:
+            monkeypatch.setattr(module, "parse_polynomial", spy)
+    payload = {
+        "field": "R",
+        "variables": ["x", "y"],
+        "kind": "vector_field",
+        "data": ["x^3 + x*y^2", "y^3 - 2*x^2*y"],
+        "action": [[[-1, 0], [0, -1]]],
+    }
+    report, code = run_job(doc("elk", payload))
+    assert code == 0
+    assert texts == payload["data"]
 
 
 def test_exit_codes_stable_across_runs(tmp_path):

@@ -158,3 +158,65 @@ def test_derivative_and_substitute():
     assert shifted.evaluate([Fraction(-1), Fraction(2)]) == p.evaluate(
         [Fraction(0), Fraction(2)]
     )
+
+
+def _normal(p):
+    """Every coefficient is an int, or a Fraction that is not an integer;
+    never a float, never a Fraction with denominator 1."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values()
+    )
+
+
+def test_coefficients_are_ints_or_proper_fractions():
+    ctx = ("x", "y", "z")
+    texts = [
+        "x^2 + 2/3*x*y - z",
+        "4/2*x - 6/3*y^2 + z^3",
+        "(1/2*x + 1/2*y)^2 - 1/4*x^2",
+        "3*x*y*z - 3/1*z + 0/5*x + 7",
+        "-(x - 1/3)^3",
+    ]
+    polys = [parse_polynomial(t, ctx) for t in texts]
+    assert all(map(_normal, polys))
+    assert parse_polynomial("4/2*x", ctx).terms == {(1, 0, 0): 2}
+    assert type(parse_polynomial("4/2*x", ctx).coefficient((1, 0, 0))) is int
+    images = {"x": polys[2], "y": polys[0] * 3, "z": polys[4]}
+    for p in polys:
+        results = [
+            -p,
+            p**3,
+            p.scale(Fraction(3, 2)),
+            p.scale(Fraction(6, 3)),
+            p * Fraction(2),
+            p.substitute(images),
+            p.monic(LOCAL_ORDER),
+        ]
+        results += [p.derivative(v) for v in ctx]
+        for q in polys:
+            results += [p + q, p - q, p * q]
+        assert all(map(_normal, results))
+    # halves that add up to an integer are stored as one
+    half = Polynomial(CTX, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+    assert (half * 2).terms == {(1, 0): 1, (0, 1): 1}
+    assert all(type(c) is int for c in (half * 2 + half * 2).terms.values())
+    assert all(type(c) is int for c in (half + half).terms.values())
+    assert Polynomial.zero(CTX).constant_term() == 0
+    assert type(Polynomial.zero(CTX).coefficient((1, 1))) is int
+    # floats are refused, also where an operation takes a scalar
+    with pytest.raises(RejectedInputError):
+        Polynomial(CTX, {(1, 0): 0.5})
+    with pytest.raises(RejectedInputError):
+        X.scale(0.5)
+    with pytest.raises(RejectedInputError):
+        X.term_mul((1, 0), 2.0)
+
+
+def test_realify_keeps_coefficients_normal():
+    from singindex.smooth import realify
+
+    names, parts = realify(("z", "w"), ["z^3 + 1/2*z*w", "w^2 - 3/2*z^2*w"])
+    assert names == ("z_re", "z_im", "w_re", "w_im")
+    assert len(parts) == 4
+    assert all(map(_normal, parts))
+    assert parts[0].coefficient((3, 0, 0, 0)) == 1 and type(parts[0].coefficient((3, 0, 0, 0))) is int

@@ -6,10 +6,15 @@ import pytest
 
 from singindex.errors import NotIsolatedError, RejectedInputError
 from singindex.dual import dual_basis
+from singindex import grobner
 from singindex.grobner import DEFAULT_DEGREE_CAP, INFINITE, Ideal, QuotientAlgebra, quotient_algebra
 from singindex.jobs import run_job
-from singindex.linalg import symmetric_signature
-from singindex.oracles import boundary_degree_3d, macaulay_colength, winding_degree
+from singindex.oracles import (
+    boundary_degree_3d,
+    macaulay_colength,
+    signature_by_charpoly,
+    winding_degree,
+)
 from singindex.poly import Polynomial
 from singindex.smooth import (
     ELKForm,
@@ -240,7 +245,8 @@ def _equivariant_oracle(form, action):
     the averaging projector, whose trace is the invariant dimension.
     The stored functional is averaged over the group, its Gram matrix G
     is built from the full coordinate vectors of the basis products, and
-    the signature is that of P^T G P."""
+    the signature is that of P^T G P, read off its characteristic
+    polynomial."""
     algebra = form.algebra
     ctx = algebra.context
     n = algebra.dimension
@@ -276,7 +282,7 @@ def _equivariant_oracle(form, action):
         ]
         for i in range(n)
     ]
-    pos, neg, _zero = symmetric_signature(pt_g_p)
+    pos, neg, _zero = signature_by_charpoly(pt_g_p)
     return int(dimension), pos - neg
 
 
@@ -360,6 +366,43 @@ def test_elk_form_reads_the_gram_matrix_off_the_dual_columns(monkeypatch):
             custom = [-c for c in custom]
         assert elk_index(germ, functional=custom) == form.signature()
     assert calls == []
+
+
+def _gram_by_coords(form):
+    """[phi(b_i b_j)] from the full coordinates of the basis products."""
+    algebra = form.algebra
+    monomials = [Polynomial(algebra.context, {b: 1}) for b in algebra.basis]
+    return [
+        [sum(w * c for w, c in zip(form.functional, algebra.coords(p * q))) for q in monomials]
+        for p in monomials
+    ]
+
+
+def test_elk_gram_is_an_integer_matrix_over_one_denominator(monkeypatch):
+    # on the probe's route the Gram entries are the folded integer
+    # numerators; on the Mora fallback a product monomial without a
+    # column can give a half here (phi = the coordinate of x*y^4), and
+    # the whole matrix is then scaled once more
+    germ = VectorFieldGerm(
+        PLANE,
+        ["-x^5*y - x^3*y^3 - 2*x^2*y^3 - x^4 + 3/2*y^4", "2*x*y^5 - 3*x*y^3 - 3*y^4 - x^2*y"],
+        field="R",
+    )
+    probe = elk_form(germ)
+    star = probe.algebra.basis.index((1, 4))
+    functional = [int(k == star) for k in range(probe.algebra.dimension)]
+    assert probe.jacobian_coords[star] > 0
+    forms = [probe, elk_form(germ, functional=functional)]
+    monkeypatch.setattr(grobner, "dual_basis", lambda generators, degree_cap: None)
+    forms.append(elk_form(germ, functional=functional))
+    assert forms[2].algebra.functional(functional)[1] == 1
+    assert forms[2].denominator == 2
+    for form in forms:
+        assert all(type(v) is int for row in form.gram for v in row)
+        assert form.denominator > 0
+        expected = _gram_by_coords(form)
+        assert form.gram == [[form.denominator * v for v in row] for row in expected]
+        assert form.signature() == probe.signature() == 0
 
 
 def test_invariant_signature_one_dimensional():

@@ -44,6 +44,11 @@ def test_oracles_and_the_dual_route_share_no_code():
     assert "oracles" not in _imported_modules("dual.py")
 
 
+def test_the_signature_oracle_shares_no_code_with_linalg():
+    assert "linalg" not in _imported_modules("oracles.py")
+    assert "oracles" not in _imported_modules("linalg.py")
+
+
 def test_oracles_take_from_burnside_only_what_they_check_with():
     # the lattice and marks oracles must stay off the multiplication
     # table and the bitmask code of the paths they check
