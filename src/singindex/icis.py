@@ -6,15 +6,22 @@ generated by the f_r together with the maximal minors of the matrix
 stacking the differentials df_1, ..., df_{N-n} and the coefficient row of
 w.  Collections of 1-forms work the same way group by group.
 
-The Milnor number is computed by slicing: cutting V with a generic
-hyperplane H = l^{-1}(0) satisfies
+The Milnor number comes from the Le-Greuel formula (Le, Funct. Anal.
+Appl. 8, 1974; Greuel, Math. Ann. 214, 1975): if V is an ICIS of
+dimension n >= 1 and l is a linear form whose restriction to V has an
+isolated critical point, then V . H, H = l^{-1}(0), is again an ICIS and
 
-    mu(V) + mu(V . H) = colength(f, maximal minors of (df, dl)),
+    mu(V) + mu(V . H) = colength(f, maximal minors of (df, dl)).
 
-so a chain of generic linear forms descends to dimension zero, where the
-Milnor number is the multiplicity minus one.  The linear forms are the
-only random choices; results are certified seed independent by running
-the chain twice.
+No other genericity is needed.  A finite colength on the right is that
+hypothesis, certified: the critical points of l on V, and so the
+singular points of V, are then isolated.  A chain of linear forms
+l_1, ..., l_n whose colengths are all finite, ending at the
+zero-dimensional complete intersection V . H_1 ... H_n of finite
+multiplicity m (Milnor number m - 1), therefore meets the hypotheses at
+every step, and its alternating sum is exactly mu(V), whatever forms
+were drawn.  The linear forms are the only random choices; a draw whose
+colength is INFINITE is redrawn.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ from .grobner import (
 )
 from .poly import Polynomial, as_polynomial, jacobian_matrix, minors
 from .smooth import OneFormGerm
+
+# linear forms drawn for one slice before the chain gives up
+SLICE_DRAWS = 5
 
 
 class ICISGerm:
@@ -55,21 +65,20 @@ class ICISGerm:
 
     def gradient_rows(self):
         """Rows of the differentials df_r."""
-        if not self.equations:
-            return []
-        return jacobian_matrix(list(self.equations))
+        return jacobian_matrix(self.equations)
 
 
-def _stacked_minors_ideal(germ, extra_rows):
-    """Ideal of the equations plus the maximal minors of the matrix whose
-    rows are the equation differentials followed by `extra_rows`."""
-    rows = germ.gradient_rows() + [list(r) for r in extra_rows]
-    size = len(rows)
+def _stacked_minors_ideal(germ, *row_groups):
+    """Ideal of the equations plus, for each group of extra rows, the
+    non-zero maximal minors of the matrix whose rows are the equation
+    differentials followed by that group."""
     gens = list(germ.equations)
-    if size > 0:
-        if size > germ.ambient_dim:
+    gradient = germ.gradient_rows()
+    for extra_rows in row_groups:
+        rows = gradient + list(extra_rows)
+        if len(rows) > germ.ambient_dim:
             raise RejectedInputError("more forms than ambient dimension")
-        gens.extend(m for m in minors(rows, size) if not m.is_zero)
+        gens.extend(m for m in minors(rows, len(rows)) if not m.is_zero)
     if not gens:
         raise RejectedInputError("empty ideal: no equations and no forms")
     return Ideal(gens)
@@ -109,18 +118,15 @@ def gsv_index_collection(germ, partition, groups, degree_cap=DEFAULT_DEGREE_CAP)
         raise RejectedInputError("partition entries must be positive")
     if len(groups) != len(partition):
         raise RejectedInputError("need one group of forms per partition entry")
-    gens = list(germ.equations)
+    row_groups = []
     for k, group in zip(partition, groups):
         forms = [_as_form(germ, f) for f in group]
         if len(forms) != germ.dim - k + 1:
             raise RejectedInputError(
                 f"group for partition entry {k} needs {germ.dim - k + 1} forms"
             )
-        rows = germ.gradient_rows() + [list(f.coefficients) for f in forms]
-        gens.extend(m for m in minors(rows, len(rows)) if not m.is_zero)
-    if not gens:
-        raise RejectedInputError("empty ideal: no equations and no forms")
-    return colength(Ideal(gens), degree_cap)
+        row_groups.append([list(f.coefficients) for f in forms])
+    return colength(_stacked_minors_ideal(germ, *row_groups), degree_cap)
 
 
 def _as_form(germ, form):
@@ -136,85 +142,66 @@ def _as_form(germ, form):
 
 
 def _random_linear(ctx, rng):
+    """A non-zero linear form with coefficients drawn from [-9, 9]."""
     while True:
         coeffs = [rng.randint(-9, 9) for _ in ctx]
         if any(coeffs):
-            break
-    p = Polynomial.zero(ctx)
-    for c, name in zip(coeffs, ctx):
-        if c:
-            p = p + Polynomial.variable(ctx, name) * c
-    return p
+            units = [tuple(int(i == j) for j in range(len(ctx))) for i in range(len(ctx))]
+            return Polynomial(ctx, dict(zip(units, coeffs)))
 
 
 class _SliceRetry(Exception):
     pass
 
 
-def _milnor_chain(equations, ctx, rng, dim, degree_cap, retries=5):
-    """mu via the slicing recursion; raises _SliceRetry when a linear form
-    fails to be generic so the caller can redraw."""
-    if dim == 0:
-        c = colength(Ideal(list(equations)), degree_cap)
-        if c is INFINITE:
-            raise _SliceRetry
-        return c - 1
-    for _ in range(retries):
-        ell = _random_linear(ctx, rng)
-        grad = [[ell.derivative(j) for j in range(len(ctx))]]
-        rows = (
-            jacobian_matrix(list(equations)) if equations else []
-        ) + grad
-        gens = list(equations) + [
-            m for m in minors(rows, len(rows)) if not m.is_zero
-        ]
-        lg = colength(Ideal(gens), degree_cap)
-        if lg is INFINITE:
-            continue
-        try:
-            sub = _milnor_chain(
-                list(equations) + [ell], ctx, rng, dim - 1, degree_cap, retries
-            )
-        except _SliceRetry:
-            continue
-        return lg - sub
-    raise _SliceRetry
-
-
-def milnor_number(germ, seed=0, degree_cap=DEFAULT_DEGREE_CAP, certify=True):
-    """Milnor number of the complete intersection germ.
-
-    Randomness enters only through generic linear slices drawn from the
-    seeded generator; with `certify` the chain runs again from a second
-    seed and the two values must agree.
-    """
-    if not germ.equations:
-        return 0
+def _milnor_chain(germ, rng, degree_cap):
+    """mu of the germ by the slicing recursion; raises _SliceRetry when
+    every draw at some level meets an infinite colength."""
     if germ.dim == 0:
         c = colength(Ideal(list(germ.equations)), degree_cap)
         if c is INFINITE:
-            raise NotIsolatedError("zero-dimensional germ has infinite multiplicity")
+            raise _SliceRetry
         return c - 1
-
-    def run(s):
-        rng = random.Random(s)
+    for _ in range(SLICE_DRAWS):
+        ell = _random_linear(germ.variables, rng)
+        dl = [ell.derivative(j) for j in range(germ.ambient_dim)]
+        both = colength(_stacked_minors_ideal(germ, [dl]), degree_cap)
+        if both is INFINITE:
+            continue
+        sliced = ICISGerm(germ.variables, germ.equations + (ell,))
         try:
-            return _milnor_chain(
-                list(germ.equations), germ.variables, rng, germ.dim, degree_cap
-            )
+            return both - _milnor_chain(sliced, rng, degree_cap)
         except _SliceRetry:
-            raise GenericityError(
-                "no generic linear form found after repeated draws"
-            )
+            continue
+    raise _SliceRetry
 
-    value = run(seed)
-    if certify:
-        other = run(seed + 1)
-        if other != value:
-            raise GenericityError(
-                f"slice chain is seed dependent: {value} vs {other}"
+
+def milnor_number(germ, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
+    """Milnor number of the complete intersection germ.
+
+    One slice chain from ``random.Random(seed)``: by the Le-Greuel
+    formula (see the module docstring) mu(V) = colength(f, maximal minors
+    of (df, dl)) - mu(V . H) for every linear form l whose colength there
+    is finite, and that finite colength certifies the hypothesis, so the
+    value does not depend on the seed.  A draw with an INFINITE colength
+    is redrawn, up to SLICE_DRAWS times per slice.  When every draw
+    fails, raises NotIsolatedError if the singular-locus colength is
+    INFINITE (no linear form then has isolated critical points on V),
+    else GenericityError.
+    """
+    if not germ.equations:
+        return 0
+    try:
+        return _milnor_chain(germ, random.Random(seed), degree_cap)
+    except _SliceRetry:
+        if germ.dim == 0:
+            raise NotIsolatedError("zero-dimensional germ has infinite multiplicity")
+        if isolatedness_certificate(germ, degree_cap) is INFINITE:
+            raise NotIsolatedError(
+                "singular locus is not isolated: the colength of the equations "
+                "and the maximal minors of their Jacobian is INFINITE"
             )
-    return value
+        raise GenericityError("no generic linear form found after repeated draws")
 
 
 # ---------------------------------------------------------------------------

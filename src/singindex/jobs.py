@@ -481,12 +481,19 @@ def _parse_icis(job, payload):
     if "seed" in payload:
         job.seed = job.integer(payload["seed"], "$.payload.seed", "seed must be an integer")
     job.want = payload.get("want", ["gsv"])
-    job.require(
+    if job.require(
         isinstance(job.want, list)
         and all(w in ("gsv", "milnor", "radial", "homological") for w in job.want),
         "$.payload.want",
         "want entries must be gsv, milnor, radial, homological",
-    )
+    ):
+        needs_gsv = set(job.want) & {"gsv", "radial", "homological"}
+        job.require(
+            not (dim == 0 and job.form is not None and needs_gsv),
+            "$.payload.equations",
+            "the GSV index of a 1-form needs a germ of positive dimension: "
+            f"{n} equations in {n} variables leave dim V = 0",
+        )
 
 
 def _parse_form_groups(job, coll, n, dim):
@@ -861,7 +868,6 @@ ICIS_RULES = {
 def _run_icis(report, job, run_oracle):
     germ = ic.ICISGerm(job.variables, job.equations)
     want, seed, cap = job.want, job.seed, job.cap
-    report.options["seed"] = seed
     if job.groups is not None:
         if set(want) & {"radial", "homological"}:
             raise RejectedInputError(

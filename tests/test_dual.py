@@ -52,7 +52,8 @@ def _pullback(rng, exps):
 
 
 def _chain_ideals(germ):
-    """The ideals whose colengths the Milnor slice chain of the germ takes."""
+    """The ideals whose colengths the Milnor slice chains of the germ from
+    seeds 0 and 1 take."""
     seen = []
     real = icis.colength
 
@@ -62,7 +63,8 @@ def _chain_ideals(germ):
 
     icis.colength = record
     try:
-        milnor_number(germ)
+        for seed in (0, 1):
+            milnor_number(germ, seed)
     finally:
         icis.colength = real
     return seen

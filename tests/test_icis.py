@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from singindex import icis
 from singindex.errors import RejectedInputError
-from singindex.grobner import INFINITE, Ideal, colength
+from singindex.grobner import DEFAULT_DEGREE_CAP, INFINITE, Ideal, colength
 from singindex.icis import (
     ICISGerm,
     gsv_index_1form,
@@ -100,12 +102,51 @@ def test_milnor_of_smooth_germ_is_zero():
 
 
 def test_milnor_genericity_failure_on_non_icis():
-    from singindex.errors import GenericityError
+    from singindex.errors import NotIsolatedError
 
     # the surface xy = 0 has a whole singular line, so every slice chain
-    # hits an infinite colength and the retries run out
-    with pytest.raises(GenericityError):
+    # hits an infinite colength; the singular-locus colength then says why
+    with pytest.raises(NotIsolatedError):
         milnor_number(ICISGerm(SPACE, ["x*y"]))
+
+
+@pytest.mark.parametrize(
+    "equations, calls", [(["x^3 + y^3 + z^3"], 3), (["z - 2*x + y", "x^2 + 3*y^3"], 2)]
+)
+def test_milnor_number_runs_one_slice_chain(monkeypatch, equations, calls):
+    # one colength per slice plus one at dimension zero
+    seen = []
+    real = icis.colength
+
+    def spy(ideal, degree_cap=DEFAULT_DEGREE_CAP):
+        seen.append(ideal)
+        return real(ideal, degree_cap)
+
+    monkeypatch.setattr(icis, "colength", spy)
+    milnor_number(ICISGerm(SPACE, equations), seed=0)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_milnor_number_of_the_benchmark_germs_at_two_seeds(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import make_stream
+
+    jobs = [
+        job
+        for rnd in make_stream("local-colength", seed, 3)
+        for job in rnd
+        if job.doc["command"] == "icis"
+    ]
+    assert len(jobs) == 24
+    for job in jobs:
+        payload = job.doc["payload"]
+        germ = ICISGerm(payload["variables"], payload["equations"])
+        mu = job.expect["values"]["milnor"]
+        assert milnor_number(germ, seed=0) == milnor_number(germ, seed=1) == mu
+        if len(germ.equations) == 1:
+            (f,) = germ.equations
+            assert macaulay_colength([f.derivative(i) for i in range(3)]) == mu
 
 
 def test_radial_examples():

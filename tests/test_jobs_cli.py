@@ -248,6 +248,33 @@ def test_icis_equation_off_the_origin_is_a_path_diagnostic():
     assert validate(doc("icis", payload)) == report.values["diagnostics"]
 
 
+@pytest.mark.parametrize("equations", [["x*y"], ["0"], ["x^2+y^2", "z^2"]])
+@pytest.mark.parametrize(
+    "want", [["gsv"], ["milnor"], ["gsv", "milnor"], ["radial"], ["homological"]]
+)
+def test_a_germ_with_a_non_isolated_singular_locus_exits_3_for_every_want(equations, want):
+    payload = {"variables": ["x", "y", "z"], "equations": equations, "form": ["x", "y", "z"], "want": want}
+    report, code = run_job(doc("icis", payload))
+    assert code == 3, report.values
+    assert report.status == "non-isolated"
+
+
+@pytest.mark.parametrize("want", [["gsv"], ["radial"], ["homological"], ["milnor", "gsv"]])
+def test_a_1_form_index_on_a_zero_dimensional_germ_is_refused_at_parse_time(want):
+    payload = {"variables": ["x", "y"], "equations": ["x^2 - y^3", "y^2 + x^3"], "form": ["1", "0"], "want": want}
+    report, code = run_job(doc("icis", payload))
+    assert code == 2
+    assert [d["path"] for d in report.values["diagnostics"]] == ["$.payload.equations"]
+    assert validate(doc("icis", payload)) == report.values["diagnostics"]
+
+
+def test_the_milnor_number_of_a_zero_dimensional_germ_still_runs():
+    payload = {"variables": ["x", "y"], "equations": ["x^2 - y^3", "y^2 + x^3"], "form": ["1", "0"], "want": ["milnor"]}
+    report, code = run_job(doc("icis", payload))
+    assert code == 0
+    assert report.values == {"milnor": 3}
+
+
 def test_an_elk_document_parses_each_polynomial_once(monkeypatch):
     texts = []
     real = jobs.parse_polynomial
