@@ -37,25 +37,60 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
 * **Classes.**  The certified vectors then span the functionals on the
   polynomials of degree at most D0 that vanish on I, and m^(D0+1) lies
   in I: a polynomial is in I exactly when all of them vanish on its
-  terms of degree at most D0, and its class is the combination of the
-  free monomials with those values as coefficients.  The pivot of each
-  echelon row sits at its leading monomial under ``LOCAL_ORDER``, so
-  for all but finitely many primes the free monomials are the staircase
-  of Mora's standard basis of I.  The certificate proves that they are
-  a basis of the local algebra, not that they are that staircase.
+  terms, and its class is the combination of the free monomials with
+  those values as coefficients.  A monomial without a column, or one
+  where every vector is 0, has class 0.  The free columns of the
+  vectors reduced over the columns in ascending ``LOCAL_ORDER`` are
+  the pivots of that reduction, so for all but finitely many primes
+  they are the staircase of Mora's standard basis of I.  The
+  certificate proves that they are a basis of the local algebra, not
+  that they are that staircase.
 
-* **Sparse matrices.**  :func:`certified_dual_basis` lifts and checks
-  the dual basis of any sparse matrix in echelon form the same way.
-  Mora's fallback in ``grobner.quotient_algebra`` hands it the rows
-  that the border of a standard basis staircase needs, not the whole
-  Macaulay matrix.
+* **Integration.**  Past ``MAX_COLUMNS`` the probe stops, and
+  :func:`integrated_dual_basis` builds the local dual I^perp order by
+  order (Mourrain, JPAA 117-118, 1997; Mantzaflaris-Mourrain,
+  ISSAC 2011).  A functional L is fixed by L(1) and its shifts
+  L|x_i : p -> L(x_i p), and L lies in I^perp exactly when it vanishes
+  on every generator and its shifts lie in I^perp.  So with a basis of
+  the functionals of order below k, those of order k are the solutions
+  of a linear system in 1 + n * dim unknowns, L(1) and the coefficients
+  of each L|x_i in that basis: the shifts commute,
+  (L|x_a)|x_b = (L|x_b)|x_a, and L vanishes on every generator.  Mod
+  the prime, the new functionals are the solutions that vanish at the
+  free columns found so far; each is reduced to a new free column of
+  degree k, and the basis only grows.  The first order that adds
+  nothing ends the run; an order at the degree cap that still adds one
+  raises DegreeCapError.  Then the union of the supports, closed under
+  division (by construction), is the column set C, and the proposal is
+  certified over C:
+  1. the rows m*g that meet C are those with m in C, because C is
+     closed under division; the vectors are lifted as for the probe, and
+     the exact check that they annihilate those rows puts their span W
+     inside I^perp, so the colength is at least mu;
+  2. the nullity of those rows mod p is mu, so W is their whole rational
+     null space; a shift of a vector of W is supported on C and
+     annihilates the rows, so W is closed under shifts;
+  3. one more integration step over the vectors of W, scaled to
+     integers, has nullity mu mod p, so its rational solutions, the
+     functionals of I^perp whose shifts lie in W, are W alone (its
+     commutation rows are read at the free columns only, which by 2
+     suffices; a rank mod p never exceeds the rational rank).  A
+     functional of I^perp outside W of minimal order would have all
+     its shifts in W, so there is none: W = I^perp and the colength
+     is mu.
+  Like the probe's certificate, this proves the colength from both
+  sides and every class exactly; the Mora fallback it replaces took the
+  dimension from a standard basis that nothing checked, and could only
+  check that its classes came from some quotient of O/I.  A proposal
+  that fails goes to the next prime, and past the last one the run
+  stops with an internal error.
 
 An unlucky prime or a wrong reconstruction can only make the check
-fail; then the next prime is tried, and past the last one the caller
-falls back to Mora's standard basis (or, in that fallback, stops with
-an internal error).  Nothing here guesses INFINITE.
-This route shares no code with ``oracles.macaulay_colength``, which
-recomputes the same dimensions over the rationals for the tests.
+fail.  Then the next prime is tried; past the last one the probe
+returns None, and the caller asks Mora's standard basis whether the
+colength is infinite before it integrates.  Nothing here decides
+INFINITE.  This route shares no code with ``oracles.macaulay_colength``,
+which recomputes the same dimensions over the rationals for the tests.
 """
 
 from __future__ import annotations
@@ -63,8 +98,8 @@ from __future__ import annotations
 from math import comb, isqrt, lcm
 from typing import NamedTuple
 
-from .errors import InternalCheckError
-from .poly import monomials_up_to_degree
+from .errors import DegreeCapError, InternalCheckError
+from .poly import LOCAL_ORDER, monomials_up_to_degree
 
 # 61-bit primes, 2^61 - 1 and the five below it; the first one runs the
 # probe, the certificate uses as many as the reconstruction needs
@@ -83,11 +118,13 @@ MAX_COLUMNS = 300
 
 
 class DualBasis(NamedTuple):
-    """A certified dual basis.  `columns` are monomials in column order:
-    those of degree at most D0 for M_D0, fewer for a sparse matrix;
-    `vectors` maps the index of each free column to its vector, as
-    (integer numerators, one per column, positive denominator).  The
-    colength is len(vectors)."""
+    """A certified dual basis.  `columns` are monomials sorted by
+    ``LOCAL_ORDER`` from the largest down: those of degree at most D0 for
+    the probe, the supports of the vectors closed under division for the
+    integration route; `vectors` maps the index of each free column to
+    its vector, as (integer numerators, one per column, positive
+    denominator).  Every vector is 0 at a monomial without a column.
+    The colength is len(vectors)."""
 
     columns: list
     vectors: dict
@@ -119,14 +156,175 @@ def dual_basis(generators, degree_cap):
     return None
 
 
-def certified_dual_basis(rows, columns):
-    """Certified dual basis of a sparse matrix in echelon form: `rows` are
-    dicts column index -> non-zero integer, the first column of each row
-    is its pivot, and no two rows share one, so the rank is the number of
-    rows.  The free columns are the columns without a pivot; None when
-    the vectors do not lift and certify."""
-    pivots = _echelon(rows, len(columns), PRIMES[0])
-    return _certified(rows, columns, len(columns) - len(rows), pivots)
+def integrated_dual_basis(generators, degree_cap):
+    """Certified dual basis of the germ ideal spanned by the generators,
+    built by integration order by order (see the module docstring); for
+    germs past the probe's bound.  Its columns are the supports of the
+    vectors closed under division.  Raises DegreeCapError when the local
+    dual still grows at the degree cap, and InternalCheckError when no
+    prime certifies it."""
+    if any(g.constant_term() != 0 for g in generators):
+        return DualBasis([], {})
+    gens = [_integer_terms(g) for g in generators if not g.is_zero]
+    nvars = len(generators[0].context)
+    for p in PRIMES:
+        dual = _certified_integration(gens, nvars, _integrate(gens, nvars, degree_cap, p), p)
+        if dual is not None:
+            return dual
+    raise InternalCheckError("no prime certifies the integrated local dual")
+
+
+def _integrate(gens, nvars, degree_cap, p):
+    """The local dual mod p, order by order: functionals as dicts
+    monomial -> non-zero residue, each 1 at its free column and 0 at the
+    free columns of the others.  Raises DegreeCapError when the order of
+    the degree cap still adds functionals."""
+    zero = (0,) * nvars
+    basis, free = [{zero: 1}], [zero]
+    for order in range(1, degree_cap + 1):
+        ncols = 1 + nvars * len(basis)
+        rows = _integration_rows(gens, basis, free, nvars, p, free)
+        nulls = _null_vectors(_echelon(rows, ncols, p), ncols, p)
+        if not nulls:
+            return basis
+        # the new functionals vanish at the old free columns; each gets
+        # its own at the smallest monomial of its support under
+        # LOCAL_ORDER, of degree `order`, which no older one reaches
+        added = []
+        for vector in nulls.values():
+            f = _integral(vector, basis, nvars, p)
+            for q, g in added:
+                f = _eliminate(f, q, g, p)
+            q = min(f, key=LOCAL_ORDER.key)
+            inv = pow(f[q], -1, p)
+            f = {m: v * inv % p for m, v in f.items()}
+            added = [(r, _eliminate(g, q, f, p)) for r, g in added]
+            added.append((q, f))
+        free += [q for q, _ in added]
+        basis += [f for _, f in added]
+    raise DegreeCapError(
+        f"the local dual did not stabilize below the degree cap {degree_cap}: "
+        f"order {degree_cap} still added functionals, to dimension {len(basis)} (mod p)"
+    )
+
+
+def _integration_rows(gens, basis, free, nvars, p, vanish=()):
+    """Rows mod p, as sparse dicts, of the integration system over
+    `basis`: functionals as dicts monomial -> non-zero residue, each
+    non-zero at its own monomial of `free` and 0 at the others'.  With d
+    functionals, unknown 0 is L(1) and unknown 1 + i*d + j the coefficient
+    of basis[j] in the shift L|x_i; L(x^a) for a != 0 is the value of
+    L|x_i at x^a/x_i for the first variable x_i of x^a.  The rows say that
+    the shifts commute, that L vanishes on every generator, and that L
+    vanishes at every monomial of `vanish`.  When the span of the basis
+    is closed under shifts, both sides of (L|x_a)|x_b = (L|x_b)|x_a lie
+    in it, so they agree when they agree at the monomials of `free`:
+    the commutation rows are read there only."""
+    d = len(basis)
+    at = {}
+    for j, f in enumerate(basis):
+        for m, v in f.items():
+            at.setdefault(m, []).append((j, v))
+
+    def value(m):
+        # L(m) as (first unknown, [(j, coefficient)]): unknown 0 at m = 1
+        for i, e in enumerate(m):
+            if e:
+                return 1 + i * d, at.get(m[:i] + (e - 1,) + m[i + 1:], ())
+        return 0, ((0, 1),)
+
+    rows = []
+    for terms in gens:
+        row = {}
+        for _, m, c in terms:
+            base, entries = value(m)
+            for j, v in entries:
+                row[base + j] = (row.get(base + j, 0) + c * v) % p
+        rows.append({k: v for k, v in row.items() if v})
+    for m in vanish:
+        base, entries = value(m)
+        rows.append({base + j: v for j, v in entries})
+    # (L|x_a)|x_b - (L|x_b)|x_a at q: sum over j of the coefficient of
+    # basis[j] in L|x_a times basis[j](x_b q), minus the same with a, b
+    # swapped; the entries of the basis are non-zero residues
+    for a in range(nvars):
+        for b in range(a + 1, nvars):
+            for q in free:
+                row = {}
+                base = 1 + a * d
+                for j, v in at.get(q[:b] + (q[b] + 1,) + q[b + 1:], ()):
+                    row[base + j] = v
+                base = 1 + b * d
+                for j, v in at.get(q[:a] + (q[a] + 1,) + q[a + 1:], ()):
+                    row[base + j] = p - v
+                rows.append(row)
+    return [row for row in rows if row]
+
+
+def _integral(vector, basis, nvars, p):
+    """The functional L of a solution of the integration system over
+    `basis` (see :func:`_integration_rows`), as a dict monomial -> non-zero
+    residue."""
+    d = len(basis)
+    out = {(0,) * nvars: vector[0]}
+    for i in range(nvars):
+        for j, f in enumerate(basis):
+            c = vector[1 + i * d + j]
+            if c:
+                for m, v in f.items():
+                    if not any(m[:i]):
+                        a = m[:i] + (m[i] + 1,) + m[i + 1:]
+                        out[a] = (out.get(a, 0) + c * v) % p
+    return {m: v for m, v in out.items() if v}
+
+
+def _eliminate(f, q, g, p):
+    """f minus f(q) times g, where g is 1 at q, mod p, without zero
+    entries."""
+    c = f.get(q)
+    if not c:
+        return f
+    out = dict(f)
+    for m, v in g.items():
+        w = (out.get(m, 0) - c * v) % p
+        if w:
+            out[m] = w
+        else:
+            del out[m]
+    return out
+
+
+def _certified_integration(gens, nvars, functionals, p):
+    """The certified dual basis of the integrated functionals (mod p),
+    or None; the three checks are those of the module docstring."""
+    closed = set()
+    todo = [m for f in functionals for m in f]
+    while todo:
+        m = todo.pop()
+        if m not in closed:
+            closed.add(m)
+            todo += (m[:i] + (e - 1,) + m[i + 1:] for i, e in enumerate(m) if e)
+    columns = LOCAL_ORDER.sorted_descending(closed)
+    rows = _macaulay_rows(gens, columns, sum(columns[-1]))
+    dual = _certified(rows, columns, len(functionals), _echelon(rows, len(columns), PRIMES[0]))
+    if dual is None or not _plateau(gens, nvars, dual, p):
+        return None
+    return dual
+
+
+def _plateau(gens, nvars, dual, p):
+    """True when one more integration step over the certified vectors,
+    their integer numerators mod p, has nullity mod p equal to their
+    number: then no functional outside their span has all its shifts in
+    it."""
+    columns = dual.columns
+    free = [columns[f] for f in dual.vectors]
+    basis = [
+        {columns[k]: v % p for k, v in enumerate(nums) if v % p} for nums, _ in dual.vectors.values()
+    ]
+    ncols = 1 + nvars * len(basis)
+    pivots = _echelon(_integration_rows(gens, basis, free, nvars, p), ncols, p)
+    return ncols - len(pivots) == len(basis)
 
 
 def _probe_bounds(nvars, degree_cap):
@@ -152,8 +350,10 @@ def _integer_terms(poly):
 
 
 def _macaulay_rows(gens, columns, bound):
-    """Rows of M_bound as sparse dicts column -> integer coefficient;
-    rows that truncate to zero are left out.
+    """Rows of the Macaulay matrix as sparse dicts column -> integer
+    coefficient: the products m*g with m a column, truncated above the
+    bound and restricted to the columns, which are monomials of degree at
+    most the bound; rows that restrict to zero are left out.
 
     Monomials of degree <= bound are keyed by their exponents read as
     digits in base bound + 1, so the key of a product is the sum of the
@@ -177,7 +377,10 @@ def _macaulay_rows(gens, columns, bound):
             for d, k, c in terms:
                 if d > room:
                     break
-                row[index[mk + k]] = c
+                try:
+                    row[index[mk + k]] = c
+                except KeyError:
+                    pass  # a product without a column
             if row:
                 rows.append(row)
     return rows

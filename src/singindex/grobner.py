@@ -12,17 +12,18 @@ elements of the localized ideal) but only determines classes up to a unit
 factor (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
 the chapter on Mora's normal form).
 
-Colengths and classes take another route first.  :func:`colength` and
+Colengths and classes take another route.  :func:`colength` and
 :func:`quotient_algebra` hand the ideal to ``singindex.dual``: a modular
 rank of Macaulay matrices proposes the colength mu at the first plateau
 D0 of the truncated dimensions, and an exact rational dual basis
 certifies dim_Q(D0) >= mu >= dim_Q(D0+1), which with monotonicity and
 Nakayama makes mu the colength.  The same dual basis gives the
-coordinates of every class in the local algebra.  Mora's standard basis
-is only the fallback, for ideals the probe cannot certify: germs that
-are not isolated, and germs past its size bound.  There the classes
-come from a sparse Macaulay matrix of standard basis multiples, as
-many rows as the border of the staircase needs.
+coordinates of every class in the local algebra.  When that probe
+certifies nothing (germs that are not isolated, and germs past its size
+bound), Mora's standard basis only decides whether the colength is
+infinite; every finite colength and every algebra comes from a
+certified dual basis, past the probe's bound from the integration route
+of ``singindex.dual``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .dual import DualBasis, certified_dual_basis, dual_basis
+from .dual import dual_basis, integrated_dual_basis
 from .errors import (
     DegreeCapError,
     InternalCheckError,
@@ -46,9 +47,7 @@ from .poly import (
     monomial_degree,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
     monomial_quotient,
-    monomials_up_to_degree,
 )
 
 
@@ -129,17 +128,6 @@ def _check_cap(poly, cap):
         )
 
 
-def _truncate(poly, bound):
-    """Drop all terms of total degree above the bound (reduction modulo
-    the corresponding power of the maximal ideal)."""
-    if poly.degree() <= bound:
-        return poly
-    return Polynomial(
-        poly.context,
-        {m: c for m, c in poly.terms.items() if monomial_degree(m) <= bound},
-    )
-
-
 class _WorkBudget:
     """Terms a run of weak normal forms may still reduce; spending past
     zero raises DegreeCapError."""
@@ -153,21 +141,18 @@ class _WorkBudget:
             raise DegreeCapError("plain completion spent its work budget")
 
 
-def _normal_form_mora(p, basis, cap, truncation=None, budget=None):
+def _normal_form_mora(p, basis, cap, budget=None):
     """Mora's weak normal form with ecart control.
 
     Returns h with leading monomial not divisible by any basis leading
     term; h is u*p reduced for some unit u of the local ring, so h == 0
-    exactly when p lies in the localized ideal.  With a truncation bound,
-    arithmetic happens modulo the corresponding power of the maximal
-    ideal, which bounds every intermediate degree.  A work budget is
+    exactly when p lies in the localized ideal.  A work budget is
     charged the terms of h at every step.
     """
-    h = p if truncation is None else _truncate(p, truncation)
+    h = p
     pool = [(lt, lc, g, _ecart(g, lt)) for (lt, lc, g) in basis]
     while not h.is_zero:
-        if truncation is None:
-            _check_cap(h, cap)
+        _check_cap(h, cap)
         if budget is not None:
             budget.spend(len(h.terms))
         lm, lc = h.leading_term(LOCAL_ORDER)
@@ -179,8 +164,6 @@ def _normal_form_mora(p, basis, cap, truncation=None, budget=None):
         if best[3] > h_ecart:
             pool.append((lm, lc, h, h_ecart))
         h = h - best[2].term_mul(monomial_quotient(lm, best[0]), Fraction(lc, best[1]))
-        if truncation is not None:
-            h = _truncate(h, truncation)
     return h
 
 
@@ -227,7 +210,7 @@ class StandardBasis:
         return self.normal_form(p, degree_cap).is_zero
 
 
-def _completion(generators, degree_cap, truncation=None, budget=None):
+def _completion(generators, degree_cap, budget=None):
     """Mora's pair-completion loop.
 
     S-pairs are processed by minimal lcm total degree with a
@@ -236,8 +219,6 @@ def _completion(generators, degree_cap, truncation=None, budget=None):
     """
     basis = []
     for g in generators:
-        if truncation is not None:
-            g = _truncate(g, truncation)
         if g.is_zero:
             continue
         g = g.monic(LOCAL_ORDER)
@@ -256,7 +237,7 @@ def _completion(generators, degree_cap, truncation=None, budget=None):
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
         s = _spoly(lead[i][0], basis[i], lead[j][0], basis[j])
-        h = _normal_form_mora(s, lead, degree_cap, truncation, budget)
+        h = _normal_form_mora(s, lead, degree_cap, budget)
         if h.is_zero:
             continue
         h = h.monic(LOCAL_ORDER)
@@ -280,60 +261,6 @@ def _completion(generators, degree_cap, truncation=None, budget=None):
     return [basis[i] for i in keep]
 
 
-def _staircase_count_below(lead_monomials, nvars, bound):
-    """Number of monomials of degree <= bound outside the given leading
-    terms; equals dim of the quotient by (ideal + m^(bound+1))."""
-    count = 0
-    for mono in monomials_up_to_degree(nvars, bound + 1):
-        if not any(monomial_divides(lt, mono) for lt in lead_monomials):
-            count += 1
-    return count
-
-
-def _deepened_local_basis(ideal, degree_cap):
-    """Local standard basis via Mora completion truncated modulo rising
-    powers of the maximal ideal.
-
-    Truncation at bound B computes a standard basis of I + m^(B+1); the
-    staircase count below B is the dimension of that quotient.  Two
-    consecutive equal counts force (Nakayama) m^B into the localized
-    ideal, so the truncated basis, extended by the degree-B boundary
-    monomials outside its leading terms, is a genuine standard basis of
-    the germ ideal.  No stabilization below the degree cap means the run
-    is abandoned; this path never guesses INFINITE.
-    """
-    ctx = ideal.context
-    nvars = len(ctx)
-    previous = None
-    for bound in range(1, degree_cap + 1):
-        elements = _completion(ideal.generators, degree_cap, truncation=bound)
-        if not elements:
-            previous = None
-            continue
-        if any(e.min_degree() == 0 for e in elements):
-            # a unit appeared: the ideal is the whole local ring
-            return elements
-        lead = [e.leading_term(LOCAL_ORDER)[0] for e in elements]
-        count = _staircase_count_below(lead, nvars, bound)
-        if previous is not None and count == previous:
-            boundary = [
-                Polynomial(ctx, {mono: 1})
-                for mono in _monomials_of_exact_degree(nvars, bound)
-                if not any(monomial_divides(lt, mono) for lt in lead)
-            ]
-            return elements + boundary
-        previous = count
-    raise DegreeCapError(
-        f"local basis did not stabilize below the degree cap {degree_cap}"
-    )
-
-
-def _monomials_of_exact_degree(nvars, degree):
-    return [
-        m for m in monomials_up_to_degree(nvars, degree + 1) if monomial_degree(m) == degree
-    ]
-
-
 def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """Compute a minimal standard basis of the germ ideal by Mora's
     algorithm under ``LOCAL_ORDER``.
@@ -342,11 +269,7 @@ def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     with the cap doubled, up to the degree cap, until a run completes or
     the reruns have reduced ``PLAIN_RERUN_WORK`` terms in all: a
     completed run is a standard basis whatever its cap, finite staircase
-    or not.  Past that, the computation restarts truncated modulo powers
-    of the maximal ideal with iterative deepening, which returns exactly
-    the same leading-term data for the germ whenever it stabilizes (and
-    aborts with DEGREE_CAP otherwise).  Deepening never finds an infinite
-    staircase.
+    or not.  When no run completes, DegreeCapError is raised.
     """
     max_degree = max(g.degree() for g in ideal.generators)
     soft_cap = min(degree_cap, max(12, 2 * max_degree + 4))
@@ -354,16 +277,14 @@ def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP):
         minimal = _completion(ideal.generators, soft_cap)
     except DegreeCapError:
         minimal = _plain_reruns(ideal.generators, soft_cap, degree_cap)
-        if minimal is None:
-            minimal = _deepened_local_basis(ideal, degree_cap)
     minimal = sorted(minimal, key=lambda g: LOCAL_ORDER.key(g.leading_term(LOCAL_ORDER)[0]))
     return StandardBasis(minimal, ideal)
 
 
 def _plain_reruns(generators, cap, degree_cap):
     """Plain completion with the cap doubled after each failed run, up to
-    the degree cap, under one work budget for all runs; None when no run
-    completes."""
+    the degree cap, under one work budget for all runs; DegreeCapError
+    when no run completes."""
     budget = _WorkBudget(PLAIN_RERUN_WORK)
     while cap < degree_cap:
         cap = min(2 * cap, degree_cap)
@@ -371,8 +292,8 @@ def _plain_reruns(generators, cap, degree_cap):
             return _completion(generators, cap, budget=budget)
         except DegreeCapError:
             if budget.left < 0:
-                return None
-    return None
+                raise
+    raise DegreeCapError(f"plain completion did not finish below the degree cap {degree_cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +339,30 @@ def staircase_monomials(sb):
     return out
 
 
+# The benchmark's traced run (perfbench/spans.py) wraps this name, which
+# was deepening's staircase count, and adds its time to the staircase
+# layer; it stays bound to the staircase until the benchmark drops it.
+_staircase_count_below = staircase_monomials
+
+
+def _local_dual(ideal, degree_cap):
+    """The certified dual basis of the ideal (see ``singindex.dual``), or
+    INFINITE.  The probe answers first.  When it certifies nothing,
+    Mora's standard basis decides only whether the staircase is infinite;
+    a finite one, or a completion that does not finish, goes to the
+    integration route, which raises DegreeCapError when the local dual
+    still grows at the degree cap."""
+    dual = dual_basis(ideal.generators, degree_cap)
+    if dual is not None:
+        return dual
+    try:
+        if not is_zero_dimensional(standard_basis(ideal, degree_cap=degree_cap)):
+            return INFINITE
+    except DegreeCapError:
+        pass
+    return integrated_dual_basis(ideal.generators, degree_cap)
+
+
 def colength(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """dim of the local quotient by the ideal, as a rational vector space;
     INFINITE when the ideal is not zero-dimensional.
@@ -428,19 +373,13 @@ def colength(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     matrix at the first plateau D0.  The certificate proves
     dim_Q(D0) >= mu >= dim_Q(D0+1) for the quotients by I + m^(D+1); they
     never shrink as D grows, so both equal mu, and by Nakayama mu is the
-    colength.  Only when that route certifies nothing does Mora's
-    standard basis count the staircase.  That fallback alone returns
-    INFINITE, and raises DegreeCapError when it completes nothing below
-    the degree cap.
+    colength.  When that probe certifies nothing, Mora's standard basis
+    alone returns INFINITE, and every finite colength is the size of a
+    dual basis that ``dual.integrated_dual_basis`` certifies; it raises
+    DegreeCapError when the local dual still grows at the degree cap.
     """
-    dual = dual_basis(ideal.generators, degree_cap)
-    if dual is not None:
-        return len(dual.vectors)
-    sb = standard_basis(ideal, degree_cap=degree_cap)
-    stairs = staircase_monomials(sb)
-    if stairs is INFINITE:
-        return INFINITE
-    return len(stairs)
+    dual = _local_dual(ideal, degree_cap)
+    return INFINITE if dual is INFINITE else len(dual.vectors)
 
 
 def localized_colength(ideal, point, degree_cap=DEFAULT_DEGREE_CAP):
@@ -459,28 +398,20 @@ class QuotientAlgebra:
 
     The basis monomials are the free columns of the dual basis, sorted
     ascending, and the class of 1 is the unit (for the unit ideal the
-    basis is empty and the algebra is zero).  The coordinates of the
-    class of a column monomial are the values of the dual vectors there.
-    Every monomial above the top column degree D0 lies in I.  A monomial
-    of degree at most D0 without a column is x_i*u, and its class is the
-    sum over the basis monomials b of class(u)_b * class(x_i*b).  The
-    columns of the Macaulay probe are all the monomials of degree at most
-    D0; those of the Mora fallback (see :func:`quotient_algebra`) are the
-    basis and its border, which holds every x_i*b of degree at most D0.
-    A polynomial lies in I exactly when its coordinates all vanish.
+    basis is empty and the algebra is zero).  The dual vectors span the
+    functionals that vanish on I, so the coordinates of the class of a
+    monomial with a column are the values of the dual vectors there, and
+    any other monomial has class 0.  A polynomial lies in I exactly when
+    its coordinates all vanish.
     """
 
     def __init__(self, ideal, dual):
         self.ideal = ideal
         self.context = ideal.context
         self._column = {m: k for k, m in enumerate(dual.columns)}
-        self._top = max(map(monomial_degree, dual.columns), default=-1)
-        n = len(self.context)
-        self._variables = [tuple(int(k == i) for k in range(n)) for i in range(n)]
         self.basis = tuple(sorted((dual.columns[f] for f in dual.vectors), key=GLOBAL_ORDER.key))
         self.dimension = len(self.basis)
         self._vectors = [dual.vectors[self._column[m]] for m in self.basis]
-        self._products = {}
         if self.basis and self.basis[0] != (0,) * len(self.context):
             raise InternalCheckError("unit monomial missing from quotient basis")
 
@@ -488,57 +419,31 @@ class QuotientAlgebra:
         """Coordinates of the class of poly in the monomial basis."""
         if poly.context != self.context:
             raise RejectedInputError("context mismatch in quotient reduction")
-        terms, products = [], []
+        terms = []
         for m, c in poly.terms.items():
             k = self._column.get(m)
             if k is not None:
                 terms.append((k, c))
-            elif monomial_degree(m) <= self._top:
-                products.append((m, c))
         scale = lcm(*(c.denominator for _, c in terms))
         terms = [(k, c.numerator * (scale // c.denominator)) for k, c in terms]
-        out = [
+        return [
             Fraction(sum(a * nums[k] for k, a in terms), scale * den)
             for nums, den in self._vectors
         ]
-        for m, c in products:
-            for k, v in enumerate(self._monomial_coords(m)):
-                out[k] += c * v
-        return out
 
     def reduce(self, poly):
         """Canonical representative supported on the basis monomials."""
         cs = self.coords(poly)
         return Polynomial(self.context, dict(zip(self.basis, cs)))
 
-    def _monomial_coords(self, m):
-        k = self._column.get(m)
-        if k is not None:
-            return tuple(Fraction(nums[k], den) for nums, den in self._vectors)
-        if monomial_degree(m) > self._top:
-            return (Fraction(0),) * self.dimension
-        out = self._products.get(m)
-        if out is None:
-            x = self._variables[next(i for i, e in enumerate(m) if e)]
-            out = [Fraction(0)] * self.dimension
-            for a, b in zip(self._monomial_coords(monomial_quotient(m, x)), self.basis):
-                if a:
-                    for k, v in enumerate(self._monomial_coords(monomial_mul(x, b))):
-                        out[k] += a * v
-            out = self._products[m] = tuple(out)
-        return out
-
     def functional(self, weights):
         """The functional phi(p) = sum_k weights[k] * coords(p)[k], for
         rational weights, as (scaled, scale): a positive integer scale
-        and a memoized function of a monomial m whose value is
+        and a function of a monomial m whose value is the integer
         scale * phi(m).  The weights fold once into one integer vector
         over the columns, scale times the sum of weights[k] times dual
-        vector k; scaled at a column monomial is one entry of it, an
-        int, and 0 above the top column degree.  Only a monomial of
-        degree at most the top without a column (one of the Mora
-        fallback's) goes through its coordinates; its value is exact but
-        need not be an integer."""
+        vector k; scaled at a column monomial is one entry of it, and 0
+        at any other monomial."""
         terms = [(Fraction(w), nums, den) for w, (nums, den) in zip(weights, self._vectors) if w]
         scale = lcm(*(w.denominator * den for w, _, den in terms))
         folded = [0] * len(self._column)
@@ -547,134 +452,26 @@ class QuotientAlgebra:
             for k, v in enumerate(nums):
                 if v:
                     folded[k] += factor * v
-        values = {}
+        column = self._column
 
         def scaled(m):
-            value = values.get(m)
-            if value is None:
-                k = self._column.get(m)
-                if k is not None:
-                    value = folded[k]
-                elif monomial_degree(m) > self._top:
-                    value = 0
-                else:
-                    coords = self._monomial_coords(m)
-                    value = scale * sum((w * c for w, c in zip(weights, coords) if w), Fraction(0))
-                values[m] = value
-            return value
+            k = column.get(m)
+            return 0 if k is None else folded[k]
 
         return scaled, scale
-
-    def _certify_multiplication(self):
-        """Check exactly that the classes come from a quotient of O/I:
-        multiplication by a variable raises the degree of every basis
-        monomial (so it is nilpotent), multiplications by two variables
-        commute, and every generator of I has class 0.  Then taking
-        coordinates is a map of O-modules from O/I onto Q^dimension, which
-        sends the basis monomials to the unit vectors.  Images are kept
-        sparse, {coordinate: non-zero value}."""
-        times = [
-            [
-                {t: v for t, v in enumerate(self._monomial_coords(monomial_mul(x, b))) if v}
-                for b in self.basis
-            ]
-            for x in self._variables
-        ]
-        degree = [monomial_degree(b) for b in self.basis]
-        if any(
-            degree[t] <= degree[s]
-            for column in times
-            for s, image in enumerate(column)
-            for t in image
-        ):
-            raise InternalCheckError("multiplication by a variable keeps a degree")
-
-        def apply(column, vec):
-            out = {}
-            for s, a in vec.items():
-                for t, v in column[s].items():
-                    out[t] = out.get(t, 0) + a * v
-            return {t: v for t, v in out.items() if v}
-
-        if any(
-            apply(ti, tj[s]) != apply(tj, ti[s])
-            for i, ti in enumerate(times)
-            for tj in times[:i]
-            for s in range(self.dimension)
-        ):
-            raise InternalCheckError("multiplications by two variables do not commute")
-        if any(any(self.coords(g)) for g in self.ideal.generators):
-            raise InternalCheckError("a generator of the ideal has a non-zero class")
 
 
 def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """Quotient algebra with a certified monomial basis and exact
     multiplication.
 
-    The dual probe goes first, as in :func:`colength`; its certificate
-    proves the dimension and makes every coordinate exact.  When it
-    certifies nothing, Mora's standard basis decides: NotIsolatedError
-    when the colength is infinite.  Otherwise its staircase S is the
-    basis, m^(T+1) lies in I for the top staircase degree T, and
-    :func:`_border_dual_basis` gives the classes of S and of its border.
-    The dimension is then Mora's, as in :func:`colength`, and the classes
-    are certified to be those of a quotient of O/I of that dimension.
-    The unit ideal gives the zero algebra.
+    The dual basis is that of :func:`colength`: the probe's, or past its
+    bound the integration route's, after Mora's standard basis has found
+    the staircase finite or not finished.  Its certificate proves the
+    dimension and makes every coordinate exact.  NotIsolatedError when
+    the colength is infinite; the unit ideal gives the zero algebra.
     """
-    dual = dual_basis(ideal.generators, degree_cap)
-    if dual is not None:
-        return QuotientAlgebra(ideal, dual)
-    sb = standard_basis(ideal, degree_cap=degree_cap)
-    stairs = staircase_monomials(sb)
-    if stairs is INFINITE:
+    dual = _local_dual(ideal, degree_cap)
+    if dual is INFINITE:
         raise NotIsolatedError("ideal is not zero-dimensional: singular point not isolated")
-    algebra = QuotientAlgebra(ideal, _border_dual_basis(sb, stairs))
-    algebra._certify_multiplication()
-    return algebra
-
-
-def _border_dual_basis(sb, stairs):
-    """Certified dual basis of the staircase and its border, of degree at
-    most the top staircase degree T.
-
-    The border monomials seed a sparse Macaulay matrix: every monomial u
-    of degree at most T outside the staircase that it reaches gets one
-    row, the multiple of a standard basis element (the shortest one) with
-    leading monomial u, truncated above T, whose other monomials it
-    reaches in turn.  Under ``LOCAL_ORDER`` from the largest down the
-    pivot of each row is its first column, and the staircase monomials
-    are the free columns.  The cost follows the rows that the border
-    needs, not the number of monomials of degree at most T."""
-    top = max(map(monomial_degree, stairs))
-    n = len(sb.ideal.context)
-    wanted = set(stairs) | {
-        monomial_mul(s, tuple(int(k == i) for k in range(n))) for s in stairs for i in range(n)
-    }
-    lead = sorted(zip(sb.leading_monomials(), sb.elements), key=lambda e: len(e[1].terms))
-    reached = set(stairs)
-    rows = []
-    todo = list(wanted)
-    while todo:
-        u = todo.pop()
-        if u in reached or monomial_degree(u) > top:
-            continue
-        reached.add(u)
-        lt, g = next(e for e in lead if monomial_divides(e[0], u))
-        row = _truncate(g.term_mul(monomial_quotient(u, lt), 1), top)
-        rows.append(row)
-        todo.extend(row.terms)
-    columns = LOCAL_ORDER.sorted_descending(reached)
-    index = {m: k for k, m in enumerate(columns)}
-    matrix = []
-    for row in rows:
-        scale = lcm(*(c.denominator for c in row.terms.values()))
-        matrix.append({index[m]: int(c * scale) for m, c in row.terms.items()})
-    dual = certified_dual_basis(matrix, columns)
-    if dual is None:
-        raise InternalCheckError("no dual basis certifies the standard basis staircase")
-    keep = [k for k, m in enumerate(columns) if m in wanted]
-    position = {k: i for i, k in enumerate(keep)}
-    vectors = {
-        position[f]: ([nums[k] for k in keep], den) for f, (nums, den) in dual.vectors.items()
-    }
-    return DualBasis([columns[k] for k in keep], vectors)
+    return QuotientAlgebra(ideal, dual)

@@ -797,14 +797,12 @@ def _run_smooth(report, job, run_oracle):
             report.flags.append("NONSINGULAR")
         if job.action:
             action = sm.GroupAction(variables, job.action)
-            report.put(
-                "invariant_dimension",
-                sm.invariant_dimension(form.algebra, action),
-                "trace-average-over-group",
-            )
+            # one invariance check and one Reynolds projector for both values
+            columns, dimension = sm._reynolds(form.algebra, action)
+            report.put("invariant_dimension", dimension, "trace-average-over-group")
             report.put(
                 "invariant_signature",
-                sm.invariant_signature(form, action),
+                sm._invariant_signature(form, columns, dimension),
                 "signature-on-invariant-subspace",
             )
         if run_oracle:

@@ -211,10 +211,8 @@ def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
     signature does not depend on the choice.  Either one is folded once
     into an integer vector over the dual basis columns, scale times phi
     (``QuotientAlgebra.functional``), and each Gram entry is a lookup at
-    the column of the product monomial.  A product monomial of the Mora
-    fallback without a column may give a non-integral entry; then the
-    whole matrix is multiplied by the lcm of their denominators, so the
-    Gram matrix is always integral over one positive denominator.
+    the column of the product monomial, or 0 without one: the Gram
+    matrix is integral over the positive denominator scale.
     """
     if vf.field != "R":
         raise RejectedInputError("the signature index needs the real ground field tag")
@@ -242,10 +240,7 @@ def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
     scaled, scale = algebra.functional(functional)
     basis = algebra.basis
     gram = [[scaled(monomial_mul(a, b)) for b in basis] for a in basis]
-    extra = lcm(*(v.denominator for row in gram for v in row))
-    if extra != 1:
-        gram = [[int(v * extra) for v in row] for row in gram]
-    return ELKForm(algebra, jac_coords, functional, gram, scale * extra)
+    return ELKForm(algebra, jac_coords, functional, gram, scale)
 
 
 def elk_index(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
@@ -329,11 +324,16 @@ def ideal_is_invariant(algebra, action):
     )
 
 
-def _reynolds_columns(algebra, action):
-    """The Reynolds projector of the action on the algebra, by columns:
-    the coordinates of R(b) = (1/|G|) * sum over g of b(g x), for each
-    basis monomial b.  One coordinate computation per basis monomial, on
-    the sum over g, which keeps integer coefficients integers."""
+def _reynolds(algebra, action):
+    """The Reynolds projector of the action on the algebra, by columns,
+    and its trace, after checking that the ideal is invariant.  Column b
+    holds the coordinates of R(b) = (1/|G|) * sum over g of b(g x), for
+    each basis monomial b: one coordinate computation per basis
+    monomial, on the sum over g, which keeps integer coefficients
+    integers.  R is idempotent, so its trace is the dimension of its
+    image, the invariant subspace."""
+    if not ideal_is_invariant(algebra, action):
+        raise RejectedInputError("ideal is not invariant under the action")
     ctx = algebra.context
     images = [action.substitution(g) for g in action.elements]
     columns = []
@@ -341,25 +341,17 @@ def _reynolds_columns(algebra, action):
         mono = Polynomial(ctx, {b: 1})
         total = sum((mono.substitute(i) for i in images), Polynomial.zero(ctx))
         columns.append([Fraction(c, action.order) for c in algebra.coords(total)])
-    return columns
-
-
-def _trace(columns):
-    """Trace of the Reynolds projector: the dimension of its image, the
-    invariant subspace, since R is idempotent."""
-    value = sum((column[j] for j, column in enumerate(columns)), Fraction(0))
-    if value.denominator != 1:
+    trace = sum((column[j] for j, column in enumerate(columns)), Fraction(0))
+    if trace.denominator != 1:
         raise InternalCheckError("trace average failed to be an integer")
-    return int(value)
+    return columns, int(trace)
 
 
 def invariant_dimension(algebra, action):
     """Dimension of the subspace of the quotient algebra fixed by the
     action: the trace of the Reynolds projector, which is 1/|G| times the
     sum of the traces of the group elements."""
-    if not ideal_is_invariant(algebra, action):
-        raise RejectedInputError("ideal is not invariant under the action")
-    return _trace(_reynolds_columns(algebra, action))
+    return _reynolds(algebra, action)[1]
 
 
 def invariant_signature(form, action):
@@ -379,13 +371,15 @@ def invariant_signature(form, action):
     to integers first, and G is an integer matrix, so the product is
     formed in ints; the positive square of the scale changes no sign.
     """
-    algebra = form.algebra
-    if not ideal_is_invariant(algebra, action):
-        raise RejectedInputError("ideal is not invariant under the action")
-    n = algebra.dimension
+    return _invariant_signature(form, *_reynolds(form.algebra, action))
+
+
+def _invariant_signature(form, columns, dimension):
+    """invariant_signature from the Reynolds projector's columns and
+    trace, as :func:`_reynolds` gives them."""
+    n = form.algebra.dimension
     if n == 0:
         return 0
-    columns = _reynolds_columns(algebra, action)
     averaged = [sum(f * c for f, c in zip(form.functional, column)) for column in columns]
     if sum(a * j for a, j in zip(averaged, form.jacobian_coords)) <= 0:
         raise RejectedInputError(
@@ -401,7 +395,7 @@ def invariant_signature(form, action):
     g_p = [[sum(row[l] * c for l, c in col) for row in g] for col in sparse]
     restricted = [[sum(c * gp[k] for k, c in col) for gp in g_p] for col in sparse]
     pos, neg, zero = symmetric_signature(restricted)
-    if zero != n - _trace(columns):
+    if zero != n - dimension:
         raise InternalCheckError("pairing degenerated on the invariant subspace")
     return pos - neg
 

@@ -1,13 +1,17 @@
 """The dual route for colengths and quotient algebras: a mod-p Macaulay
-probe proposes, an exact rational dual basis certifies, and Mora's
-standard basis is only the fallback."""
+probe proposes and an exact rational dual basis certifies; past the
+probe's bound the integration route does, and Mora's standard basis only
+decides INFINITE."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from singindex import dual, grobner, icis
+from singindex.cli import main
 from singindex.errors import InternalCheckError
 from singindex.grobner import (
     INFINITE,
@@ -76,6 +80,11 @@ def _dual_count(ideal):
     return None if basis is None else len(basis.vectors)
 
 
+def _integrated_count(ideal):
+    """The colength certified by the integration route."""
+    return len(dual.integrated_dual_basis(ideal.generators, grobner.DEFAULT_DEGREE_CAP).vectors)
+
+
 def _mora_count(ideal, degree_cap=grobner.DEFAULT_DEGREE_CAP):
     stairs = staircase_monomials(standard_basis(ideal, degree_cap))
     return INFINITE if stairs is INFINITE else len(stairs)
@@ -99,6 +108,8 @@ def _seeded_ideals():
 
 
 def test_three_routes_agree_on_isolated_germs():
+    # the probe, the integration route and the Macaulay oracle (Mora's
+    # standard basis no longer counts a finite staircase)
     ideals = _seeded_ideals()
     assert len(ideals) > 10
     for ideal in ideals:
@@ -106,7 +117,7 @@ def test_three_routes_agree_on_isolated_germs():
         assert columns == LOCAL_ORDER.sorted_descending(columns)
         certified = _dual_count(ideal)
         assert certified is not None, ideal
-        assert certified == _mora_count(ideal) == macaulay_colength(list(ideal.generators))
+        assert certified == _integrated_count(ideal) == macaulay_colength(list(ideal.generators))
         assert colength(ideal) == certified
 
 
@@ -141,22 +152,25 @@ def test_exit_4_germ_is_infinite_at_every_cap(cap):
 @pytest.mark.parametrize(
     "names, k, index", [(XYZ, 11, 1), (("x", "y", "z", "w", "v"), 40, 0), (("x", "y", "z", "w"), 40, 0)]
 )
-def test_isolated_germ_past_the_probe_bound_goes_through_mora(monkeypatch, names, k, index):
-    # D0 = k - 1 needs more than MAX_COLUMNS columns: Mora gives the
-    # staircase 1, x, ..., x^(k-1), and the sparse matrix of its border has
-    # one row y*x^i, z*x^i, ... per border monomial of degree below k, not
-    # one column per monomial of degree at most k
+def test_isolated_germ_past_the_probe_bound_goes_through_the_integration_route(
+    monkeypatch, names, k, index
+):
+    # D0 = k - 1 needs more than MAX_COLUMNS columns: Mora only finds the
+    # staircase finite, and the integration route's columns are the
+    # supports 1, x, ..., x^(k-1) of its functionals, where no product
+    # m*g lands: no Macaulay row at all, not one column per monomial of
+    # degree at most k
     data = [f"x^{k}"] + list(names[1:])
     assert dual.dual_basis(_ideal(data, names).generators, grobner.DEFAULT_DEGREE_CAP) is None
     calls = _count_mora(monkeypatch)
     shapes = []
-    real = grobner.certified_dual_basis
+    real = dual._certified
 
-    def spy(rows, columns):
-        shapes.append((len(rows), len(columns)))
-        return real(rows, columns)
+    def spy(rows, columns, mu, pivots):
+        shapes.append((len(rows), len(columns), mu))
+        return real(rows, columns, mu, pivots)
 
-    monkeypatch.setattr(grobner, "certified_dual_basis", spy)
+    monkeypatch.setattr(dual, "_certified", spy)
     report, code = run_job({"command": "elk", "payload": {"variables": list(names), "data": data}})
     assert code == 0
     assert report.values == {"index": index}
@@ -164,8 +178,7 @@ def test_isolated_germ_past_the_probe_bound_goes_through_mora(monkeypatch, names
         "algebra_dimension": k,
         "algebra_basis": ["1", "x"] + [f"x^{e}" for e in range(2, k)],
     }
-    border = (len(names) - 1) * (k - 1)
-    assert len(calls) == 1 and shapes == [(border, k + border)]
+    assert len(calls) == 1 and shapes == [(0, k, k)]
 
 
 def _certificate_of(ideal, monkeypatch):
@@ -302,3 +315,138 @@ def test_non_isolated_germs_reach_mora(monkeypatch):
         report, code = run_job({"command": "smooth-index", "payload": {"variables": list(XYZ), "data": data}})
         assert code == 3
     assert len(calls) == 2
+
+
+PAST_THE_PROBE = [
+    ("smooth-index", XYZ, ["x^4 + y*z^2 - y", "4*x*y^2*z + y^3 - 5*z", "-2*x*y^2*z + z^2"]),
+    ("smooth-index", XYZ, ["x^4 + 2*x^2*z^2 + 5*x*z^3", "y^4 - 2*x^2 - 5*x*y", "-2*y^2*z + z^3"]),
+    ("smooth-index", XYZ, ["x^4 - x*y - 4*y*z", "x^4 + y^4", "z^3 + 4*x"]),
+    ("elk", XYZ, ["x^11", "y", "z"]),
+    ("elk", ("x", "y", "z", "w"), ["x^40", "y", "z", "w"]),
+    ("elk", ("x", "y", "z", "w", "v"), ["x^40", "y", "z", "w", "v"]),
+]
+
+
+@pytest.fixture(scope="module")
+def stream_run():
+    """One pass over the documents of the dual-heavy streams (3 rounds of
+    seeds 1-3), a round of small jobs and the germs past the probe's
+    bound, spying on where each dual basis comes from.  Returns the
+    local duals as (result, the certified dual bases and the standard
+    bases computed for it), and the generators of every ideal the probe
+    certified with its basis and degree cap."""
+    duals, probed = [], {}
+    seen = {"certified": [], "mora": []}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import make_stream
+
+        real_probe, real_route = grobner.dual_basis, grobner.integrated_dual_basis
+        real_mora, real_local = grobner.standard_basis, grobner._local_dual
+
+        def probe(generators, degree_cap):
+            out = real_probe(generators, degree_cap)
+            if out is not None:
+                probed[tuple(generators)] = (out, degree_cap)
+            seen["certified"].append(out)
+            return out
+
+        def route(generators, degree_cap):
+            seen["certified"].append(real_route(generators, degree_cap))
+            return seen["certified"][-1]
+
+        def mora(ideal, degree_cap=grobner.DEFAULT_DEGREE_CAP):
+            seen["mora"].append(real_mora(ideal, degree_cap))
+            return seen["mora"][-1]
+
+        def local(ideal, degree_cap):
+            seen["certified"], seen["mora"] = [], []
+            out = real_local(ideal, degree_cap)
+            duals.append((out, seen["certified"], seen["mora"]))
+            return out
+
+        patch.setattr(grobner, "dual_basis", probe)
+        patch.setattr(grobner, "integrated_dual_basis", route)
+        patch.setattr(grobner, "standard_basis", mora)
+        patch.setattr(grobner, "_local_dual", local)
+        patch.setattr(grobner, "staircase_monomials", None)
+        documents = [
+            job.doc
+            for workload, rounds in (("local-colength", 3), ("elk-signature", 3), ("small-jobs", 1))
+            for seed in (1, 2, 3)
+            for rnd in make_stream(workload, seed, rounds)
+            for job in rnd
+        ]
+        documents += [
+            {"command": command, "payload": {"variables": list(names), "data": data}}
+            for command, names, data in PAST_THE_PROBE
+        ]
+        for document in documents:
+            run_job(document)
+    return duals, probed
+
+
+def test_mora_only_decides_infinite(stream_run):
+    # every finite colength and algebra is the size or the basis of the
+    # last dual basis that the probe or the integration route certified;
+    # INFINITE only follows a standard basis with an infinite staircase,
+    # and the staircase itself is never listed
+    duals, _ = stream_run
+    routed = 0
+    for out, certified, mora in duals:
+        if out is INFINITE:
+            assert [grobner.is_zero_dimensional(sb) for sb in mora] == [False]
+        else:
+            assert out is certified[-1]
+            routed += len(certified) == 2
+    assert sum(out is INFINITE for out, _, _ in duals) > 5
+    assert len(duals) > 300 and routed == len(PAST_THE_PROBE)
+
+
+def test_integration_route_matches_the_probe_on_the_stream_ideals(stream_run):
+    # every ideal the probe certifies in the streams, through the
+    # integration route instead: the same colength, the same free
+    # columns, and the same vector values on the route's columns, which
+    # are the columns where some probe vector is not 0
+    _, probed = stream_run
+    assert len(probed) > 300
+    for generators, (probe, cap) in probed.items():
+        route = dual.integrated_dual_basis(list(generators), cap)
+        assert len(route.vectors) == len(probe.vectors)
+        assert {route.columns[f] for f in route.vectors} == {probe.columns[f] for f in probe.vectors}
+        index = {m: k for k, m in enumerate(route.columns)}
+        for f, (nums, den) in probe.vectors.items():
+            got, got_den = route.vectors[index[probe.columns[f]]]
+            assert got_den == den
+            assert nums == [got[index[m]] if m in index else 0 for m in probe.columns]
+
+
+# a dense germ that is not isolated: the factor x + y + z + x^2 makes its
+# zero set a surface, and Mora's plain runs do not finish
+SURFACE_GERM = [
+    "(x + y + z + x^2)*(-3*x^2*z - 4*x*y*z + 5*x + 2*y*z + x)",
+    "(x + y + z + x^2)*(4*y^2*z - x^2*z^2 - 4*x - 5*x^2*y^2 + y)",
+    "(x + y + z + x^2)*(-4*x^2*z + z)",
+]
+
+
+def test_a_local_dual_that_still_grows_at_the_cap_says_where(tmp_path, capsys):
+    document = {
+        "command": "smooth-index",
+        "payload": {"variables": list(XYZ), "data": SURFACE_GERM},
+        "options": {"degree_cap": 6},
+    }
+    report, code = run_job(document)
+    assert code == 4 and report.status == "aborted"
+    assert report.values["error"] == (
+        "the local dual did not stabilize below the degree cap 6: "
+        "order 6 still added functionals, to dimension 29 (mod p)"
+    )
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(document))
+    assert main(["smooth-index", str(path), "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["values"] == report.values
+    assert "Traceback" not in captured.out + captured.err
+
+

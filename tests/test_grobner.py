@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -202,7 +203,9 @@ def test_quotient_rejects_non_isolated():
         quotient_algebra(Ideal([X * Y]))
 
 
-def _force_mora(monkeypatch):
+def _force_route(monkeypatch):
+    # the probe certifies nothing, so Mora decides and the integration
+    # route builds the dual basis
     monkeypatch.setattr(grobner, "dual_basis", lambda generators, degree_cap: None)
 
 
@@ -210,34 +213,32 @@ def _force_mora(monkeypatch):
     "gens",
     [[X**2 + Y**3, X * Y], [X**2 - Y**3, Y**4], [X**3 + Y**4, X * Y**2 - Y**5], [X**2 * Y + Y**4, X**3 - X * Y**2]],
 )
-def test_mora_fallback_gives_the_probe_algebra(monkeypatch, gens):
-    # the fallback keeps only the columns of the staircase and its border
-    # and multiplies up the classes of the other monomials
+def test_integration_route_gives_the_probe_algebra(monkeypatch, gens):
+    # the route keeps only the columns where some functional is not 0;
+    # every other monomial has class 0 on both routes
     ideal = Ideal(gens)
     probe = quotient_algebra(ideal)
     probes = [Polynomial(CTX, {m: Fraction(1)}) for m in monomials_up_to_degree(2, 9)]
     probes.append(sum(probes[3:], gens[0]) * gens[1] + X * Y)
-    _force_mora(monkeypatch)
-    mora = quotient_algebra(ideal)
-    assert mora.basis == probe.basis
-    assert [mora.coords(p) for p in probes] == [probe.coords(p) for p in probes]
+    _force_route(monkeypatch)
+    route = quotient_algebra(ideal)
+    assert route.basis == probe.basis
+    assert [route.coords(p) for p in probes] == [probe.coords(p) for p in probes]
     products = [
         Polynomial(CTX, {monomial_mul(a, b): Fraction(1)})
         for a in probe.basis
         for b in probe.basis
     ]
-    assert [mora.coords(p) for p in products] == [probe.coords(p) for p in products]
-    # a functional folded over the dual columns agrees too, also on the
-    # fallback's monomials without a column
+    assert [route.coords(p) for p in products] == [probe.coords(p) for p in products]
+    # a functional folded over the dual columns agrees too, as integers
+    # over one positive integer scale
     weights = [Fraction(k + 1, 2 * k + 3) for k in range(probe.dimension)]
-    # (scale times the functional, over that positive integer scale); the
-    # probe's values are all integers
-    (phi, phi_scale), (psi, psi_scale) = mora.functional(weights), probe.functional(weights)
+    (phi, phi_scale), (psi, psi_scale) = route.functional(weights), probe.functional(weights)
     for p in probes[:-1]:
         (m,) = p.terms
         value = sum(w * c for w, c in zip(weights, probe.coords(p)))
         assert phi(m) == phi_scale * value and psi(m) == psi_scale * value
-        assert isinstance(psi(m), int)
+        assert isinstance(phi(m), int) and isinstance(psi(m), int)
 
 
 def test_mora_divides_integer_coefficients_exactly(monkeypatch):
@@ -250,7 +251,7 @@ def test_mora_divides_integer_coefficients_exactly(monkeypatch):
     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in coefficients)
     assert Fraction(-9, 5) in coefficients
     assert len(staircase_monomials(sb)) == macaulay_colength(gens) == 7
-    _force_mora(monkeypatch)
+    _force_route(monkeypatch)
     assert colength(Ideal(gens)) == 7
     algebra = quotient_algebra(Ideal(gens))
     assert algebra.dimension == 7
@@ -258,9 +259,11 @@ def test_mora_divides_integer_coefficients_exactly(monkeypatch):
 
 
 def test_quotient_certificate_catches_a_missing_basis_element(monkeypatch):
+    ideal = Ideal([X**2 + Y**3, X * Y])
+    sound = quotient_algebra(ideal).basis
     # without x*y the staircase of (x^2 + y^3, x*y) stays finite but has
-    # 8 monomials instead of 5: no quotient of O/I has that dimension, and
-    # the multiplication check of the Mora fallback must refuse it
+    # 8 monomials instead of 5; Mora only decides that it is finite, so
+    # the algebra is still the certified one
     real = grobner.standard_basis
 
     def lossy(ideal, degree_cap=grobner.DEFAULT_DEGREE_CAP):
@@ -269,36 +272,58 @@ def test_quotient_certificate_catches_a_missing_basis_element(monkeypatch):
         assert len(kept) == len(sb.elements) - 1
         return grobner.StandardBasis(kept, sb.ideal)
 
-    _force_mora(monkeypatch)
+    _force_route(monkeypatch)
     monkeypatch.setattr(grobner, "standard_basis", lossy)
+    assert quotient_algebra(ideal).basis == sound
+    # a proposal without its functional of top order, y^3 here, lifts and
+    # annihilates the Macaulay rows over its own columns, so only the
+    # plateau step can refuse it
+    real_integrate, real_plateau = dual._integrate, dual._plateau
+    lifted, plateaus = [], []
+
+    def dropped(gens, nvars, degree_cap, p):
+        functionals = real_integrate(gens, nvars, degree_cap, p)
+        return functionals[:-1]
+
+    def plateau(gens, nvars, basis, p):
+        lifted.append(len(basis.vectors))
+        plateaus.append(real_plateau(gens, nvars, basis, p))
+        return plateaus[-1]
+
+    monkeypatch.setattr(dual, "_integrate", dropped)
+    monkeypatch.setattr(dual, "_plateau", plateau)
     with pytest.raises(InternalCheckError):
-        quotient_algebra(Ideal([X**2 + Y**3, X * Y]))
+        quotient_algebra(ideal)
+    assert lifted == [4] * len(dual.PRIMES) and plateaus == [False] * len(dual.PRIMES)
 
 
-def test_mora_fallback_refuses_every_tampered_border_entry(monkeypatch):
-    # one unit added to the class of one border monomial, at every basis
-    # coordinate: each check of the multiplication refuses some of them
-    ideal = Ideal([X**2 + Y**3, X * Y])
-    sb = standard_basis(ideal)
-    border = grobner._border_dual_basis(sb, staircase_monomials(sb))
-    _force_mora(monkeypatch)
-    refusals = []
-    for f, (nums, den) in border.vectors.items():
-        for k in range(len(nums)):
-            if k in border.vectors:
+def test_integration_route_refuses_every_tampered_entry(monkeypatch):
+    # one unit added to one entry of one lifted vector, at every column
+    # that is not free: the exact annihilation check refuses each
+    ideal = Ideal([X**3 + Y**4, X * Y**2 - Y**5])
+    seen = []
+    real = dual.certify_dual_basis
+
+    def spy(rows, ncols, free, vectors):
+        real(rows, ncols, free, vectors)
+        seen.append((rows, ncols, free, vectors))
+
+    _force_route(monkeypatch)
+    monkeypatch.setattr(dual, "certify_dual_basis", spy)
+    algebra = quotient_algebra(ideal)
+    monkeypatch.undo()
+    ((rows, ncols, free, vectors),) = seen
+    assert len(free) == algebra.dimension == 10
+    refused = 0
+    for f, (nums, den) in vectors.items():
+        for k in range(ncols):
+            if k in vectors:
                 continue
-            vectors = {**border.vectors, f: (nums[:k] + [nums[k] + den] + nums[k + 1 :], den)}
-            tampered = grobner.DualBasis(border.columns, vectors)
-            monkeypatch.setattr(grobner, "_border_dual_basis", lambda sb, stairs: tampered)
-            with pytest.raises(InternalCheckError) as err:
-                quotient_algebra(ideal)
-            refusals.append(str(err.value))
-    assert len(refusals) == 15
-    assert set(refusals) == {
-        "multiplication by a variable keeps a degree",
-        "multiplications by two variables do not commute",
-        "a generator of the ideal has a non-zero class",
-    }
+            tampered = {**vectors, f: (nums[:k] + [nums[k] + 1] + nums[k + 1 :], den)}
+            with pytest.raises(InternalCheckError):
+                dual.certify_dual_basis(rows, ncols, free, tampered)
+            refused += 1
+    assert refused == 10 * (ncols - 10) == 30
 
 
 def _corrupt_lifted_dual_bases(monkeypatch, times):
@@ -335,7 +360,8 @@ def test_no_algebra_on_a_corrupted_dual_basis(monkeypatch, gens):
     assert [algebra.coords(p) for p in probes] == [sound.coords(p) for p in probes]
     # corrupted at every prime: no algebra at all
     monkeypatch.undo()
-    done = _corrupt_lifted_dual_bases(monkeypatch, len(dual.PRIMES) + 10)
+    # (the probe and then the integration route, at each of its primes)
+    done = _corrupt_lifted_dual_bases(monkeypatch, math.inf)
     with pytest.raises(InternalCheckError):
         quotient_algebra(ideal)
     assert done

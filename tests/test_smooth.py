@@ -6,8 +6,8 @@ import pytest
 
 from singindex.errors import NotIsolatedError, RejectedInputError
 from singindex.dual import dual_basis
-from singindex import grobner
-from singindex.grobner import DEFAULT_DEGREE_CAP, INFINITE, Ideal, QuotientAlgebra, quotient_algebra
+from singindex import grobner, smooth
+from singindex.grobner import DEFAULT_DEGREE_CAP, INFINITE, Ideal, quotient_algebra
 from singindex.jobs import run_job
 from singindex.oracles import (
     boundary_degree_3d,
@@ -329,9 +329,24 @@ def test_invariant_parts_of_the_benchmark_documents_match_the_oracle(monkeypatch
         if job.family.startswith("elk-action")
     ]
     assert len(jobs) == 12
+    # one invariance check and one Reynolds projector per document
+    projectors = []
+    real = smooth._reynolds
+
+    def spy(algebra, action):
+        projectors.append(action)
+        return real(algebra, action)
+
+    monkeypatch.setattr(smooth, "_reynolds", spy)
+    checks = []
+    real_check = smooth.ideal_is_invariant
+    monkeypatch.setattr(smooth, "ideal_is_invariant", lambda *args: checks.append(args) or real_check(*args))
     for job in jobs:
+        projectors.clear()
+        checks.clear()
         report, code = run_job(job.doc)
         assert code == 0
+        assert len(projectors) == len(checks) == 1
         payload = job.doc["payload"]
         form = elk_form(VectorFieldGerm(payload["variables"], payload["data"], field="R"))
         action = GroupAction(payload["variables"], payload["action"])
@@ -343,21 +358,22 @@ def test_invariant_parts_of_the_benchmark_documents_match_the_oracle(monkeypatch
 
 
 def test_elk_form_reads_the_gram_matrix_off_the_dual_columns(monkeypatch):
-    # on the probe's route every product monomial of degree at most D0 is
-    # a column, so neither functional needs the multiplication recursion
-    calls = []
-    real = QuotientAlgebra._monomial_coords
-
-    def spy(self, m):
-        calls.append(m)
-        return real(self, m)
-
-    monkeypatch.setattr(QuotientAlgebra, "_monomial_coords", spy)
+    # every product of two basis monomials is a column or has class 0, on
+    # the probe's route and on the integration route alike, so each Gram
+    # entry is one entry of the folded functional, for the default
+    # functional and for a custom one
     germs = [VectorFieldGerm(PLANE, c, field="R") for c, _ in ELK_CASES]
     germs += [VectorFieldGerm(("x", "y", "z"), c, field="R") for c, _ in SPACE_CASES]
+    probes = []
     for germ in germs:
         assert dual_basis(list(germ.components), DEFAULT_DEGREE_CAP) is not None
+        probes.append(elk_form(germ))
+    monkeypatch.setattr(grobner, "dual_basis", lambda generators, degree_cap: None)
+    for germ, probe in zip(germs, probes):
         form = elk_form(germ)
+        assert form.algebra.basis == probe.algebra.basis
+        assert (form.gram, form.denominator) == (probe.gram, probe.denominator)
+        assert form.gram == [[form.denominator * v for v in row] for row in _gram_by_coords(form)]
         custom = [Fraction(k % 3 - 1, k + 1) for k in range(form.algebra.dimension)]
         value = sum(c * j for c, j in zip(custom, form.jacobian_coords))
         if value == 0:
@@ -365,7 +381,6 @@ def test_elk_form_reads_the_gram_matrix_off_the_dual_columns(monkeypatch):
         elif value < 0:
             custom = [-c for c in custom]
         assert elk_index(germ, functional=custom) == form.signature()
-    assert calls == []
 
 
 def _gram_by_coords(form):
@@ -379,10 +394,9 @@ def _gram_by_coords(form):
 
 
 def test_elk_gram_is_an_integer_matrix_over_one_denominator(monkeypatch):
-    # on the probe's route the Gram entries are the folded integer
-    # numerators; on the Mora fallback a product monomial without a
-    # column can give a half here (phi = the coordinate of x*y^4), and
-    # the whole matrix is then scaled once more
+    # the Gram entries are the folded integer numerators over the
+    # functional's scale, on the integration route too (phi = the
+    # coordinate of x*y^4 here)
     germ = VectorFieldGerm(
         PLANE,
         ["-x^5*y - x^3*y^3 - 2*x^2*y^3 - x^4 + 3/2*y^4", "2*x*y^5 - 3*x*y^3 - 3*y^4 - x^2*y"],
@@ -395,8 +409,8 @@ def test_elk_gram_is_an_integer_matrix_over_one_denominator(monkeypatch):
     forms = [probe, elk_form(germ, functional=functional)]
     monkeypatch.setattr(grobner, "dual_basis", lambda generators, degree_cap: None)
     forms.append(elk_form(germ, functional=functional))
-    assert forms[2].algebra.functional(functional)[1] == 1
-    assert forms[2].denominator == 2
+    assert forms[2].algebra.functional(functional)[1] == forms[2].denominator
+    assert (forms[2].gram, forms[2].denominator) == (forms[1].gram, forms[1].denominator)
     for form in forms:
         assert all(type(v) is int for row in form.gram for v in row)
         assert form.denominator > 0
