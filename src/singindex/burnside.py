@@ -609,12 +609,9 @@ def equivariant_euler(group, strata):
 
 def equivariant_radial_index(group, orbit_records):
     """Class of the singular set with multiplicities: sum over orbit
-    records of localIndex times [G/isotropy]."""
-    out = BurnsideElement.zero(group)
-    for isotropy, local_index in orbit_records:
-        idx = _isotropy_index(group, isotropy)
-        out = out + BurnsideElement(group, {idx: int(local_index)})
-    return out
+    records of localIndex times [G/isotropy]; the same sum as
+    :func:`equivariant_euler` with the local indices as weights."""
+    return equivariant_euler(group, orbit_records)
 
 
 def _isotropy_index(group, isotropy):

@@ -79,11 +79,9 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
      its shifts in W, so there is none: W = I^perp and the colength
      is mu.
   Like the probe's certificate, this proves the colength from both
-  sides and every class exactly; the Mora fallback it replaces took the
-  dimension from a standard basis that nothing checked, and could only
-  check that its classes came from some quotient of O/I.  A proposal
-  that fails goes to the next prime, and past the last one the run
-  stops with an internal error.
+  sides and every class exactly.  A proposal that fails goes to the
+  next prime, and past the last one the run stops with an internal
+  error.
 
 An unlucky prime or a wrong reconstruction can only make the check
 fail.  Then the next prime is tried; past the last one the probe

@@ -21,9 +21,10 @@ Nakayama makes mu the colength.  The same dual basis gives the
 coordinates of every class in the local algebra.  When that probe
 certifies nothing (germs that are not isolated, and germs past its size
 bound), Mora's standard basis only decides whether the colength is
-infinite; every finite colength and every algebra comes from a
-certified dual basis, past the probe's bound from the integration route
-of ``singindex.dual``.
+infinite, in one completion bounded by the degree cap and by
+``MORA_WORK`` reduced terms; every finite colength and every algebra
+comes from a certified dual basis, past the probe's bound from the
+integration route of ``singindex.dual``.
 """
 
 from __future__ import annotations
@@ -73,11 +74,12 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
-# work budget of the plain reruns with a doubled degree cap (see
-# standard_basis), in terms of the polynomials under weak normal form
-# reduction, summed over the reduction steps of all reruns; CPython 3.11
-# on one x86-64 core reduces about 100000 terms a second
-PLAIN_RERUN_WORK = 20_000
+# work budget of Mora's one completion (see standard_basis), in terms of
+# the polynomials under weak normal form reduction, summed over all its
+# reduction steps; CPython 3.11 on one x86-64 core reduces about 100000
+# terms a second, so a completion that cannot finish stops within a
+# fraction of a second and leaves the germ to the integration route
+MORA_WORK = 20_000
 
 
 class Ideal:
@@ -138,7 +140,7 @@ class _WorkBudget:
     def spend(self, terms):
         self.left -= terms
         if self.left < 0:
-            raise DegreeCapError("plain completion spent its work budget")
+            raise DegreeCapError("Mora's completion spent its work budget")
 
 
 def _normal_form_mora(p, basis, cap, budget=None):
@@ -210,11 +212,12 @@ class StandardBasis:
         return self.normal_form(p, degree_cap).is_zero
 
 
-def _completion(generators, degree_cap, budget=None):
-    """Mora's pair-completion loop.
+def _completion(generators, degree_cap, budget):
+    """Mora's pair-completion loop, every weak normal form charged to the
+    work budget.
 
     S-pairs are processed by minimal lcm total degree with a
-    deterministic tie-break on generator indices so reruns are
+    deterministic tie-break on generator indices so runs are
     byte-for-byte reproducible.  Returns the minimalized monic basis.
     """
     basis = []
@@ -263,37 +266,16 @@ def _completion(generators, degree_cap, budget=None):
 
 def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """Compute a minimal standard basis of the germ ideal by Mora's
-    algorithm under ``LOCAL_ORDER``.
+    algorithm under ``LOCAL_ORDER``, in one completion bounded by the
+    degree cap and by ``MORA_WORK`` reduced terms.
 
-    When the plain run overshoots its soft degree cap, it is repeated
-    with the cap doubled, up to the degree cap, until a run completes or
-    the reruns have reduced ``PLAIN_RERUN_WORK`` terms in all: a
-    completed run is a standard basis whatever its cap, finite staircase
-    or not.  When no run completes, DegreeCapError is raised.
+    A completed run is a standard basis, finite staircase or not.
+    DegreeCapError when an intermediate degree passes the cap or the run
+    spends its work budget.
     """
-    max_degree = max(g.degree() for g in ideal.generators)
-    soft_cap = min(degree_cap, max(12, 2 * max_degree + 4))
-    try:
-        minimal = _completion(ideal.generators, soft_cap)
-    except DegreeCapError:
-        minimal = _plain_reruns(ideal.generators, soft_cap, degree_cap)
+    minimal = _completion(ideal.generators, degree_cap, _WorkBudget(MORA_WORK))
     minimal = sorted(minimal, key=lambda g: LOCAL_ORDER.key(g.leading_term(LOCAL_ORDER)[0]))
     return StandardBasis(minimal, ideal)
-
-
-def _plain_reruns(generators, cap, degree_cap):
-    """Plain completion with the cap doubled after each failed run, up to
-    the degree cap, under one work budget for all runs; DegreeCapError
-    when no run completes."""
-    budget = _WorkBudget(PLAIN_RERUN_WORK)
-    while cap < degree_cap:
-        cap = min(2 * cap, degree_cap)
-        try:
-            return _completion(generators, cap, budget=budget)
-        except DegreeCapError:
-            if budget.left < 0:
-                raise
-    raise DegreeCapError(f"plain completion did not finish below the degree cap {degree_cap}")
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,8 @@ def mobius_inverse(data):
             for j in poset.interval(i, k):
                 if j != i:
                     acc += data.value(i, j) * result.get((j, k), 0)
-        # n_ii = 1 forces m_ik = delta - sum
-            result[(i, k)] = (1 if i == k else 0) - acc
+            # n_ii = 1 and i != k force m_ik = -sum
+            result[(i, k)] = -acc
     return result
 
 

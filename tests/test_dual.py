@@ -12,7 +12,7 @@ import pytest
 
 from singindex import dual, grobner, icis
 from singindex.cli import main
-from singindex.errors import InternalCheckError
+from singindex.errors import DegreeCapError, InternalCheckError
 from singindex.grobner import (
     INFINITE,
     Ideal,
@@ -30,8 +30,8 @@ from helpers import random_unimodular, substitute_all
 
 XYZ = ("x", "y", "z")
 CTX = ("x", "y")
-# germ that is not isolated (the ideal lies in (x)) and whose plain Mora
-# run overshoots the soft cap
+# germ that is not isolated (the ideal lies in (x)) and whose Mora
+# completion reaches intermediate degree 17 before it finishes
 EXIT_4_GERM = ["2*x*z^2 + 2*x^2*y^2*z", "3*x*z^5", "0"]
 
 
@@ -422,7 +422,7 @@ def test_integration_route_matches_the_probe_on_the_stream_ideals(stream_run):
 
 
 # a dense germ that is not isolated: the factor x + y + z + x^2 makes its
-# zero set a surface, and Mora's plain runs do not finish
+# zero set a surface, and Mora's completion does not finish
 SURFACE_GERM = [
     "(x + y + z + x^2)*(-3*x^2*z - 4*x*y*z + 5*x + 2*y*z + x)",
     "(x + y + z + x^2)*(4*y^2*z - x^2*z^2 - 4*x - 5*x^2*y^2 + y)",
@@ -450,3 +450,113 @@ def test_a_local_dual_that_still_grows_at_the_cap_says_where(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+# a germ that is not isolated: Mora's completion on it reduces about
+# 400 000 terms before an intermediate degree passes 30
+WORK_GERM = [
+    "(x + 2*y - z + x*y + y*z^2)^3*(x^2 + y^3 - z)",
+    "(x + 2*y - z + x*y + y*z^2)^3*(y^2 - x*z + z^4)",
+    "(x + 2*y - z + x*y + y*z^2)^3*(z^2 + x*y^2 + 3*x)",
+]
+
+
+def test_mora_stops_within_its_work_budget(monkeypatch):
+    # the spy counts the terms of every weak normal form step, with or
+    # without a budget; the run may pass the budget by its last step only
+    steps = []
+    real = grobner._normal_form_mora
+
+    class Counting:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def spend(self, terms):
+            steps.append(terms)
+            if self.inner is not None:
+                self.inner.spend(terms)
+
+    def spy(p, basis, cap, budget=None):
+        return real(p, basis, cap, Counting(budget))
+
+    monkeypatch.setattr(grobner, "_normal_form_mora", spy)
+    with pytest.raises(DegreeCapError):
+        standard_basis(_ideal(WORK_GERM))
+    assert sum(steps) <= grobner.MORA_WORK + max(steps)
+
+
+class _Tally:
+    def __init__(self):
+        self.spent = 0
+
+    def spend(self, terms):
+        self.spent += terms
+
+
+def _verdict(ideal, minimal):
+    return "finite" if grobner.is_zero_dimensional(grobner.StandardBasis(minimal, ideal)) else INFINITE
+
+
+def _ladder_verdict(ideal, degree_cap):
+    """Reference: the verdict of a first completion at a soft cap with no
+    work bound, then of completions at twice the cap, up to the degree
+    cap, that share a budget of MORA_WORK terms; and the terms that the
+    first completion reduced."""
+    generators = ideal.generators
+    cap = min(degree_cap, max(12, 2 * max(g.degree() for g in generators) + 4))
+    first = _Tally()
+    try:
+        return _verdict(ideal, grobner._completion(generators, cap, first)), first.spent
+    except DegreeCapError:
+        pass
+    budget = grobner._WorkBudget(grobner.MORA_WORK)
+    while cap < degree_cap and budget.left >= 0:
+        cap = min(2 * cap, degree_cap)
+        try:
+            return _verdict(ideal, grobner._completion(generators, cap, budget)), first.spent
+        except DegreeCapError:
+            pass
+    return DegreeCapError, first.spent
+
+
+def _through_origin(rng, top, terms):
+    out = {}
+    for _ in range(terms):
+        d = rng.randint(1, top)
+        a = rng.randint(0, d)
+        b = rng.randint(0, d - a)
+        out[(a, b, d - a - b)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return Polynomial(XYZ, out)
+
+
+def _seeded_products(seed):
+    """Products f * g_i with f a common factor through the origin: germs
+    that are not isolated, some of which Mora completes."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(20):
+        f = _through_origin(rng, 3, 4)
+        out.append(Ideal([f * _through_origin(rng, 3, 3) for _ in range(3)]))
+    return out
+
+
+def test_one_bounded_completion_keeps_the_ladder_verdicts():
+    # the single run follows the ladder's first run until it raises, so
+    # it keeps the ladder's verdict unless that first run, which had no
+    # work bound, reduced more than MORA_WORK terms; then it raises
+    cases = [(_ideal(EXIT_4_GERM), cap) for cap in (24, 40, 80)]
+    cases.append((_ideal(SURFACE_GERM), 6))
+    cases += [(_ideal(data, names), grobner.DEFAULT_DEGREE_CAP) for _, names, data in PAST_THE_PROBE]
+    cases += [(ideal, grobner.DEFAULT_DEGREE_CAP) for ideal in _seeded_products(22)]
+    verdicts = []
+    for ideal, cap in cases:
+        try:
+            verdict = _verdict(ideal, standard_basis(ideal, cap).elements)
+        except DegreeCapError:
+            verdict = DegreeCapError
+        reference, first_run = _ladder_verdict(ideal, cap)
+        if first_run > grobner.MORA_WORK:
+            assert verdict is DegreeCapError, (ideal, cap)
+            verdicts.append("over budget")
+        else:
+            assert verdict == reference, (ideal, cap)
+            verdicts.append(verdict)
+    assert {"finite", INFINITE, DegreeCapError, "over budget"} <= set(verdicts)
