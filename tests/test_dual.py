@@ -459,36 +459,33 @@ WORK_GERM = [
 ]
 
 
+class _Tally:
+    """A work budget that records the terms of every step charged to it
+    and passes them on to an inner budget, if any."""
+
+    def __init__(self, steps, inner=None):
+        self.steps = steps
+        self.inner = inner
+
+    def spend(self, terms):
+        self.steps.append(terms)
+        if self.inner is not None:
+            self.inner.spend(terms)
+
+
 def test_mora_stops_within_its_work_budget(monkeypatch):
     # the spy counts the terms of every weak normal form step, with or
     # without a budget; the run may pass the budget by its last step only
     steps = []
     real = grobner._normal_form_mora
 
-    class Counting:
-        def __init__(self, inner):
-            self.inner = inner
-
-        def spend(self, terms):
-            steps.append(terms)
-            if self.inner is not None:
-                self.inner.spend(terms)
-
     def spy(p, basis, cap, budget=None):
-        return real(p, basis, cap, Counting(budget))
+        return real(p, basis, cap, _Tally(steps, budget))
 
     monkeypatch.setattr(grobner, "_normal_form_mora", spy)
     with pytest.raises(DegreeCapError):
         standard_basis(_ideal(WORK_GERM))
     assert sum(steps) <= grobner.MORA_WORK + max(steps)
-
-
-class _Tally:
-    def __init__(self):
-        self.spent = 0
-
-    def spend(self, terms):
-        self.spent += terms
 
 
 def _verdict(ideal, minimal):
@@ -502,19 +499,19 @@ def _ladder_verdict(ideal, degree_cap):
     first completion reduced."""
     generators = ideal.generators
     cap = min(degree_cap, max(12, 2 * max(g.degree() for g in generators) + 4))
-    first = _Tally()
+    first = []
     try:
-        return _verdict(ideal, grobner._completion(generators, cap, first)), first.spent
+        return _verdict(ideal, grobner._completion(generators, cap, _Tally(first))), sum(first)
     except DegreeCapError:
         pass
     budget = grobner._WorkBudget(grobner.MORA_WORK)
     while cap < degree_cap and budget.left >= 0:
         cap = min(2 * cap, degree_cap)
         try:
-            return _verdict(ideal, grobner._completion(generators, cap, budget)), first.spent
+            return _verdict(ideal, grobner._completion(generators, cap, budget)), sum(first)
         except DegreeCapError:
             pass
-    return DegreeCapError, first.spent
+    return DegreeCapError, sum(first)
 
 
 def _through_origin(rng, top, terms):
