@@ -9,8 +9,9 @@ document is read once: one walk per command records the diagnostics,
 with JSON paths, and yields the typed arguments of the command's runner
 (polynomials, fractions, 0-based permutations, class indices, slice
 keys, defaults filled in).  The runner never reads the document itself.
-Parsing expands polynomials under the job's degree cap but computes
-nothing else: no group closure, no basis.  ``validate`` is that parse,
+Parsing expands polynomials under the job's degree cap and one term
+budget per document (``poly.MAX_DOCUMENT_TERMS``) but computes nothing
+else: no group closure, no basis.  ``validate`` is that parse,
 returning only the diagnostics.
 
 Reports carry the requested values, the flags, an auditable set of
@@ -37,7 +38,7 @@ from .errors import (
     RejectedInputError,
 )
 from .grobner import DEFAULT_DEGREE_CAP, INFINITE
-from .poly import Polynomial, parse_polynomial
+from .poly import MAX_DOCUMENT_TERMS, Polynomial, parse_polynomial
 
 STRAT_OPS = (
     "mobius",
@@ -202,12 +203,15 @@ class _Job:
     Faults in polynomial text and field tags are ``late``: they are
     reported only when the document has the right shape.  A polynomial
     above the degree cap is kept in ``over_cap`` and aborts the job only
-    when there is nothing to reject.
+    when there is nothing to reject.  ``terms`` counts the terms of the
+    polynomials parsed so far; the first polynomial that takes it past
+    ``MAX_DOCUMENT_TERMS`` is refused, and no later one is parsed.
     """
 
     def __init__(self, document):
         self.shape, self.late = [], []
         self.over_cap = None
+        self.terms = 0
         self.seed, self.cap = 0, DEFAULT_DEGREE_CAP
         self.command, self.op, self.runner = "", "", None
         if not isinstance(document, dict):
@@ -304,13 +308,25 @@ class _Job:
         return [self.polynomial(text, f"{path}[{i}]") for i, text in enumerate(value)]
 
     def polynomial(self, text, path):
+        if self.terms > MAX_DOCUMENT_TERMS:
+            return None
         try:
-            return parse_polynomial(text, self.variables, self.cap)
+            p = parse_polynomial(text, self.variables, self.cap)
         except RejectedInputError as err:
             self.add(path, str(err), late=True)
+            return None
         except DegreeCapError as err:
             self.over_cap = self.over_cap or err
-        return None
+            return None
+        self.terms += len(p.terms)
+        if self.terms > MAX_DOCUMENT_TERMS:
+            self.add(
+                path,
+                f"the document's polynomials have more than {MAX_DOCUMENT_TERMS} terms in all",
+                late=True,
+            )
+            return None
+        return p
 
     def rational(self, value, path):
         """An exact rational.  Strings in exponent notation are refused:

@@ -13,11 +13,16 @@ variables of the owning context.
 The text grammar accepted by :func:`parse_polynomial` is the wire format
 used by every JSON job file: variables are identifiers, coefficients are
 integers or ``a/b`` rationals, and the operators are ``+ - * ^`` (plus
-parentheses), e.g. ``x^2 + 2/3*x*y - z``.  The parser bounds what it
-builds before it builds it: a product or power above the degree cap
-raises ``DegreeCapError``, and a product or power that could have more
-than ``MAX_TERMS`` terms, or a power whose coefficients would run past
-``MAX_POWER_BITS`` bits, is rejected.
+parentheses), e.g. ``x^2 + 2/3*x*y - z``.  The parser builds terms
+directly: a product of numbers, variables and their powers is one
+coefficient and one exponent list, and a sum adds its terms into one
+dict.  Only a parenthesised factor and its power, or a negated factor
+inside a product, goes through Polynomial arithmetic.  The parser bounds
+what it builds before it builds it: a product or power above the degree
+cap raises ``DegreeCapError``, and a product or power that could have
+more than ``MAX_TERMS`` terms, or a power whose coefficients would run
+past ``MAX_POWER_BITS`` bits, is rejected.  A job document may hold at
+most ``MAX_DOCUMENT_TERMS`` terms in all its polynomials (see ``jobs``).
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ MAX_POWER_BITS = 4096
 # refused: (1+x+y+z)^20 has 1771 terms and takes about 0.03 s to expand
 # in CPython 3.11 on one x86-64 core
 MAX_TERMS = 2000
+
+# bound on the terms of all the polynomials that one job document's text
+# parses to, summed; far above the stream documents of perfbench, whose
+# largest sum is in the tens
+MAX_DOCUMENT_TERMS = 5000
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -146,6 +156,25 @@ def _coefficient(c):
     raise RejectedInputError(f"coefficient {c!r} is not rational")
 
 
+def _variable_index(context, name):
+    try:
+        return context.index(name)
+    except ValueError:
+        raise RejectedInputError(f"unknown variable {name!r} in context {context!r}") from None
+
+
+def _accumulate(terms, other):
+    """Add the terms of `other` into the dict `terms`, deleting each
+    monomial whose sum is 0: a monomial that comes back later is then
+    appended again, as a sum built one Polynomial at a time orders it."""
+    for m, c in other.items():
+        c = terms.get(m, 0) + c
+        if c:
+            terms[m] = c
+        else:
+            del terms[m]
+
+
 def _check_monomial(mono, context):
     mono = tuple(mono)
     if len(mono) != len(context) or any(e < 0 for e in mono):
@@ -215,10 +244,7 @@ class Polynomial:
     @classmethod
     def variable(cls, context, name):
         context = tuple(context)
-        try:
-            i = context.index(name)
-        except ValueError:
-            raise RejectedInputError(f"unknown variable {name!r} in context {context!r}")
+        i = _variable_index(context, name)
         mono = tuple(1 if j == i else 0 for j in range(len(context)))
         return cls(context, {mono: 1})
 
@@ -266,8 +292,7 @@ class Polynomial:
             other = Polynomial.constant(self.context, other)
         self._check_context(other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
+        _accumulate(terms, other.terms)
         return Polynomial._make(self.context, terms)
 
     __radd__ = __add__
@@ -370,7 +395,7 @@ class Polynomial:
                 subs.append(p)
             else:
                 subs.append(Polynomial.variable(target, name))
-        result = Polynomial.zero(target)
+        terms = {}
         power_cache = [{0: Polynomial.one(target)} for _ in subs]
         for m, c in self.terms.items():
             prod = Polynomial.constant(target, c)
@@ -385,8 +410,8 @@ class Polynomial:
                         p = p * subs[i]
                         cache[k] = p
                 prod = prod * cache[e]
-            result = result + prod
-        return result
+            _accumulate(terms, prod.terms)
+        return Polynomial._make(target, terms)
 
     def translate(self, point):
         """Shift the origin: substitute x_i -> x_i + point_i."""
@@ -451,37 +476,39 @@ class Polynomial:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
 )
+_OPS = frozenset("+-*/^()")
 
 
 def _tokenize(text):
-    pos = 0
+    """The tokens of polynomial text, in one pass: an int per number, a
+    str per name or operator, and None at the end."""
     tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise RejectedInputError(f"cannot tokenize polynomial near {tail[:15]!r}")
-        if m.group("int") is not None:
+    pos = 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "int":
             try:
-                tokens.append(("int", int(m.group("int"))))
+                tokens.append(int(m.group(kind)))
             except ValueError:  # more digits than int() reads
                 raise RejectedInputError("integer in polynomial text is too long") from None
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
         else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
+            tokens.append(m.group(kind))
+    tail = text[pos:].strip()
+    if tail:
+        raise RejectedInputError(f"cannot tokenize polynomial near {tail[:15]!r}")
+    tokens.append(None)
     return tokens
 
 
-def _coefficient_bits(p):
+def _coefficient_bits(coeffs):
     """Bits of the largest coefficient (numerator and denominator) plus
     the bits of the term count: e times this estimates the coefficient
-    size of p^e."""
-    height = max(c.numerator.bit_length() + c.denominator.bit_length() for c in p.terms.values())
-    return height + len(p.terms).bit_length()
+    size of the e-th power of a polynomial with these coefficients."""
+    height = max(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
+    return height + len(coeffs).bit_length()
 
 
 def _capped_comb(n, k):
@@ -497,6 +524,18 @@ def _capped_comb(n, k):
 
 
 class _Parser:
+    """Recursive descent over the tokens of one polynomial text.
+
+    ``term`` keeps a product as one coefficient and one exponent list
+    while its factors are numbers, a/b rationals, variables and their
+    powers (``monomial``), and ``expr`` adds the terms of a sum into one
+    dict.  A parenthesised factor and its power, or a negated factor
+    inside a product, is a Polynomial (``factor`` and ``atom``), and the
+    rest of its product is built by Polynomial arithmetic.  Every bound
+    is checked before the product or power it bounds is built, a zero
+    factor counting as degree -1.
+    """
+
     def __init__(self, tokens, context, degree_cap):
         self.tokens = tokens
         self.pos = 0
@@ -513,98 +552,143 @@ class _Parser:
         """Refuse a product or power that could have more than MAX_TERMS
         terms: at most `estimate`, and at most the number of monomials of
         degree at most `degree`."""
-        if min(estimate, _capped_comb(len(self.context) + degree, degree)) > MAX_TERMS:
+        if estimate > MAX_TERMS and _capped_comb(len(self.context) + degree, degree) > MAX_TERMS:
             raise RejectedInputError(f"polynomial would have more than {MAX_TERMS} terms")
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+    def bound_power(self, e, degree, coeffs):
+        """Refuse the e-th power of a non-zero polynomial of total degree
+        `degree` with coefficients `coeffs`, before it is built."""
+        self.bound_degree(degree * e)
+        if len(coeffs) > 1:  # a power of one term has one term
+            self.bound_terms(_capped_comb(len(coeffs) + e - 1, e), degree * e)
+        if e * _coefficient_bits(coeffs) > MAX_POWER_BITS:
+            raise RejectedInputError(f"power coefficients would exceed {MAX_POWER_BITS} bits")
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise RejectedInputError(f"expected {op!r} in polynomial text")
+    def product(self, p, q):
+        degree = p.degree() + q.degree()
+        self.bound_degree(degree)
+        self.bound_terms(len(p.terms) * len(q.terms), degree)
+        return p * q
 
     def parse(self):
         p = self.expr()
-        if self.pos != len(self.tokens):
+        if self.tokens[self.pos] is not None:
             raise RejectedInputError("trailing junk in polynomial text")
         return p
 
     def expr(self):
+        tokens = self.tokens
         sign = 1
-        kind, val = self.peek()
-        while kind == "op" and val in "+-":
-            self.take()
-            if val == "-":
+        while tokens[self.pos] in ("+", "-"):
+            if tokens[self.pos] == "-":
                 sign = -sign
-            kind, val = self.peek()
-        p = self.term() * sign
+            self.pos += 1
+        terms = {}
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                q = self.term()
-                p = p + q if val == "+" else p - q
+            self.term(terms, sign)
+            op = tokens[self.pos]
+            if op == "+":
+                sign = 1
+            elif op == "-":
+                sign = -1
             else:
-                return p
+                return Polynomial._make(self.context, terms)
+            self.pos += 1
 
-    def term(self):
-        p = self.factor()
+    def term(self, terms, sign):
+        """Parse one product and add sign times it into `terms`."""
+        tokens = self.tokens
+        exps = [0] * len(self.context)
+        coeff, degree = 1, None  # degree -1 once the product is 0
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                q = self.factor()
-                self.bound_degree(p.degree() + q.degree())
-                self.bound_terms(len(p.terms) * len(q.terms), p.degree() + q.degree())
-                p = p * q
+            tok = tokens[self.pos]
+            if type(tok) is not int and (tok is None or tok in _OPS):
+                break
+            c, i, e = self.monomial()
+            fdeg = (e if i is not None else 0) if c else -1
+            if degree is None:
+                degree = fdeg
             else:
-                return p
+                self.bound_degree(degree + fdeg)
+                degree = -1 if degree < 0 or fdeg < 0 else degree + fdeg
+            coeff *= c
+            if i is not None:
+                exps[i] += e
+            if tokens[self.pos] != "*":
+                if coeff:
+                    _accumulate(terms, {tuple(exps): sign * coeff})
+                return
+            self.pos += 1
+        p = self.factor()
+        if degree is not None:
+            p = self.product(Polynomial._make(self.context, {tuple(exps): coeff}), p)
+        while tokens[self.pos] == "*":
+            self.pos += 1
+            p = self.product(p, self.factor())
+        _accumulate(terms, p.terms if sign > 0 else (-p).terms)
+
+    def monomial(self):
+        """A number, a/b or variable with its power, taken as
+        (coefficient, variable index or None, exponent)."""
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if type(tok) is int:
+            c, i = self.number(tok), None
+        else:
+            c, i = 1, _variable_index(self.context, tok)
+        if self.tokens[self.pos] != "^":
+            return c, i, 1
+        e = self.exponent()
+        if e > 1 and c:
+            self.bound_power(e, 0 if i is None else 1, (c,))
+        return c**e, i, e
 
     def factor(self):
+        """An atom and its power, as a Polynomial."""
         p = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            ekind, eval_ = self.take()
-            if ekind != "int":
-                raise RejectedInputError("exponent must be a non-negative integer")
-            if eval_ > 1 and not p.is_zero:
-                self.bound_degree(p.degree() * eval_)
-                self.bound_terms(_capped_comb(len(p.terms) + eval_ - 1, eval_), p.degree() * eval_)
-                if eval_ * _coefficient_bits(p) > MAX_POWER_BITS:
-                    raise RejectedInputError(
-                        f"power coefficients would exceed {MAX_POWER_BITS} bits"
-                    )
-            p = p**eval_
+        if self.tokens[self.pos] == "^":
+            e = self.exponent()
+            if e > 1 and p.terms:
+                self.bound_power(e, p.degree(), p.terms.values())
+            p = p**e
         return p
 
     def atom(self):
-        kind, val = self.take()
-        if kind == "int":
-            num = val
-            pk, pv = self.peek()
-            if pk == "op" and pv == "/":
-                self.take()
-                dk, dv = self.take()
-                if dk != "int" or dv == 0:
-                    raise RejectedInputError("malformed rational coefficient")
-                return Polynomial.constant(self.context, Fraction(num, dv))
-            return Polynomial.constant(self.context, num)
-        if kind == "name":
-            return Polynomial.variable(self.context, val)
-        if kind == "op" and val == "(":
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if type(tok) is int:
+            return Polynomial.constant(self.context, self.number(tok))
+        if tok == "(":
             p = self.expr()
-            self.expect_op(")")
+            if self.tokens[self.pos] != ")":
+                raise RejectedInputError("expected ')' in polynomial text")
+            self.pos += 1
             return p
-        if kind == "op" and val == "-":
+        if tok == "-":
             return -self.atom()
-        raise RejectedInputError(f"unexpected token {val!r} in polynomial text")
+        if tok is None or tok in _OPS:
+            raise RejectedInputError(f"unexpected token {tok!r} in polynomial text")
+        return Polynomial.variable(self.context, tok)
+
+    def number(self, num):
+        """The integer `num`, or the a/b rational it begins: a Fraction
+        only when it is not an integer."""
+        if self.tokens[self.pos] != "/":
+            return num
+        den = self.tokens[self.pos + 1]
+        self.pos += 2
+        if type(den) is not int or den == 0:
+            raise RejectedInputError("malformed rational coefficient")
+        c = Fraction(num, den)
+        return c.numerator if c.denominator == 1 else c
+
+    def exponent(self):
+        """The integer after a '^'."""
+        e = self.tokens[self.pos + 1]
+        self.pos += 2
+        if type(e) is not int:
+            raise RejectedInputError("exponent must be a non-negative integer")
+        return e
 
 
 def as_polynomial(value, variables):

@@ -534,6 +534,7 @@ BOUNDED_PARSE = {
     "x^100000000000": (PLANE, 4),
     "x^1000000": (PLANE, 4),
     "x^41": (PLANE, 4),
+    "x^40*x^40*0": (PLANE, 4),
     "(1+x+y+z)^80": (["x", "y", "z"], 4),
     "(1+x+y+z)^30": (["x", "y", "z"], 2),
     "((((9)^40)^40)^40)^40": (PLANE, 2),
@@ -563,6 +564,50 @@ def test_polynomial_text_faults_are_path_diagnostics():
     assert validate(doc("smooth-index", payload)) == [
         {"path": "$.payload.action", "message": "expected a list of 2 x 2 matrices"}
     ]
+
+
+def test_a_long_integer_in_polynomial_text_is_a_path_diagnostic():
+    payload = {"variables": ["x", "y"], "data": ["9" * 5000 + "*x", "y"]}
+    report, code = run_job(doc("smooth-index", payload))
+    assert code == 2
+    assert report.values["diagnostics"] == [
+        {"path": "$.payload.data[0]", "message": "integer in polynomial text is too long"}
+    ]
+    assert "Traceback" not in report.to_json()
+
+
+def test_the_polynomials_of_one_document_share_one_term_budget(monkeypatch):
+    # each component has 1771 terms, inside MAX_TERMS; twelve of them are
+    # past the document's budget, which refuses them before any colength
+    colengths = []
+    for name, module in list(sys.modules.items()):
+        real = getattr(module, "colength", None)
+        if name.startswith("singindex") and callable(real):
+            monkeypatch.setattr(module, "colength", lambda *a, real=real: colengths.append(a) or real(*a))
+    names = [f"x{i}" for i in range(12)]
+    payload = {"variables": names, "data": ["(1+x0+x1+x2)^20"] * 12}
+    start = time.perf_counter()
+    report, code = run_job(doc("smooth-index", payload))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    [diagnostic] = report.values["diagnostics"]
+    k = jobs.MAX_DOCUMENT_TERMS // 1771
+    assert diagnostic == {
+        "path": f"$.payload.data[{k}]",
+        "message": f"the document's polynomials have more than {jobs.MAX_DOCUMENT_TERMS} terms in all",
+    }
+    assert colengths == []
+    # the same budget holds across the fields of a document: equations
+    # and form of an icis document together
+    payload = {
+        "variables": ["x", "y", "z"],
+        "equations": ["x*(1+x+y+z)^19"],
+        "form": ["(1+x+y+z)^20", "(1+x+y+z)^20", "x"],
+        "want": ["milnor"],
+    }
+    report, code = run_job(doc("icis", payload))
+    assert code == 2
+    assert [d["path"] for d in report.values["diagnostics"]] == ["$.payload.form[1]"]
 
 
 @pytest.mark.parametrize("k", [6, 7])
