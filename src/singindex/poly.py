@@ -599,7 +599,7 @@ class _Parser:
         """Parse one product and add sign times it into `terms`."""
         tokens = self.tokens
         exps = [0] * len(self.context)
-        coeff, degree = 1, None  # degree -1 once the product is 0
+        coeff, degree = 1, None  # degree: None before the first factor, -1 once 0
         while True:
             tok = tokens[self.pos]
             if type(tok) is not int and (tok is None or tok in _OPS):
