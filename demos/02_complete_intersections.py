@@ -9,11 +9,11 @@ from singindex import (
     ICISGerm,
     gsv_index_1form,
     homological_index_1form,
-    icis_report,
     isolatedness_certificate,
     milnor_number,
     radial_index_1form,
     radial_index_vf_from_gsv,
+    run_job,
 )
 
 space = ("x", "y", "z")
@@ -48,10 +48,20 @@ print(f"radial index = {gsv} - {mu}:                       {radial}")
 print(f"homological index:                           {homological_index_1form(cone, dz)}")
 
 print()
-print("one call assembles everything with its certificates:")
-report = icis_report(cone, dz)
-print(f"  gsv={report.gsv} milnor={report.milnor} radial={report.radial} "
-      f"homological={report.homological}")
+print("an icis job document computes them all, with the rule behind each")
+print("value and the colengths that certify them:")
+report, code = run_job({
+    "command": "icis",
+    "payload": {
+        "variables": list(space),
+        "equations": ["x^2 + y^2 + z^2"],
+        "form": dz,
+        "want": ["gsv", "milnor", "radial", "homological"],
+    },
+})
+print(f"  exit code {code}")
+for name in ("gsv", "milnor", "radial", "homological"):
+    print(f"  {name:<12} {report.values[name]}    [{report.rules[name]}]")
 print(f"  certificates: {report.certificates}")
 
 print()

@@ -52,11 +52,9 @@ from .smooth import (
 )
 from .icis import (
     ICISGerm,
-    ICISIndexReport,
     gsv_index_1form,
     gsv_index_collection,
     homological_index_1form,
-    icis_report,
     isolatedness_certificate,
     milnor_number,
     radial_index_1form,

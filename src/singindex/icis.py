@@ -4,7 +4,11 @@ For a germ V cut out by f_1, ..., f_{N-n} in N variables and a
 holomorphic 1-form w, the index of w on V is the colength of the ideal
 generated by the f_r together with the maximal minors of the matrix
 stacking the differentials df_1, ..., df_{N-n} and the coefficient row of
-w.  Collections of 1-forms work the same way group by group.
+w.  Collections of 1-forms work the same way group by group; a single
+form is the collection of partition (dim V) with one group.  A partition
+is non-empty, so a zero-dimensional germ carries no collection.  The
+radial index of a 1-form is its GSV index minus mu(V), and on a complete
+intersection its homological index equals its GSV index.
 
 The Milnor number comes from the Le-Greuel formula (Le, Funct. Anal.
 Appl. 8, 1974; Greuel, Math. Ann. 214, 1975): if V is an ICIS of
@@ -27,7 +31,6 @@ colength is INFINITE is redrawn.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import GenericityError, NotIsolatedError, RejectedInputError
 from .grobner import (
@@ -105,7 +108,7 @@ def gsv_index_1form(germ, form, degree_cap=DEFAULT_DEGREE_CAP):
 def gsv_index_collection(germ, partition, groups, degree_cap=DEFAULT_DEGREE_CAP):
     """GSV index of a collection of holomorphic 1-forms on the germ.
 
-    partition (k_1, ..., k_s) must sum to dim V; group i supplies
+    partition (k_1, ..., k_s), non-empty, must sum to dim V; group i supplies
     dim V - k_i + 1 forms.  Each group contributes the maximal minors of
     the matrix stacking the equation differentials and its forms.
     """
@@ -114,8 +117,8 @@ def gsv_index_collection(germ, partition, groups, degree_cap=DEFAULT_DEGREE_CAP)
         raise RejectedInputError(
             f"partition {partition} must sum to dim V = {germ.dim}"
         )
-    if any(k < 1 for k in partition):
-        raise RejectedInputError("partition entries must be positive")
+    if not partition or any(k < 1 for k in partition):
+        raise RejectedInputError("partition must be a list of positive integers")
     if len(groups) != len(partition):
         raise RejectedInputError("need one group of forms per partition entry")
     row_groups = []
@@ -232,76 +235,3 @@ def homological_index_1form(germ, form, degree_cap=DEFAULT_DEGREE_CAP):
     Euler characteristic of the contraction complex of differential
     forms; the value is computed through the minors ideal."""
     return gsv_index_1form(germ, form, degree_cap)
-
-
-# ---------------------------------------------------------------------------
-# assembled reports
-
-
-@dataclass
-class ICISIndexReport:
-    """All requested indices of one germ/form pair with the colength
-    certificates that back them."""
-
-    gsv: object = None
-    milnor: object = None
-    radial: object = None
-    homological: object = None
-    certificates: dict = field(default_factory=dict)
-
-    def check_invariants(self):
-        if (
-            self.milnor is not None
-            and self.gsv is not None
-            and self.radial is not None
-            and self.gsv is not INFINITE
-        ):
-            if self.radial != self.gsv - self.milnor:
-                raise RejectedInputError(
-                    "report violates radial = gsv - milnor"
-                )
-        if (
-            self.homological is not None
-            and self.gsv is not None
-            and self.homological != self.gsv
-        ):
-            raise RejectedInputError("report violates homological = gsv")
-
-
-def icis_report(
-    germ,
-    form,
-    want=("gsv", "milnor", "radial", "homological"),
-    seed=0,
-    degree_cap=DEFAULT_DEGREE_CAP,
-):
-    """Compute the requested indices of a 1-form on the germ, recording
-    every intermediate colength so results are auditable."""
-    want = set(want)
-    unknown = want - {"gsv", "milnor", "radial", "homological"}
-    if unknown:
-        raise RejectedInputError(f"unknown report fields {sorted(unknown)}")
-    report = ICISIndexReport()
-    report.certificates["isolated_singularity_colength"] = isolatedness_certificate(
-        germ, degree_cap
-    )
-    need_gsv = want & {"gsv", "radial", "homological"}
-    if need_gsv:
-        gsv = gsv_index_1form(germ, form, degree_cap)
-        report.certificates["gsv_minors_colength"] = gsv
-        if "gsv" in want:
-            report.gsv = gsv
-    if want & {"milnor", "radial"}:
-        mu = milnor_number(germ, seed, degree_cap)
-        report.certificates["milnor_number"] = mu
-        if "milnor" in want:
-            report.milnor = mu
-    if "radial" in want:
-        report.radial = INFINITE if gsv is INFINITE else gsv - mu
-    if "homological" in want:
-        report.homological = gsv
-    if report.gsv is None and "gsv" not in want and need_gsv:
-        # keep the invariant checkable even when gsv itself was not asked for
-        report.gsv = gsv
-    report.check_invariants()
-    return report

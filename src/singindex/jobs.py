@@ -22,6 +22,7 @@ rule tag per value naming the identity that produced it.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -510,6 +511,11 @@ def _parse_icis(job, payload):
             "the GSV index of a 1-form needs a germ of positive dimension: "
             f"{n} equations in {n} variables leave dim V = 0",
         )
+        job.require(
+            job.form is not None or not set(job.want) & {"radial", "homological"},
+            "$.payload.want",
+            "radial and homological indices are defined for single 1-forms, not collections",
+        )
 
 
 def _parse_form_groups(job, coll, n, dim):
@@ -518,7 +524,9 @@ def _parse_form_groups(job, coll, n, dim):
         return False
     job.partition = coll.get("partition")
     if not job.require(
-        isinstance(job.partition, list) and all(_is_int(k) and k >= 1 for k in job.partition),
+        isinstance(job.partition, list)
+        and job.partition
+        and all(_is_int(k) and k >= 1 for k in job.partition),
         "$.payload.collection.partition",
         "partition must be a list of positive integers",
     ):
@@ -803,7 +811,16 @@ def _run_smooth(report, job, run_oracle):
     variables, cap = job.variables, job.cap
     if job.command == "elk":
         germ = sm.VectorFieldGerm(variables, job.data, field="R")
+        action = None
+        if job.action:
+            with _refused_at("$.payload.action"):
+                action = sm.GroupAction(variables, job.action)
         form = sm.elk_form(germ, cap)
+        if action:
+            with _refused_at("$.payload.action"):
+                # one invariance check and one Reynolds projector for both values
+                columns, dimension = sm._reynolds(form.algebra, action)
+                invariant = sm._invariant_signature(form, columns, dimension)
         report.put("index", form.signature(), "signature-of-residue-pairing")
         report.certificates["algebra_dimension"] = form.algebra.dimension
         report.certificates["algebra_basis"] = [
@@ -811,16 +828,9 @@ def _run_smooth(report, job, run_oracle):
         ]
         if form.algebra.dimension == 0:
             report.flags.append("NONSINGULAR")
-        if job.action:
-            action = sm.GroupAction(variables, job.action)
-            # one invariance check and one Reynolds projector for both values
-            columns, dimension = sm._reynolds(form.algebra, action)
+        if action:
             report.put("invariant_dimension", dimension, "trace-average-over-group")
-            report.put(
-                "invariant_signature",
-                sm._invariant_signature(form, columns, dimension),
-                "signature-on-invariant-subspace",
-            )
+            report.put("invariant_signature", invariant, "signature-on-invariant-subspace")
         if run_oracle:
             if len(variables) == 2:
                 got = oracles.winding_degree(germ.components)
@@ -861,6 +871,15 @@ def _run_smooth(report, job, run_oracle):
     report.certificates["ideal_generators"] = len(gens)
 
 
+@contextmanager
+def _refused_at(path):
+    """Refuse what the body refuses at the JSON path of the input at fault."""
+    try:
+        yield
+    except RejectedInputError as err:
+        raise RejectedInputError(str(err), field=path) from err
+
+
 def _macaulay_oracle(generators, value):
     """Cross-check a colength by the Macaulay oracle; past the oracle's
     work budget the check is reported as unsupported, not as a mismatch."""
@@ -881,29 +900,28 @@ ICIS_RULES = {
 
 def _run_icis(report, job, run_oracle):
     germ = ic.ICISGerm(job.variables, job.equations)
-    want, seed, cap = job.want, job.seed, job.cap
-    if job.groups is not None:
-        if set(want) & {"radial", "homological"}:
-            raise RejectedInputError(
-                "radial and homological indices are defined for single "
-                "1-forms, not collections"
-            )
-        value = ic.gsv_index_collection(germ, job.partition, job.groups, cap)
-        report.put("gsv", value, ICIS_RULES["gsv"])
-        if "milnor" in want:
-            report.put("milnor", ic.milnor_number(germ, seed, cap), ICIS_RULES["milnor"])
-        report.certificates["isolated_singularity_colength"] = (
-            ic.isolatedness_certificate(germ, cap)
-        )
-        return
-    res = ic.icis_report(germ, job.form, want=want, seed=seed, degree_cap=cap)
-    for name in want:
-        report.put(name, getattr(res, name), ICIS_RULES[name])
-    report.certificates.update(res.certificates)
+    want, cap = set(job.want), job.cap
+    # values and certificates reach the report only once every one is known
+    certificates = {"isolated_singularity_colength": ic.isolatedness_certificate(germ, cap)}
+    gsv = mu = None
+    if want & {"gsv", "radial", "homological"}:
+        if job.form is not None:
+            gsv = ic.gsv_index_1form(germ, job.form, cap)
+        else:
+            gsv = ic.gsv_index_collection(germ, job.partition, job.groups, cap)
+        certificates["gsv_minors_colength"] = gsv
+    if want & {"milnor", "radial"}:
+        mu = ic.milnor_number(germ, job.seed, cap)
+        certificates["milnor_number"] = mu
+    values = {"gsv": gsv, "milnor": mu, "homological": gsv}
+    if "radial" in want:
+        values["radial"] = INFINITE if gsv is INFINITE else gsv - mu
+    for name in job.want:
+        report.put(name, values[name], ICIS_RULES[name])
+    report.certificates.update(certificates)
     if run_oracle and "gsv" in want:
-        form = sm.OneFormGerm(job.variables, job.form)
-        ideal = ic._stacked_minors_ideal(germ, [list(form.coefficients)])
-        report.oracle = _macaulay_oracle(list(ideal.generators), res.gsv)
+        ideal = ic._stacked_minors_ideal(germ, *(job.groups or [[job.form]]))
+        report.oracle = _macaulay_oracle(list(ideal.generators), gsv)
 
 
 def _run_strat(report, job, run_oracle):

@@ -1,18 +1,22 @@
+import copy
+import itertools
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from singindex import icis
+from singindex import icis, jobs
+from singindex import smooth as sm
 from singindex.errors import RejectedInputError
 from singindex.grobner import DEFAULT_DEGREE_CAP, INFINITE, Ideal, colength
+from singindex.jobs import ICIS_RULES, Report, _macaulay_oracle, run_job
 from singindex.icis import (
     ICISGerm,
     gsv_index_1form,
     gsv_index_collection,
     homological_index_1form,
-    icis_report,
     isolatedness_certificate,
     milnor_number,
     radial_index_1form,
@@ -184,20 +188,6 @@ def test_isolatedness_certificate():
     assert isolatedness_certificate(ICISGerm(SPACE, ["x*y"])) is INFINITE
 
 
-def test_report_invariants_and_certificates():
-    report = icis_report(A1_CONE, ["0", "0", "1"])
-    assert report.gsv == 2
-    assert report.milnor == 1
-    assert report.radial == 1
-    assert report.homological == 2
-    assert report.certificates["isolated_singularity_colength"] == 1
-    report.check_invariants()
-    with pytest.raises(RejectedInputError):
-        bad = icis_report(A1_CONE, ["0", "0", "1"])
-        bad.radial = 5
-        bad.check_invariants()
-
-
 def test_gsv_oracle_cross_check():
     from singindex.icis import _stacked_minors_ideal
 
@@ -266,3 +256,248 @@ def test_collection_without_equations_matches_smooth_collection():
 def test_collection_partition_checked():
     with pytest.raises(RejectedInputError):
         gsv_index_collection(A1_CONE, [1], [[["1", "0", "0"], ["0", "1", "0"]]])
+    # an empty partition sums to dim V = 0, but is no collection: the
+    # value would be the colength of the equations alone
+    point = ICISGerm(SPACE, ["x^2 + y^3", "y^2 + z^3", "z^2 + x^3"])
+    with pytest.raises(RejectedInputError, match="partition"):
+        gsv_index_collection(point, [], [])
+
+
+# -- the icis job against the report object it replaced
+#
+# ICISIndexReport, icis_report and the job runner that used them, as they
+# were before the runner computed each value itself; only the module
+# prefix of the runner's calls differs.
+
+
+@dataclass
+class ICISIndexReport:
+    """All requested indices of one germ/form pair with the colength
+    certificates that back them."""
+
+    gsv: object = None
+    milnor: object = None
+    radial: object = None
+    homological: object = None
+    certificates: dict = field(default_factory=dict)
+
+    def check_invariants(self):
+        if (
+            self.milnor is not None
+            and self.gsv is not None
+            and self.radial is not None
+            and self.gsv is not INFINITE
+        ):
+            if self.radial != self.gsv - self.milnor:
+                raise RejectedInputError(
+                    "report violates radial = gsv - milnor"
+                )
+        if (
+            self.homological is not None
+            and self.gsv is not None
+            and self.homological != self.gsv
+        ):
+            raise RejectedInputError("report violates homological = gsv")
+
+
+def icis_report(
+    germ,
+    form,
+    want=("gsv", "milnor", "radial", "homological"),
+    seed=0,
+    degree_cap=DEFAULT_DEGREE_CAP,
+):
+    """Compute the requested indices of a 1-form on the germ, recording
+    every intermediate colength so results are auditable."""
+    want = set(want)
+    unknown = want - {"gsv", "milnor", "radial", "homological"}
+    if unknown:
+        raise RejectedInputError(f"unknown report fields {sorted(unknown)}")
+    report = ICISIndexReport()
+    report.certificates["isolated_singularity_colength"] = isolatedness_certificate(
+        germ, degree_cap
+    )
+    need_gsv = want & {"gsv", "radial", "homological"}
+    if need_gsv:
+        gsv = gsv_index_1form(germ, form, degree_cap)
+        report.certificates["gsv_minors_colength"] = gsv
+        if "gsv" in want:
+            report.gsv = gsv
+    if want & {"milnor", "radial"}:
+        mu = milnor_number(germ, seed, degree_cap)
+        report.certificates["milnor_number"] = mu
+        if "milnor" in want:
+            report.milnor = mu
+    if "radial" in want:
+        report.radial = INFINITE if gsv is INFINITE else gsv - mu
+    if "homological" in want:
+        report.homological = gsv
+    if report.gsv is None and "gsv" not in want and need_gsv:
+        # keep the invariant checkable even when gsv itself was not asked for
+        report.gsv = gsv
+    report.check_invariants()
+    return report
+
+
+def reference_run_icis(report, job, run_oracle):
+    germ = icis.ICISGerm(job.variables, job.equations)
+    want, seed, cap = job.want, job.seed, job.cap
+    if job.groups is not None:
+        if set(want) & {"radial", "homological"}:
+            raise RejectedInputError(
+                "radial and homological indices are defined for single "
+                "1-forms, not collections"
+            )
+        value = icis.gsv_index_collection(germ, job.partition, job.groups, cap)
+        report.put("gsv", value, ICIS_RULES["gsv"])
+        if "milnor" in want:
+            report.put("milnor", icis.milnor_number(germ, seed, cap), ICIS_RULES["milnor"])
+        report.certificates["isolated_singularity_colength"] = (
+            icis.isolatedness_certificate(germ, cap)
+        )
+        return
+    res = icis_report(germ, job.form, want=want, seed=seed, degree_cap=cap)
+    for name in want:
+        report.put(name, getattr(res, name), ICIS_RULES[name])
+    report.certificates.update(res.certificates)
+    if run_oracle and "gsv" in want:
+        form = sm.OneFormGerm(job.variables, job.form)
+        ideal = icis._stacked_minors_ideal(germ, [list(form.coefficients)])
+        report.oracle = _macaulay_oracle(list(ideal.generators), res.gsv)
+
+
+def _reference(document, run_oracle=False):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(jobs._HANDLERS, "icis", (jobs._parse_icis, reference_run_icis))
+        return run_job(document, run_oracle)
+
+
+def _outcome(run):
+    report, code = run
+    return report.to_json(), code
+
+
+WANTS = [
+    list(names)
+    for size in range(1, 5)
+    for names in itertools.combinations(("gsv", "milnor", "radial", "homological"), size)
+]
+# isolated and non-isolated germs, of dimension 2 and 1
+EQUATIONS = [
+    ["x^2 + y^2 + z^2"],
+    ["x^2 + y^3 + z^4"],
+    ["x^3 + y^3 + z^3"],
+    ["x*y"],
+    ["x^2 + y^2 + z^2", "x + y^2"],
+    ["x^2 + y^2", "z^2"],
+    ["x^2 + y^3 + z^5", "y*z + x^3"],
+]
+TERMS = ["0", "1", "x", "y", "z", "x^2", "y^2", "z^2", "x*y", "y*z", "x*z", "x^3", "z^3"]
+
+
+def _random_form(rng):
+    return [
+        " + ".join(f"{rng.randint(1, 3)}*{t}" for t in rng.sample(TERMS, rng.randint(1, 2)))
+        for _ in SPACE
+    ]
+
+
+def _icis_document(rng, want, body):
+    # caps 4 and 6 abort some colengths (exit 4); cap 40 is the default
+    return {
+        "command": "icis",
+        "payload": {"variables": list(SPACE), **body, "want": want},
+        "options": {"degree_cap": rng.choice((4, 6, 40))},
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_icis_job_matches_the_reference_on_the_stream(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import make_stream
+
+    documents = [
+        job.doc
+        for rnd in make_stream("local-colength", seed, 20)
+        for job in rnd
+        if job.doc["command"] == "icis"
+    ]
+    assert len(documents) == 160
+    for document in documents:
+        assert _outcome(run_job(document)) == _outcome(_reference(document))
+
+
+def test_the_icis_job_matches_the_reference_on_forms_for_every_want():
+    rng = random.Random(15)
+    codes = set()
+    for want in WANTS:
+        for _ in range(6):
+            document = _icis_document(
+                rng, want, {"equations": rng.choice(EQUATIONS), "form": _random_form(rng)}
+            )
+            new = _outcome(run_job(document))
+            assert new == _outcome(_reference(document)), document
+            codes.add(new[1])
+    assert codes == {0, 3, 4}
+
+
+COLLECTION_REFUSAL = (
+    "radial and homological indices are defined for single 1-forms, not collections"
+)
+
+
+def _forms(rng, count):
+    # a zero form leaves its group no minors: the GSV index is INFINITE
+    return [["0"] * 3 if rng.random() < 0.2 else _random_form(rng) for _ in range(count)]
+
+
+def _collection(rng, equations):
+    dim = len(SPACE) - len(equations)
+    partition = rng.choice([[dim], [1] * dim])
+    groups = [_forms(rng, dim - k + 1) for k in partition]
+    return {"equations": equations, "collection": {"partition": partition, "groups": groups}}
+
+
+def test_a_collection_differs_from_the_reference_only_in_what_want_selects():
+    # the job computes a collection as it does a form: the certificate
+    # of isolatedness first, the GSV index only when `want` asks for it,
+    # the certificates of the values computed, the values once all are
+    # known.  Past the degree cap the first colength to hit it names the
+    # error, so exit-4 messages are not compared.
+    rng = random.Random(16)
+    seen = set()
+    for want in WANTS:
+        for _ in range(12):
+            document = _icis_document(rng, want, _collection(rng, rng.choice(EQUATIONS)))
+            report, code = run_job(document)
+            if set(want) & {"radial", "homological"}:
+                # refused by the parse now, so before a polynomial over the cap aborts
+                diagnostic = {"path": "$.payload.want", "message": COLLECTION_REFUSAL}
+                assert (code, report.values) == (2, {"diagnostics": [diagnostic]})
+                job = jobs._Job(document)
+                if job.over_cap is None:
+                    with pytest.raises(RejectedInputError) as refused:
+                        reference_run_icis(Report("icis"), job, False)
+                    assert str(refused.value) == COLLECTION_REFUSAL
+                continue
+            reference, ref_code = _reference(document)
+            seen.add((tuple(want), ref_code, code))
+            if ref_code == 4:
+                assert code == 4 or want == ["milnor"]
+                continue
+            expected = copy.deepcopy(reference)
+            if "error" in reference.values:
+                expected.values = {"error": reference.values["error"]}
+                expected.rules, expected.certificates = {}, {}
+            else:
+                expected.values = {name: reference.values[name] for name in want}
+                expected.rules = {name: ICIS_RULES[name] for name in want}
+                if "gsv" in want:
+                    expected.certificates["gsv_minors_colength"] = reference.values["gsv"]
+                if "milnor" in want:
+                    expected.certificates["milnor_number"] = reference.values["milnor"]
+                if INFINITE not in expected.values.values():
+                    expected.status, ref_code = "ok", 0
+            assert (report.to_json(), code) == (expected.to_json(), ref_code), document
+    # the milnor-only collections whose GSV index is INFINITE now exit 0
+    assert (("milnor",), 3, 0) in seen

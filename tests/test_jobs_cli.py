@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from singindex import burnside, jobs, oracles
+from singindex import burnside, jobs, oracles, smooth
 from singindex.cli import main
 from singindex.grobner import INFINITE
 from singindex.jobs import Report, run_job, validate
@@ -151,6 +151,39 @@ def test_run_elk_with_action():
     assert report.values["invariant_signature"] == 2
 
 
+ACTION_REFUSALS = {
+    "not-invertible": (["x^2", "y^3"], [[1, 0], [0, 0]], "action matrices must be invertible"),
+    "not-finite": (
+        ["x^3", "y^3"],
+        [[1, 1], [0, 1]],
+        "group closure exceeded the cap of 512 elements; the action is not (verifiably) finite",
+    ),
+    "ideal-not-invariant": (["x^2", "y^3"], [[0, 1], [1, 0]], "ideal is not invariant under the action"),
+    "functional-not-positive": (
+        ["x^2", "y^2"],
+        [[-1, 0], [0, 1]],
+        "averaged functional is not positive on the Jacobian class; "
+        "the form data is not compatible with the action",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACTION_REFUSALS))
+def test_elk_action_refusals_carry_their_path_and_no_values(monkeypatch, case):
+    data, matrix, message = ACTION_REFUSALS[case]
+    built = []
+    real = smooth.elk_form
+    monkeypatch.setattr(smooth, "elk_form", lambda *args: built.append(args) or real(*args))
+    payload = {"field": "R", "variables": ["x", "y"], "data": data, "action": [matrix]}
+    report, code = run_job(doc("elk", payload))
+    assert code == 2
+    assert report.status == "rejected"
+    assert report.values == {"diagnostics": [{"path": "$.payload.action", "message": message}]}
+    assert report.certificates == {} and report.flags == [] and report.rules == {}
+    # the group is closed before the local algebra is built
+    assert len(built) == (case not in ("not-invertible", "not-finite"))
+
+
 def test_run_strat_mobius_determinantal():
     # the rank stratification of 2x2 matrices: chain of two strata
     payload = {
@@ -189,10 +222,16 @@ MACAULAY_CHECKED = [
     doc("smooth-index", {"variables": ["x", "y"], "data": ["x^2 + y^3", "x*y"]}),
     doc("icis", {"variables": ["x", "y", "z"], "equations": ["x^2 + y^2 + z^2"],
                  "form": ["0", "0", "1"], "want": ["gsv"]}),
+    doc("icis", {"variables": ["x", "y", "z"], "equations": ["x^2 + y^2 + z^2"],
+                 "collection": {"partition": [1, 1], "groups": [[["x", "y", "0"], ["0", "z", "y"]],
+                                                                [["1", "0", "0"], ["0", "0", "1"]]]},
+                 "want": ["gsv"]}),
 ]
 
 
-@pytest.mark.parametrize("document", MACAULAY_CHECKED, ids=["smooth-index", "icis"])
+@pytest.mark.parametrize(
+    "document", MACAULAY_CHECKED, ids=["smooth-index", "icis", "icis-collection"]
+)
 def test_macaulay_oracle_past_its_budget_is_unsupported(document, monkeypatch):
     report, code = run_job(document, run_oracle=True)
     assert code == 0
@@ -228,7 +267,84 @@ def test_run_icis_report():
     report, code = run_job(doc("icis", payload))
     assert code == 0
     assert report.values == {"gsv": 2, "milnor": 1, "radial": 1, "homological": 2}
-    assert report.rules["gsv"] == "minors-ideal-colength"
+    assert report.rules == {
+        "gsv": "minors-ideal-colength",
+        "milnor": "slice-recursion",
+        "radial": "gsv-minus-milnor",
+        "homological": "equals-gsv-on-complete-intersections",
+    }
+    assert report.certificates == {
+        "isolated_singularity_colength": 1,
+        "gsv_minors_colength": 2,
+        "milnor_number": 1,
+    }
+
+
+CONE_COLLECTION = {
+    "variables": ["x", "y", "z"],
+    "equations": ["x^2+y^2+z^2"],
+    "collection": {
+        "partition": [1, 1],
+        "groups": [[["x", "y", "z"], ["y", "z", "x"]], [["z", "x", "y"], ["x", "x", "z"]]],
+    },
+}
+
+
+def test_a_collection_computes_only_what_want_asks_for():
+    # the GSV index of this collection is INFINITE; asked only for mu,
+    # the job computes no GSV index and exits 0, as a form does
+    report, code = run_job(doc("icis", {**CONE_COLLECTION, "want": ["milnor"]}))
+    assert code == 0
+    assert report.values == {"milnor": 1}
+    assert report.certificates == {"isolated_singularity_colength": 1, "milnor_number": 1}
+    report, code = run_job(doc("icis", {**CONE_COLLECTION, "want": ["gsv", "milnor"]}))
+    assert code == 3
+    assert report.values == {"gsv": INFINITE, "milnor": 1}
+    assert report.certificates == {
+        "isolated_singularity_colength": 1,
+        "gsv_minors_colength": INFINITE,
+        "milnor_number": 1,
+    }
+
+
+@pytest.mark.parametrize("want", [["radial"], ["homological"], ["gsv", "radial"]])
+def test_radial_or_homological_on_a_collection_is_refused_at_parse_time(want):
+    document = doc("icis", {**CONE_COLLECTION, "want": want})
+    report, code = run_job(document)
+    assert code == 2
+    assert report.values == {
+        "diagnostics": [
+            {
+                "path": "$.payload.want",
+                "message": "radial and homological indices are defined for single 1-forms, "
+                "not collections",
+            }
+        ]
+    }
+    assert validate(document) == report.values["diagnostics"]
+
+
+def test_an_empty_partition_is_refused():
+    payload = {
+        "variables": ["x", "y", "z"],
+        "equations": ["x^2+y^3", "y^2+z^3", "z^2+x^3"],
+        "collection": {"partition": [], "groups": []},
+    }
+    report, code = run_job(doc("icis", payload))
+    assert code == 2
+    assert report.values == {
+        "diagnostics": [
+            {
+                "path": "$.payload.collection.partition",
+                "message": "partition must be a list of positive integers",
+            }
+        ]
+    }
+    # the `collection` command refuses an empty partition with the same words
+    sections = {"variables": ["x"], "data": {"rank": 1, "partition": [], "matrices": []}}
+    assert validate(doc("collection", sections)) == [
+        {"path": "$.payload.data.partition", "message": "partition must be a list of positive integers"}
+    ]
 
 
 def test_icis_equation_off_the_origin_is_a_path_diagnostic():

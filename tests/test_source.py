@@ -92,3 +92,16 @@ def test_no_unreferenced_private_functions():
                 if not any(name == node.name and key not in own for name, key in references):
                     unused.append(f"{fname} {node.name}")
     assert unused == []
+
+
+def test_every_refusal_raised_in_jobs_names_its_json_path():
+    # run_job reports a refusal with `field` as a diagnostic at that path
+    bare = [
+        node.lineno
+        for node in ast.walk(_tree("jobs.py"))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "RejectedInputError"
+        and not any(k.arg == "field" for k in node.exc.keywords)
+    ]
+    assert bare == []
