@@ -16,15 +16,13 @@ from .grobner import (
     INFINITE,
     Ideal,
     QuotientAlgebra,
-    StandardBasis,
     colength,
     is_zero_dimensional,
     localized_colength,
     quotient_algebra,
-    staircase_monomials,
     standard_basis,
 )
-from .linalg import RationalMatrix, symmetric_signature
+from .linalg import symmetric_signature
 from .poly import (
     GLOBAL_ORDER,
     LOCAL_ORDER,

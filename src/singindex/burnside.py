@@ -49,13 +49,6 @@ def _compose(p, q):
     return tuple(map(p.__getitem__, q))
 
 
-def _inverse(p):
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def _closure(degree, perms, cap=None):
     identity = tuple(range(degree))
     elements = {identity}
@@ -306,19 +299,6 @@ class PermutationGroup:
         if subgroup not in lookup:
             raise RejectedInputError("not a subgroup of this group")
         return lookup[subgroup]
-
-    def cosets(self, subgroup):
-        """Left cosets gK, each a frozenset, deterministic order."""
-        subgroup = frozenset(subgroup)
-        seen = set()
-        out = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            coset = frozenset(_compose(g, k) for k in subgroup)
-            seen |= coset
-            out.append(coset)
-        return out
 
     def table_of_marks(self):
         """Rows indexed by the G-set class G/K, columns by the fixing

@@ -7,10 +7,11 @@ Standard bases are computed under the negative-degree reverse-lexicographic
 order (``LOCAL_ORDER``) with Mora's ecart-controlled weak normal form and
 the normal selection strategy (minimal lcm degree first, deterministic
 tie-break).
-The weak normal form decides membership (it returns zero exactly on
-elements of the localized ideal) but only determines classes up to a unit
-factor (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
-the chapter on Mora's normal form).
+The weak normal form returns zero exactly on elements of the localized
+ideal but only determines classes up to a unit factor (Greuel-Pfister,
+*A Singular Introduction to Commutative Algebra*, the chapter on Mora's
+normal form); it is internal to the completion, which serves only to
+decide whether a colength is infinite, and no membership test is exposed.
 
 Colengths and classes take another route.  :func:`colength` and
 :func:`quotient_algebra` hand the ideal to ``singindex.dual``: a modular
@@ -143,20 +144,19 @@ class _WorkBudget:
             raise DegreeCapError("Mora's completion spent its work budget")
 
 
-def _normal_form_mora(p, basis, cap, budget=None):
+def _normal_form_mora(p, basis, cap, budget):
     """Mora's weak normal form with ecart control.
 
     Returns h with leading monomial not divisible by any basis leading
     term; h is u*p reduced for some unit u of the local ring, so h == 0
-    exactly when p lies in the localized ideal.  A work budget is
+    exactly when p lies in the localized ideal.  The work budget is
     charged the terms of h at every step.
     """
     h = p
     pool = [(lt, lc, g, _ecart(g, lt)) for (lt, lc, g) in basis]
     while not h.is_zero:
         _check_cap(h, cap)
-        if budget is not None:
-            budget.spend(len(h.terms))
+        budget.spend(len(h.terms))
         lm, lc = h.leading_term(LOCAL_ORDER)
         divisors = [entry for entry in pool if monomial_divides(entry[0], lm)]
         if not divisors:
@@ -184,32 +184,17 @@ class StandardBasis:
     """Computed minimal standard basis under ``LOCAL_ORDER``; leading
     coefficients are normalized to 1."""
 
-    __slots__ = ("elements", "ideal", "_lead")
+    __slots__ = ("elements", "ideal")
 
     def __init__(self, elements, ideal):
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(
-            self,
-            "_lead",
-            tuple(g.leading_term(LOCAL_ORDER) + (g,) for g in elements),
-        )
 
     def __setattr__(self, *a):
         raise AttributeError("StandardBasis is immutable")
 
     def leading_monomials(self):
-        return [lt for lt, _, _ in self._lead]
-
-    def normal_form(self, p, degree_cap=DEFAULT_DEGREE_CAP):
-        """Mora's weak normal form: zero exactly when p is a member of the
-        localized ideal."""
-        if p.context != self.ideal.context:
-            raise RejectedInputError("context mismatch in normal form")
-        return _normal_form_mora(p, self._lead, degree_cap)
-
-    def contains(self, p, degree_cap=DEFAULT_DEGREE_CAP):
-        return self.normal_form(p, degree_cap).is_zero
+        return [g.leading_term(LOCAL_ORDER)[0] for g in self.elements]
 
 
 def _completion(generators, degree_cap, budget):
@@ -285,13 +270,13 @@ def standard_basis(ideal, degree_cap=DEFAULT_DEGREE_CAP):
 def is_zero_dimensional(sb):
     """True when the leading terms contain a pure power of every variable,
     i.e. the staircase is finite."""
-    n = len(sb.ideal.context)
-    return all(_pure_power_bound(sb, i) is not None for i in range(n))
+    lead = sb.leading_monomials()
+    return all(_pure_power_bound(lead, i) is not None for i in range(len(sb.ideal.context)))
 
 
-def _pure_power_bound(sb, var):
+def _pure_power_bound(lead, var):
     best = None
-    for lt in sb.leading_monomials():
+    for lt in lead:
         if all(e == 0 for k, e in enumerate(lt) if k != var):
             if best is None or lt[var] < best:
                 best = lt[var]
@@ -301,10 +286,10 @@ def _pure_power_bound(sb, var):
 def staircase_monomials(sb):
     """Monomials outside the leading-term ideal, or INFINITE."""
     n = len(sb.ideal.context)
-    bounds = [_pure_power_bound(sb, i) for i in range(n)]
+    lead = sb.leading_monomials()
+    bounds = [_pure_power_bound(lead, i) for i in range(n)]
     if any(b is None for b in bounds):
         return INFINITE
-    lead = sb.leading_monomials()
     out = []
 
     def walk(prefix, i):
@@ -412,11 +397,6 @@ class QuotientAlgebra:
             Fraction(sum(a * nums[k] for k, a in terms), scale * den)
             for nums, den in self._vectors
         ]
-
-    def reduce(self, poly):
-        """Canonical representative supported on the basis monomials."""
-        cs = self.coords(poly)
-        return Polynomial(self.context, dict(zip(self.basis, cs)))
 
     def functional(self, weights):
         """The functional phi(p) = sum_k weights[k] * coords(p)[k], for

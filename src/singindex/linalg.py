@@ -1,12 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
-The free functions work on lists of lists of exact rationals (ints and
-Fractions); a thin immutable RationalMatrix of Fractions is provided for
-the public surface, and :func:`symmetric_signature` accepts either form.
-That routine yields the inertia (pos, neg, zero) of a symmetric matrix
-without ever computing eigenvalues: it scales the matrix to integers and
-runs a fraction-free (Bareiss) symmetric elimination, so its inner loop
-is plain ``int`` arithmetic with one exact division per entry.
+Every function takes a matrix as a list of rows of exact rationals (ints
+and Fractions).  :func:`symmetric_signature` yields the inertia (pos,
+neg, zero) of a symmetric matrix without ever computing eigenvalues: it
+scales the matrix to integers and runs a fraction-free (Bareiss)
+symmetric elimination, so its inner loop is plain ``int`` arithmetic
+with one exact division per entry.
 """
 
 from __future__ import annotations
@@ -15,62 +14,6 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import RejectedInputError
-
-
-class RationalMatrix:
-    """Immutable rectangular matrix of Fractions."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        if not entries or not entries[0]:
-            raise RejectedInputError("matrix must be non-empty")
-        ncols = len(entries[0])
-        if any(len(r) != ncols for r in entries):
-            raise RejectedInputError("ragged matrix")
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def transpose(self):
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def mul(self, other):
-        if isinstance(other, RationalMatrix):
-            o = other.entries
-        else:
-            o = [list(r) for r in other]
-        if self.cols != len(o):
-            raise RejectedInputError("matrix shapes do not match")
-        ocols = len(o[0])
-        return RationalMatrix(
-            [
-                [
-                    sum((self.entries[i][k] * o[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(ocols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"RationalMatrix({[list(map(str, r)) for r in self.entries]!r})"
 
 
 def rref(rows):
@@ -100,7 +43,8 @@ def rref(rows):
 
 
 def symmetric_signature(matrix):
-    """Inertia (pos, neg, zero) of a symmetric rational matrix.
+    """Inertia (pos, neg, zero) of a symmetric rational matrix, given as
+    a list of rows.
 
     Congruences preserve inertia (Sylvester's law), and so does scaling
     by a positive number, so the matrix is first multiplied by the lcm
@@ -110,14 +54,13 @@ def symmetric_signature(matrix):
     algebras pair few basis monomials, and most blocks have one or two
     rows).  Each block goes to :func:`_bareiss_inertia`.
     """
-    rows = matrix.entries if isinstance(matrix, RationalMatrix) else matrix
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
         raise RejectedInputError("signature needs a square matrix")
-    if all(type(x) is int for row in rows for x in row):
-        a = [list(row) for row in rows]
+    if all(type(x) is int for row in matrix for x in row):
+        a = [list(row) for row in matrix]
     else:
-        a = [[Fraction(x) for x in row] for row in rows]
+        a = [[Fraction(x) for x in row] for row in matrix]
         scale = lcm(*(x.denominator for row in a for x in row))
         a = [[x.numerator * (scale // x.denominator) for x in row] for row in a]
     if any(list(column) != row for row, column in zip(a, zip(*a))):

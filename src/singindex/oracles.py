@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .burnside import BurnsideElement, _compose, _inverse
+from .burnside import BurnsideElement
 from .errors import InternalCheckError, OracleBudgetError, RejectedInputError
 from .grobner import INFINITE
 from .poly import (
@@ -345,6 +345,35 @@ def _in_degenerate_cone(a, b, c, ray):
 
 
 # ---------------------------------------------------------------------------
+# permutations and cosets, apart from the burnside module they check
+
+
+def _compose(p, q):
+    """(p . q)(i) = p(q(i))."""
+    return tuple(p[i] for i in q)
+
+
+def _inverse(p):
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _cosets(group, subgroup):
+    """Left cosets gK of the subgroup K, each a frozenset, in the order of
+    their first element in the group."""
+    seen = set()
+    out = []
+    for g in group.elements:
+        if g not in seen:
+            coset = frozenset(_compose(g, k) for k in subgroup)
+            seen |= coset
+            out.append(coset)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # orbit-counting Burnside product
 
 
@@ -354,8 +383,8 @@ def burnside_mul_by_orbits(group, class_a, class_b):
     classes = group.classes()
     a_sub = classes[class_a].representative
     b_sub = classes[class_b].representative
-    cosets_a = group.cosets(a_sub)
-    cosets_b = group.cosets(b_sub)
+    cosets_a = _cosets(group, a_sub)
+    cosets_b = _cosets(group, b_sub)
 
     def act(g, pair):
         ca, cb = pair
@@ -395,7 +424,7 @@ def restriction_by_orbits(group, class_index, subgroup):
 
     h_group = subgroup_as_group(group, subgroup)
     k_sub = group.classes()[class_index].representative
-    cosets = group.cosets(k_sub)
+    cosets = _cosets(group, k_sub)
     position = {c: i for i, c in enumerate(cosets)}
     unseen = set(range(len(cosets)))
     coeffs = {}
@@ -474,7 +503,7 @@ def marks_by_cosets(group):
     matrix = []
     for row_class in classes:
         k_sub = row_class.representative
-        cosets = group.cosets(k_sub)
+        cosets = _cosets(group, k_sub)
         row = []
         for col_class in classes:
             count = 0

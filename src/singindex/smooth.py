@@ -32,7 +32,7 @@ from .grobner import (
     colength,
     quotient_algebra,
 )
-from .linalg import RationalMatrix, rref, symmetric_signature
+from .linalg import rref, symmetric_signature
 from .poly import (
     GLOBAL_ORDER,
     Polynomial,
@@ -255,44 +255,51 @@ def elk_index(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
 # finite linear group actions
 
 
+MAX_ACTION_ORDER = 512
+
+
 class GroupAction:
     """A finite group of exact rational matrices acting on the variables.
 
-    The closure of the generators is enumerated explicitly, with a cap
-    guarding against non-finite input; every element therefore has finite
-    order by construction.
+    Generators and elements are n x n matrices, each a tuple of rows of
+    Fractions.  The closure of the generators is enumerated explicitly,
+    and a closure past ``MAX_ACTION_ORDER`` elements is refused, so every
+    element has finite order by construction.
     """
 
-    def __init__(self, variables, generators, cap=512):
+    def __init__(self, variables, generators):
         self.variables = tuple(variables)
         n = len(self.variables)
         mats = []
         for g in generators:
-            m = RationalMatrix(g)
-            if m.rows != n or m.cols != n:
+            m = tuple(tuple(Fraction(x) for x in row) for row in g)
+            if len(m) != n or any(len(row) != n for row in m):
                 raise RejectedInputError(
                     f"action matrices must be {n} x {n} for this context"
                 )
-            if len(rref(m.entries)[1]) != n:
+            if len(rref(m)[1]) != n:
                 raise RejectedInputError("action matrices must be invertible")
             mats.append(m)
-        identity = RationalMatrix.identity(n)
-        elements = {identity.entries: identity}
+        identity = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+        elements = {identity: None}
         frontier = [identity]
         while frontier:
-            current = frontier.pop()
+            columns = tuple(zip(*frontier.pop()))
             for g in mats:
-                nxt = g.mul(current)
-                if nxt.entries not in elements:
-                    if len(elements) >= cap:
+                nxt = tuple(
+                    tuple(sum(a * b for a, b in zip(row, column)) for column in columns)
+                    for row in g
+                )
+                if nxt not in elements:
+                    if len(elements) >= MAX_ACTION_ORDER:
                         raise RejectedInputError(
-                            f"group closure exceeded the cap of {cap} elements; "
+                            f"group closure exceeded the cap of {MAX_ACTION_ORDER} elements; "
                             "the action is not (verifiably) finite"
                         )
-                    elements[nxt.entries] = nxt
+                    elements[nxt] = None
                     frontier.append(nxt)
-        self.elements = list(elements.values())
-        self.generators = mats
+        self.elements = tuple(elements)
+        self.generators = tuple(mats)
 
     @property
     def order(self):
@@ -304,7 +311,7 @@ class GroupAction:
         for i, name in enumerate(self.variables):
             p = Polynomial.zero(self.variables)
             for j, other in enumerate(self.variables):
-                c = matrix.entries[i][j]
+                c = matrix[i][j]
                 if c != 0:
                     p = p + Polynomial.variable(self.variables, other) * c
             images[name] = p

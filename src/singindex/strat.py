@@ -114,10 +114,6 @@ class SliceData:
     def value(self, i, j):
         return self.entries.get((i, j), 0)
 
-    def column(self, target):
-        """The vector n_{i, target} over all strata (0 off the cone)."""
-        return [self.value(i, target) for i in range(self.poset.size)]
-
 
 @dataclass(frozen=True)
 class IndexVector:

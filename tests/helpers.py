@@ -4,7 +4,6 @@ coordinate-change utilities."""
 from fractions import Fraction
 
 from singindex.poly import Polynomial
-from singindex.linalg import RationalMatrix
 
 
 def random_polynomial(ctx, rng, max_degree=4, terms=4, coeff_bound=5):
@@ -22,7 +21,8 @@ def random_polynomial(ctx, rng, max_degree=4, terms=4, coeff_bound=5):
 
 
 def random_unimodular(n, rng, steps=6, bound=2):
-    """Integer matrix of determinant +-1: product of shear and swap moves."""
+    """Integer matrix of determinant +-1, as a tuple of rows of Fractions:
+    a product of shear and swap moves."""
     m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(steps):
         if n > 1 and rng.random() < 0.3:
@@ -35,7 +35,7 @@ def random_unimodular(n, rng, steps=6, bound=2):
             c = rng.randint(-bound, bound)
             for k in range(n):
                 m[i][k] += c * m[j][k]
-    return RationalMatrix(m)
+    return tuple(tuple(row) for row in m)
 
 
 def linear_substitution(ctx, matrix):
@@ -44,7 +44,7 @@ def linear_substitution(ctx, matrix):
     for i, name in enumerate(ctx):
         p = Polynomial.zero(ctx)
         for j, other in enumerate(ctx):
-            c = matrix.entries[i][j]
+            c = matrix[i][j]
             if c != 0:
                 p = p + Polynomial.variable(ctx, other) * c
         images[name] = p
@@ -65,7 +65,7 @@ def pullback_one_form(coefficients, ctx, matrix):
     for j in range(len(ctx)):
         p = Polynomial.zero(ctx)
         for i, a in enumerate(composed):
-            c = matrix.entries[i][j]
+            c = matrix[i][j]
             if c != 0:
                 p = p + a * c
         out.append(p)

@@ -33,6 +33,19 @@ X = Polynomial.variable(CTX, "x")
 Y = Polynomial.variable(CTX, "y")
 
 
+def _mora_contains(sb, p):
+    """Membership in the localized ideal: Mora's weak normal form of p by
+    the standard basis is zero."""
+    lead = [g.leading_term(LOCAL_ORDER) + (g,) for g in sb.elements]
+    budget = grobner._WorkBudget(grobner.MORA_WORK)
+    return grobner._normal_form_mora(p, lead, grobner.DEFAULT_DEGREE_CAP, budget).is_zero
+
+
+def _representative(q, p):
+    """The class of p in the quotient algebra, supported on its basis."""
+    return Polynomial(q.context, dict(zip(q.basis, q.coords(p))))
+
+
 def test_monomial_ideal_is_its_own_basis():
     sb = standard_basis(Ideal([X**2, Y**3]))
     assert sorted(sb.leading_monomials()) == [(0, 3), (2, 0)]
@@ -65,8 +78,8 @@ def test_colength_examples():
 
 def test_membership_through_normal_form():
     sb = standard_basis(Ideal([X**2 + Y**3, X * Y]))
-    assert sb.contains(X**3)  # x^3 = x(x^2+y^3) - y^2(xy)
-    assert not sb.contains(Y**3)
+    assert _mora_contains(sb, X**3)  # x^3 = x(x^2+y^3) - y^2(xy)
+    assert not _mora_contains(sb, Y**3)
 
 
 def test_colength_invariant_under_linear_change():
@@ -132,7 +145,7 @@ def test_quotient_algebra_examples():
 
     q = quotient_algebra(Ideal([X**2, Y**2]))
     assert set(q.basis) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    assert not any(q.coords(q.reduce(X) * q.reduce(X)))
+    assert not any(q.coords(_representative(q, X) * _representative(q, X)))
 
     q = quotient_algebra(Ideal([X**2 - Y**3, Y**4]))
     assert q.dimension == 8
@@ -144,13 +157,14 @@ def test_quotient_algebra_associative_and_unital():
     for gens in ([X**2, Y**2], [X**2 - Y**2, X * Y], [X**2 + Y**3, X * Y]):
         q = quotient_algebra(Ideal(gens))
         assert q.dimension <= 8
-        unit = q.reduce(Polynomial.one(CTX))
+        unit = _representative(q, Polynomial.one(CTX))
         assert q.coords(unit) == [1] + [0] * (q.dimension - 1)
-        classes = [q.reduce(Polynomial(CTX, {m: Fraction(1)})) for m in q.basis]
+        classes = [_representative(q, Polynomial(CTX, {m: Fraction(1)})) for m in q.basis]
         for u in classes:
-            assert q.reduce(unit * u) == u
+            assert _representative(q, unit * u) == u
         for a, b, c in itertools.product(classes, repeat=3):
-            assert q.reduce(q.reduce(a * b) * c) == q.reduce(a * q.reduce(b * c))
+            left = _representative(q, _representative(q, a * b) * c)
+            assert left == _representative(q, a * _representative(q, b * c))
 
 
 def test_basis_spairs_reduce_to_zero():
@@ -166,7 +180,7 @@ def test_basis_spairs_reduce_to_zero():
                 lt_j, _ = elements[j].leading_term(LOCAL_ORDER)
                 s = _spoly(lt_i, elements[i], lt_j, elements[j])
                 if not s.is_zero:
-                    assert sb.normal_form(s).is_zero
+                    assert _mora_contains(sb, s)
 
 
 def test_normal_form_idempotent():
@@ -174,8 +188,8 @@ def test_normal_form_idempotent():
     q = quotient_algebra(Ideal([X**2 + Y**3, X * Y]))
     for _ in range(10):
         p = random_polynomial(CTX, rng)
-        once = q.reduce(p)
-        assert q.reduce(once) == once
+        once = _representative(q, p)
+        assert _representative(q, once) == once
 
 
 def test_class_representatives_agree_with_membership():
@@ -191,9 +205,9 @@ def test_class_representatives_agree_with_membership():
             p = random_polynomial(CTX, rng)
             if rng.random() < 0.5:
                 p = sum((random_polynomial(CTX, rng, max_degree=2) * g for g in gens), Polynomial.zero(CTX))
-            rep = q.reduce(p)
-            assert rep.is_zero == sb.contains(p)
-            assert sb.contains(p - rep)
+            rep = _representative(q, p)
+            assert rep.is_zero == _mora_contains(sb, p)
+            assert _mora_contains(sb, p - rep)
             outcomes.add(rep.is_zero)
     assert outcomes == {True, False}
 

@@ -115,7 +115,7 @@ def test_jacobian_linear_composition():
     for _ in range(6):
         fs = [random_polynomial(ctx, rng, max_degree=3) for _ in ctx]
         u = random_unimodular(2, rng)
-        det_u = u.entries[0][0] * u.entries[1][1] - u.entries[0][1] * u.entries[1][0]
+        det_u = u[0][0] * u[1][1] - u[0][1] * u[1][0]
         lhs = jacobian_det(substitute_all(fs, ctx, u))
         rhs = substitute_all([jacobian_det(fs)], ctx, u)[0] * det_u
         assert lhs == rhs

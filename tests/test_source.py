@@ -1,11 +1,15 @@
 """Checks on the program's source files themselves."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import singindex
 
 SRC = pathlib.Path(singindex.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _tree(name):
@@ -63,9 +67,57 @@ def test_oracles_take_from_burnside_only_what_they_check_with():
         if isinstance(node, ast.ImportFrom) and node.module == "burnside"
         for alias in node.names
     }
-    assert names == {"BurnsideElement", "_compose", "_inverse", "subgroup_as_group"}
+    assert names == {"BurnsideElement", "subgroup_as_group"}
     # nor the module itself, through `import` or `from . import`
     assert not any(alias.name.endswith("burnside") for node in imports for alias in node.names)
+
+
+def test_oracles_import_no_private_name_from_singindex():
+    # a private helper shared with a checked path would be checked by itself
+    private = [
+        f"{node.lineno} {node.module}.{alias.name}"
+        for node in ast.walk(_tree("oracles.py"))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "singindex")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+_TRACED_RUN = """
+import singindex
+import spans
+from singindex.grobner import Ideal
+
+tracer = spans.Tracer()
+tracer.install(singindex)
+unwrapped = []
+for name in spans.SPAN_METRIC:
+    target = singindex
+    for part in name.split("."):
+        target = getattr(target, part)
+    if not hasattr(target, "__wrapped__"):
+        unwrapped.append(name)
+assert unwrapped == [], unwrapped
+singindex.grobner.standard_basis(Ideal.from_strings(["x^2 + y^3", "x*y"], ("x", "y")))
+assert tracer.counts["grobner.basis_size_sum"] == 3, tracer.counts
+"""
+
+
+def test_the_traced_benchmark_finds_every_name_it_wraps():
+    # perfbench/spans.py looks its names up with getattr; a deleted one
+    # would crash the traced benchmark run.  A subprocess keeps the
+    # rebinding out of this test session.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PERFBENCH), str(SRC.parent)]))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _private(name):
