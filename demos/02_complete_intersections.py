@@ -33,10 +33,13 @@ print(f"isolated-singularity certificate (colength): {isolatedness_certificate(c
 gsv = gsv_index_1form(cone, dz)
 print(f"index via the minors ideal:                  {gsv}")
 
-# The Milnor number comes from slicing with generic hyperplanes: each
-# slice satisfies  mu(V) + mu(V . H) = colength(f, minors(df, dl)).
+# The Milnor number of a complete intersection comes from slicing with
+# generic hyperplanes: each slice satisfies
+#     mu(V) + mu(V . H) = colength(f, minors(df, dl)).
+# A hypersurface is C^3 (mu = 0) sliced by f itself, so its Milnor number
+# is the colength of the Jacobian ideal (df/dx, df/dy, df/dz).
 mu = milnor_number(cone, seed=0)
-print(f"Milnor number via the slicing recursion:     {mu}")
+print(f"Milnor number via the Jacobian colength:     {mu}")
 
 # The radial index differs from the minors-ideal index exactly by mu.
 radial = radial_index_1form(cone, dz)

@@ -26,6 +26,10 @@ multiplicity m (Milnor number m - 1), therefore meets the hypotheses at
 every step, and its alternating sum is exactly mu(V), whatever forms
 were drawn.  The linear forms are the only random choices; a draw whose
 colength is INFINITE is redrawn.
+
+A hypersurface {f = 0} is one step of that chain and draws nothing: C^N
+(mu = 0) sliced by f itself, so mu(V) = colength(df/dx_1, ..., df/dx_N)
+(Milnor, Singular points of complex hypersurfaces, 1968).
 """
 
 from __future__ import annotations
@@ -179,6 +183,12 @@ def _milnor_chain(germ, rng, degree_cap):
     raise _SliceRetry
 
 
+_NOT_ISOLATED = (
+    "singular locus is not isolated: the colength of the equations "
+    "and the maximal minors of their Jacobian is INFINITE"
+)
+
+
 def milnor_number(germ, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
     """Milnor number of the complete intersection germ.
 
@@ -191,19 +201,26 @@ def milnor_number(germ, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
     fails, raises NotIsolatedError if the singular-locus colength is
     INFINITE (no linear form then has isolated critical points on V),
     else GenericityError.
+
+    A hypersurface of dimension >= 1 draws nothing from ``seed``: mu is
+    its Jacobian colength, and when that is INFINITE so is the
+    singular-locus colength, as near 0 the critical locus of f lies in
+    {f = 0}.
     """
     if not germ.equations:
         return 0
+    if len(germ.equations) == 1 and germ.dim >= 1:
+        mu = colength(Ideal(germ.gradient_rows()[0]), degree_cap)
+        if mu is INFINITE:
+            raise NotIsolatedError(_NOT_ISOLATED)
+        return mu
     try:
         return _milnor_chain(germ, random.Random(seed), degree_cap)
     except _SliceRetry:
         if germ.dim == 0:
             raise NotIsolatedError("zero-dimensional germ has infinite multiplicity")
         if isolatedness_certificate(germ, degree_cap) is INFINITE:
-            raise NotIsolatedError(
-                "singular locus is not isolated: the colength of the equations "
-                "and the maximal minors of their Jacobian is INFINITE"
-            )
+            raise NotIsolatedError(_NOT_ISOLATED)
         raise GenericityError("no generic linear form found after repeated draws")
 
 

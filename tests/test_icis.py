@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -9,8 +10,8 @@ import pytest
 
 from singindex import icis, jobs
 from singindex import smooth as sm
-from singindex.errors import RejectedInputError
-from singindex.grobner import DEFAULT_DEGREE_CAP, INFINITE, Ideal, colength
+from singindex.errors import NotIsolatedError, RejectedInputError
+from singindex.grobner import DEFAULT_DEGREE_CAP, INFINITE, Ideal
 from singindex.jobs import ICIS_RULES, Report, _macaulay_oracle, run_job
 from singindex.icis import (
     ICISGerm,
@@ -84,7 +85,19 @@ def test_milnor_deterministic_across_seeds():
     assert values == {2}
 
 
+def _chain_agrees_with_the_gradient_oracle(germ):
+    """The slice chain at seeds 0, 1 and 7 against the Macaulay colength
+    of the gradient of the hypersurface; returns that colength."""
+    (f,) = germ.equations
+    oracle = macaulay_colength([f.derivative(i) for i in range(len(germ.variables))])
+    for seed in (0, 1, 7):
+        assert icis._milnor_chain(germ, random.Random(seed), DEFAULT_DEGREE_CAP) == oracle
+    return oracle
+
+
 def test_milnor_agrees_with_jacobian_ideal_for_hypersurfaces():
+    # milnor_number takes the Jacobian colength itself, so the slice chain
+    # and the Macaulay oracle check it
     hypersurfaces = [
         "x^2 + y^2 + z^2",
         "x^3 + y^3 + z^3",
@@ -95,30 +108,61 @@ def test_milnor_agrees_with_jacobian_ideal_for_hypersurfaces():
     ]
     for f in hypersurfaces:
         germ = ICISGerm(SPACE, [f])
-        poly = germ.equations[0]
-        jac = [poly.derivative(i) for i in range(3)]
-        oracle = colength(Ideal(jac))
-        assert milnor_number(germ) == oracle
+        assert milnor_number(germ) == _chain_agrees_with_the_gradient_oracle(germ)
 
 
 def test_milnor_of_smooth_germ_is_zero():
     assert milnor_number(ICISGerm(SPACE, [])) == 0
 
 
-def test_milnor_genericity_failure_on_non_icis():
-    from singindex.errors import NotIsolatedError
-
-    # the surface xy = 0 has a whole singular line, so every slice chain
-    # hits an infinite colength; the singular-locus colength then says why
-    with pytest.raises(NotIsolatedError):
-        milnor_number(ICISGerm(SPACE, ["x*y"]))
-
-
-@pytest.mark.parametrize(
-    "equations, calls", [(["x^3 + y^3 + z^3"], 3), (["z - 2*x + y", "x^2 + 3*y^3"], 2)]
+NOT_ISOLATED = (
+    "singular locus is not isolated: the colength of the equations "
+    "and the maximal minors of their Jacobian is INFINITE"
 )
-def test_milnor_number_runs_one_slice_chain(monkeypatch, equations, calls):
-    # one colength per slice plus one at dimension zero
+
+
+@pytest.mark.parametrize("f", ["x*y", "x^2", "0"])
+def test_milnor_genericity_failure_on_non_icis(f):
+    # xy = 0 and x^2 = 0 are singular along a whole plane or line, so the
+    # Jacobian colength, and with it the singular-locus colength, is INFINITE
+    with pytest.raises(NotIsolatedError) as err:
+        milnor_number(ICISGerm(SPACE, [f]))
+    assert str(err.value) == NOT_ISOLATED
+
+
+def test_milnor_of_a_zero_dimensional_non_isolated_germ():
+    with pytest.raises(NotIsolatedError) as err:
+        milnor_number(ICISGerm(("x",), ["0"]))
+    assert str(err.value) == "zero-dimensional germ has infinite multiplicity"
+
+
+def test_non_isolated_hypersurface_document_exits_3():
+    document = {
+        "command": "icis",
+        "op": "",
+        "payload": {
+            "variables": list(SPACE),
+            "equations": ["x*y"],
+            "form": ["0", "0", "1"],
+            "want": ["milnor"],
+        },
+        "options": {"seed": 0, "degree_cap": 40},
+    }
+    report, code = run_job(document)
+    assert code == 3
+    out = json.loads(report.to_json())
+    assert out["status"] == "non-isolated"
+    assert out["values"] == {"error": NOT_ISOLATED}
+    assert out["options"] == {"degree_cap": 40, "seed": 0}
+    assert (out["command"], out["op"]) == ("icis", "")
+    assert out["certificates"] == out["oracle"] == out["rules"] == {}
+    assert out["flags"] == []
+    assert set(out) == {
+        "certificates", "command", "flags", "op", "options", "oracle", "rules", "status", "values"
+    }
+
+
+def _spy_colength(monkeypatch):
     seen = []
     real = icis.colength
 
@@ -127,8 +171,33 @@ def test_milnor_number_runs_one_slice_chain(monkeypatch, equations, calls):
         return real(ideal, degree_cap)
 
     monkeypatch.setattr(icis, "colength", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "equations, calls", [(["x^3 + y^3 + z^3"], 1), (["z - 2*x + y", "x^2 + 3*y^3"], 2)]
+)
+def test_milnor_number_runs_one_slice_chain(monkeypatch, equations, calls):
+    # a hypersurface takes its Jacobian colength; a curve one colength per
+    # slice plus one at dimension zero
+    seen = _spy_colength(monkeypatch)
     milnor_number(ICISGerm(SPACE, equations), seed=0)
     assert len(seen) == calls
+
+
+def test_milnor_number_of_a_hypersurface_is_its_jacobian_colength(monkeypatch):
+    seen = _spy_colength(monkeypatch)
+    assert milnor_number(ICISGerm(SPACE, ["x^3 + y^3 + z^3"]), seed=0) == 8
+    (ideal,) = seen
+    assert ideal.generators == Ideal.from_strings(["3*x^2", "3*y^2", "3*z^2"], SPACE).generators
+
+
+def test_slice_chain_of_a_hypersurface_takes_one_colength_per_slice(monkeypatch):
+    # two slices of the surface plus one at dimension zero
+    seen = _spy_colength(monkeypatch)
+    germ = ICISGerm(SPACE, ["x^3 + y^3 + z^3"])
+    assert icis._milnor_chain(germ, random.Random(0), DEFAULT_DEGREE_CAP) == 8
+    assert len(seen) == 3
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -149,8 +218,60 @@ def test_milnor_number_of_the_benchmark_germs_at_two_seeds(monkeypatch, seed):
         mu = job.expect["values"]["milnor"]
         assert milnor_number(germ, seed=0) == milnor_number(germ, seed=1) == mu
         if len(germ.equations) == 1:
-            (f,) = germ.equations
-            assert macaulay_colength([f.derivative(i) for i in range(3)]) == mu
+            assert _chain_agrees_with_the_gradient_oracle(germ) == mu
+
+
+SWEEP_GERMS = [
+    "x^3+y^3+z^3",
+    "x^2*y+y^4+z^2",
+    "x^4+y^4+z^4+2*x*y*z",
+    "x^3+y^4+z^5",
+    "x^2*y^2+x^5+y^5+z^2",
+    "x^3*y+y^3*z+z^3*x",
+    "x^2+y^2+z^13",
+]
+# the Jacobian colength of each germ fits under this cap, one below the
+# lowest at which the slice chain fits
+LOWEST_JACOBIAN_CAP = {
+    "x^3+y^3+z^3": (4, 8),
+    "x^2*y+y^4+z^2": (4, 5),
+    "x^4+y^4+z^4+2*x*y*z": (5, 11),
+    "x^3+y^4+z^5": (7, 24),
+    "x^2*y^2+x^5+y^5+z^2": (6, 11),
+    "x^3*y+y^3*z+z^3*x": (7, 27),
+}
+
+
+def _milnor_document(f, cap):
+    return {
+        "command": "icis",
+        "op": "",
+        "payload": {"variables": list(SPACE), "equations": [f], "form": ["0", "0", "1"], "want": ["milnor"]},
+        "options": {"seed": 0, "degree_cap": cap},
+    }
+
+
+@pytest.mark.parametrize("f", SWEEP_GERMS)
+def test_degree_cap_sweep_of_hypersurfaces(monkeypatch, f):
+    germ = ICISGerm(SPACE, [f])
+    for cap in range(3, 16):
+        report, code = run_job(_milnor_document(f, cap))
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                icis, "milnor_number", lambda g, seed, c: icis._milnor_chain(g, random.Random(seed), c)
+            )
+            chain_report, chain_code = run_job(_milnor_document(f, cap))
+        if chain_code == 0:
+            mu = json.loads(chain_report.to_json())["values"]["milnor"]
+            assert milnor_number(germ, degree_cap=cap) == mu
+            assert (report.to_json(), code) == (chain_report.to_json(), 0)
+        else:
+            assert chain_code == 4
+            assert code in (0, 4)
+    if f in LOWEST_JACOBIAN_CAP:
+        cap, mu = LOWEST_JACOBIAN_CAP[f]
+        report, code = run_job(_milnor_document(f, cap))
+        assert code == 0 and json.loads(report.to_json())["values"]["milnor"] == mu
 
 
 def test_radial_examples():
