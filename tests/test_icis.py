@@ -123,7 +123,7 @@ NOT_ISOLATED = (
 
 @pytest.mark.parametrize("f", ["x*y", "x^2", "0"])
 def test_milnor_genericity_failure_on_non_icis(f):
-    # xy = 0 and x^2 = 0 are singular along a whole plane or line, so the
+    # these are singular along a line, a plane and all of C^3, so the
     # Jacobian colength, and with it the singular-locus colength, is INFINITE
     with pytest.raises(NotIsolatedError) as err:
         milnor_number(ICISGerm(SPACE, [f]))
@@ -136,29 +136,28 @@ def test_milnor_of_a_zero_dimensional_non_isolated_germ():
     assert str(err.value) == "zero-dimensional germ has infinite multiplicity"
 
 
-def test_non_isolated_hypersurface_document_exits_3():
-    document = {
+def _milnor_document(f, cap):
+    return {
         "command": "icis",
         "op": "",
-        "payload": {
-            "variables": list(SPACE),
-            "equations": ["x*y"],
-            "form": ["0", "0", "1"],
-            "want": ["milnor"],
-        },
-        "options": {"seed": 0, "degree_cap": 40},
+        "payload": {"variables": list(SPACE), "equations": [f], "form": ["0", "0", "1"], "want": ["milnor"]},
+        "options": {"seed": 0, "degree_cap": cap},
     }
-    report, code = run_job(document)
+
+
+def test_non_isolated_hypersurface_document_exits_3():
+    report, code = run_job(_milnor_document("x*y", 40))
     assert code == 3
-    out = json.loads(report.to_json())
-    assert out["status"] == "non-isolated"
-    assert out["values"] == {"error": NOT_ISOLATED}
-    assert out["options"] == {"degree_cap": 40, "seed": 0}
-    assert (out["command"], out["op"]) == ("icis", "")
-    assert out["certificates"] == out["oracle"] == out["rules"] == {}
-    assert out["flags"] == []
-    assert set(out) == {
-        "certificates", "command", "flags", "op", "options", "oracle", "rules", "status", "values"
+    assert json.loads(report.to_json()) == {
+        "certificates": {},
+        "command": "icis",
+        "flags": [],
+        "op": "",
+        "options": {"degree_cap": 40, "seed": 0},
+        "oracle": {},
+        "rules": {},
+        "status": "non-isolated",
+        "values": {"error": NOT_ISOLATED},
     }
 
 
@@ -240,15 +239,6 @@ LOWEST_JACOBIAN_CAP = {
     "x^2*y^2+x^5+y^5+z^2": (6, 11),
     "x^3*y+y^3*z+z^3*x": (7, 27),
 }
-
-
-def _milnor_document(f, cap):
-    return {
-        "command": "icis",
-        "op": "",
-        "payload": {"variables": list(SPACE), "equations": [f], "form": ["0", "0", "1"], "want": ["milnor"]},
-        "options": {"seed": 0, "degree_cap": cap},
-    }
 
 
 @pytest.mark.parametrize("f", SWEEP_GERMS)
