@@ -18,13 +18,20 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
 * **Probe.**  A generator with a non-zero constant term is a unit, and
   the colength is 0.  Otherwise the generators are scaled to integer
   coefficients and M_B is brought to echelon form modulo the first of
-  ``PRIMES``, each pivot at the first column of its row, for
-  B = 2, 4, 6, ... up to the degree cap and ``MAX_COLUMNS``.  M_D is M_B
-  with the columns above degree D dropped, so its rank mod p is the
+  ``PRIMES``, each pivot at the first column of its row, for B = B1,
+  B1 + 2, B1 + 4, ... up to the degree cap and ``MAX_COLUMNS``.  M_D is
+  M_B with the columns above degree D dropped, so its rank mod p is the
   number of pivots of degree at most D: one echelon form gives dim_p(D)
-  for every D <= B.  B grows by 2, not by doubling, because the last
-  elimination dominates and a doubled B can have several times the
-  columns that the plateau needs.
+  for every D <= B.  With n generators in n variables of orders
+  d_1, ..., d_n, B1 = 1 + s for s = (d_1 - 1) + ... + (d_n - 1): for a
+  finite map germ the Jacobian determinant J spans the socle of O/I
+  (Scheja-Storch, 1975; Eisenbud-Levine, Ann. Math. 106, 1977), so J is
+  not in I, and J lies in m^s, so D0 >= s.  Any other number of
+  generators starts at B1 = 2.  B1 only decides the work spent before
+  the first plateau, not the plateau found: had a germ D0 < s, the scan
+  of every D < B would still find it.  B grows by 2, not by doubling,
+  because the last elimination dominates and a doubled B can have
+  several times the columns that the plateau needs.
 * **Certificate.**  At the first plateau dim_p(D0) = dim_p(D0+1) = mu,
   the mu null vectors of M_D0 mod p that are the identity on the free
   (non-pivot) columns are lifted to the rationals by Chinese remaindering
@@ -140,7 +147,9 @@ def dual_basis(generators, degree_cap):
     if not gens:
         return None
     nvars = len(generators[0].context)
-    for bound in _probe_bounds(nvars, degree_cap):
+    # D0 >= s: the Jacobian determinant of n generators is in m^s, not in I
+    first = 1 + sum(terms[0][0] - 1 for terms in gens) if len(gens) == nvars else 2
+    for bound in _probe_bounds(nvars, degree_cap, first):
         # degree-lexicographic exponents, each reversed: sorted by
         # LOCAL_ORDER from the largest down
         columns = [m[::-1] for m in monomials_up_to_degree(nvars, bound + 1)]
@@ -325,19 +334,22 @@ def _plateau(gens, nvars, dual, p):
     return ncols - len(pivots) == len(basis)
 
 
-def _probe_bounds(nvars, degree_cap):
-    """The probe's bounds: each two more than the last, at most the degree
-    cap, and lowered to the largest bound whose matrix has at most
-    MAX_COLUMNS columns, for as long as they grow."""
-    bound = 0
+def _probe_bounds(nvars, degree_cap, first):
+    """The probe's bounds: the first one given (1 + s from the orders of
+    n generators, by the socle fact of the module docstring, else 2), then
+    each two more than the last; each at most the degree cap and lowered
+    to the largest bound whose matrix has at most MAX_COLUMNS columns, for
+    as long as they grow."""
+    bound, nxt = 0, first
     while True:
-        nxt = min(bound + 2, degree_cap)
+        nxt = min(nxt, degree_cap)
         while nxt > bound and comb(nxt + nvars, nvars) > MAX_COLUMNS:
             nxt -= 1
         if nxt <= bound:
             return
         yield nxt
         bound = nxt
+        nxt = bound + 2
 
 
 def _integer_terms(poly):

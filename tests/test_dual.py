@@ -335,7 +335,7 @@ def stream_run():
     bound, spying on where each dual basis comes from.  Returns the
     local duals as (result, the certified dual bases and the standard
     bases computed for it), and the generators of every ideal the probe
-    certified with its basis and degree cap."""
+    was asked for with its basis (or None) and degree cap."""
     duals, probed = [], {}
     seen = {"certified": [], "mora": []}
     with pytest.MonkeyPatch.context() as patch:
@@ -347,8 +347,7 @@ def stream_run():
 
         def probe(generators, degree_cap):
             out = real_probe(generators, degree_cap)
-            if out is not None:
-                probed[tuple(generators)] = (out, degree_cap)
+            probed[tuple(generators)] = (out, degree_cap)
             seen["certified"].append(out)
             return out
 
@@ -410,8 +409,9 @@ def test_integration_route_matches_the_probe_on_the_stream_ideals(stream_run):
     # columns, and the same vector values on the route's columns, which
     # are the columns where some probe vector is not 0
     _, probed = stream_run
-    assert len(probed) > 300
-    for generators, (probe, cap) in probed.items():
+    certified = {generators: found for generators, found in probed.items() if found[0] is not None}
+    assert len(certified) > 300
+    for generators, (probe, cap) in certified.items():
         route = dual.integrated_dual_basis(list(generators), cap)
         assert len(route.vectors) == len(probe.vectors)
         assert {route.columns[f] for f in route.vectors} == {probe.columns[f] for f in probe.vectors}
@@ -420,6 +420,115 @@ def test_integration_route_matches_the_probe_on_the_stream_ideals(stream_run):
             got, got_den = route.vectors[index[probe.columns[f]]]
             assert got_den == den
             assert nums == [got[index[m]] if m in index else 0 for m in probe.columns]
+
+
+# realified (z1^2 + z1^3, z2^2) in four real variables, shaped like the
+# benchmark's elk-real4 germs: orders 2, 2, 2, 2 and colength 16
+REAL4 = (
+    ("x1", "y1", "x2", "y2"),
+    ["x1^2 - y1^2 + x1^3 - 3*x1*y1^2", "2*x1*y1 + 3*x1^2*y1 - y1^3", "x2^2 - y2^2", "2*x2*y2"],
+)
+
+
+def _echelon_widths(monkeypatch):
+    """The column counts of every echelon form the dual module takes."""
+    widths = []
+    real = dual._echelon
+
+    def spy(rows, ncols, p):
+        widths.append(ncols)
+        return real(rows, ncols, p)
+
+    monkeypatch.setattr(dual, "_echelon", spy)
+    return widths
+
+
+def _order(poly):
+    return min(sum(m) for m in poly.terms)
+
+
+@pytest.mark.parametrize(
+    "names, texts, mu, width",
+    [(CTX, ["x^3 + y^5", "y^4 + x^7"], 12, 28), (*REAL4, 16, 126)],
+)
+def test_the_plateau_at_the_jacobian_order_takes_one_echelon_form(monkeypatch, names, texts, mu, width):
+    # s = 5 puts the first bound at 6 (28 columns); the real germ has
+    # s = 4 and D0 = 4, so bound 5 (126 columns) replaces bounds 2, 4, 6
+    widths = _echelon_widths(monkeypatch)
+    generators = [parse_polynomial(t, names) for t in texts]
+    basis = dual.dual_basis(generators, grobner.DEFAULT_DEGREE_CAP)
+    assert widths == [width]
+    assert len(basis.vectors) == mu == macaulay_colength(generators)
+    assert max(sum(m) for m in basis.columns) == sum(_order(g) - 1 for g in generators)
+
+
+def test_a_plateau_above_the_jacobian_order_steps_by_two(monkeypatch):
+    # s = 2 but the socle x*y^2 has degree 3: bound 3 shows no plateau
+    # below it, bound 5 finds D0 = 3, and M_3 is rebuilt for the certificate
+    widths = _echelon_widths(monkeypatch)
+    bounds = []
+    real = dual._macaulay_rows
+
+    def spy(gens, columns, bound):
+        bounds.append(bound)
+        return real(gens, columns, bound)
+
+    monkeypatch.setattr(dual, "_macaulay_rows", spy)
+    generators = [parse_polynomial(t, CTX) for t in ("x^2", "x^2 + y^3")]
+    basis = dual.dual_basis(generators, grobner.DEFAULT_DEGREE_CAP)
+    assert bounds == [3, 5, 3] and widths == [10, 21]
+    assert len(basis.vectors) == 6 == macaulay_colength(generators)
+
+
+CAP_GERMS = [
+    (CTX, ["x^3 + y^5", "y^4 + x^7"]),
+    (CTX, ["x^2", "x^2 + y^3"]),
+    (CTX, ["x^2", "x*y", "y^3"]),
+    REAL4,
+    (XYZ, ["x^3 + y*z^2", "y^3 + x*z^2", "z^3"]),
+    (XYZ, ["x^2", "y^3", "x*y*z^2"]),
+]
+
+
+def test_the_first_bound_changes_no_dual_basis(stream_run, monkeypatch):
+    # the first plateau and its mod-p dimensions do not depend on the
+    # bound, so starting at 2 finds the same columns and vectors, or None
+    _, probed = stream_run
+    asked = [(list(generators), cap) for generators, (_, cap) in probed.items()]
+    asked += [([parse_polynomial(t, names) for t in texts], cap) for names, texts in CAP_GERMS for cap in range(1, 13)]
+    found = [dual.dual_basis(generators, cap) for generators, cap in asked]
+    assert found[: len(probed)] == [out for out, _ in probed.values()]
+    assert None in found and sum(basis is not None for basis in found) > 300
+    real = dual._probe_bounds
+    monkeypatch.setattr(dual, "_probe_bounds", lambda nvars, degree_cap, first: real(nvars, degree_cap, 2))
+    for (generators, cap), basis in zip(asked, found):
+        assert dual.dual_basis(generators, cap) == basis, (generators, cap)
+
+
+def test_no_certified_plateau_lies_below_the_jacobian_order(stream_run, monkeypatch):
+    # D0 >= s = sum(ord g_i - 1) for n generators in n variables, with the
+    # order read off the lowest term; the probe starts at exactly 1 + s
+    _, probed = stream_run
+    firsts = []
+    real = dual._probe_bounds
+
+    def spy(nvars, degree_cap, first):
+        firsts.append(first)
+        return real(nvars, degree_cap, first)
+
+    monkeypatch.setattr(dual, "_probe_bounds", spy)
+    checked = 0
+    for generators, (basis, cap) in probed.items():
+        nonzero = [g for g in generators if not g.is_zero]
+        if basis is None or not basis.columns or len(nonzero) != len(generators[0].context):
+            continue
+        del firsts[:]
+        assert dual.dual_basis(list(generators), cap) == basis
+        s = sum(_order(g) - 1 for g in nonzero)
+        assert firsts == [1 + s]
+        assert max(sum(m) for m in basis.columns) >= s, generators
+        checked += 1
+    assert checked > 300
 
 
 # a dense germ that is not isolated: the factor x + y + z + x^2 makes its
