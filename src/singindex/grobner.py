@@ -398,6 +398,15 @@ class QuotientAlgebra:
             for nums, den in self._vectors
         ]
 
+    def coordinate(self, poly, k):
+        """Coordinate k of the class of poly: one dual vector's dot
+        product with the terms of poly that have a column."""
+        if poly.context != self.context:
+            raise RejectedInputError("context mismatch in quotient reduction")
+        nums, den = self._vectors[k]
+        column = self._column
+        return Fraction(sum(c * nums[column[m]] for m, c in poly.terms.items() if m in column), den)
+
     def functional(self, weights):
         """The functional phi(p) = sum_k weights[k] * coords(p)[k], for
         rational weights, as (scaled, scale): a positive integer scale

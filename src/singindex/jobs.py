@@ -812,15 +812,15 @@ def _run_smooth(report, job, run_oracle):
     if job.command == "elk":
         germ = sm.VectorFieldGerm(variables, job.data, field="R")
         action = None
-        if job.action:
+        if job.action is not None:  # an empty list generates the trivial group
             with _refused_at("$.payload.action"):
                 action = sm.GroupAction(variables, job.action)
         form = sm.elk_form(germ, cap)
         if action:
             with _refused_at("$.payload.action"):
-                # one invariance check and one Reynolds projector for both values
-                columns, dimension = sm._reynolds(form.algebra, action)
-                invariant = sm._invariant_signature(form, columns, dimension)
+                # one invariance check and one set of group sums for both values
+                sums, dimension = sm._reynolds(form.algebra, action)
+                invariant = sm._invariant_signature(form, sums, dimension)
         report.put("index", form.signature(), "signature-of-residue-pairing")
         report.certificates["algebra_dimension"] = form.algebra.dimension
         report.certificates["algebra_basis"] = [

@@ -16,8 +16,10 @@ quotient algebras:
 Finite linear group actions on the variables act on the quotient algebra;
 the dimension of the invariant subspace and the signature of the pairing
 restricted to it are the equivariant quantities exposed here.  Both come
-from one Reynolds projector, the coordinates of the group averages of
-the basis monomials.
+from the group sums T_b = sum over g of b(g x) of the basis monomials b:
+the invariant dimension is 1/|G| times the sum of the coordinates of
+T_b at b, and the restricted pairing is [phi(T_a T_b)], one lookup of
+the folded functional per product monomial.
 """
 
 from __future__ import annotations
@@ -307,15 +309,12 @@ class GroupAction:
 
     def substitution(self, matrix):
         """Variable images of x -> M x as polynomials."""
-        images = {}
-        for i, name in enumerate(self.variables):
-            p = Polynomial.zero(self.variables)
-            for j, other in enumerate(self.variables):
-                c = matrix[i][j]
-                if c != 0:
-                    p = p + Polynomial.variable(self.variables, other) * c
-            images[name] = p
-        return images
+        n = len(self.variables)
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return {
+            name: Polynomial(self.variables, dict(zip(units, row)))
+            for name, row in zip(self.variables, matrix)
+        }
 
     def transform(self, poly, matrix):
         return poly.substitute(self.substitution(matrix))
@@ -331,32 +330,52 @@ def ideal_is_invariant(algebra, action):
     )
 
 
+def _image(memo, rows, m):
+    """The image x^m(g x) of a monomial under one group element, from
+    the memo of the images of monomials, which it extends: a linear
+    action keeps degrees, so the image of x^m is the image of x^m / x_i
+    times the image of x_i, for the first variable x_i that x^m has."""
+    chain = []
+    while m not in memo:
+        i = next(i for i, e in enumerate(m) if e)
+        chain.append((m, i))
+        m = m[:i] + (m[i] - 1,) + m[i + 1 :]
+    image = memo[m]
+    for m, i in reversed(chain):
+        image = memo[m] = image * rows[i]
+    return image
+
+
 def _reynolds(algebra, action):
-    """The Reynolds projector of the action on the algebra, by columns,
-    and its trace, after checking that the ideal is invariant.  Column b
-    holds the coordinates of R(b) = (1/|G|) * sum over g of b(g x), for
-    each basis monomial b: one coordinate computation per basis
-    monomial, on the sum over g, which keeps integer coefficients
-    integers.  R is idempotent, so its trace is the dimension of its
-    image, the invariant subspace."""
+    """The group sums T_b = sum over g of b(g x) of the basis monomials
+    b, and the dimension of the invariant subspace, after checking that
+    the action acts on the algebra's variables and that the ideal is
+    invariant.  The Reynolds operator sends b to R(b) = T_b / |G|; it is
+    idempotent, so its trace, (1/|G|) times the sum over b of the
+    coordinate of T_b at b, is the dimension of its image.  The images
+    of monomials are memoised per group element over monomials, since
+    the basis need not be closed under division."""
+    if action.variables != algebra.context:
+        raise RejectedInputError(
+            f"action variables {action.variables!r} are not the algebra's {algebra.context!r}"
+        )
     if not ideal_is_invariant(algebra, action):
         raise RejectedInputError("ideal is not invariant under the action")
     ctx = algebra.context
-    images = [action.substitution(g) for g in action.elements]
-    columns = []
-    for b in algebra.basis:
-        mono = Polynomial(ctx, {b: 1})
-        total = sum((mono.substitute(i) for i in images), Polynomial.zero(ctx))
-        columns.append([Fraction(c, action.order) for c in algebra.coords(total)])
-    trace = sum((column[j] for j, column in enumerate(columns)), Fraction(0))
+    sums = [Polynomial.zero(ctx)] * algebra.dimension
+    for g in action.elements:
+        rows = list(action.substitution(g).values())
+        memo = {(0,) * len(ctx): Polynomial.one(ctx)}
+        sums = [total + _image(memo, rows, b) for total, b in zip(sums, algebra.basis)]
+    trace = Fraction(sum(algebra.coordinate(total, k) for k, total in enumerate(sums)), action.order)
     if trace.denominator != 1:
         raise InternalCheckError("trace average failed to be an integer")
-    return columns, int(trace)
+    return sums, int(trace)
 
 
 def invariant_dimension(algebra, action):
     """Dimension of the subspace of the quotient algebra fixed by the
-    action: the trace of the Reynolds projector, which is 1/|G| times the
+    action: the trace of the Reynolds operator, which is 1/|G| times the
     sum of the traces of the group elements."""
     return _reynolds(algebra, action)[1]
 
@@ -365,42 +384,49 @@ def invariant_signature(form, action):
     """Signature of the residue pairing restricted to the invariant part
     of the algebra.
 
-    With the Reynolds projector P and the Gram matrix G of the form's
-    functional phi, P^T G P is [phi(R b_i * R b_j)].  The averaged
-    functional phi o R is admissible when phi(R Jac) > 0 (checked), and
-    it equals phi on products of invariants, so this matrix is the Gram
-    matrix of an invariant pairing, pulled back from the invariant
-    subspace along P.  An invariant pairing keeps the trivial isotypic
+    With the group sums T_b of the basis monomials, the matrix
+    [phi(T_a T_b)] is |G|^2 [phi(R a * R b)], the Gram matrix of the
+    form's functional phi pulled back from the invariant subspace along
+    the Reynolds operator R.  The averaged functional phi o R is
+    admissible when phi(R Jac) > 0 (checked), and it equals phi on
+    products of invariants, so this matrix is the Gram matrix of an
+    invariant pairing.  An invariant pairing keeps the trivial isotypic
     component orthogonal to the rest, so it is nondegenerate there and
     its signature does not depend on the admissible functional chosen.
-    The check that the inertia of P^T G P counts exactly
-    n - (invariant dimension) zeros is that nondegeneracy.  P is scaled
-    to integers first, and G is an integer matrix, so the product is
-    formed in ints; the positive square of the scale changes no sign.
+    The check that its inertia counts exactly n - (invariant dimension)
+    zeros is that nondegeneracy.  The sums are scaled to integers first,
+    and phi is the form's folded integer vector over the dual columns,
+    so each entry is formed in ints, one lookup per product monomial;
+    positive scales change no sign.
     """
     return _invariant_signature(form, *_reynolds(form.algebra, action))
 
 
-def _invariant_signature(form, columns, dimension):
-    """invariant_signature from the Reynolds projector's columns and
-    trace, as :func:`_reynolds` gives them."""
+def _invariant_signature(form, sums, dimension):
+    """invariant_signature from the group sums and the invariant
+    dimension, as :func:`_reynolds` gives them."""
     n = form.algebra.dimension
     if n == 0:
         return 0
-    averaged = [sum(f * c for f, c in zip(form.functional, column)) for column in columns]
+    scaled, _ = form.algebra.functional(form.functional)
+    # scale * |G| times the averaged functional at each basis monomial
+    averaged = [sum(c * scaled(m) for m, c in total.terms.items()) for total in sums]
     if sum(a * j for a, j in zip(averaged, form.jacobian_coords)) <= 0:
         raise RejectedInputError(
             "averaged functional is not positive on the Jacobian class; "
             "the form data is not compatible with the action"
         )
-    g = form.gram
-    scale = lcm(*(c.denominator for column in columns for c in column))
-    sparse = [
-        [(k, c.numerator * (scale // c.denominator)) for k, c in enumerate(column) if c]
-        for column in columns
+    scale = lcm(*(c.denominator for total in sums for c in total.terms.values()))
+    terms = [
+        [(m, c.numerator * (scale // c.denominator)) for m, c in total.terms.items()]
+        for total in sums
     ]
-    g_p = [[sum(row[l] * c for l, c in col) for row in g] for col in sparse]
-    restricted = [[sum(c * gp[k] for k, c in col) for gp in g_p] for col in sparse]
+    restricted = [[0] * n for _ in range(n)]
+    for i, a in enumerate(terms):
+        for j in range(i, n):
+            restricted[i][j] = restricted[j][i] = sum(
+                c * d * scaled(monomial_mul(m, p)) for m, c in a for p, d in terms[j]
+            )
     pos, neg, zero = symmetric_signature(restricted)
     if zero != n - dimension:
         raise InternalCheckError("pairing degenerated on the invariant subspace")

@@ -1,4 +1,5 @@
-"""Each demo script runs from a checkout and prints its narrative."""
+"""Each demo script runs from a checkout and prints its narrative, word
+for word as in its transcript under ``tests/demo_transcripts``."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+TRANSCRIPTS = Path(__file__).resolve().parent / "demo_transcripts"
 DEMOS = [
     "01_smooth_indices.py",
     "02_complete_intersections.py",
@@ -28,4 +30,6 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    expected = (TRANSCRIPTS / demo).with_suffix(".txt").read_text()
+    assert expected.strip()
+    assert done.stdout == expected

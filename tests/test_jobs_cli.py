@@ -151,6 +151,16 @@ def test_run_elk_with_action():
     assert report.values["invariant_signature"] == 2
 
 
+@pytest.mark.parametrize("data", [["x^3", "y^3"], ["x^2 - y^2", "2*x*y"], ["x*y", "x^2 - y^2"]])
+def test_an_empty_action_is_the_trivial_group(data):
+    payload = {"field": "R", "variables": ["x", "y"], "data": data, "action": []}
+    report, code = run_job(doc("elk", payload))
+    assert code == 0
+    assert report.values["invariant_dimension"] == report.certificates["algebra_dimension"]
+    assert report.values["invariant_signature"] == report.values["index"]
+    assert report.rules["invariant_dimension"] == "trace-average-over-group"
+
+
 ACTION_REFUSALS = {
     "not-invertible": (["x^2", "y^3"], [[1, 0], [0, 0]], "action matrices must be invertible"),
     "not-finite": (

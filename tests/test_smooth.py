@@ -329,7 +329,7 @@ def test_invariant_parts_of_the_benchmark_documents_match_the_oracle(monkeypatch
         if job.family.startswith("elk-action")
     ]
     assert len(jobs) == 12
-    # one invariance check and one Reynolds projector per document
+    # one invariance check and one set of group sums per document
     projectors = []
     real = smooth._reynolds
 
@@ -424,3 +424,87 @@ def test_invariant_signature_one_dimensional():
     form = elk_form(germ)
     for mats in ([[[1, 0], [0, 1]]], [[[0, 1], [1, 0]]], [[[-1, 0], [0, -1]]]):
         assert invariant_signature(form, GroupAction(PLANE, mats)) == 1
+
+
+XYZ = ("x", "y", "z")
+S3 = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]
+EQUIVARIANT_CASES = [
+    # S3 permuting x, y, z
+    (XYZ, ["x^3", "y^3", "z^3"], S3, (10, 2)),
+    # x -> 2y, y -> x/2: a rational matrix exchanging the two generators
+    (PLANE, ["x^3", "8*y^3"], [[[0, 2], [Fraction(1, 2), 0]]], (6, 2)),
+    # the quarter turn on the real part and imaginary part of z^3
+    (PLANE, ["x^3 - 3*x*y^2", "3*x^2*y - y^3"], [[[0, -1], [1, 0]]], (3, 1)),
+    (PLANE, ["x^5 + y^6", "y^5 + x^6"], [[[0, 1], [1, 0]]], (15, 3)),
+]
+
+
+@pytest.mark.parametrize("variables,components,generators,expected", EQUIVARIANT_CASES)
+def test_group_sums_match_the_equivariant_oracle_on_both_routes(
+    monkeypatch, variables, components, generators, expected
+):
+    germ = VectorFieldGerm(variables, components, field="R")
+    action = GroupAction(variables, generators)
+    assert dual_basis(list(germ.components), DEFAULT_DEGREE_CAP) is not None
+    forms = [elk_form(germ)]
+    monkeypatch.setattr(grobner, "dual_basis", lambda generators, degree_cap: None)
+    forms.append(elk_form(germ))
+    for form in forms:
+        got = (invariant_dimension(form.algebra, action), invariant_signature(form, action))
+        assert got == _equivariant_oracle(form, action) == expected
+
+
+def test_averaged_functional_vanishing_on_the_jacobian_class_is_refused(monkeypatch):
+    # the swap sends the Jacobian class 2x^2 - 2y^2 to its negative, so
+    # its group average is 0 and no averaged functional is positive on it
+    germ = VectorFieldGerm(PLANE, ["x^2 + y^2", "x*y"], field="R")
+    action = GroupAction(PLANE, [[[0, 1], [1, 0]], [[-1, 0], [0, 1]]])
+    assert action.order == 8
+    for force_route in (False, True):
+        if force_route:
+            monkeypatch.setattr(grobner, "dual_basis", lambda generators, degree_cap: None)
+        form = elk_form(germ)
+        assert invariant_dimension(form.algebra, action) == _equivariant_oracle(form, action)[0] == 1
+        with pytest.raises(RejectedInputError, match="averaged functional is not positive"):
+            invariant_signature(form, action)
+
+
+def test_an_action_document_reads_the_algebra_once_per_check(monkeypatch):
+    # coordinates for the Jacobian class and for each transformed ideal
+    # generator under each group generator, and nothing else
+    coords = []
+    real_coords = grobner.QuotientAlgebra.coords
+    monkeypatch.setattr(
+        grobner.QuotientAlgebra, "coords", lambda self, poly: coords.append(poly) or real_coords(self, poly)
+    )
+    sums = []
+    real_reynolds = smooth._reynolds
+    monkeypatch.setattr(smooth, "_reynolds", lambda *args: sums.append(args) or real_reynolds(*args))
+    for variables, components, generators, expected in EQUIVARIANT_CASES + [
+        (PLANE, ["x^3", "y^3"], [], (9, 1))
+    ]:
+        coords.clear()
+        sums.clear()
+        payload = {"field": "R", "variables": list(variables), "data": components}
+        payload["action"] = [[[str(x) for x in row] for row in g] for g in generators]
+        report, code = run_job({"command": "elk", "payload": payload})
+        assert code == 0
+        assert (report.values["invariant_dimension"], report.values["invariant_signature"]) == expected
+        assert len(coords) == 1 + len(generators) * len(components)
+        assert len(sums) == 1
+
+
+@pytest.mark.parametrize("variables", [("y", "x"), XYZ])
+def test_an_action_on_other_variables_is_refused_before_any_substitution(monkeypatch, variables):
+    form = elk_form(VectorFieldGerm(PLANE, ["x^3", "y^3"], field="R"))
+    n = len(variables)
+    action = GroupAction(variables, [[[int(i == n - 1 - j) for j in range(n)] for i in range(n)]])
+    substituted = []
+    real_substitute = Polynomial.substitute
+    monkeypatch.setattr(
+        Polynomial, "substitute", lambda self, images: substituted.append(self) or real_substitute(self, images)
+    )
+    for call in (lambda: invariant_dimension(form.algebra, action), lambda: invariant_signature(form, action)):
+        with pytest.raises(RejectedInputError, match="action variables"):
+            call()
+    assert substituted == []
