@@ -31,7 +31,12 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
   the first plateau, not the plateau found: had a germ D0 < s, the scan
   of every D < B would still find it.  B grows by 2, not by doubling,
   because the last elimination dominates and a doubled B can have
-  several times the columns that the plateau needs.
+  several times the columns that the plateau needs.  The column layout
+  of M_B (the monomials, their keys and the column count per degree)
+  depends only on the number of variables and B: it is built once per
+  pair per process.  Elimination walks the non-zero entries of each
+  row, smallest column first, so its cost follows the row's support,
+  not the matrix's width.
 * **Certificate.**  At the first plateau dim_p(D0) = dim_p(D0+1) = mu,
   the mu null vectors of M_D0 mod p that are the identity on the free
   (non-pivot) columns are lifted to the rationals by Chinese remaindering
@@ -100,6 +105,8 @@ which recomputes the same dimensions over the rationals for the tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import lru_cache
 from math import comb, isqrt, lcm
 from typing import NamedTuple
 
@@ -120,6 +127,10 @@ PRIMES = (
 # largest Macaulay matrix the probe builds, in columns (monomials of
 # degree <= B): B = 23 in two variables, 10 in three, 6 in four
 MAX_COLUMNS = 300
+
+# column layouts kept per process, one per (variables, bound): the
+# benchmark's streams use 20
+LAYOUTS = 64
 
 
 class DualBasis(NamedTuple):
@@ -150,16 +161,15 @@ def dual_basis(generators, degree_cap):
     # D0 >= s: the Jacobian determinant of n generators is in m^s, not in I
     first = 1 + sum(terms[0][0] - 1 for terms in gens) if len(gens) == nvars else 2
     for bound in _probe_bounds(nvars, degree_cap, first):
-        # degree-lexicographic exponents, each reversed: sorted by
-        # LOCAL_ORDER from the largest down
-        columns = [m[::-1] for m in monomials_up_to_degree(nvars, bound + 1)]
-        pivots = _echelon(_macaulay_rows(gens, columns, bound), len(columns), PRIMES[0])
-        dims = _dimensions(columns, pivots, bound)
+        columns, index, ends = _layout(nvars, bound)
+        pivots = _echelon(_macaulay_rows(gens, columns, bound, index), len(columns), PRIMES[0])
+        dims = _dimensions(ends, pivots)
         for d0 in range(bound):
             if dims[d0] == dims[d0 + 1]:
-                ncols = sum(1 for m in columns if sum(m) <= d0)
-                rows = _macaulay_rows(gens, columns[:ncols], d0)
-                return _certified(rows, columns[:ncols], dims[d0], pivots)
+                # the columns of M_D0 are the first ends[d0] of M_B
+                columns, index, _ = _layout(nvars, d0)
+                rows = _macaulay_rows(gens, columns, d0, index)
+                return _certified(rows, list(columns), dims[d0], pivots)
     return None
 
 
@@ -312,7 +322,8 @@ def _certified_integration(gens, nvars, functionals, p):
             closed.add(m)
             todo += (m[:i] + (e - 1,) + m[i + 1:] for i, e in enumerate(m) if e)
     columns = LOCAL_ORDER.sorted_descending(closed)
-    rows = _macaulay_rows(gens, columns, sum(columns[-1]))
+    bound = sum(columns[-1])
+    rows = _macaulay_rows(gens, columns, bound, {_key(m, bound + 1): i for i, m in enumerate(columns)})
     dual = _certified(rows, columns, len(functionals), _echelon(rows, len(columns), PRIMES[0]))
     if dual is None or not _plateau(gens, nvars, dual, p):
         return None
@@ -359,29 +370,43 @@ def _integer_terms(poly):
     return sorted((sum(m), m, int(c * scale)) for m, c in poly.terms.items())
 
 
-def _macaulay_rows(gens, columns, bound):
+@lru_cache(maxsize=LAYOUTS)
+def _layout(nvars, bound):
+    """The column layout of M_bound in nvars variables, built once per
+    process: the columns, a tuple of the exponents of degree at most the
+    bound, degree-lexicographic and each reversed, so sorted by
+    ``LOCAL_ORDER`` from the largest down; the index {key: column} of
+    :func:`_macaulay_rows`, in column order; and `ends`, where ends[d] is
+    the number of columns of degree at most d.  Callers share the index
+    and must not change it."""
+    columns = tuple(m[::-1] for m in monomials_up_to_degree(nvars, bound + 1))
+    index = {_key(m, bound + 1): i for i, m in enumerate(columns)}
+    ends = tuple(comb(d + nvars, nvars) for d in range(bound + 1))
+    return columns, index, ends
+
+
+def _key(m, base):
+    """The exponents of m read as digits in the base, the first variable
+    last: the key of a product is the sum of the keys when every exponent
+    of the product stays below the base."""
+    k = 0
+    for e in reversed(m):
+        k = k * base + e
+    return k
+
+
+def _macaulay_rows(gens, columns, bound, index):
     """Rows of the Macaulay matrix as sparse dicts column -> integer
     coefficient: the products m*g with m a column, truncated above the
     bound and restricted to the columns, which are monomials of degree at
-    most the bound; rows that restrict to zero are left out.
-
-    Monomials of degree <= bound are keyed by their exponents read as
-    digits in base bound + 1, so the key of a product is the sum of the
-    keys."""
+    most the bound; rows that restrict to zero are left out.  `index`
+    maps the key of each column in base bound + 1 (see :func:`_key`) to
+    its position, in column order."""
     base = bound + 1
-
-    def key(m):
-        k = 0
-        for e in reversed(m):
-            k = k * base + e
-        return k
-
-    index = {key(m): i for i, m in enumerate(columns)}
-    gens = [[(d, key(m), c) for d, m, c in terms] for terms in gens]
+    gens = [[(d, _key(m, base), c) for d, m, c in terms] for terms in gens]
     rows = []
-    for mult in columns:
-        room = bound - sum(mult)
-        mk = key(mult)
+    for mk, i in index.items():
+        room = bound - sum(columns[i])
         for terms in gens:
             row = {}
             for d, k, c in terms:
@@ -397,9 +422,11 @@ def _macaulay_rows(gens, columns, bound):
 
 
 def _echelon(rows, ncols, p):
-    """Row echelon form mod p with the pivot of each row at its first
-    column.  Returns {pivot column: [(column, value), ...]}, the entries of
-    the pivot row after its pivot, normalized so that the pivot is 1."""
+    """Row echelon form mod p, of a matrix of ncols columns, with the
+    pivot of each row at its first column.  Returns {pivot column:
+    [(column, value), ...]}, the entries of the pivot row after its pivot,
+    normalized so that the pivot is 1.  A row is reduced as a dict of its
+    entries, smallest column first, skipping those that vanish mod p."""
     pivots = {}
     for row in rows:
         c = min(row)
@@ -408,40 +435,27 @@ def _echelon(rows, ncols, p):
             inv = pow(row[c], -1, p)
             pivots[c] = [(k, v * inv % p) for k, v in sorted(row.items()) if k > c and v % p]
             continue
-        vec = [0] * ncols
-        for k, v in row.items():
-            vec[k] = v
-        c, hi = min(row), max(row)
-        while c <= hi:
-            x = vec[c] % p
-            if x:
-                tail = pivots.get(c)
-                if tail is None:
-                    inv = pow(x, -1, p)
-                    pivots[c] = [
-                        (k, vec[k] * inv % p) for k in range(c + 1, hi + 1) if vec[k] % p
-                    ]
-                    break
-                for k, v in tail:
-                    vec[k] -= x * v
-                if tail and tail[-1][0] > hi:
-                    hi = tail[-1][0]
-            c += 1
+        vec = dict(row)
+        while vec:
+            c = min(vec)
+            x = vec.pop(c) % p
+            if not x:
+                continue
+            tail = pivots.get(c)
+            if tail is None:
+                inv = pow(x, -1, p)
+                pivots[c] = [(k, v * inv % p) for k, v in sorted(vec.items()) if v % p]
+                break
+            for k, v in tail:
+                vec[k] = vec.get(k, 0) - x * v
     return pivots
 
 
-def _dimensions(columns, pivots, bound):
-    """dim_p(D) = N_D - #(pivots of degree <= D), for D = 0 .. bound."""
-    per_degree = [0] * (bound + 1)
-    for m in columns:
-        per_degree[sum(m)] += 1
-    for c in pivots:
-        per_degree[sum(columns[c])] -= 1
-    dims, total = [], 0
-    for free in per_degree:
-        total += free
-        dims.append(total)
-    return dims
+def _dimensions(ends, pivots):
+    """dim_p(D) = N_D - #(pivots of degree <= D), for D = 0 .. bound: the
+    columns of degree at most D are the first ends[D]."""
+    pivots = sorted(pivots)
+    return [n - bisect_left(pivots, n) for n in ends]
 
 
 def _certified(rows, columns, mu, pivots):

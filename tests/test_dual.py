@@ -5,7 +5,10 @@ decides INFINITE."""
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -469,9 +472,9 @@ def test_a_plateau_above_the_jacobian_order_steps_by_two(monkeypatch):
     bounds = []
     real = dual._macaulay_rows
 
-    def spy(gens, columns, bound):
+    def spy(gens, columns, bound, index):
         bounds.append(bound)
-        return real(gens, columns, bound)
+        return real(gens, columns, bound, index)
 
     monkeypatch.setattr(dual, "_macaulay_rows", spy)
     generators = [parse_polynomial(t, CTX) for t in ("x^2", "x^2 + y^3")]
@@ -488,6 +491,144 @@ CAP_GERMS = [
     (XYZ, ["x^3 + y*z^2", "y^3 + x*z^2", "z^3"]),
     (XYZ, ["x^2", "y^3", "x*y*z^2"]),
 ]
+
+
+def _probe_bounds_of(nvars):
+    """Every bound up to MAX_COLUMNS, 0 included: the probe's bounds and
+    the plateaus D0 below them whose M_D0 the certificate rebuilds."""
+    bound = 0
+    while comb(bound + 1 + nvars, nvars) <= dual.MAX_COLUMNS:
+        bound += 1
+    return range(bound + 1)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_a_cached_layout_is_a_fresh_build(nvars):
+    # the columns are every exponent of degree <= B sorted by LOCAL_ORDER
+    # from the largest down, keyed by their digits in base B + 1 in column
+    # order; the layout of a lower bound is a prefix of the columns
+    top = max(_probe_bounds_of(nvars))
+    columns_top = dual._layout(nvars, top)[0]
+    for bound in _probe_bounds_of(nvars):
+        columns, index, ends = dual._layout(nvars, bound)
+        fresh = LOCAL_ORDER.sorted_descending(
+            [m for m in product(range(bound + 1), repeat=nvars) if sum(m) <= bound]
+        )
+        assert isinstance(columns, tuple) and list(columns) == fresh
+        digits = [sum(e * (bound + 1) ** i for i, e in enumerate(m)) for m in fresh]
+        assert list(index.items()) == [(k, i) for i, k in enumerate(digits)]
+        per_degree = Counter(sum(m) for m in fresh)
+        assert list(ends) == list(accumulate(per_degree[d] for d in range(bound + 1)))
+        assert columns == columns_top[: ends[-1]]
+
+
+def test_a_second_probe_of_the_same_shape_builds_no_columns(monkeypatch):
+    # the same orders give the same bounds: the second probe reads every
+    # layout from the cache, and its columns are its own list
+    built = []
+    real = dual.monomials_up_to_degree
+
+    def spy(nvars, bound):
+        built.append((nvars, bound))
+        return real(nvars, bound)
+
+    monkeypatch.setattr(dual, "monomials_up_to_degree", spy)
+    dual._layout.cache_clear()
+    first, second = ([parse_polynomial(t, CTX) for t in texts] for texts in (["x^2", "x^2 + y^3"], ["y^2", "x^3 + y^2"]))
+    basis = dual.dual_basis(first, grobner.DEFAULT_DEGREE_CAP)
+    assert built
+    del built[:]
+    again = dual.dual_basis(second, grobner.DEFAULT_DEGREE_CAP)
+    assert built == []
+    assert len(basis.vectors) == len(again.vectors) == 6 == macaulay_colength(second)
+    kept = list(basis.columns)
+    basis.columns.reverse()
+    basis.columns.append((9, 9))
+    assert dual.dual_basis(first, grobner.DEFAULT_DEGREE_CAP).columns == kept
+
+
+def _dense_echelon(rows, ncols, p):
+    """The echelon form of ``dual._echelon``, by a dense scan of each row
+    over its columns: the reference for the sparse walk."""
+    pivots = {}
+    for row in rows:
+        c = min(row)
+        if c not in pivots and row[c] % p:
+            inv = pow(row[c], -1, p)
+            pivots[c] = [(k, v * inv % p) for k, v in sorted(row.items()) if k > c and v % p]
+            continue
+        vec = [0] * ncols
+        for k, v in row.items():
+            vec[k] = v
+        c, hi = min(row), max(row)
+        while c <= hi:
+            x = vec[c] % p
+            if x:
+                tail = pivots.get(c)
+                if tail is None:
+                    inv = pow(x, -1, p)
+                    pivots[c] = [(k, vec[k] * inv % p) for k in range(c + 1, hi + 1) if vec[k] % p]
+                    break
+                for k, v in tail:
+                    vec[k] -= x * v
+                if tail and tail[-1][0] > hi:
+                    hi = tail[-1][0]
+            c += 1
+    return pivots
+
+
+def _seeded_rows(rng, ncols, p):
+    """Sparse integer rows with entries that vanish mod p, negative ones
+    and ones above p; duplicates and integer combinations of earlier rows,
+    which reduce to zero; rows whose every entry vanishes mod p."""
+    values = [lambda: rng.randrange(1, p), lambda: -rng.randrange(1, 3 * p), lambda: rng.randrange(p, 3 * p),
+              lambda: p * rng.randrange(-2, 3), lambda: rng.randrange(-3, 4)]
+    rows = []
+    for _ in range(3 * ncols):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif len(rows) > 1 and pick < 0.35:
+            a, b = rng.sample(rows, 2)
+            s, t = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            rows.append({k: s * a.get(k, 0) + t * b.get(k, 0) for k in a.keys() | b.keys()})
+        elif pick < 0.4:
+            rows.append({k: p * rng.randrange(-2, 3) for k in rng.sample(range(ncols), 2)})
+        else:
+            width = rng.randrange(1, 6)
+            rows.append({k: rng.choice(values)() for k in rng.sample(range(ncols), width)})
+    return rows
+
+
+@pytest.mark.parametrize("p", [dual.PRIMES[0], 7])
+def test_the_sparse_echelon_matches_a_dense_scan(monkeypatch, p):
+    # seeded rows, then every echelon input of the probe on CAP_GERMS at
+    # caps 1-12, over the prime that took it and over 7
+    rng = random.Random(20)
+    zero = 0
+    for _ in range(40):
+        ncols = rng.randrange(6, 30)
+        rows = _seeded_rows(rng, ncols, p)
+        pivots = dual._echelon(rows, ncols, p)
+        assert pivots == _dense_echelon(rows, ncols, p)
+        zero += len(rows) - len(pivots)
+    assert zero > 1000
+    taken = []
+    real = dual._echelon
+
+    def spy(rows, ncols, q):
+        taken.append((rows, ncols, q))
+        return real(rows, ncols, q)
+
+    monkeypatch.setattr(dual, "_echelon", spy)
+    for names, texts in CAP_GERMS:
+        for cap in range(1, 13):
+            dual.dual_basis([parse_polynomial(t, names) for t in texts], cap)
+    monkeypatch.undo()
+    assert len(taken) > 40
+    for rows, ncols, q in taken:
+        assert real(rows, ncols, q) == _dense_echelon(rows, ncols, q)
+        assert real(rows, ncols, p) == _dense_echelon(rows, ncols, p)
 
 
 def test_the_first_bound_changes_no_dual_basis(stream_run, monkeypatch):
