@@ -493,7 +493,7 @@ CAP_GERMS = [
 ]
 
 
-def _probe_bounds_of(nvars):
+def _layout_bounds(nvars):
     """Every bound up to MAX_COLUMNS, 0 included: the probe's bounds and
     the plateaus D0 below them whose M_D0 the certificate rebuilds."""
     bound = 0
@@ -507,9 +507,9 @@ def test_a_cached_layout_is_a_fresh_build(nvars):
     # the columns are every exponent of degree <= B sorted by LOCAL_ORDER
     # from the largest down, keyed by their digits in base B + 1 in column
     # order; the layout of a lower bound is a prefix of the columns
-    top = max(_probe_bounds_of(nvars))
+    top = max(_layout_bounds(nvars))
     columns_top = dual._layout(nvars, top)[0]
-    for bound in _probe_bounds_of(nvars):
+    for bound in _layout_bounds(nvars):
         columns, index, ends = dual._layout(nvars, bound)
         fresh = LOCAL_ORDER.sorted_descending(
             [m for m in product(range(bound + 1), repeat=nvars) if sum(m) <= bound]
