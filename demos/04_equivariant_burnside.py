@@ -34,7 +34,7 @@ s3 = PermutationGroup(3, [[1, 0, 2], [1, 2, 0]])
 print(f"  S3 has {len(s3.classes())} conjugacy classes of subgroups "
       f"with orders {[c.order for c in s3.classes()]}")
 print("  table of marks (rows: G-sets, columns: fixing subgroups):")
-for row in s3.table_of_marks().matrix:
+for row in s3.table_of_marks():
     print(f"    {list(row)}")
 
 tau = next(c.index for c in s3.classes() if c.order == 2)

@@ -75,7 +75,6 @@ from .burnside import (
     BurnsideElement,
     PermutationGroup,
     SubgroupClass,
-    TableOfMarks,
     burnside_mul,
     equivariant_euler,
     equivariant_gsv_from_radial,
@@ -85,7 +84,6 @@ from .burnside import (
     r0,
     restriction,
     subgroup_as_group,
-    subgroup_classes,
 )
 from .jobs import Report, run_job, validate
 

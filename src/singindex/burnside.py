@@ -49,7 +49,7 @@ def _compose(p, q):
     return tuple(map(p.__getitem__, q))
 
 
-def _closure(degree, perms, cap=None):
+def _closure(degree, perms):
     identity = tuple(range(degree))
     elements = {identity}
     frontier = [identity]
@@ -59,9 +59,9 @@ def _closure(degree, perms, cap=None):
         for g in gens:
             nxt = _compose(g, current)
             if nxt not in elements:
-                if cap is not None and len(elements) >= cap:
+                if len(elements) >= DEFAULT_GROUP_CAP:
                     raise RejectedInputError(
-                        f"group order exceeds the configured cap {cap}"
+                        f"group order exceeds the configured cap {DEFAULT_GROUP_CAP}"
                     )
                 elements.add(nxt)
                 frontier.append(nxt)
@@ -109,7 +109,7 @@ class PermutationGroup:
     # computed on first use, once per group
     _table = _lattice = _subgroup_cache = _class_cache = _marks_cache = None
 
-    def __init__(self, degree, generators, cap=DEFAULT_GROUP_CAP):
+    def __init__(self, degree, generators):
         self.degree = int(degree)
         gens = []
         for g in generators:
@@ -120,12 +120,12 @@ class PermutationGroup:
                 )
             gens.append(g)
         self.generators = gens
-        self.elements = sorted(_closure(self.degree, gens, cap))
+        self.elements = sorted(_closure(self.degree, gens))
         self.identity = tuple(range(self.degree))
 
     @classmethod
-    def from_one_based(cls, degree, generators, cap=DEFAULT_GROUP_CAP):
-        return cls(degree, [[x - 1 for x in g] for g in generators], cap)
+    def from_one_based(cls, degree, generators):
+        return cls(degree, [[x - 1 for x in g] for g in generators])
 
     @classmethod
     def from_elements(cls, degree, elements):
@@ -301,9 +301,10 @@ class PermutationGroup:
         return lookup[subgroup]
 
     def table_of_marks(self):
-        """Rows indexed by the G-set class G/K, columns by the fixing
-        subgroup class H: entry |(G/K)^H|.  Lower triangular for the
-        sorted class list; diagonal |N_G(K)| / |K| > 0.
+        """The table as a tuple of rows: rows indexed by the G-set class
+        G/K, columns by the fixing subgroup class H, entry |(G/K)^H|.
+        Lower triangular for the sorted class list; diagonal
+        |N_G(K)| / |K| > 0.
 
         A coset gK is fixed by H exactly when H lies in gKg^-1, and each
         conjugate of K arises from |N_G(K)| = |G| / |class(K)| elements g,
@@ -326,7 +327,7 @@ class PermutationGroup:
                     for rep, _ in masks
                 )
             )
-        self._marks_cache = TableOfMarks(self, tuple(matrix))
+        self._marks_cache = tuple(matrix)
         return self._marks_cache
 
     def __eq__(self, other):
@@ -356,21 +357,6 @@ class SubgroupClass:
 
     def __repr__(self):
         return f"SubgroupClass(index={self.index}, order={self.order})"
-
-
-class TableOfMarks:
-    def __init__(self, group, matrix):
-        self.group = group
-        self.matrix = matrix
-
-    def __repr__(self):
-        return f"TableOfMarks({self.matrix!r})"
-
-
-def subgroup_classes(group):
-    """Complete duplicate-free classification of subgroups up to
-    conjugacy."""
-    return group.classes()
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +403,6 @@ class BurnsideElement:
             out[k] = out.get(k, 0) + v
         return BurnsideElement(self.group, out)
 
-    def __sub__(self, other):
-        self._check_same_group(other)
-        out = dict(self.coefficients)
-        for k, v in other.coefficients.items():
-            out[k] = out.get(k, 0) - v
-        return BurnsideElement(self.group, out)
-
     def scale(self, c):
         return BurnsideElement(
             self.group, {k: int(c) * v for k, v in self.coefficients.items()}
@@ -441,7 +420,7 @@ class BurnsideElement:
 
     def marks(self):
         """The vector of fixed-point counts over subgroup classes."""
-        table = self.group.table_of_marks().matrix
+        table = self.group.table_of_marks()
         n = len(table)
         out = [0] * n
         for row, c in self.coefficients.items():
@@ -483,7 +462,7 @@ def burnside_mul(a, b):
     non-integral solve indicates a marks bug and is reported as such."""
     a._check_same_group(b)
     group = a.group
-    table = group.table_of_marks().matrix
+    table = group.table_of_marks()
     n = len(table)
     target = [x * y for x, y in zip(a.marks(), b.marks())]
     coeffs = [Fraction(0)] * n

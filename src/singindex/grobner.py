@@ -69,9 +69,6 @@ class _Infinite:
     def __repr__(self):
         return "INFINITE"
 
-    def __bool__(self):
-        return True
-
 
 INFINITE = _Infinite()
 

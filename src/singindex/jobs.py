@@ -91,24 +91,6 @@ class Report:
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            command=data["command"],
-            op=data.get("op", ""),
-            status=data.get("status", "ok"),
-            values=_decode(data.get("values", {})),
-            flags=list(data.get("flags", [])),
-            rules=dict(data.get("rules", {})),
-            certificates=_decode(data.get("certificates", {})),
-            options=dict(data.get("options", {})),
-            oracle=_decode(data.get("oracle", {})),
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
     def to_text(self):
         lines = [f"command: {self.command}" + (f" {self.op}" if self.op else "")]
         lines.append(f"status: {self.status}")
@@ -136,16 +118,6 @@ def _encode(value):
         return [_encode(v) for v in value]
     if isinstance(value, br.BurnsideElement):
         return {str(k): v for k, v in sorted(value.coefficients.items())}
-    return value
-
-
-def _decode(value):
-    if value == "INFINITE":
-        return INFINITE
-    if isinstance(value, dict):
-        return {k: _decode(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
     return value
 
 
@@ -1011,7 +983,7 @@ def _run_burnside(report, job, run_oracle):
         report.put("classes", classes, "subgroup-conjugacy-classification")
         return
     if op == "marks":
-        marks = [list(r) for r in group.table_of_marks().matrix]
+        marks = [list(r) for r in group.table_of_marks()]
         report.put("marks", marks, "fixed-point-counts")
         return
     if op == "r0":

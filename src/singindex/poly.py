@@ -276,9 +276,6 @@ class Polynomial:
         m = order.max_monomial(self.terms)
         return m, self.terms[m]
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), 0)
-
     # -- arithmetic
 
     def _check_context(self, other):

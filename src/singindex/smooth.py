@@ -248,8 +248,6 @@ def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
 def elk_index(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
     """Local degree of a real analytic germ with algebraically isolated
     zero: the signature of the residue pairing."""
-    if isinstance(vf, ELKForm):
-        return vf.signature()
     return elk_form(vf, degree_cap, functional).signature()
 
 

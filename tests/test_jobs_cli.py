@@ -16,7 +16,7 @@ def doc(command, payload, op="", options=None):
     return {"command": command, "op": op, "payload": payload, "options": options or {}}
 
 
-def test_report_round_trip():
+def test_report_writes_infinite_as_a_string():
     report = Report(
         command="icis",
         values={"gsv": 2, "radial": INFINITE},
@@ -25,9 +25,10 @@ def test_report_round_trip():
         certificates={"milnor_number": 1},
         options={"seed": 0, "degree_cap": 40},
     )
-    again = Report.from_json(report.to_json())
-    assert again == report
-    assert again.values["radial"] is INFINITE
+    data = json.loads(report.to_json())
+    assert data["values"] == {"gsv": 2, "radial": "INFINITE"}
+    assert data["certificates"] == {"milnor_number": 1}
+    assert data["flags"] == ["NONSINGULAR"]
 
 
 def test_validate_missing_variables():
@@ -591,8 +592,8 @@ def test_subgroup_outside_the_group_is_rejected_before_closure(monkeypatch, op):
     closed = []
     real_closure = burnside._closure
 
-    def spy(degree, perms, cap=None):
-        result = real_closure(degree, perms, cap)
+    def spy(degree, perms):
+        result = real_closure(degree, perms)
         closed.append(len(result))
         return result
 
