@@ -14,7 +14,8 @@ file (or read it from the job document).  Job files may be bare payloads
 
 Exit codes: 0 success; 2 rejected input; 3 a value came out INFINITE
 (non-isolated finding; the report is still emitted); 4 the degree cap or
-a genericity retry limit was hit; 1 internal error or oracle mismatch.
+a genericity retry limit was hit, or a result has more digits than
+Python converts to text; 1 internal error or oracle mismatch.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _load_document(args):
             data = json.load(handle)
     except OSError as err:
         raise SystemExit(f"cannot read job file: {err}")
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long to read
         raise SystemExit(f"job file is not valid JSON: {err}")
 
     if isinstance(data, dict) and "payload" in data:

@@ -40,7 +40,8 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
 * **Certificate.**  At the first plateau dim_p(D0) = dim_p(D0+1) = mu,
   the mu null vectors of M_D0 mod p that are the identity on the free
   (non-pivot) columns are lifted to the rationals by Chinese remaindering
-  and rational reconstruction over ``PRIMES``.  :func:`certify_dual_basis`
+  and rational reconstruction over ``PRIMES``, and past them over further
+  primes below them, up to ``CERTIFICATE_PRIMES`` in all.  :func:`certify_dual_basis`
   checks exactly that they are the identity on the free columns and
   that each has integer dot product 0 with every row of M_D0.  That
   proves dim_Q(D0) >= mu.  The rank of an integer matrix modulo a prime
@@ -123,6 +124,15 @@ PRIMES = (
     2305843009213693693,
     2305843009213693669,
 )
+
+# primes the certificate may draw in all: PRIMES, then the primes below
+# them, found on first need; 64 primes reconstruct entries of about 1950
+# bits, where PRIMES alone reach about 180
+CERTIFICATE_PRIMES = 64
+
+# Miller-Rabin with these bases is exact below 3.18 * 10^23 (Sorenson and
+# Webster, Math. Comp. 86, 2017), so for every 61-bit candidate
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # largest Macaulay matrix the probe builds, in columns (monomials of
 # degree <= B): B = 23 in two variables, 10 in three, 6 in four
@@ -464,7 +474,7 @@ def _certified(rows, columns, mu, pivots):
     of the rows modulo the first prime."""
     ncols = len(columns)
     free = residues = None
-    for i, p in enumerate(PRIMES):
+    for i, p in enumerate(_certificate_primes()):
         if i:
             pivots = _echelon(rows, ncols, p)
         basis = _null_vectors(pivots, ncols, p)
@@ -487,6 +497,43 @@ def _certified(rows, columns, mu, pivots):
             continue
         return DualBasis(columns, vectors)
     return None
+
+
+def _certificate_primes():
+    """PRIMES, then each time the largest prime below the one before,
+    CERTIFICATE_PRIMES in all."""
+    yield from PRIMES
+    p = PRIMES[-1]
+    for _ in range(CERTIFICATE_PRIMES - len(PRIMES)):
+        p = _prime_below(p)
+        yield p
+
+
+@lru_cache(maxsize=None)
+def _prime_below(p):
+    """The largest prime below the odd number p."""
+    n = p - 2
+    while not _is_prime(n):
+        n -= 2
+    return n
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for odd n > 37 below 3.18 * 10^23."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _null_vectors(pivots, ncols, p):

@@ -37,6 +37,11 @@ class GenericityError(SingindexError):
     """Repeated draws of generic linear forms all failed to be generic."""
 
 
+class DigitLimitError(SingindexError):
+    """A result holds an integer with more decimal digits than this
+    Python converts to text (``sys.get_int_max_str_digits``)."""
+
+
 class InternalCheckError(SingindexError):
     """An internal consistency assertion failed.  Indicates a bug, not a
     user error; these should never occur on valid input."""

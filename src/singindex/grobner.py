@@ -311,12 +311,17 @@ _staircase_count_below = staircase_monomials
 
 def _local_dual(ideal, degree_cap):
     """The certified dual basis of the ideal (see ``singindex.dual``), or
-    INFINITE.  The probe answers first.  When it certifies nothing,
-    Mora's standard basis decides only whether the staircase is infinite;
-    a finite one, or a completion that does not finish, goes to the
-    integration route, which raises DegreeCapError when the local dual
-    still grows at the degree cap."""
-    dual = dual_basis(ideal.generators, degree_cap)
+    INFINITE.  Fewer generators than variables, none of them a unit, give
+    INFINITE at once: by Krull's height theorem the germ of their zero
+    set has positive dimension.  Otherwise the probe answers first.  When
+    it certifies nothing, Mora's standard basis decides only whether the
+    staircase is infinite; a finite one, or a completion that does not
+    finish, goes to the integration route, which raises DegreeCapError
+    when the local dual still grows at the degree cap."""
+    gens = ideal.generators
+    if len(gens) < len(ideal.context) and not any(g.constant_term() for g in gens):
+        return INFINITE
+    dual = dual_basis(gens, degree_cap)
     if dual is not None:
         return dual
     try:

@@ -22,6 +22,7 @@ rule tag per value naming the identity that produced it.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,6 +34,7 @@ from . import smooth as sm
 from . import strat as st
 from .errors import (
     DegreeCapError,
+    DigitLimitError,
     GenericityError,
     NotIsolatedError,
     OracleBudgetError,
@@ -55,10 +57,15 @@ BURNSIDE_OPS = ("classes", "marks", "mul", "restrict", "induce", "r0", "euler")
 
 EQUIVARIANT_OPS = ("radial", "ph-check", "gsv-from-radial")
 
+# largest m and n of the determinantal ops: C(9999, 4999), the largest
+# binomial they then reach, has 3008 digits and takes 4 ms
+MAX_MATRIX_SIZE = 10_000
+
 
 @dataclass
 class Report:
-    """Result document; serializes losslessly to JSON and back."""
+    """Result document; ``to_json`` and ``to_text`` write it, and
+    INFINITE is written as the string "INFINITE"."""
 
     command: str
     op: str = ""
@@ -71,7 +78,9 @@ class Report:
     oracle: dict = field(default_factory=dict)
 
     def put(self, name, value, rule):
-        """Record a value with the rule that produced it."""
+        """Record a value with the rule that produced it; one too long to
+        print is refused first (see _check_digits)."""
+        _check_digits(value)
         self.values[name] = value
         self.rules[name] = rule
 
@@ -119,6 +128,31 @@ def _encode(value):
     if isinstance(value, br.BurnsideElement):
         return {str(k): v for k, v in sorted(value.coefficients.items())}
     return value
+
+
+def _check_digits(*values):
+    """Raise DigitLimitError when the values hold an integer with more
+    decimal digits than str() converts (sys.get_int_max_str_digits, 0
+    for no limit; Pythons before 3.10.7 have none).  An integer below
+    2^(3 * limit) < 10^limit needs no exact test."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    bits = 3 * limit
+    stack = list(values) if limit else []
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is int:
+            if value.bit_length() > bits and abs(value) >= 10**limit:
+                raise DigitLimitError(
+                    f"a result has more than {limit} decimal digits, "
+                    "more than this Python converts to text"
+                )
+        elif kind is list or kind is dict or kind is tuple:
+            stack += value.values() if kind is dict else value
+        elif kind is Fraction:
+            stack += value.numerator, value.denominator
+        elif kind is br.BurnsideElement:
+            stack += value.coefficients.values()
 
 
 def _pretty(value):
@@ -534,6 +568,7 @@ def _parse_strat(job, payload):
     op = job.op
     if op == "det-n":
         job.ints = [job.integer(payload.get(key), f"$.payload.{key}") for key in "mnij"]
+        _check_sizes(job, job.ints[:2])
     elif op == "proportionality":
         names = ("eu_variety", "local_index", "claimed_eu")
         job.ints = [job.integer(payload.get(key), f"$.payload.{key}") for key in names]
@@ -555,6 +590,7 @@ def _parse_chain(job, payload):
         job.slices = job.integers(payload[explicit], f"$.payload.{explicit}", t)
     elif _is_int(payload.get("m")) and _is_int(payload.get("n")):
         job.mn = payload["m"], payload["n"]
+        _check_sizes(job, job.mn)
     else:
         job.add(
             f"$.payload.{explicit}",
@@ -569,6 +605,16 @@ def _parse_chain(job, payload):
         job.radial, job.chibars, job.dims = (
             job.integers(payload.get(name), f"$.payload.{name}", t)
             for name in ("radial", "chibars", "dims")
+        )
+
+
+def _check_sizes(job, mn):
+    """Refuse matrix sizes m and n above MAX_MATRIX_SIZE at their paths."""
+    for key, size in zip("mn", mn):
+        job.require(
+            size is None or size <= MAX_MATRIX_SIZE,
+            f"$.payload.{key}",
+            f"{key} must be at most {MAX_MATRIX_SIZE}",
         )
 
 
@@ -755,6 +801,7 @@ def run_job(document, run_oracle=False):
         if job.over_cap is not None:
             raise job.over_cap
         job.runner(report, job, run_oracle)
+        _check_digits(report.certificates, report.oracle)
     except RejectedInputError as err:
         report.status = "rejected"
         if err.field is None:
@@ -769,6 +816,11 @@ def run_job(document, run_oracle=False):
     except (DegreeCapError, GenericityError) as err:
         report.status = "aborted"
         report.values["error"] = str(err)
+        return report, 4
+    except DigitLimitError as err:
+        # nothing of the run stays: it may hold the integer at fault
+        report.status = "aborted"
+        report.values, report.certificates, report.oracle = {"error": str(err)}, {}, {}
         return report, 4
 
     if report.oracle and not report.oracle.get("match", True):

@@ -8,7 +8,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -275,6 +275,67 @@ def test_small_first_prime_needs_more_primes(monkeypatch):
     assert moduli[0] == 10007 and len(moduli) > 1
 
 
+LARGE_COEFFICIENTS = ["x^2 + {C}*y^3 + x*y*z", "y^2 - {C}*z^3 + 3*x*z", "z^2 + x^3 - {C}*x*y"]
+
+
+@pytest.mark.parametrize("exponent", [30, 200])
+def test_large_coefficients_draw_primes_past_the_fixed_ones(monkeypatch, exponent):
+    # with C = 10^20 + 7 the six fixed primes suffice; from 10^30 on the
+    # dual basis has entries that their product cannot reconstruct
+    data = [t.format(C=10**exponent + 7) for t in LARGE_COEFFICIENTS]
+    assert macaulay_colength([parse_polynomial(t, XYZ) for t in data]) == 8
+    moduli = []
+    real = dual._reconstruct
+
+    def spy(residues, modulus):
+        moduli.append(modulus)
+        return real(residues, modulus)
+
+    monkeypatch.setattr(dual, "_reconstruct", spy)
+    calls = _count_mora(monkeypatch)
+    report, code = run_job({"command": "smooth-index", "payload": {"variables": list(XYZ), "data": data}})
+    assert (code, report.values["index"]) == (0, 8)
+    assert not calls
+    assert moduli[-1] > prod(dual.PRIMES)
+
+
+def test_further_primes_are_built_on_first_need(monkeypatch):
+    tested = []
+    real = dual._is_prime
+
+    def spy(n):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(dual, "_is_prime", spy)
+    dual._prime_below.cache_clear()
+    assert colength(_ideal(["x^2 + y^3", "y^2 + z^3", "z^2 + x^3"])) == 8
+    assert not tested
+    drawn = list(dual._certificate_primes())
+    assert len(drawn) == dual.CERTIFICATE_PRIMES
+    assert drawn[: len(dual.PRIMES)] == list(dual.PRIMES)
+    assert tested and min(tested) == drawn[-1]
+    # each is the largest prime below the one before: a Fermat test, which
+    # shares no code with Miller-Rabin, passes on every drawn prime and
+    # fails on every odd number between two of them
+    for high, low in zip(drawn, drawn[1:]):
+        assert all(pow(a, low - 1, low) == 1 for a in (2, 3, 5, 7))
+        assert all(pow(2, n - 1, n) != 1 for n in range(low + 2, high, 2))
+
+
+def test_miller_rabin_matches_a_sieve():
+    size = 20000
+    sieve = [True] * size
+    for i in range(2, 142):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, size, i))
+    assert [n for n in range(39, size, 2) if dual._is_prime(n)] == [
+        n for n in range(39, size, 2) if sieve[n]
+    ]
+    # a strong pseudoprime to every prime base up to 31 (Jaeschke, 1993)
+    assert not dual._is_prime(3825123056546413051)
+
+
 def _workload_documents():
     rng = random.Random(11)
     germs = [_pullback(rng, (2, 2, 2)), _pullback(rng, (2, 2, 3))]
@@ -311,6 +372,25 @@ def test_isolated_workload_germs_never_reach_mora(monkeypatch):
         report, code = run_job(doc)
         assert code == 0, report.to_json()
     assert calls == []
+
+
+def test_fewer_generators_than_variables_reach_neither_probe_nor_mora(monkeypatch):
+    # one of four components is 0: before the height bound this document
+    # ran Mora out of work and integrated to the degree cap, exit 4
+    assert colength(_ideal(["x*y + 1", "z"])) == 0  # a unit is not bounded
+    calls = _count_mora(monkeypatch)
+    probes = []
+    monkeypatch.setattr(grobner, "dual_basis", lambda *args: probes.append(args))
+    data = [
+        "x1 - 2*y1^4 + 12*x1^2*y1^2 - 2*x1^4",
+        "0",
+        "-6*x2*y2^2 + 2*x2^3 - 2*y1*x2*y2 - x1*y2^2 + x1*x2^2",
+        "-2*y2^3 + 6*x2^2*y2 - y1*y2^2 + y1*x2^2 + 2*x1*x2*y2",
+    ]
+    report, code = run_job({"command": "elk", "payload": {"variables": ["x1", "y1", "x2", "y2"], "data": data}})
+    assert (code, report.status) == (3, "non-isolated")
+    assert colength(_ideal(["x*y*z", "x^2 + y^2"])) is INFINITE
+    assert calls == [] and probes == []
 
 
 def test_non_isolated_germs_reach_mora(monkeypatch):

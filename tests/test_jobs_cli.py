@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import random
 import sys
 import time
@@ -7,7 +8,10 @@ import time
 import pytest
 
 from singindex import burnside, jobs, oracles, smooth
+from fractions import Fraction
+
 from singindex.cli import main
+from singindex.errors import DigitLimitError
 from singindex.grobner import INFINITE
 from singindex.jobs import Report, run_job, validate
 
@@ -480,6 +484,81 @@ def test_cli_command_mismatch_rejected(tmp_path):
     job.write_text(json.dumps({"command": "elk", "payload": {}}))
     with pytest.raises(SystemExit):
         main(["icis", str(job)])
+
+
+def test_an_integer_too_long_to_read_is_invalid_json(tmp_path):
+    job = tmp_path / "long.json"
+    digits = "7" * (sys.get_int_max_str_digits() + 700)
+    job.write_text('{"command": "strat", "op": "det-n", "payload": {"m": ' + digits + "}}")
+    with pytest.raises(SystemExit) as err:
+        main(["strat", str(job)])
+    assert str(err.value.code).startswith("job file is not valid JSON: ")
+
+
+def test_the_digit_limit_is_exact():
+    limit = sys.get_int_max_str_digits()
+    jobs._check_digits(10**limit - 1, -(10**limit - 1), Fraction(1, 10**limit - 1), [{"a": (1, 2)}])
+    for value in (10**limit, -(10**limit), Fraction(1, 10**limit), [{"a": (1, 10**limit)}]):
+        with pytest.raises(DigitLimitError):
+            jobs._check_digits(value)
+
+
+def _too_long_to_print():
+    nines = int("9" * (sys.get_int_max_str_digits() * 3 // 4))
+    chain = {f"{i},{i + 1}": 10 ** (sys.get_int_max_str_digits() // 4) for i in range(5)}
+    return {
+        "mul": doc("burnside", {"group": {"degree": 2, "generators": [[2, 1]]}, "a": {"0": nines}, "b": {"0": nines}}, op="mul"),
+        "mobius": doc("strat", {"strata": list("abcdef"), "covers": [[i, i + 1] for i in range(5)], "n": chain}, op="mobius"),
+    }
+
+
+@pytest.mark.parametrize("name", ["mul", "mobius"])
+def test_a_result_too_long_to_print_ends_in_exit_4(name):
+    report, code = run_job(_too_long_to_print()[name])
+    assert (code, report.status) == (4, "aborted")
+    limit = sys.get_int_max_str_digits()
+    assert report.values == {
+        "error": f"a result has more than {limit} decimal digits, more than this Python converts to text"
+    }
+    assert json.loads(report.to_json())["certificates"] == {}
+    report.to_text()
+
+
+def test_a_certificate_too_long_to_print_ends_in_exit_4(monkeypatch):
+    monkeypatch.setattr(jobs.ic, "isolatedness_certificate", lambda germ, cap: 10**5000)
+    payload = {"variables": ["x", "y", "z"], "equations": ["x^2 + y^2 + z^2"], "form": ["0", "0", "1"]}
+    report, code = run_job(doc("icis", {**payload, "want": ["milnor"]}))
+    assert (code, report.status) == (4, "aborted")
+    assert report.certificates == {} and list(report.values) == ["error"]
+    report.to_json()
+
+
+@pytest.mark.parametrize(
+    "op, payload, paths",
+    [
+        ("det-n", {"m": 20000, "n": 20000, "i": 1, "j": 10000}, ["$.payload.m", "$.payload.n"]),
+        ("det-n", {"m": 3 * 10**6, "n": 3 * 10**6, "i": 1, "j": 15 * 10**5}, ["$.payload.m", "$.payload.n"]),
+        ("det-n", {"m": 10001, "n": 5, "i": 1, "j": 2}, ["$.payload.m"]),
+        ("radial-from-phn", {"t": 1, "m": 5, "n": 20000, "phn": [1], "dim_v": 2, "chibar": 0}, ["$.payload.n"]),
+        ("phn-from-radial", {"t": 1, "m": 20000, "n": 5, "radial": [1], "chibars": [0], "dims": [2]}, ["$.payload.m"]),
+    ],
+)
+def test_matrix_sizes_above_the_bound_are_refused(op, payload, paths):
+    document = doc("strat", payload, op=op)
+    # validate first: before the bound, the second det-n ran math.comb
+    # for minutes
+    diagnostics = validate(document)
+    assert [d["path"] for d in diagnostics] == paths
+    assert {d["message"] for d in diagnostics} <= {
+        f"{key} must be at most {jobs.MAX_MATRIX_SIZE}" for key in "mn"
+    }
+    assert run_job(document) == (Report("strat", op, "rejected", {"diagnostics": diagnostics}), 2)
+
+
+def test_matrix_sizes_at_the_bound_run():
+    report, code = run_job(doc("strat", {"m": 10000, "n": 10000, "i": 1, "j": 5000}, op="det-n"))
+    assert code == 0
+    assert abs(report.values["n"]) == math.comb(9999, 4999)
 
 
 GROUP = {"degree": 2, "generators": [[2, 1]]}
