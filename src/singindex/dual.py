@@ -40,8 +40,8 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
 * **Certificate.**  At the first plateau dim_p(D0) = dim_p(D0+1) = mu,
   the mu null vectors of M_D0 mod p that are the identity on the free
   (non-pivot) columns are lifted to the rationals by Chinese remaindering
-  and rational reconstruction over ``PRIMES``, and past them over further
-  primes below them, up to ``CERTIFICATE_PRIMES`` in all.  :func:`certify_dual_basis`
+  and rational reconstruction over ``PRIMES``, then over the primes below
+  them, up to ``CERTIFICATE_PRIMES`` in all.  :func:`certify_dual_basis`
   checks exactly that they are the identity on the free columns and
   that each has integer dot product 0 with every row of M_D0.  That
   proves dim_Q(D0) >= mu.  The rank of an integer matrix modulo a prime
@@ -129,10 +129,6 @@ PRIMES = (
 # them, found on first need; 64 primes reconstruct entries of about 1950
 # bits, where PRIMES alone reach about 180
 CERTIFICATE_PRIMES = 64
-
-# Miller-Rabin with these bases is exact below 3.18 * 10^23 (Sorenson and
-# Webster, Math. Comp. 86, 2017), so for every 61-bit candidate
-MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # largest Macaulay matrix the probe builds, in columns (monomials of
 # degree <= B): B = 23 in two variables, 10 in three, 6 in four
@@ -519,11 +515,13 @@ def _prime_below(p):
 
 
 def _is_prime(n):
-    """Deterministic Miller-Rabin for odd n > 37 below 3.18 * 10^23."""
+    """Miller-Rabin for odd n > 37 with the primes up to 37 as bases:
+    exact below 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 86,
+    2017), so for every 61-bit candidate."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in MILLER_RABIN_BASES:
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -329,23 +329,25 @@ def _local_dual(ideal, degree_cap):
             return INFINITE
     except DegreeCapError:
         pass
-    return integrated_dual_basis(ideal.generators, degree_cap)
+    return integrated_dual_basis(gens, degree_cap)
 
 
 def colength(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """dim of the local quotient by the ideal, as a rational vector space;
     INFINITE when the ideal is not zero-dimensional.
 
-    ``dual.dual_basis`` answers first: empty when a generator has a
-    non-zero constant term, and otherwise the mu vectors, mu proposed by
-    a modular rank, of an exact rational dual basis of the Macaulay
-    matrix at the first plateau D0.  The certificate proves
-    dim_Q(D0) >= mu >= dim_Q(D0+1) for the quotients by I + m^(D+1); they
-    never shrink as D grows, so both equal mu, and by Nakayama mu is the
-    colength.  When that probe certifies nothing, Mora's standard basis
-    alone returns INFINITE, and every finite colength is the size of a
-    dual basis that ``dual.integrated_dual_basis`` certifies; it raises
-    DegreeCapError when the local dual still grows at the degree cap.
+    Fewer generators than variables, none of them a unit, give INFINITE
+    by Krull's height theorem.  Otherwise ``dual.dual_basis`` answers
+    first: empty when a generator has a non-zero constant term, and
+    otherwise the mu vectors, mu proposed by a modular rank, of an exact
+    rational dual basis of the Macaulay matrix at the first plateau D0.
+    The certificate proves dim_Q(D0) >= mu >= dim_Q(D0+1) for the
+    quotients by I + m^(D+1); they never shrink as D grows, so both equal
+    mu, and by Nakayama mu is the colength.  When that probe certifies
+    nothing, Mora's standard basis alone returns INFINITE, and every
+    finite colength is the size of a dual basis that
+    ``dual.integrated_dual_basis`` certifies; it raises DegreeCapError
+    when the local dual still grows at the degree cap.
     """
     dual = _local_dual(ideal, degree_cap)
     return INFINITE if dual is INFINITE else len(dual.vectors)

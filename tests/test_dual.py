@@ -375,8 +375,9 @@ def test_isolated_workload_germs_never_reach_mora(monkeypatch):
 
 
 def test_fewer_generators_than_variables_reach_neither_probe_nor_mora(monkeypatch):
-    # one of four components is 0: before the height bound this document
-    # ran Mora out of work and integrated to the degree cap, exit 4
+    # one of four components is 0: three generators in four variables,
+    # where Mora runs out of work and the integration route reaches the
+    # degree cap (exit 4) unless the height bound answers first
     assert colength(_ideal(["x*y + 1", "z"])) == 0  # a unit is not bounded
     calls = _count_mora(monkeypatch)
     probes = []

@@ -545,8 +545,8 @@ def test_a_certificate_too_long_to_print_ends_in_exit_4(monkeypatch):
 )
 def test_matrix_sizes_above_the_bound_are_refused(op, payload, paths):
     document = doc("strat", payload, op=op)
-    # validate first: before the bound, the second det-n ran math.comb
-    # for minutes
+    # validate first: past the bound, run_job would spend minutes in
+    # math.comb on the second det-n
     diagnostics = validate(document)
     assert [d["path"] for d in diagnostics] == paths
     assert {d["message"] for d in diagnostics} <= {
