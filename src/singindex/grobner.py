@@ -373,7 +373,10 @@ class QuotientAlgebra:
     functionals that vanish on I, so the coordinates of the class of a
     monomial with a column are the values of the dual vectors there, and
     any other monomial has class 0.  A polynomial lies in I exactly when
-    its coordinates all vanish.
+    its coordinates all vanish.  ``coords`` reads every dual vector at
+    once, ``dual_vector`` one of them; the residue functional phi of
+    ``smooth.elk_form`` is plus or minus one certified dual vector, and
+    the signature it gives does not depend on that choice.
     """
 
     def __init__(self, ideal, dual):
@@ -402,38 +405,19 @@ class QuotientAlgebra:
             for nums, den in self._vectors
         ]
 
-    def coordinate(self, poly, k):
-        """Coordinate k of the class of poly: one dual vector's dot
-        product with the terms of poly that have a column."""
-        if poly.context != self.context:
-            raise RejectedInputError("context mismatch in quotient reduction")
+    def dual_vector(self, k):
+        """Dual vector k, the functional p -> coords(p)[k], as (numerator,
+        denominator): numerator(m) is the vector's integer entry at the
+        monomial m, 0 at a monomial without a column, over the positive
+        integer denominator."""
         nums, den = self._vectors[k]
         column = self._column
-        return Fraction(sum(c * nums[column[m]] for m, c in poly.terms.items() if m in column), den)
 
-    def functional(self, weights):
-        """The functional phi(p) = sum_k weights[k] * coords(p)[k], for
-        rational weights, as (scaled, scale): a positive integer scale
-        and a function of a monomial m whose value is the integer
-        scale * phi(m).  The weights fold once into one integer vector
-        over the columns, scale times the sum of weights[k] times dual
-        vector k; scaled at a column monomial is one entry of it, and 0
-        at any other monomial."""
-        terms = [(Fraction(w), nums, den) for w, (nums, den) in zip(weights, self._vectors) if w]
-        scale = lcm(*(w.denominator * den for w, _, den in terms))
-        folded = [0] * len(self._column)
-        for w, nums, den in terms:
-            factor = w.numerator * (scale // (w.denominator * den))
-            for k, v in enumerate(nums):
-                if v:
-                    folded[k] += factor * v
-        column = self._column
+        def numerator(m):
+            c = column.get(m)
+            return 0 if c is None else nums[c]
 
-        def scaled(m):
-            k = column.get(m)
-            return 0 if k is None else folded[k]
-
-        return scaled, scale
+        return numerator, den
 
 
 def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):

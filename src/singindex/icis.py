@@ -103,10 +103,9 @@ def isolatedness_certificate(germ, degree_cap=DEFAULT_DEGREE_CAP):
 def gsv_index_1form(germ, form, degree_cap=DEFAULT_DEGREE_CAP):
     """GSV index of a holomorphic 1-form on the complete intersection:
     colength of the equations plus the maximal minors of the stacked
-    matrix of equation differentials and the form's coefficient row."""
-    form = _as_form(germ, form)
-    ideal = _stacked_minors_ideal(germ, [list(form.coefficients)])
-    return colength(ideal, degree_cap)
+    matrix of equation differentials and the form's coefficient row: the
+    collection of partition (dim V) with one group, the form."""
+    return gsv_index_collection(germ, [germ.dim], [[form]], degree_cap)
 
 
 def gsv_index_collection(germ, partition, groups, degree_cap=DEFAULT_DEGREE_CAP):

@@ -130,19 +130,23 @@ def _encode(value):
     return value
 
 
+def _too_long(value, limit):
+    """Whether str() cannot print the integer under a limit > 0 of decimal
+    digits; one below 2^(3 * limit) < 10^limit needs no exact test."""
+    return value.bit_length() > 3 * limit and abs(value) >= 10**limit
+
+
 def _check_digits(*values):
     """Raise DigitLimitError when the values hold an integer with more
     decimal digits than str() converts (sys.get_int_max_str_digits, 0
-    for no limit; Pythons before 3.10.7 have none).  An integer below
-    2^(3 * limit) < 10^limit needs no exact test."""
+    for no limit; Pythons before 3.10.7 have none)."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    bits = 3 * limit
     stack = list(values) if limit else []
     while stack:
         value = stack.pop()
         kind = type(value)
         if kind is int:
-            if value.bit_length() > bits and abs(value) >= 10**limit:
+            if _too_long(value, limit):
                 raise DigitLimitError(
                     f"a result has more than {limit} decimal digits, "
                     "more than this Python converts to text"
@@ -170,8 +174,20 @@ def _pretty(value):
 
 
 def _is_int(value):
-    """A JSON integer; booleans are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A JSON integer that str() can print (see _check_digits); booleans
+    are not integers here."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        return False
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return not limit or not _too_long(value, limit)
+
+
+def _key_path(path, key):
+    """The JSON path of a key of the object at path; an integer key that
+    str() cannot print is not formatted."""
+    if type(key) is int and not _is_int(key):
+        return f"{path}[<long integer>]"
+    return f"{path}[{key!r}]"
 
 
 def _decimal(text):
@@ -298,7 +314,7 @@ class _Job:
         out = []
         for key, coeff in value.items():
             index = key if _is_int(key) else _decimal(key)
-            key_path = f"{path}[{key!r}]"
+            key_path = _key_path(path, key)
             if index is None:
                 self.add(key_path, "class index must be an integer")
             elif self.require(_is_int(coeff), key_path, "coefficient must be an integer"):
@@ -316,6 +332,9 @@ class _Job:
 
     def polynomial(self, text, path):
         if self.terms > MAX_DOCUMENT_TERMS:
+            return None
+        if type(text) is int and not _is_int(text):  # str() cannot print it
+            self.add(path, "integer in polynomial text is too long", late=True)
             return None
         try:
             p = parse_polynomial(text, self.variables, self.cap)
@@ -436,24 +455,10 @@ def _parse_sections(job, data, n):
     )
     if job.rank is None:
         return False
-    job.partition = data.get("partition")
-    if not job.require(
-        isinstance(job.partition, list)
-        and job.partition
-        and all(_is_int(k) and k >= 1 for k in job.partition),
-        "$.payload.data.partition",
-        "partition must be a list of positive integers",
-    ):
-        return False
-    job.require(
-        sum(job.partition) == n,
-        "$.payload.data.partition",
-        f"partition must sum to the variable count {n} "
-        "(the hypothesis of the collection index formula)",
+    matrices = _read_partition(
+        job, data, "$.payload.data", n, f"the variable count {n}", "matrices", "section matrix"
     )
-    matrices = data.get("matrices")
-    if not isinstance(matrices, list) or len(matrices) != len(job.partition):
-        job.add("$.payload.data.matrices", "expected one section matrix per partition entry")
+    if matrices is None:
         return False
     job.matrices = []
     for i, (k, mat) in enumerate(zip(job.partition, matrices)):
@@ -524,28 +529,38 @@ def _parse_icis(job, payload):
         )
 
 
-def _parse_form_groups(job, coll, n, dim):
-    if not isinstance(coll, dict):
-        job.add("$.payload.collection", "expected {partition, groups}")
-        return False
-    job.partition = coll.get("partition")
+def _read_partition(job, data, path, total, total_name, key, noun):
+    """Read job.partition, positive integers summing to total, and return
+    data[key], one entry per part; None when the rest is not worth reading."""
+    job.partition = data.get("partition")
     if not job.require(
         isinstance(job.partition, list)
         and job.partition
         and all(_is_int(k) and k >= 1 for k in job.partition),
-        "$.payload.collection.partition",
+        f"{path}.partition",
         "partition must be a list of positive integers",
     ):
-        return False
+        return None
     job.require(
-        sum(job.partition) == dim,
-        "$.payload.collection.partition",
-        f"partition must sum to dim V = {dim} "
-        "(the hypothesis of the collection index formula)",
+        sum(job.partition) == total,
+        f"{path}.partition",
+        f"partition must sum to {total_name} (the hypothesis of the collection index formula)",
     )
-    groups = coll.get("groups")
-    if not isinstance(groups, list) or len(groups) != len(job.partition):
-        job.add("$.payload.collection.groups", "expected one group per partition entry")
+    entries = data.get(key)
+    if not isinstance(entries, list) or len(entries) != len(job.partition):
+        job.add(f"{path}.{key}", f"expected one {noun} per partition entry")
+        return None
+    return entries
+
+
+def _parse_form_groups(job, coll, n, dim):
+    if not isinstance(coll, dict):
+        job.add("$.payload.collection", "expected {partition, groups}")
+        return False
+    groups = _read_partition(
+        job, coll, "$.payload.collection", dim, f"dim V = {dim}", "groups", "group"
+    )
+    if groups is None:
         return False
     job.groups = []
     for i, (k, group) in enumerate(zip(job.partition, groups)):
@@ -644,7 +659,7 @@ def _parse_poset(job, payload):
         nmap = {}
     for key, value in nmap.items():
         ij = [_decimal(p.strip()) for p in key.split(",")] if isinstance(key, str) else []
-        path = f"$.payload.n[{key!r}]"
+        path = _key_path("$.payload.n", key)
         if len(ij) != 2 or None in ij:
             job.add(path, "keys must look like 'i,j'")
         elif job.require(

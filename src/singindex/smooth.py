@@ -8,8 +8,8 @@ quotient algebras:
 * the signature index of a real analytic vector field or 1-form: the
   local degree is the signature of <a, b> = phi(ab) on the local algebra
   for any functional phi vanishing on the ideal and positive on the
-  Jacobian class (Eisenbud-Levine 1977, Khimshiashvili 1977); phi is one
-  vector over the dual basis columns, so a Gram entry is one lookup;
+  Jacobian class (Eisenbud-Levine 1977, Khimshiashvili 1977); phi is plus
+  or minus one certified dual vector, so a Gram entry is one lookup;
 * the colength index of a collection of sections of a trivial bundle,
   computed from the ideal of maximal minors of the section matrices.
 
@@ -18,8 +18,8 @@ the dimension of the invariant subspace and the signature of the pairing
 restricted to it are the equivariant quantities exposed here.  Both come
 from the group sums T_b = sum over g of b(g x) of the basis monomials b:
 the invariant dimension is 1/|G| times the sum of the coordinates of
-T_b at b, and the restricted pairing is [phi(T_a T_b)], one lookup of
-the folded functional per product monomial.
+T_b at b, read off dual vector b, and the restricted pairing is
+[phi(T_a T_b)], one lookup of phi's dual vector per product monomial.
 """
 
 from __future__ import annotations
@@ -162,13 +162,14 @@ def collection_index(coll, degree_cap=DEFAULT_DEGREE_CAP):
 
 class ELKForm:
     """The residue-pairing data of a real germ with algebraically isolated
-    zero: the local algebra, the coordinates of the Jacobian class, a
-    linear functional phi on the coordinates, positive on that class, and
-    the Gram matrix [phi(b_i b_j)] of the induced symmetric bilinear form
-    on the basis monomials, as an integer matrix `gram` over one positive
-    `denominator`.  Any such phi vanishes on the ideal, so the form is
-    nondegenerate and its signature is the local degree; the positive
-    denominator does not change the signature."""
+    zero: the local algebra, the coordinates of the Jacobian class, the
+    weights of a functional phi positive on that class, and the Gram
+    matrix [phi(b_i b_j)] on the basis monomials, as an integer matrix
+    `gram` over one positive `denominator`.  phi is plus or minus one
+    certified dual vector, so `functional` is a signed one-hot list of
+    ints.  Any phi vanishing on the ideal and positive on the Jacobian
+    class gives a nondegenerate form whose signature is the local
+    degree, so the signature does not depend on that choice."""
 
     def __init__(self, algebra, jacobian_coords, functional, gram, denominator):
         self.algebra = algebra
@@ -187,9 +188,11 @@ class ELKForm:
 
 
 def _choose_functional(algebra, jac_coords):
-    """Deterministic functional: extract the coefficient of the largest
-    basis monomial appearing in the Jacobian class, scaled so the
-    Jacobian class maps to dim Q (the residue normalization)."""
+    """(star, sign) of the deterministic functional phi = sign times the
+    coordinate at star, one certified dual vector: star is the largest
+    basis monomial appearing in the Jacobian class, and the sign makes
+    phi positive on that class.  Scaling phi by a positive factor, say
+    to the residue normalization phi(Jac) = dim Q, changes no signature."""
     candidates = [i for i, c in enumerate(jac_coords) if c != 0]
     if not candidates:
         raise RejectedInputError(
@@ -200,21 +203,17 @@ def _choose_functional(algebra, jac_coords):
         candidates,
         key=lambda i: (monomial_degree(algebra.basis[i]), GLOBAL_ORDER.key(algebra.basis[i])),
     )
-    functional = [Fraction(0)] * algebra.dimension
-    functional[star] = Fraction(algebra.dimension) / jac_coords[star]
-    return functional
+    return star, 1 if jac_coords[star] > 0 else -1
 
 
-def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
+def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP):
     """Build the residue-pairing form of a real vector field germ.
 
-    The functional may be overridden by any linear functional on the
-    coordinates with a positive value on the Jacobian class; the
-    signature does not depend on the choice.  Either one is folded once
-    into an integer vector over the dual basis columns, scale times phi
-    (``QuotientAlgebra.functional``), and each Gram entry is a lookup at
-    the column of the product monomial, or 0 without one: the Gram
-    matrix is integral over the positive denominator scale.
+    phi is plus or minus one certified dual vector (_choose_functional);
+    any functional positive on the Jacobian class gives the same
+    signature.  Each Gram entry is the vector's integer entry at the
+    column of the product monomial, or 0 without one, times the sign:
+    the Gram matrix is integral over the vector's positive denominator.
     """
     if vf.field != "R":
         raise RejectedInputError("the signature index needs the real ground field tag")
@@ -231,24 +230,18 @@ def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
         return ELKForm(algebra, [], [], [], 1)
     jac = jacobian_det(list(vf.components))
     jac_coords = algebra.coords(jac)
-    if functional is None:
-        functional = _choose_functional(algebra, jac_coords)
-    else:
-        functional = [Fraction(f) for f in functional]
-        if sum(f * c for f, c in zip(functional, jac_coords)) <= 0:
-            raise RejectedInputError(
-                "functional must be positive on the Jacobian class"
-            )
-    scaled, scale = algebra.functional(functional)
+    star, sign = _choose_functional(algebra, jac_coords)
+    numerator, denominator = algebra.dual_vector(star)
     basis = algebra.basis
-    gram = [[scaled(monomial_mul(a, b)) for b in basis] for a in basis]
-    return ELKForm(algebra, jac_coords, functional, gram, scale)
+    gram = [[sign * numerator(monomial_mul(a, b)) for b in basis] for a in basis]
+    functional = [sign * (k == star) for k in range(algebra.dimension)]
+    return ELKForm(algebra, jac_coords, functional, gram, denominator)
 
 
-def elk_index(vf, degree_cap=DEFAULT_DEGREE_CAP, functional=None):
+def elk_index(vf, degree_cap=DEFAULT_DEGREE_CAP):
     """Local degree of a real analytic germ with algebraically isolated
     zero: the signature of the residue pairing."""
-    return elk_form(vf, degree_cap, functional).signature()
+    return elk_form(vf, degree_cap).signature()
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +343,9 @@ def _reynolds(algebra, action):
     the action acts on the algebra's variables and that the ideal is
     invariant.  The Reynolds operator sends b to R(b) = T_b / |G|; it is
     idempotent, so its trace, (1/|G|) times the sum over b of the
-    coordinate of T_b at b, is the dimension of its image.  The images
-    of monomials are memoised per group element over monomials, since
-    the basis need not be closed under division."""
+    coordinate of T_b at b (dual vector b), is the dimension of its
+    image.  The images of monomials are memoised per group element over
+    monomials, since the basis need not be closed under division."""
     if action.variables != algebra.context:
         raise RejectedInputError(
             f"action variables {action.variables!r} are not the algebra's {algebra.context!r}"
@@ -365,7 +358,11 @@ def _reynolds(algebra, action):
         rows = list(action.substitution(g).values())
         memo = {(0,) * len(ctx): Polynomial.one(ctx)}
         sums = [total + _image(memo, rows, b) for total, b in zip(sums, algebra.basis)]
-    trace = Fraction(sum(algebra.coordinate(total, k) for k, total in enumerate(sums)), action.order)
+    trace = 0
+    for k, total in enumerate(sums):
+        numerator, den = algebra.dual_vector(k)
+        trace += Fraction(sum(c * numerator(m) for m, c in total.terms.items()), den)
+    trace = Fraction(trace, action.order)
     if trace.denominator != 1:
         raise InternalCheckError("trace average failed to be an integer")
     return sums, int(trace)
@@ -393,9 +390,9 @@ def invariant_signature(form, action):
     its signature does not depend on the admissible functional chosen.
     The check that its inertia counts exactly n - (invariant dimension)
     zeros is that nondegeneracy.  The sums are scaled to integers first,
-    and phi is the form's folded integer vector over the dual columns,
-    so each entry is formed in ints, one lookup per product monomial;
-    positive scales change no sign.
+    and phi is the sign times the form's dual vector, so each entry is
+    formed in ints, one lookup per product monomial; positive scales
+    change no sign.
     """
     return _invariant_signature(form, *_reynolds(form.algebra, action))
 
@@ -406,9 +403,10 @@ def _invariant_signature(form, sums, dimension):
     n = form.algebra.dimension
     if n == 0:
         return 0
-    scaled, _ = form.algebra.functional(form.functional)
-    # scale * |G| times the averaged functional at each basis monomial
-    averaged = [sum(c * scaled(m) for m, c in total.terms.items()) for total in sums]
+    ((star, sign),) = [(k, w) for k, w in enumerate(form.functional) if w]
+    numerator = form.algebra.dual_vector(star)[0]
+    # denominator * |G| times the averaged functional at each basis monomial
+    averaged = [sign * sum(c * numerator(m) for m, c in total.terms.items()) for total in sums]
     if sum(a * j for a, j in zip(averaged, form.jacobian_coords)) <= 0:
         raise RejectedInputError(
             "averaged functional is not positive on the Jacobian class; "
@@ -422,8 +420,8 @@ def _invariant_signature(form, sums, dimension):
     restricted = [[0] * n for _ in range(n)]
     for i, a in enumerate(terms):
         for j in range(i, n):
-            restricted[i][j] = restricted[j][i] = sum(
-                c * d * scaled(monomial_mul(m, p)) for m, c in a for p, d in terms[j]
+            restricted[i][j] = restricted[j][i] = sign * sum(
+                c * d * numerator(monomial_mul(m, p)) for m, c in a for p, d in terms[j]
             )
     pos, neg, zero = symmetric_signature(restricted)
     if zero != n - dimension:

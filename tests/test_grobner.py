@@ -244,15 +244,16 @@ def test_integration_route_gives_the_probe_algebra(monkeypatch, gens):
         for b in probe.basis
     ]
     assert [route.coords(p) for p in products] == [probe.coords(p) for p in products]
-    # a functional folded over the dual columns agrees too, as integers
-    # over one positive integer scale
-    weights = [Fraction(k + 1, 2 * k + 3) for k in range(probe.dimension)]
-    (phi, phi_scale), (psi, psi_scale) = route.functional(weights), probe.functional(weights)
-    for p in probes[:-1]:
-        (m,) = p.terms
-        value = sum(w * c for w, c in zip(weights, probe.coords(p)))
-        assert phi(m) == phi_scale * value and psi(m) == psi_scale * value
-        assert isinstance(phi(m), int) and isinstance(psi(m), int)
+    # each dual vector agrees too, as integers over one positive
+    # integer denominator
+    for k in range(probe.dimension):
+        (phi, phi_den), (psi, psi_den) = route.dual_vector(k), probe.dual_vector(k)
+        assert phi_den > 0 and psi_den > 0
+        for p in probes[:-1]:
+            (m,) = p.terms
+            value = probe.coords(p)[k]
+            assert phi(m) == phi_den * value and psi(m) == psi_den * value
+            assert type(phi(m)) is int and type(psi(m)) is int
 
 
 def test_mora_divides_integer_coefficients_exactly(monkeypatch):

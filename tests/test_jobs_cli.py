@@ -533,6 +533,114 @@ def test_a_certificate_too_long_to_print_ends_in_exit_4(monkeypatch):
     report.to_json()
 
 
+def test_an_integer_is_read_only_when_str_can_print_it():
+    limit = sys.get_int_max_str_digits()
+    assert jobs._is_int(10**limit - 1) and jobs._is_int(-(10**limit - 1))
+    assert not jobs._is_int(10**limit) and not jobs._is_int(-(10**limit))
+
+
+_GROUP = {"degree": 2, "generators": [[2, 1]]}
+_CHAIN = {"strata": ["a", "b"], "covers": [[0, 1]]}
+_ICIS = {"variables": ["x", "y", "z"], "equations": ["x^2 + y^2 + z^2"]}
+
+
+def _too_long_to_read(name):
+    """A dict document with an integer that str() cannot print at one
+    field, with the path and message of its diagnostic."""
+    big = 10 ** sys.get_int_max_str_digits()
+    det_n = {"m": 5, "n": 5, "i": 1, "j": 1}
+    square = [["x", "y"], ["y", "x"]]
+    sections = {"rank": 2, "partition": [1, 1], "matrices": [square, square]}
+    forms = [[["1", "0", "0"], ["0", "1", "0"]]]
+    cases = {
+        "det-n i": (
+            doc("strat", {**det_n, "i": big}, op="det-n"), "$.payload.i", "expected an integer"
+        ),
+        "radial-from-phn t": (
+            doc("strat", {"t": big, "m": 5, "n": 5, "phn": [1], "dim_v": 2, "chibar": 0}, op="radial-from-phn"),
+            "$.payload.t",
+            "t must be a positive integer",
+        ),
+        "covers pair": (
+            doc("strat", {**_CHAIN, "covers": [[0, big]]}, op="mobius"),
+            "$.payload.covers",
+            "expected a list of [i, j] index pairs",
+        ),
+        "collection partition": (
+            doc("collection", {"variables": ["x", "y"], "data": {**sections, "partition": [big, 1]}}),
+            "$.payload.data.partition",
+            "partition must be a list of positive integers",
+        ),
+        "icis partition": (
+            doc("icis", {**_ICIS, "collection": {"partition": [big], "groups": forms}}),
+            "$.payload.collection.partition",
+            "partition must be a list of positive integers",
+        ),
+        "element key": (
+            doc("burnside", {"group": _GROUP, "a": {big: 1}}, op="r0"),
+            "$.payload.a[<long integer>]",
+            "class index must be an integer",
+        ),
+        "euler isotropy": (
+            doc("burnside", {"group": _GROUP, "strata": [{"isotropy": big, "chiOrbit": 1}]}, op="euler"),
+            "$.payload.strata[0].isotropy",
+            "expected a class index or a list of permutations of 1..2",
+        ),
+        "group degree": (
+            doc("burnside", {"group": {**_GROUP, "degree": big}}, op="classes"),
+            "$.payload.group.degree",
+            "degree must be a positive integer",
+        ),
+        "seed": (
+            doc("strat", det_n, op="det-n", options={"seed": big}),
+            "$.options.seed",
+            "seed must be an integer",
+        ),
+        "slice value": (
+            doc("strat", {**_CHAIN, "n": {"0,1": big}}, op="mobius"),
+            "$.payload.n['0,1']",
+            "expected an integer",
+        ),
+        "slice key": (
+            doc("strat", {**_CHAIN, "n": {big: 1}}, op="mobius"),
+            "$.payload.n[<long integer>]",
+            "keys must look like 'i,j'",
+        ),
+        "section entry": (
+            doc("collection", {"variables": ["x", "y"], "data": {**sections, "matrices": [[[big, "y"], ["y", "x"]], square]}}),
+            "$.payload.data.matrices[0][0][0]",
+            "integer in polynomial text is too long",
+        ),
+    }
+    return cases[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "det-n i",
+        "radial-from-phn t",
+        "covers pair",
+        "collection partition",
+        "icis partition",
+        "element key",
+        "euler isotropy",
+        "group degree",
+        "seed",
+        "slice value",
+        "slice key",
+        "section entry",
+    ],
+)
+def test_an_input_integer_too_long_to_print_is_refused_at_its_path(name):
+    document, path, message = _too_long_to_read(name)
+    report, code = run_job(document)
+    assert (code, report.status) == (2, "rejected")
+    assert report.values == {"diagnostics": [{"path": path, "message": message}]}
+    report.to_json()
+    report.to_text()
+
+
 @pytest.mark.parametrize(
     "op, payload, paths",
     [

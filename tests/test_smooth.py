@@ -114,10 +114,12 @@ def test_elk_rejects_non_isolated():
 
 
 def test_elk_functional_independence():
-    # any functional positive on the Jacobian class gives the same signature
+    # any functional positive on the Jacobian class gives the same
+    # signature as the default one, plus or minus one dual vector
     rng = random.Random(7)
     germ = VectorFieldGerm(PLANE, ["x^2 - y^2", "2*x*y"], field="R")
     base = elk_form(germ)
+    _check_default_functional(base)
     jac = base.jacobian_coords
     found = 0
     while found < 3:
@@ -127,8 +129,35 @@ def test_elk_functional_independence():
             continue
         if value < 0:
             candidate = [-c for c in candidate]
-        assert elk_index(germ, functional=candidate) == 2
+        assert _signature_of(base.algebra, candidate) == base.signature() == 2
         found += 1
+
+
+def _check_default_functional(form):
+    """The default functional is +1 or -1 at one coordinate, the star,
+    with the sign of the Jacobian class there."""
+    (star,) = [k for k, w in enumerate(form.functional) if w]
+    assert all(type(w) is int for w in form.functional)
+    assert form.functional[star] in (1, -1)
+    assert form.functional[star] * form.jacobian_coords[star] > 0
+
+
+def _gram_by_coords(algebra, weights):
+    """[phi(b_i b_j)] for phi = sum_k weights[k] * coords[k], from the
+    full coordinates of the basis products."""
+    monomials = [Polynomial(algebra.context, {b: 1}) for b in algebra.basis]
+    return [
+        [sum(w * c for w, c in zip(weights, algebra.coords(p * q))) for q in monomials]
+        for p in monomials
+    ]
+
+
+def _signature_of(algebra, weights):
+    """Signature of the Gram matrix of the functional with these weights,
+    by the characteristic polynomial oracle."""
+    pos, neg, zero = signature_by_charpoly(_gram_by_coords(algebra, weights))
+    assert zero == 0
+    return pos - neg
 
 
 def test_elk_of_realified_system_equals_complex_colength():
@@ -360,8 +389,8 @@ def test_invariant_parts_of_the_benchmark_documents_match_the_oracle(monkeypatch
 def test_elk_form_reads_the_gram_matrix_off_the_dual_columns(monkeypatch):
     # every product of two basis monomials is a column or has class 0, on
     # the probe's route and on the integration route alike, so each Gram
-    # entry is one entry of the folded functional, for the default
-    # functional and for a custom one
+    # entry is one entry of the default functional's dual vector; a
+    # custom functional gives the same signature
     germs = [VectorFieldGerm(PLANE, c, field="R") for c, _ in ELK_CASES]
     germs += [VectorFieldGerm(("x", "y", "z"), c, field="R") for c, _ in SPACE_CASES]
     probes = []
@@ -373,29 +402,22 @@ def test_elk_form_reads_the_gram_matrix_off_the_dual_columns(monkeypatch):
         form = elk_form(germ)
         assert form.algebra.basis == probe.algebra.basis
         assert (form.gram, form.denominator) == (probe.gram, probe.denominator)
-        assert form.gram == [[form.denominator * v for v in row] for row in _gram_by_coords(form)]
+        for each in (form, probe):
+            _check_default_functional(each)
+            expected = _gram_by_coords(each.algebra, each.functional)
+            assert each.gram == [[each.denominator * v for v in row] for row in expected]
         custom = [Fraction(k % 3 - 1, k + 1) for k in range(form.algebra.dimension)]
         value = sum(c * j for c, j in zip(custom, form.jacobian_coords))
         if value == 0:
             custom = [c + f for c, f in zip(custom, form.functional)]
         elif value < 0:
             custom = [-c for c in custom]
-        assert elk_index(germ, functional=custom) == form.signature()
-
-
-def _gram_by_coords(form):
-    """[phi(b_i b_j)] from the full coordinates of the basis products."""
-    algebra = form.algebra
-    monomials = [Polynomial(algebra.context, {b: 1}) for b in algebra.basis]
-    return [
-        [sum(w * c for w, c in zip(form.functional, algebra.coords(p * q))) for q in monomials]
-        for p in monomials
-    ]
+        assert _signature_of(form.algebra, custom) == form.signature()
 
 
 def test_elk_gram_is_an_integer_matrix_over_one_denominator(monkeypatch):
-    # the Gram entries are the folded integer numerators over the
-    # functional's scale, on the integration route too (phi = the
+    # the Gram entries are the integer numerators of one dual vector
+    # over its denominator, on the integration route too (phi = the
     # coordinate of x*y^4 here)
     germ = VectorFieldGerm(
         PLANE,
@@ -404,17 +426,16 @@ def test_elk_gram_is_an_integer_matrix_over_one_denominator(monkeypatch):
     )
     probe = elk_form(germ)
     star = probe.algebra.basis.index((1, 4))
-    functional = [int(k == star) for k in range(probe.algebra.dimension)]
+    assert probe.functional == tuple(int(k == star) for k in range(probe.algebra.dimension))
     assert probe.jacobian_coords[star] > 0
-    forms = [probe, elk_form(germ, functional=functional)]
     monkeypatch.setattr(grobner, "dual_basis", lambda generators, degree_cap: None)
-    forms.append(elk_form(germ, functional=functional))
-    assert forms[2].algebra.functional(functional)[1] == forms[2].denominator
-    assert (forms[2].gram, forms[2].denominator) == (forms[1].gram, forms[1].denominator)
-    for form in forms:
+    route = elk_form(germ)
+    assert route.functional == probe.functional
+    assert (route.gram, route.denominator) == (probe.gram, probe.denominator)
+    for form in (probe, route):
+        assert form.algebra.dual_vector(star)[1] == form.denominator > 0
         assert all(type(v) is int for row in form.gram for v in row)
-        assert form.denominator > 0
-        expected = _gram_by_coords(form)
+        expected = _gram_by_coords(form.algebra, form.functional)
         assert form.gram == [[form.denominator * v for v in row] for row in expected]
         assert form.signature() == probe.signature() == 0
 
