@@ -131,9 +131,10 @@ def _encode(value):
 
 
 def _too_long(value, limit):
-    """Whether str() cannot print the integer under a limit > 0 of decimal
-    digits; one below 2^(3 * limit) < 10^limit needs no exact test."""
-    return value.bit_length() > 3 * limit and abs(value) >= 10**limit
+    """Whether str() cannot print the integer under a limit of decimal
+    digits, 0 for none; one below 2^(3 * limit) < 10^limit needs no exact
+    test."""
+    return 0 < limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit
 
 
 def _check_digits(*values):
@@ -175,11 +176,13 @@ def _pretty(value):
 
 def _is_int(value):
     """A JSON integer that str() can print (see _check_digits); booleans
-    are not integers here."""
+    are not integers here.  A digit limit is 0 or at least 640, so an
+    integer below 2^(3 * 640) needs no look at the limit."""
     if not isinstance(value, int) or isinstance(value, bool):
         return False
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    return not limit or not _too_long(value, limit)
+    return value.bit_length() <= 3 * 640 or not _too_long(
+        value, getattr(sys, "get_int_max_str_digits", int)()
+    )
 
 
 def _key_path(path, key):

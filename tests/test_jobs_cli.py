@@ -534,9 +534,15 @@ def test_a_certificate_too_long_to_print_ends_in_exit_4(monkeypatch):
 
 
 def test_an_integer_is_read_only_when_str_can_print_it():
-    limit = sys.get_int_max_str_digits()
-    assert jobs._is_int(10**limit - 1) and jobs._is_int(-(10**limit - 1))
-    assert not jobs._is_int(10**limit) and not jobs._is_int(-(10**limit))
+    default = sys.get_int_max_str_digits()
+    try:
+        # 640 is the least limit Python takes, where the bit-length test ends
+        for limit in (640, 641, default):
+            sys.set_int_max_str_digits(limit)
+            assert jobs._is_int(10**limit - 1) and jobs._is_int(-(10**limit - 1))
+            assert not jobs._is_int(10**limit) and not jobs._is_int(-(10**limit))
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 _GROUP = {"degree": 2, "generators": [[2, 1]]}
