@@ -108,6 +108,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import comb, isqrt, lcm
 from typing import NamedTuple
 
@@ -286,18 +287,19 @@ def _integration_rows(gens, basis, free, nvars, p, vanish=()):
 
 def _integral(vector, basis, nvars, p):
     """The functional L of a solution of the integration system over
-    `basis` (see :func:`_integration_rows`), as a dict monomial -> non-zero
-    residue."""
+    `basis` (see :func:`_integration_rows`), given as {unknown: non-zero
+    residue}, as a dict monomial -> non-zero residue."""
     d = len(basis)
-    out = {(0,) * nvars: vector[0]}
-    for i in range(nvars):
-        for j, f in enumerate(basis):
-            c = vector[1 + i * d + j]
-            if c:
-                for m, v in f.items():
-                    if not any(m[:i]):
-                        a = m[:i] + (m[i] + 1,) + m[i + 1:]
-                        out[a] = (out.get(a, 0) + c * v) % p
+    out = {}
+    for u, c in sorted(vector.items()):
+        if not u:
+            out[(0,) * nvars] = c
+            continue
+        i, j = divmod(u - 1, d)
+        for m, v in basis[j].items():
+            if not any(m[:i]):
+                a = m[:i] + (m[i] + 1,) + m[i + 1:]
+                out[a] = (out.get(a, 0) + c * v) % p
     return {m: v for m, v in out.items() if v}
 
 
@@ -344,7 +346,7 @@ def _plateau(gens, nvars, dual, p):
     columns = dual.columns
     free = [columns[f] for f in dual.vectors]
     basis = [
-        {columns[k]: v % p for k, v in enumerate(nums) if v % p} for nums, _ in dual.vectors.values()
+        {columns[k]: v % p for k, v in nums.items() if v % p} for nums, _ in dual.vectors.values()
     ]
     ncols = 1 + nvars * len(basis)
     pivots = _echelon(_integration_rows(gens, basis, free, nvars, p), ncols, p)
@@ -537,51 +539,75 @@ def _is_prime(n):
 def _null_vectors(pivots, ncols, p):
     """Null vectors of the echelon rows (projected on the first ncols
     columns) mod p, one per free column f, with 1 at f and 0 at the other
-    free columns.  Returns {f: vector as a list of ncols residues}."""
-    free = [c for c in range(ncols) if c not in pivots]
-    vec = {f: [0] * ncols for f in free}
-    for f in free:
-        vec[f][f] = 1
-    for c in sorted((c for c in pivots if c < ncols), reverse=True):
-        tail = [(k, v) for k, v in pivots[c] if k < ncols]
-        for f in free:
-            v_f = vec[f]
-            s = 0
+    free columns.  Every pivot's tail lies above it, so the vector of f is
+    0 above f: it is back-substituted from f downwards, each new entry
+    pushed through the pivots whose tails hold its column.  Returns {f:
+    {column: non-zero residue}}."""
+    users = {}  # column k -> [(pivot c, entry of c's tail at k)]
+    for c, tail in pivots.items():
+        if c < ncols:
             for k, t in tail:
-                s += t * v_f[k]
-            v_f[c] = -s % p
-    return vec
+                if k >= ncols:
+                    break
+                users.setdefault(k, []).append((c, t))
+    out = {}
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        # sums[c] is minus the entry at c, once every column above c is done
+        vec, sums, todo = {}, {f: -1}, [-f]
+        while todo:
+            c = -heappop(todo)
+            x = -sums.pop(c) % p
+            if not x:
+                continue
+            vec[c] = x
+            for k, t in users.get(c, ()):
+                if k in sums:
+                    sums[k] += t * x
+                else:
+                    sums[k] = t * x
+                    heappush(todo, -k)
+        out[f] = vec
+    return out
 
 
 def _combine(residues, modulus, basis, p):
     """Chinese remaindering of the running residues mod `modulus` with the
-    null vectors mod p."""
+    null vectors mod p; an entry is 0 exactly when it is 0 mod both."""
     if residues is None:
         return basis
     inv = pow(modulus, -1, p)
     out = {}
     for f, old in residues.items():
         new = basis[f]
-        out[f] = [a + modulus * ((b - a) * inv % p) for a, b in zip(old, new)]
+        vec = {}
+        for k in old.keys() | new.keys():
+            a = old.get(k, 0)
+            vec[k] = a + modulus * ((new.get(k, 0) - a) * inv % p)
+        out[f] = vec
     return out
 
 
 def _reconstruct(residues, modulus):
     """Rational vectors with the given residues, numerators and
-    denominators below sqrt(modulus / 2), as (integer vector, denominator)
-    per free column; None when some entry has no such preimage."""
+    denominators below sqrt(modulus / 2), as ({column: non-zero integer
+    numerator}, denominator) per free column; None when some entry has no
+    such preimage.  The entries are read by ascending column, which fixes
+    the order in which the common denominator grows."""
     half = modulus >> 1
     limit = isqrt(half)
     out = {}
     for f, res in residues.items():
         den = 1
-        nums = []
-        for r in res:
-            x = r * den % modulus
+        nums = {}
+        for k in sorted(res):
+            x = res[k] * den % modulus
             if x > half:
                 x -= modulus
             if -limit <= x <= limit:
-                nums.append(x)
+                if x:
+                    nums[k] = x
                 continue
             # r*den = a/b: the common denominator grows by b
             q = _rational(x % modulus, modulus, limit)
@@ -591,8 +617,9 @@ def _reconstruct(residues, modulus):
             den *= b
             if den > limit:
                 return None
-            nums = [n * b for n in nums]
-            nums.append(a)
+            nums = {j: n * b for j, n in nums.items()}
+            if a:
+                nums[k] = a
         out[f] = (nums, den)
     return out
 
@@ -617,31 +644,34 @@ def certify_dual_basis(rows, ncols, free, vectors):
     """Check exactly that the vectors are a dual basis of the Macaulay
     matrix with the given rows: the vector of each free column is 1 there
     and 0 at the other free columns, and its dot product with every row is
-    0.  `vectors` maps each free column to (integer vector, denominator).
-    Raises InternalCheckError otherwise; on success the rational null
-    space of the rows has dimension at least len(free)."""
+    0.  `vectors` maps each free column to ({column: integer numerator},
+    denominator), every column in range(ncols) and no other free column
+    among them; a column without an entry is 0.  Raises
+    InternalCheckError otherwise; on success the rational null space of
+    the rows has dimension at least len(free)."""
     if sorted(vectors) != list(free):
         raise InternalCheckError("dual basis does not match the free columns")
+    isfree = set(free)
+    top = 0
     for f in free:
         nums, den = vectors[f]
-        if len(nums) != ncols or den <= 0:
+        if den <= 0 or not nums or min(nums) < 0 or max(nums) >= ncols:
             raise InternalCheckError("malformed dual basis vector")
-        for g in free:
-            if nums[g] != (den if g == f else 0):
-                raise InternalCheckError("dual basis is not the identity on the free columns")
+        if nums.get(f) != den or len(isfree.intersection(nums)) != 1:
+            raise InternalCheckError("dual basis is not the identity on the free columns")
+        top = max(top, max(map(abs, nums.values())))
     # The dot products of a row with all the vectors at once: the
     # numerators sit side by side in one integer per column, vector i in
     # bits [i*width, (i+1)*width).  Every dot product d of a row obeys
     # |d| <= (sum of the row's |entries|) * top < 2^(width-2), so the
     # packed sum is 0 exactly when every dot product is 0.
-    top = max((abs(n) for f in free for n in vectors[f][0]), default=0)
-    reach = max((sum(abs(v) for v in row.values()) for row in rows), default=0)
+    reach = max((sum(map(abs, row.values())) for row in rows), default=0)
     width = (top * reach).bit_length() + 2
     packed = [0] * ncols
     for i, f in enumerate(free):
-        for k, n in enumerate(vectors[f][0]):
-            if n:
-                packed[k] += n << (i * width)
+        shift = i * width
+        for k, n in vectors[f][0].items():
+            packed[k] += n << shift
     for row in rows:
         if sum(v * packed[k] for k, v in row.items()):
             raise InternalCheckError("dual basis vector does not annihilate a Macaulay row")

@@ -401,7 +401,7 @@ class QuotientAlgebra:
         scale = lcm(*(c.denominator for _, c in terms))
         terms = [(k, c.numerator * (scale // c.denominator)) for k, c in terms]
         return [
-            Fraction(sum(a * nums[k] for k, a in terms), scale * den)
+            Fraction(sum(a * nums.get(k, 0) for k, a in terms), scale * den)
             for nums, den in self._vectors
         ]
 
@@ -414,8 +414,7 @@ class QuotientAlgebra:
         column = self._column
 
         def numerator(m):
-            c = column.get(m)
-            return 0 if c is None else nums[c]
+            return nums.get(column.get(m), 0)
 
         return numerator, den
 

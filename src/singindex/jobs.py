@@ -61,6 +61,10 @@ EQUIVARIANT_OPS = ("radial", "ph-check", "gsv-from-radial")
 # binomial they then reach, has 3008 digits and takes 4 ms
 MAX_MATRIX_SIZE = 10_000
 
+# what a report or a JSON path shows for an input integer that str()
+# cannot print
+LONG_INTEGER = "<long integer>"
+
 
 @dataclass
 class Report:
@@ -185,11 +189,16 @@ def _is_int(value):
     )
 
 
+def _unprintable(value):
+    """Whether the value is an integer that str() cannot print."""
+    return type(value) is int and not _is_int(value)
+
+
 def _key_path(path, key):
     """The JSON path of a key of the object at path; an integer key that
     str() cannot print is not formatted."""
-    if type(key) is int and not _is_int(key):
-        return f"{path}[<long integer>]"
+    if _unprintable(key):
+        return f"{path}[{LONG_INTEGER}]"
     return f"{path}[{key!r}]"
 
 
@@ -244,6 +253,13 @@ class _Job:
             self.add("$", "job document must be a JSON object")
             return
         self.command, self.op = document.get("command", ""), document.get("op", "")
+        # the report echoes both: an integer str() cannot print is
+        # replaced, and refused at its path
+        if _unprintable(self.op):
+            self.op = LONG_INTEGER
+            self.add("$.op", "op is an integer too long to print")
+        if _unprintable(self.command):
+            self.command = LONG_INTEGER
         if self.command not in COMMANDS:
             self.add("$.command", f"command must be one of {', '.join(COMMANDS)}")
             return
@@ -336,7 +352,7 @@ class _Job:
     def polynomial(self, text, path):
         if self.terms > MAX_DOCUMENT_TERMS:
             return None
-        if type(text) is int and not _is_int(text):  # str() cannot print it
+        if _unprintable(text):
             self.add(path, "integer in polynomial text is too long", late=True)
             return None
         try:
@@ -644,8 +660,12 @@ def _parse_poset(job, payload):
         "expected a non-empty list of stratum labels",
     ):
         return
+    printable = [
+        job.require(not _unprintable(x), f"$.payload.strata[{i}]", "stratum label is an integer too long to print")
+        for i, x in enumerate(strata)
+    ]
     covers = payload.get("covers", [])
-    if job.require(
+    if all(printable) and job.require(
         isinstance(covers, list)
         and all(isinstance(c, list) and len(c) == 2 and all(map(_is_int, c)) for c in covers),
         "$.payload.covers",

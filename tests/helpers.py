@@ -70,3 +70,14 @@ def pullback_one_form(coefficients, ctx, matrix):
                 p = p + a * c
         out.append(p)
     return out
+
+
+def plus_one_at(nums, k):
+    """A sparse dual vector's numerators {column: non-zero integer} with 1
+    added at column k, which may hold no entry; an entry that becomes 0
+    is dropped."""
+    out = dict(nums)
+    out[k] = out.get(k, 0) + 1
+    if not out[k]:
+        del out[k]
+    return out

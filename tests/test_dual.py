@@ -29,7 +29,7 @@ from singindex.oracles import macaulay_colength
 from singindex.poly import LOCAL_ORDER, Polynomial, parse_polynomial
 from singindex.smooth import SectionCollection
 
-from helpers import random_unimodular, substitute_all
+from helpers import plus_one_at, random_unimodular, substitute_all
 
 XYZ = ("x", "y", "z")
 CTX = ("x", "y")
@@ -204,23 +204,38 @@ def test_certificate_refuses_a_tampered_dual_basis(monkeypatch):
     ideal = _pullback(random.Random(3), (2, 2, 2))
     rows, ncols, free, vectors = _certificate_of(ideal, monkeypatch)
     dual.certify_dual_basis(rows, ncols, free, vectors)
-    changed = 0
+    # every column that is not free, of every vector, whether or not the
+    # sparse vector holds an entry there
+    changed = absent = 0
     for f in free:
         nums, den = vectors[f]
         for k in range(ncols):
             if k in free:
                 continue
-            tampered = dict(vectors)
-            tampered[f] = (nums[:k] + [nums[k] + 1] + nums[k + 1:], den)
+            tampered = {**vectors, f: (plus_one_at(nums, k), den)}
             with pytest.raises(InternalCheckError):
                 dual.certify_dual_basis(rows, ncols, free, tampered)
             changed += 1
-    assert changed > 50
-    tampered = dict(vectors)
+            absent += k not in nums
+    assert changed > 50 and 0 < absent < changed
     f = free[0]
-    tampered[f] = (vectors[f][0][:f] + [0] + vectors[f][0][f + 1:], vectors[f][1])
+    nums, den = vectors[f]
+    tampered = {**vectors, f: ({k: n for k, n in nums.items() if k != f}, den)}
     with pytest.raises(InternalCheckError):
         dual.certify_dual_basis(rows, ncols, free, tampered)
+
+
+def test_certificate_refuses_a_numerator_outside_the_columns(monkeypatch):
+    # a key at ncols or at -1 names no column, whatever its value
+    ideal = _pullback(random.Random(3), (2, 2, 2))
+    rows, ncols, free, vectors = _certificate_of(ideal, monkeypatch)
+    f = free[-1]
+    nums, den = vectors[f]
+    for k in (ncols, -1):
+        for value in (1, 0):
+            tampered = {**vectors, f: ({**nums, k: value}, den)}
+            with pytest.raises(InternalCheckError, match="malformed"):
+                dual.certify_dual_basis(rows, ncols, free, tampered)
 
 
 def _count_mora(monkeypatch):
@@ -490,8 +505,8 @@ def test_mora_only_decides_infinite(stream_run):
 def test_integration_route_matches_the_probe_on_the_stream_ideals(stream_run):
     # every ideal the probe certifies in the streams, through the
     # integration route instead: the same colength, the same free
-    # columns, and the same vector values on the route's columns, which
-    # are the columns where some probe vector is not 0
+    # columns, and the same non-zero vector values at the same monomials
+    # (the route's columns are the supports closed under division)
     _, probed = stream_run
     certified = {generators: found for generators, found in probed.items() if found[0] is not None}
     assert len(certified) > 300
@@ -503,7 +518,9 @@ def test_integration_route_matches_the_probe_on_the_stream_ideals(stream_run):
         for f, (nums, den) in probe.vectors.items():
             got, got_den = route.vectors[index[probe.columns[f]]]
             assert got_den == den
-            assert nums == [got[index[m]] if m in index else 0 for m in probe.columns]
+            at = {probe.columns[k]: n for k, n in nums.items()}
+            assert at == {route.columns[k]: n for k, n in got.items()}
+            assert all(nums.values())
 
 
 # realified (z1^2 + z1^3, z2^2) in four real variables, shaped like the
@@ -710,6 +727,61 @@ def test_the_sparse_echelon_matches_a_dense_scan(monkeypatch, p):
     for rows, ncols, q in taken:
         assert real(rows, ncols, q) == _dense_echelon(rows, ncols, q)
         assert real(rows, ncols, p) == _dense_echelon(rows, ncols, p)
+
+
+def _dense_null_vectors(pivots, ncols, p):
+    """The null vectors of ``dual._null_vectors``, by a dense
+    back-substitution of each over every pivot below ncols, largest
+    first: the reference for the sparse walk."""
+    below = sorted((c for c in pivots if c < ncols), reverse=True)
+    out = {}
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for c in below:
+            vec[c] = -sum(t * vec[k] for k, t in pivots[c] if k < ncols) % p
+        out[f] = {k: v for k, v in enumerate(vec) if v}
+    return out
+
+
+@pytest.mark.parametrize("p", [dual.PRIMES[0], 7])
+def test_the_sparse_null_vectors_match_a_dense_back_substitution(monkeypatch, p):
+    # seeded echelon forms, then every echelon form of the probe on
+    # CAP_GERMS at caps 1-12, over the prime that took it and over 7;
+    # each at its own width and projected on fewer columns, as the probe
+    # projects M_B on the columns of M_D0
+    rng = random.Random(21)
+    forms = []
+    for _ in range(40):
+        ncols = rng.randrange(6, 30)
+        forms.append(((_seeded_rows(rng, ncols, p), ncols), p))
+    taken = []
+    real = dual._echelon
+
+    def spy(rows, ncols, q):
+        taken.append((rows, ncols))
+        return real(rows, ncols, q)
+
+    monkeypatch.setattr(dual, "_echelon", spy)
+    for names, texts in CAP_GERMS:
+        for cap in range(1, 13):
+            dual.dual_basis([parse_polynomial(t, names) for t in texts], cap)
+    monkeypatch.undo()
+    assert len(taken) > 40
+    forms += [(form, q) for form in taken for q in (dual.PRIMES[0], p)]
+    vectors = below = 0
+    for (rows, ncols), q in forms:
+        pivots = real(rows, ncols, q)
+        for width in (ncols, rng.randrange(1, ncols + 1)):
+            found = dual._null_vectors(pivots, width, q)
+            assert found == _dense_null_vectors(pivots, width, q)
+            # 1 at the free column, and 0 above it
+            assert all(max(vec) == f and vec[f] == 1 for f, vec in found.items())
+            vectors += len(found)
+            below += sum(len(vec) > 1 for vec in found.values())
+    assert vectors > 4000 and below > 400
 
 
 def test_the_first_bound_changes_no_dual_basis(stream_run, monkeypatch):

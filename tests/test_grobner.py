@@ -26,7 +26,7 @@ from singindex.poly import (
 )
 from singindex.oracles import macaulay_colength
 
-from helpers import random_polynomial, random_unimodular, substitute_all
+from helpers import plus_one_at, random_polynomial, random_unimodular, substitute_all
 
 CTX = ("x", "y")
 X = Polynomial.variable(CTX, "x")
@@ -329,21 +329,24 @@ def test_integration_route_refuses_every_tampered_entry(monkeypatch):
     monkeypatch.undo()
     ((rows, ncols, free, vectors),) = seen
     assert len(free) == algebra.dimension == 10
-    refused = 0
+    refused = absent = 0
     for f, (nums, den) in vectors.items():
         for k in range(ncols):
             if k in vectors:
                 continue
-            tampered = {**vectors, f: (nums[:k] + [nums[k] + 1] + nums[k + 1 :], den)}
+            tampered = {**vectors, f: (plus_one_at(nums, k), den)}
             with pytest.raises(InternalCheckError):
                 dual.certify_dual_basis(rows, ncols, free, tampered)
             refused += 1
+            absent += k not in nums
     assert refused == 10 * (ncols - 10) == 30
+    assert 0 < absent < refused
 
 
 def _corrupt_lifted_dual_bases(monkeypatch, times):
-    """Add 1 to one entry off the free columns of the first lifted dual
-    vector, in the first `times` reconstructions."""
+    """Add 1 to the first lifted dual vector at the first column that is
+    not free (a column where it may hold no entry), in the first `times`
+    reconstructions."""
     real = dual._reconstruct
     done = []
 
@@ -353,8 +356,8 @@ def _corrupt_lifted_dual_bases(monkeypatch, times):
             return vectors
         f = min(vectors)
         nums, den = vectors[f]
-        k = next(k for k in range(len(nums)) if k not in vectors)
-        vectors[f] = (nums[:k] + [nums[k] + 1] + nums[k + 1:], den)
+        k = next(k for k in itertools.count() if k not in vectors)
+        vectors[f] = (plus_one_at(nums, k), den)
         done.append(k)
         return vectors
 

@@ -617,6 +617,26 @@ def _too_long_to_read(name):
             "$.payload.data.matrices[0][0][0]",
             "integer in polynomial text is too long",
         ),
+        "command": (
+            doc(big, {}),
+            "$.command",
+            f"command must be one of {', '.join(jobs.COMMANDS)}",
+        ),
+        "smooth-index op": (
+            doc("smooth-index", {"variables": ["x", "y"], "data": ["x", "y"]}, op=big),
+            "$.op",
+            "op is an integer too long to print",
+        ),
+        "elk op": (
+            doc("elk", {"variables": ["x", "y"], "data": ["x", "y"]}, op=big),
+            "$.op",
+            "op is an integer too long to print",
+        ),
+        "stratum label": (
+            doc("strat", {**_CHAIN, "strata": ["a", big]}, op="mobius"),
+            "$.payload.strata[1]",
+            "stratum label is an integer too long to print",
+        ),
     }
     return cases[name]
 
@@ -636,6 +656,10 @@ def _too_long_to_read(name):
         "slice value",
         "slice key",
         "section entry",
+        "command",
+        "smooth-index op",
+        "elk op",
+        "stratum label",
     ],
 )
 def test_an_input_integer_too_long_to_print_is_refused_at_its_path(name):
@@ -643,6 +667,8 @@ def test_an_input_integer_too_long_to_print_is_refused_at_its_path(name):
     report, code = run_job(document)
     assert (code, report.status) == (2, "rejected")
     assert report.values == {"diagnostics": [{"path": path, "message": message}]}
+    if path in ("$.command", "$.op"):  # the report echoes a placeholder
+        assert getattr(report, path[2:]) == jobs.LONG_INTEGER
     report.to_json()
     report.to_text()
 
