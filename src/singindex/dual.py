@@ -44,7 +44,12 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
   them, up to ``CERTIFICATE_PRIMES`` in all.  :func:`certify_dual_basis`
   checks exactly that they are the identity on the free columns and
   that each has integer dot product 0 with every row of M_D0.  That
-  proves dim_Q(D0) >= mu.  The rank of an integer matrix modulo a prime
+  proves dim_Q(D0) >= mu.  Each pivot row's tail lies above its pivot,
+  so the null vector of a free column f is 0 at every column above f,
+  and most of its entries below f are 0 too: the vectors are kept
+  sparse, as their non-zero entries only, from the back-substitution
+  through the lift to the check, so each of these steps costs what the
+  vectors hold, not mu times the width of M_D0.  The rank of an integer matrix modulo a prime
   never exceeds its rational rank, so dim_Q(D0+1) <= dim_p(D0+1) = mu,
   and by monotonicity dim_Q(D0) = dim_Q(D0+1) = mu: the colength is mu.
 * **Classes.**  The certified vectors then span the functionals on the
@@ -144,10 +149,11 @@ class DualBasis(NamedTuple):
     """A certified dual basis.  `columns` are monomials sorted by
     ``LOCAL_ORDER`` from the largest down: those of degree at most D0 for
     the probe, the supports of the vectors closed under division for the
-    integration route; `vectors` maps the index of each free column to
-    its vector, as (integer numerators, one per column, positive
-    denominator).  Every vector is 0 at a monomial without a column.
-    The colength is len(vectors)."""
+    integration route; `vectors` maps the index f of each free column to
+    its vector, as ({column index: non-zero integer numerator}, positive
+    denominator), the columns ascending and none above f.  Every vector
+    is 0 at a column without an entry and at a monomial without a
+    column.  The colength is len(vectors)."""
 
     columns: list
     vectors: dict

@@ -373,8 +373,10 @@ class QuotientAlgebra:
     functionals that vanish on I, so the coordinates of the class of a
     monomial with a column are the values of the dual vectors there, and
     any other monomial has class 0.  A polynomial lies in I exactly when
-    its coordinates all vanish.  ``coords`` reads every dual vector at
-    once, ``dual_vector`` one of them; the residue functional phi of
+    its coordinates all vanish.  Each dual vector holds its non-zero
+    integer numerators by column, over one positive denominator; a
+    column without an entry reads 0.  ``coords`` reads every dual vector
+    at once, ``dual_vector`` one of them; the residue functional phi of
     ``smooth.elk_form`` is plus or minus one certified dual vector, and
     the signature it gives does not depend on that choice.
     """

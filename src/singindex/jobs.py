@@ -190,8 +190,21 @@ def _is_int(value):
 
 
 def _unprintable(value):
-    """Whether the value is an integer that str() cannot print."""
-    return type(value) is int and not _is_int(value)
+    """Whether str() cannot print the value: it is an integer with more
+    digits than the limit, or a list or object that holds one."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is int:
+            if not _is_int(value):
+                return True
+        elif kind is list:
+            stack += value
+        elif kind is dict:
+            stack += value
+            stack += value.values()
+    return False
 
 
 def _key_path(path, key):
@@ -257,7 +270,7 @@ class _Job:
         # replaced, and refused at its path
         if _unprintable(self.op):
             self.op = LONG_INTEGER
-            self.add("$.op", "op is an integer too long to print")
+            self.add("$.op", "op holds an integer too long to print")
         if _unprintable(self.command):
             self.command = LONG_INTEGER
         if self.command not in COMMANDS:
@@ -661,7 +674,7 @@ def _parse_poset(job, payload):
     ):
         return
     printable = [
-        job.require(not _unprintable(x), f"$.payload.strata[{i}]", "stratum label is an integer too long to print")
+        job.require(not _unprintable(x), f"$.payload.strata[{i}]", "stratum label holds an integer too long to print")
         for i, x in enumerate(strata)
     ]
     covers = payload.get("covers", [])

@@ -625,17 +625,22 @@ def _too_long_to_read(name):
         "smooth-index op": (
             doc("smooth-index", {"variables": ["x", "y"], "data": ["x", "y"]}, op=big),
             "$.op",
-            "op is an integer too long to print",
+            "op holds an integer too long to print",
         ),
         "elk op": (
-            doc("elk", {"variables": ["x", "y"], "data": ["x", "y"]}, op=big),
+            doc("elk", {"variables": ["x", "y"], "data": ["x", "y"]}, op={"a": [big]}),
             "$.op",
-            "op is an integer too long to print",
+            "op holds an integer too long to print",
         ),
         "stratum label": (
             doc("strat", {**_CHAIN, "strata": ["a", big]}, op="mobius"),
             "$.payload.strata[1]",
-            "stratum label is an integer too long to print",
+            "stratum label holds an integer too long to print",
+        ),
+        "stratum label key": (
+            doc("strat", {**_CHAIN, "strata": [[{big: 1}], "b"]}, op="mobius"),
+            "$.payload.strata[0]",
+            "stratum label holds an integer too long to print",
         ),
     }
     return cases[name]
@@ -660,6 +665,7 @@ def _too_long_to_read(name):
         "smooth-index op",
         "elk op",
         "stratum label",
+        "stratum label key",
     ],
 )
 def test_an_input_integer_too_long_to_print_is_refused_at_its_path(name):
