@@ -44,14 +44,15 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
   them, up to ``CERTIFICATE_PRIMES`` in all.  :func:`certify_dual_basis`
   checks exactly that they are the identity on the free columns and
   that each has integer dot product 0 with every row of M_D0.  That
-  proves dim_Q(D0) >= mu.  Each pivot row's tail lies above its pivot,
-  so the null vector of a free column f is 0 at every column above f,
-  and most of its entries below f are 0 too: the vectors are kept
-  sparse, as their non-zero entries only, from the back-substitution
-  through the lift to the check, so each of these steps costs what the
-  vectors hold, not mu times the width of M_D0.  The rank of an integer matrix modulo a prime
+  proves dim_Q(D0) >= mu.  The rank of an integer matrix modulo a prime
   never exceeds its rational rank, so dim_Q(D0+1) <= dim_p(D0+1) = mu,
   and by monotonicity dim_Q(D0) = dim_Q(D0+1) = mu: the colength is mu.
+  Each pivot row's tail lies above its pivot, so the null vector of a
+  free column f is 0 at every column above f, and most of its entries
+  below f are 0 too.  The vectors are kept as their non-zero entries
+  only, from the back-substitution through the lift to the check: each
+  step walks what the vectors hold, not mu times the width of M_D0, and
+  the check still reads every row.
 * **Classes.**  The certified vectors then span the functionals on the
   polynomials of degree at most D0 that vanish on I, and m^(D0+1) lies
   in I: a polynomial is in I exactly when all of them vanish on its

@@ -192,6 +192,8 @@ def _is_int(value):
 def _unprintable(value):
     """Whether str() cannot print the value: it is an integer with more
     digits than the limit, or a list or object that holds one."""
+    if type(value) is str:  # the common case, on every document
+        return False
     stack = [value]
     while stack:
         value = stack.pop()
@@ -266,8 +268,8 @@ class _Job:
             self.add("$", "job document must be a JSON object")
             return
         self.command, self.op = document.get("command", ""), document.get("op", "")
-        # the report echoes both: an integer str() cannot print is
-        # replaced, and refused at its path
+        # the report echoes both: a value that holds an integer str()
+        # cannot print is replaced, and refused at its path
         if _unprintable(self.op):
             self.op = LONG_INTEGER
             self.add("$.op", "op holds an integer too long to print")
@@ -674,7 +676,9 @@ def _parse_poset(job, payload):
     ):
         return
     printable = [
-        job.require(not _unprintable(x), f"$.payload.strata[{i}]", "stratum label holds an integer too long to print")
+        job.require(
+            not _unprintable(x), f"$.payload.strata[{i}]", "stratum label holds an integer too long to print"
+        )
         for i, x in enumerate(strata)
     ]
     covers = payload.get("covers", [])
