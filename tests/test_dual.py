@@ -223,6 +223,14 @@ def test_certificate_refuses_a_tampered_dual_basis(monkeypatch):
     tampered = {**vectors, f: ({k: n for k, n in nums.items() if k != f}, den)}
     with pytest.raises(InternalCheckError):
         dual.certify_dual_basis(rows, ncols, free, tampered)
+    # the sum of two certified vectors annihilates every row, and only
+    # its entry at the other free column gives it away
+    g = free[1]
+    (a, da), (b, db) = vectors[f], vectors[g]
+    both = {k: a.get(k, 0) * db + b.get(k, 0) * da for k in a.keys() | b.keys()}
+    tampered = {**vectors, f: ({k: n for k, n in both.items() if n}, da * db)}
+    with pytest.raises(InternalCheckError, match="identity"):
+        dual.certify_dual_basis(rows, ncols, free, tampered)
 
 
 def test_certificate_refuses_a_numerator_outside_the_columns(monkeypatch):
