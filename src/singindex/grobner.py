@@ -378,13 +378,19 @@ class QuotientAlgebra:
     column without an entry reads 0.  ``coords`` reads every dual vector
     at once, ``dual_vector`` one of them; the residue functional phi of
     ``smooth.elk_form`` is plus or minus one certified dual vector, and
-    the signature it gives does not depend on that choice.
+    the signature it gives does not depend on that choice.  Every column
+    has degree at most ``top_degree`` (-1 for the zero algebra), so every
+    monomial of higher degree has class 0.
     """
 
     def __init__(self, ideal, dual):
         self.ideal = ideal
         self.context = ideal.context
+        self._columns = dual.columns
         self._column = {m: k for k, m in enumerate(dual.columns)}
+        # the columns run from the largest monomial under LOCAL_ORDER
+        # down, so the last has the largest degree
+        self.top_degree = sum(dual.columns[-1]) if dual.columns else -1
         self.basis = tuple(sorted((dual.columns[f] for f in dual.vectors), key=GLOBAL_ORDER.key))
         self.dimension = len(self.basis)
         self._vectors = [dual.vectors[self._column[m]] for m in self.basis]
@@ -408,17 +414,13 @@ class QuotientAlgebra:
         ]
 
     def dual_vector(self, k):
-        """Dual vector k, the functional p -> coords(p)[k], as (numerator,
-        denominator): numerator(m) is the vector's integer entry at the
-        monomial m, 0 at a monomial without a column, over the positive
-        integer denominator."""
+        """Dual vector k, the functional p -> coords(p)[k], as (support,
+        denominator): support maps each monomial where the vector is not
+        0 to its integer numerator, over the positive integer
+        denominator; the vector is 0 at every other monomial."""
         nums, den = self._vectors[k]
-        column = self._column
-
-        def numerator(m):
-            return nums.get(column.get(m), 0)
-
-        return numerator, den
+        columns = self._columns
+        return {columns[c]: v for c, v in nums.items()}, den
 
 
 def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):

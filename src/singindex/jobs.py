@@ -41,7 +41,7 @@ from .errors import (
     RejectedInputError,
 )
 from .grobner import DEFAULT_DEGREE_CAP, INFINITE
-from .poly import MAX_DOCUMENT_TERMS, Polynomial, parse_polynomial
+from .poly import MAX_DOCUMENT_TERMS, monomial_text, parse_polynomial
 
 STRAT_OPS = (
     "mobius",
@@ -903,7 +903,7 @@ def _run_smooth(report, job, run_oracle):
         report.put("index", form.signature(), "signature-of-residue-pairing")
         report.certificates["algebra_dimension"] = form.algebra.dimension
         report.certificates["algebra_basis"] = [
-            str(Polynomial(variables, {m: 1})) for m in form.algebra.basis
+            monomial_text(variables, m) for m in form.algebra.basis
         ]
         if form.algebra.dimension == 0:
             report.flags.append("NONSINGULAR")

@@ -77,6 +77,18 @@ def monomial_degree(a):
     return sum(a)
 
 
+def monomial_text(context, m):
+    """The monomial x^m over the variable names `context` as polynomial
+    text, such as x^2*y, and 1 for the unit monomial."""
+    factors = []
+    for name, e in zip(context, m):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors) or "1"
+
+
 def monomials_up_to_degree(nvars, bound):
     """All exponent tuples of total degree < bound, nvars variables."""
     out = []
@@ -442,15 +454,9 @@ class Polynomial:
         parts = []
         for m in GLOBAL_ORDER.sorted_descending(self.terms):
             c = self.terms[m]
-            factors = []
-            for name, e in zip(self.context, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
             mag = abs(c)
-            if not body:
+            body = monomial_text(self.context, m)
+            if not any(m):
                 piece = str(mag)
             elif mag == 1:
                 piece = body
@@ -725,8 +731,9 @@ def jacobian_matrix(fs):
     return [[f.derivative(j) for j in range(len(ctx))] for f in fs]
 
 
-def jacobian_det(fs):
-    """det(d f_i / d x_j) for a square system, computed exactly."""
+def jacobian_det(fs, top=None):
+    """det(d f_i / d x_j) for a square system, computed exactly; with
+    `top`, only its terms of degree at most top (see :func:`poly_det`)."""
     fs = list(fs)
     if not fs:
         raise RejectedInputError("empty system")
@@ -734,38 +741,53 @@ def jacobian_det(fs):
         raise RejectedInputError(
             f"square system required: {len(fs)} polynomials in {len(fs[0].context)} variables"
         )
-    return poly_det(jacobian_matrix(fs))
+    return poly_det(jacobian_matrix(fs), top)
 
 
-def poly_det(rows):
-    """Determinant of a square matrix of Polynomials (Laplace with memo)."""
+def poly_det(rows, top=None):
+    """Determinant of a square matrix of Polynomials: Laplace expansion
+    along the first row, each minor memoised, over term dicts.  With
+    `top`, every entry term and every partial product term of degree
+    above top is dropped as it comes; degrees only add up, so the result
+    is the determinant with its terms above top removed."""
     n = len(rows)
     if n == 0:
         raise RejectedInputError("empty matrix")
-    ctx = rows[0][0].context
+    if top is None:
+        # no product can pass the sum of the rows' largest degrees
+        top = sum(max((sum(m) for e in row for m in e.terms), default=0) for row in rows)
+    entries = [
+        [[(m, d, c) for m, c in e.terms.items() if (d := sum(m)) <= top] for e in row]
+        for row in rows
+    ]
     memo = {}
 
-    def rec(rset, cset):
-        if len(rset) == 1:
-            return rows[rset[0]][cset[0]]
-        key = (rset, cset)
-        if key in memo:
-            return memo[key]
-        i = rset[0]
-        rest = rset[1:]
-        total = Polynomial.zero(ctx)
+    def rec(cset):
+        """The terms (monomial, degree, coefficient) of the minor on the
+        last len(cset) rows and the columns cset."""
+        if len(cset) == 1:
+            return entries[-1][cset[0]]
+        if cset in memo:
+            return memo[cset]
+        row = entries[n - len(cset)]
+        total = {}
         for pos, j in enumerate(cset):
-            entry = rows[i][j]
-            if entry.is_zero:
+            if not row[j]:
                 continue
-            sub = rec(rest, cset[:pos] + cset[pos + 1 :])
-            term = entry * sub
-            total = total + term if pos % 2 == 0 else total - term
-        memo[key] = total
-        return total
+            sub = rec(cset[:pos] + cset[pos + 1 :])
+            for m1, d1, c1 in row[j]:
+                if pos % 2:
+                    c1 = -c1
+                room = top - d1
+                for m2, d2, c2 in sub:
+                    if d2 <= room:
+                        m = tuple(map(add, m1, m2))
+                        total[m] = total.get(m, 0) + c1 * c2
+        memo[cset] = terms = [(m, sum(m), c) for m, c in total.items() if c]
+        return terms
 
-    idx = tuple(range(n))
-    return rec(idx, idx)
+    det = rec(tuple(range(n)))
+    return Polynomial._make(rows[0][0].context, {m: c for m, _, c in det})
 
 
 def minors(mat, k):

@@ -9,7 +9,8 @@ quotient algebras:
   local degree is the signature of <a, b> = phi(ab) on the local algebra
   for any functional phi vanishing on the ideal and positive on the
   Jacobian class (Eisenbud-Levine 1977, Khimshiashvili 1977); phi is plus
-  or minus one certified dual vector, so a Gram entry is one lookup;
+  or minus one certified dual vector, and the Gram matrix is filled from
+  that vector's support alone;
 * the colength index of a collection of sections of a trivial bundle,
   computed from the ideal of maximal minors of the section matrices.
 
@@ -19,13 +20,15 @@ restricted to it are the equivariant quantities exposed here.  Both come
 from the group sums T_b = sum over g of b(g x) of the basis monomials b:
 the invariant dimension is 1/|G| times the sum of the coordinates of
 T_b at b, read off dual vector b, and the restricted pairing is
-[phi(T_a T_b)], one lookup of phi's dual vector per product monomial.
+[phi(T_a T_b)], filled from the support of phi's dual vector like the
+form's Gram matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 from .errors import InternalCheckError, NotIsolatedError, RejectedInputError
 from .grobner import (
@@ -42,7 +45,6 @@ from .poly import (
     jacobian_det,
     minors,
     monomial_degree,
-    monomial_mul,
 )
 
 
@@ -164,12 +166,13 @@ class ELKForm:
     """The residue-pairing data of a real germ with algebraically isolated
     zero: the local algebra, the coordinates of the Jacobian class, the
     weights of a functional phi positive on that class, and the Gram
-    matrix [phi(b_i b_j)] on the basis monomials, as an integer matrix
-    `gram` over one positive `denominator`.  phi is plus or minus one
-    certified dual vector, so `functional` is a signed one-hot list of
-    ints.  Any phi vanishing on the ideal and positive on the Jacobian
-    class gives a nondegenerate form whose signature is the local
-    degree, so the signature does not depend on that choice."""
+    matrix [phi(b_i b_j)] on the basis monomials, as a dense list of
+    integer rows `gram` over one positive `denominator`.  phi is plus or
+    minus one certified dual vector, so `functional` is a signed one-hot
+    list of ints, and `gram` is filled from that vector's support.  Any
+    phi vanishing on the ideal and positive on the Jacobian class gives
+    a nondegenerate form whose signature is the local degree, so the
+    signature does not depend on that choice."""
 
     def __init__(self, algebra, jacobian_coords, functional, gram, denominator):
         self.algebra = algebra
@@ -209,11 +212,14 @@ def _choose_functional(algebra, jac_coords):
 def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP):
     """Build the residue-pairing form of a real vector field germ.
 
+    The Jacobian class is read off the determinant truncated at the
+    algebra's top column degree: every monomial above it has class 0.
     phi is plus or minus one certified dual vector (_choose_functional);
     any functional positive on the Jacobian class gives the same
-    signature.  Each Gram entry is the vector's integer entry at the
-    column of the product monomial, or 0 without one, times the sign:
-    the Gram matrix is integral over the vector's positive denominator.
+    signature.  Each Gram entry is the sign times the vector's integer
+    entry at the product monomial, 0 off its support, so the Gram matrix
+    is integral over the vector's positive denominator; it is filled
+    from the support alone (:func:`_pairing`).
     """
     if vf.field != "R":
         raise RejectedInputError("the signature index needs the real ground field tag")
@@ -228,14 +234,35 @@ def elk_form(vf, degree_cap=DEFAULT_DEGREE_CAP):
         # the germ does not vanish at the origin: the algebra is zero and
         # the residue pairing is the empty form, of signature 0
         return ELKForm(algebra, [], [], [], 1)
-    jac = jacobian_det(list(vf.components))
-    jac_coords = algebra.coords(jac)
+    jac_coords = algebra.coords(jacobian_det(vf.components, algebra.top_degree))
     star, sign = _choose_functional(algebra, jac_coords)
-    numerator, denominator = algebra.dual_vector(star)
-    basis = algebra.basis
-    gram = [[sign * numerator(monomial_mul(a, b)) for b in basis] for a in basis]
+    support, denominator = algebra.dual_vector(star)
+    gram = _pairing([{b: 1} for b in algebra.basis], support, sign)
     functional = [sign * (k == star) for k in range(algebra.dimension)]
     return ELKForm(algebra, jac_coords, functional, gram, denominator)
+
+
+def _pairing(polys, support, sign):
+    """The Gram matrix [sign * phi(P_i P_j)] of integer polynomials P_i,
+    each a dict {monomial: int}, where phi has the integer numerators
+    `support` ({monomial: non-zero int}, 0 elsewhere).  Only the support
+    is read: for each term m of P_i and each support monomial s, the
+    terms of the P_j at s / m add to row i; when m does not divide s,
+    the quotient has a negative exponent and finds no term."""
+    owners = {}
+    for j, p in enumerate(polys):
+        for m, c in p.items():
+            owners.setdefault(m, []).append((j, c))
+    support = [(s, sign * v) for s, v in support.items()]
+    gram = []
+    for p in polys:
+        row = [0] * len(polys)
+        for m, c in p.items():
+            for s, v in support:
+                for j, d in owners.get(tuple(map(sub, s, m)), ()):
+                    row[j] += c * d * v
+        gram.append(row)
+    return gram
 
 
 def elk_index(vf, degree_cap=DEFAULT_DEGREE_CAP):
@@ -360,8 +387,8 @@ def _reynolds(algebra, action):
         sums = [total + _image(memo, rows, b) for total, b in zip(sums, algebra.basis)]
     trace = 0
     for k, total in enumerate(sums):
-        numerator, den = algebra.dual_vector(k)
-        trace += Fraction(sum(c * numerator(m) for m, c in total.terms.items()), den)
+        support, den = algebra.dual_vector(k)
+        trace += Fraction(sum(c * support.get(m, 0) for m, c in total.terms.items()), den)
     trace = Fraction(trace, action.order)
     if trace.denominator != 1:
         raise InternalCheckError("trace average failed to be an integer")
@@ -391,39 +418,34 @@ def invariant_signature(form, action):
     The check that its inertia counts exactly n - (invariant dimension)
     zeros is that nondegeneracy.  The sums are scaled to integers first,
     and phi is the sign times the form's dual vector, so each entry is
-    formed in ints, one lookup per product monomial; positive scales
-    change no sign.
+    formed in ints from that vector's support (:func:`_pairing`);
+    positive scales change no sign.
     """
     return _invariant_signature(form, *_reynolds(form.algebra, action))
 
 
 def _invariant_signature(form, sums, dimension):
     """invariant_signature from the group sums and the invariant
-    dimension, as :func:`_reynolds` gives them."""
+    dimension, as :func:`_reynolds` gives them: the restricted Gram
+    matrix is :func:`_pairing` of the sums scaled to integers."""
     n = form.algebra.dimension
     if n == 0:
         return 0
     ((star, sign),) = [(k, w) for k, w in enumerate(form.functional) if w]
-    numerator = form.algebra.dual_vector(star)[0]
+    support = form.algebra.dual_vector(star)[0]
     # denominator * |G| times the averaged functional at each basis monomial
-    averaged = [sign * sum(c * numerator(m) for m, c in total.terms.items()) for total in sums]
+    averaged = [sign * sum(c * support.get(m, 0) for m, c in total.terms.items()) for total in sums]
     if sum(a * j for a, j in zip(averaged, form.jacobian_coords)) <= 0:
         raise RejectedInputError(
             "averaged functional is not positive on the Jacobian class; "
             "the form data is not compatible with the action"
         )
     scale = lcm(*(c.denominator for total in sums for c in total.terms.values()))
-    terms = [
-        [(m, c.numerator * (scale // c.denominator)) for m, c in total.terms.items()]
+    scaled = [
+        {m: c.numerator * (scale // c.denominator) for m, c in total.terms.items()}
         for total in sums
     ]
-    restricted = [[0] * n for _ in range(n)]
-    for i, a in enumerate(terms):
-        for j in range(i, n):
-            restricted[i][j] = restricted[j][i] = sign * sum(
-                c * d * numerator(monomial_mul(m, p)) for m, c in a for p, d in terms[j]
-            )
-    pos, neg, zero = symmetric_signature(restricted)
+    pos, neg, zero = symmetric_signature(_pairing(scaled, support, sign))
     if zero != n - dimension:
         raise InternalCheckError("pairing degenerated on the invariant subspace")
     return pos - neg

@@ -244,16 +244,18 @@ def test_integration_route_gives_the_probe_algebra(monkeypatch, gens):
         for b in probe.basis
     ]
     assert [route.coords(p) for p in products] == [probe.coords(p) for p in products]
-    # each dual vector agrees too, as integers over one positive
-    # integer denominator
+    # each dual vector agrees too, as its non-zero integer numerators by
+    # monomial over one positive integer denominator; every monomial of
+    # its support is among the probes
+    monomials = {m for p in probes[:-1] for m in p.terms}
     for k in range(probe.dimension):
         (phi, phi_den), (psi, psi_den) = route.dual_vector(k), probe.dual_vector(k)
         assert phi_den > 0 and psi_den > 0
-        for p in probes[:-1]:
-            (m,) = p.terms
-            value = probe.coords(p)[k]
-            assert phi(m) == phi_den * value and psi(m) == psi_den * value
-            assert type(phi(m)) is int and type(psi(m)) is int
+        assert set(phi) <= monomials and set(psi) <= monomials
+        assert all(type(v) is int and v for v in [*phi.values(), *psi.values()])
+        for m in monomials:
+            value = probe.coords(Polynomial(CTX, {m: 1}))[k]
+            assert phi.get(m, 0) == phi_den * value and psi.get(m, 0) == psi_den * value
 
 
 def test_mora_divides_integer_coefficients_exactly(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from singindex import jobs
+from singindex import jobs, smooth
 from singindex.errors import DegreeCapError, RejectedInputError
 from singindex.poly import (
     DEFAULT_DEGREE_CAP,
@@ -18,7 +19,9 @@ from singindex.poly import (
     Polynomial,
     jacobian_det,
     minors,
+    monomial_text,
     parse_polynomial,
+    poly_det,
 )
 
 from helpers import random_polynomial, random_unimodular, substitute_all
@@ -97,9 +100,64 @@ def test_orders():
 
 
 def test_jacobian_examples():
-    assert jacobian_det([X, Y]) == Polynomial.one(CTX)
-    assert jacobian_det([X**2, Y**3]) == 6 * X * Y**2
-    assert jacobian_det([X**2 - Y**2, 2 * X * Y]) == 4 * X**2 + 4 * Y**2
+    cases = [
+        ([X, Y], Polynomial.one(CTX)),
+        ([X**2, Y**3], 6 * X * Y**2),
+        ([X**2 - Y**2, 2 * X * Y], 4 * X**2 + 4 * Y**2),
+        ([X**3 + X * Y, Y**2 - X**4], 6 * X**2 * Y + 4 * X**4 + 2 * Y**2),
+    ]
+    for fs, det in cases:
+        assert jacobian_det(fs) == jacobian_det(fs, None) == det
+        for top in range(det.degree() + 2):
+            assert jacobian_det(fs, top) == _truncated(det, top)
+
+
+def _truncated(p, top):
+    """p without its terms of degree above top."""
+    return Polynomial(p.context, {m: c for m, c in p.terms.items() if sum(m) <= top})
+
+
+def _leibniz_det(rows):
+    """The determinant as the signed sum over permutations, in Polynomial
+    arithmetic: a reference that shares no code with poly_det."""
+    n = len(rows)
+    total = Polynomial.zero(rows[0][0].context)
+    for perm in itertools.permutations(range(n)):
+        term = Polynomial.one(total.context)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_truncated_determinant_drops_exactly_the_terms_above_top():
+    # seeded square matrices of sizes 1 to 4: zero entries, Fraction
+    # coefficients and entries of mixed degrees, constants among them
+    rng = random.Random(24)
+    ctx = ("x", "y", "z")
+    dropped = 0
+    for size in (1, 2, 3, 4):
+        for _ in range(8):
+            rows = [
+                [
+                    Polynomial.zero(ctx)
+                    if rng.random() < 0.25
+                    else random_polynomial(ctx, rng, max_degree=rng.randint(0, 3), terms=3)
+                    * Fraction(rng.randint(1, 6), rng.randint(1, 4))
+                    for _ in range(size)
+                ]
+                for _ in range(size)
+            ]
+            full = poly_det(rows)
+            assert full == _leibniz_det(rows)
+            assert all(type(c) is int or c.denominator != 1 for c in full.terms.values())
+            assert poly_det(rows, None) == full
+            for top in range(full.degree() + 2):
+                truncated = poly_det(rows, top)
+                assert truncated == _truncated(full, top)
+                dropped += truncated != full
+    assert dropped > 50
 
 
 def test_jacobian_rejects_non_square():
@@ -552,6 +610,32 @@ def test_parser_matches_the_reference_on_the_stream_polynomials(stream_parses):
     assert len(calls) > 10000
     for args in set(calls):
         assert _outcome(parse_polynomial, *args) == _outcome(reference_parse, *args)
+
+
+def test_monomial_text_is_the_text_of_the_monomial(monkeypatch):
+    # every basis monomial of the seed-1 elk-signature stream, and the
+    # unit monomial, prints as the one-term polynomial does; the reports
+    # list the basis in that text
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import make_stream
+
+    forms = []
+    real = smooth.elk_form
+    monkeypatch.setattr(smooth, "elk_form", lambda *args: forms.append(real(*args)) or forms[-1])
+    seen = {(ctx, (0,) * len(ctx)) for ctx in [("x",), CTX, ("x", "y", "z")]}
+    for rnd in make_stream("elk-signature", 1, 20):
+        for job in rnd:
+            forms.clear()
+            report, _ = jobs.run_job(job.doc)
+            if forms:
+                (form,) = forms
+                ctx = form.algebra.context
+                basis = report.certificates["algebra_basis"]
+                assert basis == [monomial_text(ctx, m) for m in form.algebra.basis]
+                seen.update((ctx, m) for m in form.algebra.basis)
+    assert len(seen) > 50
+    for ctx, m in seen:
+        assert monomial_text(ctx, m) == str(Polynomial(ctx, {m: 1}))
 
 
 def test_stream_documents_stay_far_under_the_term_budget(stream_parses):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -432,8 +433,16 @@ def test_elk_gram_is_an_integer_matrix_over_one_denominator(monkeypatch):
     route = elk_form(germ)
     assert route.functional == probe.functional
     assert (route.gram, route.denominator) == (probe.gram, probe.denominator)
+    basis = probe.algebra.basis
     for form in (probe, route):
-        assert form.algebra.dual_vector(star)[1] == form.denominator > 0
+        # phi's dual vector is its support, {monomial: non-zero int},
+        # over the form's denominator; a Gram entry reads it at b_i b_j
+        support, denominator = form.algebra.dual_vector(star)
+        assert denominator == form.denominator > 0
+        assert all(type(v) is int and v for v in support.values())
+        assert form.gram == [
+            [support.get(tuple(x + y for x, y in zip(a, b)), 0) for b in basis] for a in basis
+        ]
         assert all(type(v) is int for row in form.gram for v in row)
         expected = _gram_by_coords(form.algebra, form.functional)
         assert form.gram == [[form.denominator * v for v in row] for row in expected]
@@ -473,6 +482,48 @@ def test_group_sums_match_the_equivariant_oracle_on_both_routes(
     for form in forms:
         got = (invariant_dimension(form.algebra, action), invariant_signature(form, action))
         assert got == _equivariant_oracle(form, action) == expected
+
+
+def _dense_pairing(algebra, polys, star, sign, denominator):
+    """[sign * phi(P_i P_j)] with phi = denominator times coordinate
+    star: every product formed in full and reduced by coords."""
+    return [
+        [sign * denominator * algebra.coords(p * q)[star] for q in polys] for p in polys
+    ]
+
+
+@pytest.mark.parametrize("variables,components,generators,expected", EQUIVARIANT_CASES)
+def test_the_sparse_pairing_gives_the_dense_gram_matrices_on_both_routes(
+    monkeypatch, variables, components, generators, expected
+):
+    # the form's Gram matrix on the basis monomials, and the restricted
+    # Gram matrix on the group sums scaled to integers (several terms
+    # each under the swap of x^5 + y^6 and y^5 + x^6, Fraction
+    # coefficients before scaling under x -> 2y, y -> x/2)
+    germ = VectorFieldGerm(variables, components, field="R")
+    action = GroupAction(variables, generators)
+    real_signature = smooth.symmetric_signature
+    restricted = []
+    monkeypatch.setattr(
+        smooth, "symmetric_signature", lambda m: restricted.append(m) or real_signature(m)
+    )
+    for force_route in (False, True):
+        if force_route:
+            monkeypatch.setattr(grobner, "dual_basis", lambda generators, degree_cap: None)
+        form = elk_form(germ)
+        algebra = form.algebra
+        (star,) = [k for k, w in enumerate(form.functional) if w]
+        args = (star, form.functional[star], form.denominator)
+        monomials = [Polynomial(algebra.context, {b: 1}) for b in algebra.basis]
+        assert form.gram == _dense_pairing(algebra, monomials, *args)
+        sums, dimension = smooth._reynolds(algebra, action)
+        scale = lcm(*(c.denominator for total in sums for c in total.terms.values()))
+        restricted.clear()
+        assert smooth._invariant_signature(form, sums, dimension) == expected[1]
+        assert restricted == [_dense_pairing(algebra, [t * scale for t in sums], *args)]
+        assert all(type(v) is int for row in restricted[0] for v in row)
+    if components == ["x^5 + y^6", "y^5 + x^6"]:
+        assert sum(len(t.terms) > 1 for t in sums) > 10
 
 
 def test_averaged_functional_vanishing_on_the_jacobian_class_is_refused(monkeypatch):
