@@ -39,14 +39,17 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
   not the matrix's width.
 * **Certificate.**  At the first plateau dim_p(D0) = dim_p(D0+1) = mu,
   the mu null vectors of M_D0 mod p that are the identity on the free
-  (non-pivot) columns are lifted to the rationals by Chinese remaindering
-  and rational reconstruction over ``PRIMES``, then over the primes below
-  them, up to ``CERTIFICATE_PRIMES`` in all.  :func:`certify_dual_basis`
-  checks exactly that they are the identity on the free columns and
-  that each has integer dot product 0 with every row of M_D0.  That
-  proves dim_Q(D0) >= mu.  The rank of an integer matrix modulo a prime
-  never exceeds its rational rank, so dim_Q(D0+1) <= dim_p(D0+1) = mu,
-  and by monotonicity dim_Q(D0) = dim_Q(D0+1) = mu: the colength is mu.
+  (non-pivot) columns are lifted to the rationals by rational
+  reconstruction modulo p alone (Wang, SYMSAC 1981).  The primes are
+  the four Mersenne primes of ``PRIMES``, 2^61 - 1 to 2^11213 - 1,
+  tried in turn: the first reuses the probe's echelon form, each later
+  one echelons M_D0 afresh, and a wider prime reconstructs larger
+  entries.  :func:`certify_dual_basis` checks exactly that they are the
+  identity on the free columns and that each has integer dot product 0
+  with every row of M_D0.  That proves dim_Q(D0) >= mu.  The rank of an
+  integer matrix modulo a prime never exceeds its rational rank, so
+  dim_Q(D0+1) <= dim_p(D0+1) = mu, and by monotonicity
+  dim_Q(D0) = dim_Q(D0+1) = mu: the colength is mu.
   Each pivot row's tail lies above its pivot, so the null vector of a
   free column f is 0 at every column above f, and most of its entries
   below f are 0 too.  The vectors are kept as their non-zero entries
@@ -103,11 +106,12 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
   error.
 
 An unlucky prime or a wrong reconstruction can only make the check
-fail.  Then the next prime is tried; past the last one the probe
-returns None, and the caller asks Mora's standard basis whether the
-colength is infinite before it integrates.  Nothing here decides
-INFINITE.  This route shares no code with ``oracles.macaulay_colength``,
-which recomputes the same dimensions over the rationals for the tests.
+fail.  Then the next prime is tried; past the last one, which
+reconstructs entries of up to 5606 bits, the probe returns None, and
+the caller asks Mora's standard basis whether the colength is infinite
+before it integrates.  Nothing here decides INFINITE.  This route
+shares no code with ``oracles.macaulay_colength``, which recomputes the
+same dimensions over the rationals for the tests.
 """
 
 from __future__ import annotations
@@ -121,21 +125,12 @@ from typing import NamedTuple
 from .errors import DegreeCapError, InternalCheckError
 from .poly import LOCAL_ORDER, monomials_up_to_degree
 
-# 61-bit primes, 2^61 - 1 and the five below it; the first one runs the
-# probe, the certificate uses as many as the reconstruction needs
-PRIMES = (
-    2305843009213693951,
-    2305843009213693921,
-    2305843009213693907,
-    2305843009213693723,
-    2305843009213693693,
-    2305843009213693669,
-)
-
-# primes the certificate may draw in all: PRIMES, then the primes below
-# them, found on first need; 64 primes reconstruct entries of about 1950
-# bits, where PRIMES alone reach about 180
-CERTIFICATE_PRIMES = 64
+# the Mersenne primes 2^e - 1 the certificate climbs, one per attempt:
+# the first runs the probe, and a rung reconstructs entries of up to
+# (e - 1)/2 bits, 30, 260, 2211 and 5606; a rung at 2^127 - 1 made
+# dense germs with entries of about 135 bits slower, since each failed
+# rung costs an echelon form
+PRIMES = tuple(2**e - 1 for e in (61, 521, 4423, 11213))
 
 # largest Macaulay matrix the probe builds, in columns (monomials of
 # degree <= B): B = 23 in two variables, 10 in three, 6 in four
@@ -191,9 +186,11 @@ def integrated_dual_basis(generators, degree_cap):
     """Certified dual basis of the germ ideal spanned by the generators,
     built by integration order by order (see the module docstring); for
     germs past the probe's bound.  Its columns are the supports of the
-    vectors closed under division.  Raises DegreeCapError when the local
+    vectors closed under division.  Each prime of ``PRIMES`` in turn
+    proposes the functionals, and each proposal is lifted as the probe's
+    is, up the same primes.  Raises DegreeCapError when the local
     dual still grows at the degree cap, and InternalCheckError when no
-    prime certifies it."""
+    prime certifies it, as for entries past the last prime's reach."""
     if any(g.constant_term() != 0 for g in generators):
         return DualBasis([], {})
     gens = [_integer_terms(g) for g in generators if not g.is_zero]
@@ -475,72 +472,27 @@ def _dimensions(ends, pivots):
 
 def _certified(rows, columns, mu, pivots):
     """The dual basis of the rows, over the given columns, when its mu
-    vectors lift and certify, else None.  `pivots` is the echelon form
-    of the rows modulo the first prime."""
+    vectors lift and certify at one of ``PRIMES``, else None.  `pivots`
+    is the echelon form of the rows modulo the first prime."""
     ncols = len(columns)
-    free = residues = None
-    for i, p in enumerate(_certificate_primes()):
+    for i, p in enumerate(PRIMES):
         if i:
             pivots = _echelon(rows, ncols, p)
         basis = _null_vectors(pivots, ncols, p)
-        cols = sorted(basis)
-        if len(cols) < mu:
+        if len(basis) < mu:
             # nullity mod p bounds the rational nullity from above
             return None
-        if len(cols) > mu:
+        if len(basis) > mu:
             continue  # this prime loses rank
-        if cols != free:
-            free, modulus, residues = cols, 1, None
-        residues = _combine(residues, modulus, basis, p)
-        modulus *= p
-        vectors = _reconstruct(residues, modulus)
+        vectors = _reconstruct(basis, p)
         if vectors is None:
             continue
         try:
-            certify_dual_basis(rows, ncols, free, vectors)
+            certify_dual_basis(rows, ncols, sorted(basis), vectors)
         except InternalCheckError:
             continue
         return DualBasis(columns, vectors)
     return None
-
-
-def _certificate_primes():
-    """PRIMES, then each time the largest prime below the one before,
-    CERTIFICATE_PRIMES in all."""
-    yield from PRIMES
-    p = PRIMES[-1]
-    for _ in range(CERTIFICATE_PRIMES - len(PRIMES)):
-        p = _prime_below(p)
-        yield p
-
-
-@lru_cache(maxsize=None)
-def _prime_below(p):
-    """The largest prime below the odd number p."""
-    n = p - 2
-    while not _is_prime(n):
-        n -= 2
-    return n
-
-
-def _is_prime(n):
-    """Miller-Rabin for odd n > 37 with the primes up to 37 as bases:
-    exact below 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 86,
-    2017), so for every 61-bit candidate."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _null_vectors(pivots, ncols, p):
@@ -575,23 +527,6 @@ def _null_vectors(pivots, ncols, p):
                 else:
                     sums[k] = t * x
                     heappush(todo, -k)
-        out[f] = vec
-    return out
-
-
-def _combine(residues, modulus, basis, p):
-    """Chinese remaindering of the running residues mod `modulus` with the
-    null vectors mod p; an entry is 0 exactly when it is 0 mod both."""
-    if residues is None:
-        return basis
-    inv = pow(modulus, -1, p)
-    out = {}
-    for f, old in residues.items():
-        new = basis[f]
-        vec = {}
-        for k in old.keys() | new.keys():
-            a = old.get(k, 0)
-            vec[k] = a + modulus * ((new.get(k, 0) - a) * inv % p)
         out[f] = vec
     return out
 

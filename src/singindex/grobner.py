@@ -45,11 +45,11 @@ from .poly import (
     GLOBAL_ORDER,
     LOCAL_ORDER,
     Polynomial,
-    as_polynomial,
     monomial_degree,
     monomial_divides,
     monomial_lcm,
     monomial_quotient,
+    parse_polynomial,
 )
 
 
@@ -107,7 +107,7 @@ class Ideal:
 
     @classmethod
     def from_strings(cls, texts, variables):
-        return cls([as_polynomial(t, variables) for t in texts])
+        return cls([parse_polynomial(t, variables) for t in texts])
 
     def __repr__(self):
         return f"Ideal({[str(g) for g in self.generators]!r})"

@@ -43,7 +43,7 @@ from .grobner import (
     Ideal,
     colength,
 )
-from .poly import Polynomial, as_polynomial, jacobian_matrix, minors
+from .poly import Polynomial, jacobian_matrix, minors, parse_polynomial
 from .smooth import OneFormGerm
 
 # linear forms drawn for one slice before the chain gives up
@@ -61,7 +61,7 @@ class ICISGerm:
 
     def __init__(self, variables, equations):
         self.variables = tuple(variables)
-        self.equations = tuple(as_polynomial(e, self.variables) for e in equations)
+        self.equations = tuple(parse_polynomial(e, self.variables) for e in equations)
         self.ambient_dim = len(self.variables)
         if len(self.equations) > self.ambient_dim:
             raise RejectedInputError("more equations than ambient variables")

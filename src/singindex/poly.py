@@ -694,15 +694,6 @@ class _Parser:
         return e
 
 
-def as_polynomial(value, variables):
-    """A Polynomial over `variables` as it is, without a second parse;
-    anything else goes to parse_polynomial, which parses text and
-    refuses a Polynomial over other variables."""
-    if isinstance(value, Polynomial) and value.context == tuple(variables):
-        return value
-    return parse_polynomial(value, variables)
-
-
 def parse_polynomial(text, variables, degree_cap=DEFAULT_DEGREE_CAP):
     """Parse the wire-format grammar into a Polynomial over `variables`."""
     if isinstance(text, Polynomial):

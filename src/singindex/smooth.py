@@ -41,10 +41,10 @@ from .linalg import rref, symmetric_signature
 from .poly import (
     GLOBAL_ORDER,
     Polynomial,
-    as_polynomial,
     jacobian_det,
     minors,
     monomial_degree,
+    parse_polynomial,
 )
 
 
@@ -53,7 +53,7 @@ class VectorFieldGerm:
 
     def __init__(self, variables, components, field="C"):
         self.variables = tuple(variables)
-        self.components = tuple(as_polynomial(c, self.variables) for c in components)
+        self.components = tuple(parse_polynomial(c, self.variables) for c in components)
         if len(self.components) != len(self.variables):
             raise RejectedInputError(
                 "component count must equal the variable count"
@@ -71,7 +71,7 @@ class OneFormGerm:
 
     def __init__(self, variables, coefficients, field="C"):
         self.variables = tuple(variables)
-        self.coefficients = tuple(as_polynomial(c, self.variables) for c in coefficients)
+        self.coefficients = tuple(parse_polynomial(c, self.variables) for c in coefficients)
         if len(self.coefficients) != len(self.variables):
             raise RejectedInputError(
                 "coefficient count must equal the variable count"
@@ -112,7 +112,7 @@ class SectionCollection:
                 raise RejectedInputError(
                     f"partition entry {k} exceeds the bundle rank {self.rank}"
                 )
-            rows = [[as_polynomial(e, self.variables) for e in row] for row in mat]
+            rows = [[parse_polynomial(e, self.variables) for e in row] for row in mat]
             if len(rows) != self.rank or any(len(r) != want_cols for r in rows):
                 raise RejectedInputError(
                     f"group matrix must be {self.rank} x {want_cols}"
@@ -465,7 +465,7 @@ def realify(variables, components):
     local degree of the real system equals the complex colength.
     """
     variables = tuple(variables)
-    components = [as_polynomial(c, variables) for c in components]
+    components = [parse_polynomial(c, variables) for c in components]
     real_vars = []
     for v in variables:
         real_vars.extend((f"{v}_re", f"{v}_im"))

@@ -8,7 +8,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
-from math import comb, prod
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -301,12 +301,18 @@ def test_small_first_prime_needs_more_primes(monkeypatch):
 LARGE_COEFFICIENTS = ["x^2 + {C}*y^3 + x*y*z", "y^2 - {C}*z^3 + 3*x*z", "z^2 + x^3 - {C}*x*y"]
 
 
-@pytest.mark.parametrize("exponent", [30, 200])
-def test_large_coefficients_draw_primes_past_the_fixed_ones(monkeypatch, exponent):
-    # with C = 10^20 + 7 the six fixed primes suffice; from 10^30 on the
-    # dual basis has entries that their product cannot reconstruct
+def _large_coefficient_document(exponent):
     data = [t.format(C=10**exponent + 7) for t in LARGE_COEFFICIENTS]
     assert macaulay_colength([parse_polynomial(t, XYZ) for t in data]) == 8
+    return {"command": "smooth-index", "payload": {"variables": list(XYZ), "data": data}}
+
+
+@pytest.mark.parametrize("exponent, rung", [(30, 521), (200, 4423), (300, 4423), (500, 11213)])
+def test_large_coefficients_certify_at_the_first_rung_wide_enough(monkeypatch, exponent, rung):
+    # with C = 10^e + 7 the dual basis has numerators up to about C^2, of
+    # 6.6*e bits: each narrower rung fails to reconstruct them, and the
+    # first one wide enough certifies
+    document = _large_coefficient_document(exponent)
     moduli = []
     real = dual._reconstruct
 
@@ -316,47 +322,53 @@ def test_large_coefficients_draw_primes_past_the_fixed_ones(monkeypatch, exponen
 
     monkeypatch.setattr(dual, "_reconstruct", spy)
     calls = _count_mora(monkeypatch)
-    report, code = run_job({"command": "smooth-index", "payload": {"variables": list(XYZ), "data": data}})
+    report, code = run_job(document)
     assert (code, report.values["index"]) == (0, 8)
     assert not calls
-    assert moduli[-1] > prod(dual.PRIMES)
+    certifying = dual.PRIMES.index(2**rung - 1)
+    assert moduli == list(dual.PRIMES[: certifying + 1])
 
 
-def test_further_primes_are_built_on_first_need(monkeypatch):
-    tested = []
-    real = dual._is_prime
-
-    def spy(n):
-        tested.append(n)
-        return real(n)
-
-    monkeypatch.setattr(dual, "_is_prime", spy)
-    dual._prime_below.cache_clear()
-    assert colength(_ideal(["x^2 + y^3", "y^2 + z^3", "z^2 + x^3"])) == 8
-    assert not tested
-    drawn = list(dual._certificate_primes())
-    assert len(drawn) == dual.CERTIFICATE_PRIMES
-    assert drawn[: len(dual.PRIMES)] == list(dual.PRIMES)
-    assert tested and min(tested) == drawn[-1]
-    # each is the largest prime below the one before: a Fermat test, which
-    # shares no code with Miller-Rabin, passes on every drawn prime and
-    # fails on every odd number between two of them
-    for high, low in zip(drawn, drawn[1:]):
-        assert all(pow(a, low - 1, low) == 1 for a in (2, 3, 5, 7))
-        assert all(pow(2, n - 1, n) != 1 for n in range(low + 2, high, 2))
+def test_large_coefficients_past_the_top_rung_are_an_internal_error(tmp_path, capsys):
+    # with C = 10^1000 + 7 the numerators of about 6640 bits outgrow
+    # 2^11213 - 1, which reconstructs up to 5606 bits: the run stops
+    # cleanly, though the colength is 8
+    document = _large_coefficient_document(1000)
+    with pytest.raises(InternalCheckError, match="no prime certifies the integrated local dual"):
+        run_job(document)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(document))
+    assert main(["smooth-index", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert "Traceback" not in captured.out + captured.err
 
 
-def test_miller_rabin_matches_a_sieve():
-    size = 20000
-    sieve = [True] * size
-    for i in range(2, 142):
-        if sieve[i]:
-            sieve[i * i :: i] = [False] * len(range(i * i, size, i))
-    assert [n for n in range(39, size, 2) if dual._is_prime(n)] == [
-        n for n in range(39, size, 2) if sieve[n]
-    ]
-    # a strong pseudoprime to every prime base up to 31 (Jaeschke, 1993)
-    assert not dual._is_prime(3825123056546413051)
+def _lucas_lehmer(e):
+    """True when 2^e - 1 is prime, for an odd prime e.  Since 2^e = 1 mod
+    2^e - 1, a number is reduced by adding its high bits to its low ones."""
+    m = 2**e - 1
+    s = 4
+    for _ in range(e - 2):
+        s = s * s - 2
+        s = (s & m) + (s >> e)
+        if s >= m:
+            s -= m
+    return s % m == 0
+
+
+def test_the_certificate_primes_are_mersenne_primes():
+    def prime(e):
+        return e > 1 and all(e % d for d in range(2, isqrt(e) + 1))
+
+    exponents = [p.bit_length() for p in dual.PRIMES]
+    assert list(dual.PRIMES) == [2**e - 1 for e in exponents]
+    assert exponents == sorted(exponents) and exponents[0] == 61
+    assert all(prime(e) and _lucas_lehmer(e) for e in exponents)
+    # 2^67 - 1 = 193707721 * 761838257287 (Cole, 1903), and 4421 is a
+    # prime exponent whose Mersenne number is composite
+    assert prime(67) and prime(4421)
+    assert not _lucas_lehmer(67) and not _lucas_lehmer(4421)
 
 
 def _workload_documents():

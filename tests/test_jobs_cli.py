@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from singindex import burnside, jobs, oracles, smooth
+from singindex import burnside, jobs, oracles, poly, smooth
 from fractions import Fraction
 
 from singindex.cli import main
@@ -407,17 +407,16 @@ def test_the_milnor_number_of_a_zero_dimensional_germ_still_runs():
 
 
 def test_an_elk_document_parses_each_polynomial_once(monkeypatch):
+    # every parse of text starts in the tokenizer; parse_polynomial hands
+    # a Polynomial over the same variables back without one
     texts = []
-    real = jobs.parse_polynomial
+    real = poly._tokenize
 
-    def spy(text, *args, **kwargs):
+    def spy(text):
         texts.append(text)
-        return real(text, *args, **kwargs)
+        return real(text)
 
-    modules = [m for name, m in sys.modules.items() if name.startswith("singindex")]
-    for module in modules:
-        if getattr(module, "parse_polynomial", None) is real:
-            monkeypatch.setattr(module, "parse_polynomial", spy)
+    monkeypatch.setattr(poly, "_tokenize", spy)
     payload = {
         "field": "R",
         "variables": ["x", "y"],

@@ -9,8 +9,8 @@ codes on those streams.  Run from any directory:
 
     python3 tools/stream_digest.py [--seeds 1 2 3] [--rounds 20]
 
-``tools/stream_digest_seed1.txt`` holds the lines of ``--seeds 1``, which
-CI compares with the tool's output.
+``tools/stream_digest.txt`` holds the lines of ``--seeds 1 2 3``, the
+default, which CI compares with the tool's output.
 
 The program is imported from the checkout's ``src/``.
 """
