@@ -32,7 +32,7 @@ computes topology.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
+from itertools import accumulate
 
 from .errors import InternalCheckError, RejectedInputError
 
@@ -309,25 +309,32 @@ class PermutationGroup:
         A coset gK is fixed by H exactly when H lies in gKg^-1, and each
         conjugate of K arises from |N_G(K)| = |G| / |class(K)| elements g,
         so |(G/K)^H| = |G| / (|K| |class(K)|) times the number of class
-        members containing H: one subset test per member."""
+        members containing H.  Each column H is filled in one pass, one
+        subset test per member of H's class and of the classes after
+        it."""
         if self._marks_cache is not None:
             return self._marks_cache
         classes = self.classes()
         masks = self._lattice[0]
-        matrix = []
-        for row_class, (_, row_masks) in zip(classes, masks):
+        n = len(classes)
+        weights = []
+        for row_class in classes:
             normalizer_index, rest = divmod(
                 self.order, row_class.order * len(row_class.members)
             )
             if rest:
                 raise InternalCheckError("class size does not divide |G| / |K|")
-            matrix.append(
-                tuple(
-                    normalizer_index * sum(1 for k in row_masks if rep & ~k == 0)
-                    for rep, _ in masks
-                )
-            )
-        self._marks_cache = tuple(matrix)
+            weights.append(normalizer_index)
+        # H lies in no subgroup of a class sorted before its own, so column
+        # j reads only the members of classes j, j + 1, ...
+        members = [(i, k) for i, (_, orbit) in enumerate(masks) for k in orbit]
+        starts = list(accumulate((len(orbit) for _, orbit in masks), initial=0))
+        matrix = [[0] * n for _ in range(n)]
+        for j, (rep, _) in enumerate(masks):
+            for i, k in members[starts[j]:]:
+                if rep & ~k == 0:
+                    matrix[i][j] += weights[i]
+        self._marks_cache = tuple(map(tuple, matrix))
         return self._marks_cache
 
     def __eq__(self, other):
@@ -458,29 +465,25 @@ class BurnsideElement:
 def burnside_mul(a, b):
     """Product in the Burnside ring via the marks homomorphism: marks
     multiply componentwise and the triangular table of marks back-solves
-    to coefficients.  The solve is integral for genuine mark vectors; a
-    non-integral solve indicates a marks bug and is reported as such."""
+    to coefficients, by exact integer division.  The solve is integral
+    for genuine mark vectors; a non-zero remainder indicates a marks bug
+    and is reported as such."""
     a._check_same_group(b)
     group = a.group
     table = group.table_of_marks()
     n = len(table)
     target = [x * y for x, y in zip(a.marks(), b.marks())]
-    coeffs = [Fraction(0)] * n
+    out = {}
     for i in range(n - 1, -1, -1):
-        acc = Fraction(target[i])
-        for j in range(i + 1, n):
-            acc -= coeffs[j] * table[j][i]
         if table[i][i] == 0:
             raise InternalCheckError("table of marks has a zero diagonal")
-        coeffs[i] = acc / table[i][i]
-    out = {}
-    for i, c in enumerate(coeffs):
-        if c.denominator != 1:
+        c, rest = divmod(target[i] - sum(c * table[j][i] for j, c in out.items()), table[i][i])
+        if rest:
             raise InternalCheckError(
                 "marks back-solve produced a non-integral coefficient"
             )
-        if c != 0:
-            out[i] = int(c)
+        if c:
+            out[i] = c
     return BurnsideElement(group, out)
 
 

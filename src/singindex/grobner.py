@@ -19,11 +19,22 @@ rank of Macaulay matrices proposes the colength mu at the first plateau
 D0 of the truncated dimensions, and an exact rational dual basis
 certifies dim_Q(D0) >= mu >= dim_Q(D0+1), which with monotonicity and
 Nakayama makes mu the colength.  The same dual basis gives the
-coordinates of every class in the local algebra.  When that probe
-certifies nothing (germs that are not isolated, and germs past its size
-bound), Mora's standard basis only decides whether the colength is
+coordinates of every class in the local algebra.
+
+INFINITE needs a proof that the zero set holds a curve through the
+origin.  The dispatch (:func:`_local_dual`) runs in this order: unit,
+Krull, axis, probe, common factor, Mora, route.  A generator with a
+constant term makes the ideal the unit ideal.  Fewer generators than
+variables give INFINITE by Krull's height theorem.  A coordinate axis
+on which every generator vanishes (no generator has a term that is a
+pure power of its variable) gives INFINITE before the probe.  Where the
+probe certifies nothing (germs that are not isolated, and germs past
+its size bound), a common factor f, proposed by a primitive PRS gcd and
+certified by the exact products f * q_i = g_i with f not constant,
+f(0) = 0 and two or more variables, gives INFINITE, since O/I maps onto
+O/(f).  Then Mora's standard basis decides whether the colength is
 infinite, in one completion bounded by the degree cap and by
-``MORA_WORK`` reduced terms; every finite colength and every algebra
+``MORA_WORK`` reduced terms.  Every finite colength and every algebra
 comes from a certified dual basis, past the probe's bound from the
 integration route of ``singindex.dual``.
 """
@@ -31,7 +42,7 @@ integration route of ``singindex.dual``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .dual import dual_basis, integrated_dual_basis
 from .errors import (
@@ -78,6 +89,15 @@ INFINITE = _Infinite()
 # terms a second, so a completion that cannot finish stops within a
 # fraction of a second and leaves the germ to the integration route
 MORA_WORK = 20_000
+
+# work budget of the gcd that proposes a common factor (see _witness), in
+# coefficient products and division steps, each weighted by the 64-bit
+# words of its operands; past it the proposal gives up and Mora decides.
+# The primitive PRS on dense germs of degree 5 and up spends seconds on
+# the contents of its remainders; this budget stops it within about
+# 0.1 s, and the seeded common-factor germs of the tests need under
+# 25 000
+GCD_WORK = 100_000
 
 
 class Ideal:
@@ -129,8 +149,9 @@ def _check_cap(poly, cap):
 
 
 class _WorkBudget:
-    """Terms a run of weak normal forms may still reduce; spending past
-    zero raises DegreeCapError."""
+    """Work a bounded run may still spend: the terms that Mora's weak
+    normal forms reduce, or the steps of the gcd; spending past zero
+    raises DegreeCapError."""
 
     def __init__(self, terms):
         self.left = terms
@@ -138,7 +159,7 @@ class _WorkBudget:
     def spend(self, terms):
         self.left -= terms
         if self.left < 0:
-            raise DegreeCapError("Mora's completion spent its work budget")
+            raise DegreeCapError("the run spent its work budget")
 
 
 def _normal_form_mora(p, basis, cap, budget):
@@ -309,21 +330,217 @@ def staircase_monomials(sb):
 _staircase_count_below = staircase_monomials
 
 
+# ---------------------------------------------------------------------------
+# witnesses that the zero set holds a curve
+
+
+def _witness(generators, factor=False):
+    """An exact witness that the zero set of the generators, none of them
+    a unit, holds a curve through the origin, or None.
+
+    Without `factor`: the index i of a coordinate axis.  When no
+    generator has a term that is a pure power x_i^k, every generator
+    vanishes on the x_i axis.  One pass over the terms collects the
+    covered axes and stops once all are covered.
+
+    With `factor`: a common factor, as (f, quotients).  A primitive PRS
+    gcd over the integers (:func:`_gcd`) proposes f, exact division gives
+    each quotient, and :func:`_certified_factor` checks the proposal
+    exactly.  Then O/I maps onto O/(f), which is infinite-dimensional.
+    A gcd that spends ``GCD_WORK`` proposes nothing, and a proposal that
+    fails the check is no witness."""
+    context = generators[0].context
+    n = len(context)
+    if not factor:
+        covered = set()
+        for g in generators:
+            for m in g.terms:
+                if m.count(0) == n - 1:
+                    covered.add(m.index(max(m)))
+                    if len(covered) == n:
+                        return None
+        return min(set(range(n)) - covered)
+    scaled = []
+    for g in generators:
+        scale = lcm(*(c.denominator for c in g.terms.values()))
+        scaled.append(({m: int(c * scale) for m, c in g.terms.items()}, scale))
+    budget = _WorkBudget(GCD_WORK)
+    try:
+        f = None
+        for terms, _ in sorted(scaled, key=lambda entry: len(entry[0])):
+            f = terms if f is None else _gcd(f, terms, budget)
+            if not any(map(any, f)):
+                return None
+        quotients = [_exact_quotient(terms, f, budget) for terms, _ in scaled]
+    except DegreeCapError:
+        return None
+    if None in quotients:
+        return None
+    quotients = [
+        Polynomial._make(context, {m: Fraction(c, scale) for m, c in q.items()})
+        for q, (_, scale) in zip(quotients, scaled)
+    ]
+    f = Polynomial._make(context, f)
+    return (f, quotients) if _certified_factor(generators, f, quotients) else None
+
+
+def _certified_factor(generators, f, quotients):
+    """Whether f with its quotients proves the colength infinite: two or
+    more variables, f not constant, f(0) = 0, and f * q_i = g_i exactly
+    for every generator g_i.  (In one variable the gcd x^2 of x^2 and
+    x^3 leaves colength 2.)"""
+    return (
+        len(f.context) >= 2
+        and f.degree() > 0
+        and not f.constant_term()
+        and len(quotients) == len(generators)
+        and all(f * q == g for q, g in zip(quotients, generators))
+    )
+
+
+def _gcd(p, q, budget):
+    """gcd over the integers of two polynomials given as {monomial: int},
+    by the primitive PRS (Knuth, TAOCP vol. 2, 4.6.1) in the last
+    variable either one holds, with the contents' gcd taken recursively
+    in the others; normalized to a positive lex-leading coefficient.
+    Every coefficient product and division step is charged to the work
+    budget, since the contents of large polynomials can grow steeply.
+    It only proposes: a witness is checked by multiplication."""
+    v = max(max((i for i, e in enumerate(m) if e), default=-1) for m in (*p, *q))
+    if v < 0:
+        zero = next(iter(p))
+        return {zero: gcd(p[zero], q[zero])}
+    a, a_content = _primitive(_split(p, v), budget)
+    b, b_content = _primitive(_split(q, v), budget)
+    content = _gcd(a_content, b_content, budget)
+    if max(a) < max(b):
+        a, b = b, a
+    while max(b) > 0:
+        r = _pseudo_remainder(a, b, budget)
+        if not r:
+            break
+        a, (b, _) = b, _primitive(r, budget)
+    else:
+        # a primitive b free of x_v is a unit: the gcd is the content
+        return content
+    g = _mul(content, {m[:v] + (e,) + m[v + 1 :]: c for e, part in b.items() for m, c in part.items()}, budget)
+    return g if g[max(g)] > 0 else {m: -c for m, c in g.items()}
+
+
+def _split(p, v):
+    """p as {e: the coefficient of x_v^e}, each coefficient free of x_v."""
+    out = {}
+    for m, c in p.items():
+        out.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1 :]] = c
+    return out
+
+
+def _primitive(parts, budget):
+    """(the primitive part, the content) of a split polynomial."""
+    content = None
+    for part in parts.values():
+        content = part if content is None else _gcd(content, part, budget)
+        if len(content) == 1 and abs(next(iter(content.values()))) == 1 and not any(next(iter(content))):
+            break
+    return {e: _exact_quotient(part, content, budget) for e, part in parts.items()}, content
+
+
+def _pseudo_remainder(a, b, budget):
+    """The pseudo-remainder of split polynomials a by b, deg a >= deg b:
+    each step multiplies by the leading coefficient of b and cancels the
+    leading coefficient of the result."""
+    top = max(b)
+    lead = b[top]
+    r = a
+    while r and max(r) >= top:
+        d = max(r)
+        out = {e: _mul(lead, part, budget) for e, part in r.items() if e != d}
+        for e, part in b.items():
+            if e != top:
+                k = e + d - top
+                diff = dict(out.get(k, {}))
+                for m, c in _mul(r[d], part, budget).items():
+                    diff[m] = diff.get(m, 0) - c
+                diff = {m: c for m, c in diff.items() if c}
+                if diff:
+                    out[k] = diff
+                else:
+                    out.pop(k, None)
+        r = out
+    return r
+
+
+def _mul(p, q, budget):
+    budget.spend(len(p) * len(q) * _words(p, q))
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _words(p, q):
+    """64-bit words in the largest coefficient of p times that of q."""
+    return (max(map(int.bit_length, p.values())) + max(map(int.bit_length, q.values()))) // 64 + 1
+
+
+def _exact_quotient(p, q, budget):
+    """p / q when q divides p over the integers, else None: division by
+    the lex-leading term, which ends since lex is a well order."""
+    top = max(q)
+    lead = q[top]
+    r = dict(p)
+    out = {}
+    while r:
+        m = max(r)
+        budget.spend(len(q) * _words(q, {m: r[m]}))
+        e = tuple(a - b for a, b in zip(m, top))
+        t, rest = divmod(r[m], lead)
+        if rest or min(e) < 0:
+            return None
+        out[e] = t
+        for mq, c in q.items():
+            k = tuple(a + b for a, b in zip(e, mq))
+            value = r.get(k, 0) - t * c
+            if value:
+                r[k] = value
+            else:
+                del r[k]
+    return out
+
+
 def _local_dual(ideal, degree_cap):
     """The certified dual basis of the ideal (see ``singindex.dual``), or
-    INFINITE.  Fewer generators than variables, none of them a unit, give
-    INFINITE at once: by Krull's height theorem the germ of their zero
-    set has positive dimension.  Otherwise the probe answers first.  When
-    it certifies nothing, Mora's standard basis decides only whether the
-    staircase is infinite; a finite one, or a completion that does not
-    finish, goes to the integration route, which raises DegreeCapError
-    when the local dual still grows at the degree cap."""
+    INFINITE.  The steps, in order:
+
+    1. unit: a generator with a non-zero constant term makes the ideal
+       the unit ideal, and the probe returns the empty basis at once;
+    2. Krull: fewer generators than variables give INFINITE, since by
+       Krull's height theorem the germ of their zero set has positive
+       dimension;
+    3. axis: a coordinate axis on which every generator vanishes (no
+       generator has a pure power of its variable) gives INFINITE;
+    4. probe: ``dual.dual_basis`` answers when it certifies a basis;
+    5. common factor: a non-constant f with f(0) = 0 that divides every
+       generator, checked by multiplication, gives INFINITE in two or
+       more variables;
+    6. Mora: a standard basis with an infinite staircase gives INFINITE;
+    7. route: a finite staircase, or a completion that does not finish,
+       goes to the integration route, which raises DegreeCapError when
+       the local dual still grows at the degree cap.
+
+    Steps 3 and 5 take their witness from :func:`_witness`."""
     gens = ideal.generators
-    if len(gens) < len(ideal.context) and not any(g.constant_term() for g in gens):
+    if any(g.constant_term() for g in gens):
+        return dual_basis(gens, degree_cap)
+    if len(gens) < len(ideal.context) or _witness(gens) is not None:
         return INFINITE
     dual = dual_basis(gens, degree_cap)
     if dual is not None:
         return dual
+    if _witness(gens, factor=True) is not None:
+        return INFINITE
     try:
         if not is_zero_dimensional(standard_basis(ideal, degree_cap=degree_cap)):
             return INFINITE
@@ -336,18 +553,23 @@ def colength(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """dim of the local quotient by the ideal, as a rational vector space;
     INFINITE when the ideal is not zero-dimensional.
 
-    Fewer generators than variables, none of them a unit, give INFINITE
-    by Krull's height theorem.  Otherwise ``dual.dual_basis`` answers
-    first: empty when a generator has a non-zero constant term, and
-    otherwise the mu vectors, mu proposed by a modular rank, of an exact
-    rational dual basis of the Macaulay matrix at the first plateau D0.
-    The certificate proves dim_Q(D0) >= mu >= dim_Q(D0+1) for the
-    quotients by I + m^(D+1); they never shrink as D grows, so both equal
-    mu, and by Nakayama mu is the colength.  When that probe certifies
-    nothing, Mora's standard basis alone returns INFINITE, and every
-    finite colength is the size of a dual basis that
-    ``dual.integrated_dual_basis`` certifies; it raises DegreeCapError
-    when the local dual still grows at the degree cap.
+    A generator with a non-zero constant term gives 0.  Otherwise
+    INFINITE comes from Krull's height theorem (fewer generators than
+    variables), or from a coordinate axis on which every generator
+    vanishes: no generator has a term that is a pure power x_i^k.  Then
+    ``dual.dual_basis`` answers: the mu vectors, mu proposed by a
+    modular rank, of an exact rational dual basis of the Macaulay matrix
+    at the first plateau D0.  The certificate proves
+    dim_Q(D0) >= mu >= dim_Q(D0+1) for the quotients by I + m^(D+1);
+    they never shrink as D grows, so both equal mu, and by Nakayama mu
+    is the colength.  When that probe certifies nothing, a common factor
+    f of the generators gives INFINITE, certified by the exact products
+    f * q_i = g_i with f not constant, f(0) = 0 and two or more
+    variables; failing that, Mora's standard basis alone returns
+    INFINITE.  Every finite colength is the size of a dual basis that
+    the probe or ``dual.integrated_dual_basis`` certifies; the route
+    raises DegreeCapError when the local dual still grows at the degree
+    cap.
     """
     dual = _local_dual(ideal, degree_cap)
     return INFINITE if dual is INFINITE else len(dual.vectors)
@@ -428,8 +650,8 @@ def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     multiplication.
 
     The dual basis is that of :func:`colength`: the probe's, or past its
-    bound the integration route's, after Mora's standard basis has found
-    the staircase finite or not finished.  Its certificate proves the
+    bound the integration route's, after neither witness held and Mora's
+    standard basis found the staircase finite or did not finish.  Its certificate proves the
     dimension and makes every coordinate exact.  NotIsolatedError when
     the colength is infinite; the unit ideal gives the zero algebra.
     """

@@ -36,6 +36,9 @@ CTX = ("x", "y")
 # germ that is not isolated (the ideal lies in (x)) and whose Mora
 # completion reaches intermediate degree 17 before it finishes
 EXIT_4_GERM = ["2*x*z^2 + 2*x^2*y^2*z", "3*x*z^5", "0"]
+# smooth-index documents whose generators share the factor x + y + z + x^2
+# or x + y + z + w + x^2; CI runs them through the command line too
+COMMON_FACTOR_JOBS = sorted((Path(__file__).resolve().parent / "jobs").glob("common_factor_*.json"))
 
 
 def _ideal(texts, variables=XYZ):
@@ -429,12 +432,50 @@ def test_fewer_generators_than_variables_reach_neither_probe_nor_mora(monkeypatc
     assert calls == [] and probes == []
 
 
+# non-isolated germs that neither witness covers: every variable has a
+# pure power and the generators share no factor.  The zero set of the
+# first holds the line x = y = z; the second is the stream's
+# non-isolated family after x -> x + z, y -> y + z
+MORA_GERMS = [["x^2 - y*z", "y^2 - x*z", "z^2 - x*y"], ["(x + z)^2", "2*(y + z)^3", "(y + z)*z^2"]]
+
+
 def test_non_isolated_germs_reach_mora(monkeypatch):
     calls = _count_mora(monkeypatch)
-    for data in (["x^2", "2*y^3", "y*z^2"], ["2*x^2", "z", "2*x*y^2*z"]):
+    for data in MORA_GERMS:
         report, code = run_job({"command": "smooth-index", "payload": {"variables": list(XYZ), "data": data}})
         assert code == 3
     assert len(calls) == 2
+
+
+def _spy_witness(monkeypatch):
+    """The witnesses that grobner._witness finds, in order."""
+    found = []
+    real = grobner._witness
+
+    def spy(generators, factor=False):
+        out = real(generators, factor)
+        if out is not None:
+            found.append(out)
+        return out
+
+    monkeypatch.setattr(grobner, "_witness", spy)
+    return found
+
+
+@pytest.mark.parametrize(
+    "data, axis",
+    [(["x^2", "2*y^3", "y*z^2"], 2), (["2*x^2", "z", "2*x*y^2*z"], 1), (["x*y", "y*z", "x*z"], 0)],
+)
+def test_a_coordinate_axis_decides_before_the_probe(monkeypatch, data, axis):
+    # no generator has a pure power of the axis variable, so every
+    # generator vanishes on that axis
+    calls = _count_mora(monkeypatch)
+    probes = []
+    monkeypatch.setattr(grobner, "dual_basis", lambda *args: probes.append(args))
+    found = _spy_witness(monkeypatch)
+    report, code = run_job({"command": "smooth-index", "payload": {"variables": list(XYZ), "data": data}})
+    assert (code, report.values) == (3, {"index": INFINITE})
+    assert found == [axis] and calls == [] and probes == []
 
 
 PAST_THE_PROBE = [
@@ -450,19 +491,21 @@ PAST_THE_PROBE = [
 @pytest.fixture(scope="module")
 def stream_run():
     """One pass over the documents of the dual-heavy streams (3 rounds of
-    seeds 1-3), a round of small jobs and the germs past the probe's
-    bound, spying on where each dual basis comes from.  Returns the
-    local duals as (result, the certified dual bases and the standard
-    bases computed for it), and the generators of every ideal the probe
-    was asked for with its basis (or None) and degree cap."""
+    seeds 1-3), a round of small jobs, the germs past the probe's bound,
+    the non-isolated germs that reach Mora and the common-factor germs,
+    spying on where each dual basis comes from.  Returns the local duals
+    as (ideal, result, the certified dual bases, the standard bases and
+    the witnesses found for it), and the generators of every ideal the
+    probe was asked for with its basis (or None) and degree cap."""
     duals, probed = [], {}
-    seen = {"certified": [], "mora": []}
+    seen = {"certified": [], "mora": [], "witnesses": []}
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         from workloads import make_stream
 
         real_probe, real_route = grobner.dual_basis, grobner.integrated_dual_basis
         real_mora, real_local = grobner.standard_basis, grobner._local_dual
+        real_witness = grobner._witness
 
         def probe(generators, degree_cap):
             out = real_probe(generators, degree_cap)
@@ -478,16 +521,23 @@ def stream_run():
             seen["mora"].append(real_mora(ideal, degree_cap))
             return seen["mora"][-1]
 
+        def witness(generators, factor=False):
+            out = real_witness(generators, factor)
+            if out is not None:
+                seen["witnesses"].append(out)
+            return out
+
         def local(ideal, degree_cap):
-            seen["certified"], seen["mora"] = [], []
+            seen["certified"], seen["mora"], seen["witnesses"] = [], [], []
             out = real_local(ideal, degree_cap)
-            duals.append((out, seen["certified"], seen["mora"]))
+            duals.append((ideal, out, seen["certified"], seen["mora"], seen["witnesses"]))
             return out
 
         patch.setattr(grobner, "dual_basis", probe)
         patch.setattr(grobner, "integrated_dual_basis", route)
         patch.setattr(grobner, "standard_basis", mora)
         patch.setattr(grobner, "_local_dual", local)
+        patch.setattr(grobner, "_witness", witness)
         patch.setattr(grobner, "staircase_monomials", None)
         documents = [
             job.doc
@@ -500,6 +550,8 @@ def stream_run():
             {"command": command, "payload": {"variables": list(names), "data": data}}
             for command, names, data in PAST_THE_PROBE
         ]
+        documents += [{"command": "smooth-index", "payload": {"variables": list(XYZ), "data": data}} for data in MORA_GERMS]
+        documents += [json.loads(path.read_text()) for path in COMMON_FACTOR_JOBS]
         for document in documents:
             run_job(document)
     return duals, probed
@@ -508,17 +560,27 @@ def stream_run():
 def test_mora_only_decides_infinite(stream_run):
     # every finite colength and algebra is the size or the basis of the
     # last dual basis that the probe or the integration route certified;
-    # INFINITE only follows a standard basis with an infinite staircase,
-    # and the staircase itself is never listed
+    # INFINITE follows exactly one verdict: Krull's count, one witness,
+    # or one standard basis with an infinite staircase, and the
+    # staircase itself is never listed
     duals, _ = stream_run
     routed = 0
-    for out, certified, mora in duals:
-        if out is INFINITE:
-            assert [grobner.is_zero_dimensional(sb) for sb in mora] == [False]
-        else:
-            assert out is certified[-1]
+    verdicts = Counter()
+    for ideal, out, certified, mora, witnesses in duals:
+        if out is not INFINITE:
+            assert out is certified[-1] and witnesses == []
             routed += len(certified) == 2
-    assert sum(out is INFINITE for out, _, _ in duals) > 5
+        elif len(ideal.generators) < len(ideal.context):
+            assert witnesses == mora == []
+            verdicts["krull"] += 1
+        elif witnesses:
+            assert len(witnesses) == 1 and mora == []
+            verdicts["axis" if isinstance(witnesses[0], int) else "factor"] += 1
+        else:
+            assert [grobner.is_zero_dimensional(sb) for sb in mora] == [False]
+            verdicts["mora"] += 1
+    assert verdicts["axis"] > 5
+    assert verdicts["factor"] == len(COMMON_FACTOR_JOBS) and verdicts["mora"] == len(MORA_GERMS)
     assert len(duals) > 300 and routed == len(PAST_THE_PROBE)
 
 
@@ -854,19 +916,29 @@ SURFACE_GERM = [
 ]
 
 
+# x_i^2 + (x_0 + ... + x_5)^2 + x_(i+1)*x_(i+2), indices mod 6: not
+# isolated, yet it has neither witness, and Mora's completion does not
+# finish, so the integration route runs to the cap
+SIX_QUADRICS = (
+    [f"x{i}" for i in range(6)],
+    [f"x{i}^2 + (x0 + x1 + x2 + x3 + x4 + x5)^2 + x{(i + 1) % 6}*x{(i + 2) % 6}" for i in range(6)],
+)
+
+
 def test_a_local_dual_that_still_grows_at_the_cap_says_where(tmp_path, capsys):
+    names, data = SIX_QUADRICS
     document = {
         "command": "smooth-index",
-        "payload": {"variables": list(XYZ), "data": SURFACE_GERM},
+        "payload": {"variables": names, "data": data},
         "options": {"degree_cap": 6},
     }
     report, code = run_job(document)
     assert code == 4 and report.status == "aborted"
     assert report.values["error"] == (
         "the local dual did not stabilize below the degree cap 6: "
-        "order 6 still added functionals, to dimension 29 (mod p)"
+        "order 6 still added functionals, to dimension 66 (mod p)"
     )
-    path = tmp_path / "surface.json"
+    path = tmp_path / "six_quadrics.json"
     path.write_text(json.dumps(document))
     assert main(["smooth-index", str(path), "--format", "json"]) == 4
     captured = capsys.readouterr()
@@ -981,3 +1053,104 @@ def test_one_bounded_completion_keeps_the_ladder_verdicts():
             assert verdict == reference, (ideal, cap)
             verdicts.append(verdict)
     assert {"finite", INFINITE, DegreeCapError, "over budget"} <= set(verdicts)
+
+
+# the germs _seeded_products(seed)[k] whose first completion at the old
+# soft cap finished with an infinite staircase after more than MORA_WORK
+# reduced terms, so one bounded completion stops on them
+OVER_BUDGET_PRODUCTS = [
+    (22, 11), (23, 1), (23, 5), (24, 4), (24, 8), (29, 1), (29, 4), (32, 6),
+    (35, 2), (41, 15), (43, 11), (46, 13), (49, 11), (51, 9), (56, 15),
+]
+
+
+def test_germs_with_a_common_factor_end_at_a_witness(monkeypatch):
+    documents = [json.loads(path.read_text()) for path in COMMON_FACTOR_JOBS]
+    for seed, k in OVER_BUDGET_PRODUCTS:
+        generators = _seeded_products(seed)[k].generators
+        # both witnesses hold here; the axis answers first
+        assert grobner._witness(generators) is not None
+        assert grobner._witness(generators, factor=True) is not None
+        data = [str(g) for g in generators]
+        documents.append({"command": "smooth-index", "payload": {"variables": list(XYZ), "data": data}})
+    calls = _count_mora(monkeypatch)
+    routes = []
+    monkeypatch.setattr(grobner, "integrated_dual_basis", lambda *args: routes.append(args))
+    found = _spy_witness(monkeypatch)
+    for document in documents:
+        report, code = run_job(document)
+        assert (code, report.values) == (3, {"index": INFINITE})
+    assert calls == [] and routes == [] and len(found) == len(documents)
+    assert [str(f) for f, _ in found[: len(COMMON_FACTOR_JOBS)]] == ["x^2 + x + y + z + w", "x^2 + x + y + z"]
+
+
+def test_a_tampered_common_factor_is_refused():
+    generators = _ideal(SURFACE_GERM).generators
+    f, quotients = grobner._witness(generators, factor=True)
+    assert grobner._certified_factor(generators, f, quotients)
+    x, one = Polynomial.variable(XYZ, "x"), Polynomial.one(XYZ)
+    assert not grobner._certified_factor(generators, f, [quotients[0] + x, *quotients[1:]])
+    assert not grobner._certified_factor(generators, f, quotients[1:])
+    # a constant f divides everything
+    assert not grobner._certified_factor(generators, one, list(generators))
+    # f(0) != 0: 1 + x divides every generator, but it is a unit at 0
+    ideal = _ideal(["(1 + x)*x^2", "(1 + x)*y^3", "(1 + x)*z^2"])
+    quotients = [parse_polynomial(t, XYZ) for t in ("x^2", "y^3", "z^2")]
+    assert not grobner._certified_factor(ideal.generators, one + x, quotients)
+    assert grobner._witness(ideal.generators, factor=True) is None
+    assert colength(ideal) == 12
+
+
+def test_in_one_variable_a_common_factor_is_no_witness():
+    # O/(x^2) is finite: the gcd x^2 of x^2 and x^3 leaves colength 2
+    ideal = _ideal(["x^2", "x^3"], ("x",))
+    quotients = [Polynomial.one(("x",)), Polynomial.variable(("x",), "x")]
+    assert not grobner._certified_factor(ideal.generators, ideal.generators[0], quotients)
+    assert grobner._witness(ideal.generators, factor=True) is None
+    assert colength(ideal) == 2
+
+
+def test_the_gcd_finds_no_factor_that_kronecker_images_share():
+    # x, y, z -> t, t^4, t^16 sends x + y and z - y to t + t^4 and
+    # t^16 - t^4, which share t*(1 + t^3); the polynomials share nothing
+    budget = grobner._WorkBudget(grobner.GCD_WORK)
+    assert grobner._gcd({(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 0, 1): 1, (0, 1, 0): -1}, budget) == {(0, 0, 0): 1}
+    ideal = _ideal(["(x + y)*(x^2 + z)", "(z - y)*(y^2 + x)", "(x + y)*(z - y)*z"])
+    assert grobner._witness(ideal.generators, factor=True) is None
+
+
+def test_unit_germs_stay_nonsingular(monkeypatch):
+    # no generator has a pure power of any variable, but one is a unit
+    found = _spy_witness(monkeypatch)
+    for command in ("smooth-index", "elk"):
+        payload = {"variables": list(XYZ), "data": ["1 + x*y", "x*y*z", "y*z"]}
+        report, code = run_job({"command": command, "payload": payload})
+        assert code == 0 and "NONSINGULAR" in report.flags, report.to_json()
+    assert found == []
+
+
+def test_every_axis_verdict_is_infinite_for_the_macaulay_oracle():
+    rng = random.Random(13)
+    verdicts = Counter()
+    for _ in range(80):
+        ideal = Ideal([_through_origin(rng, 3, rng.randint(1, 2)) for _ in range(3)])
+        if len(ideal.generators) < 3:
+            continue
+        axis = grobner._witness(ideal.generators)
+        if axis is not None:
+            assert macaulay_colength(list(ideal.generators), max_truncation=8) is INFINITE, ideal
+        verdicts[axis is None] += 1
+    assert verdicts[False] > 10 and verdicts[True] > 10
+
+
+def test_the_gcd_gives_up_within_its_work_budget(monkeypatch):
+    # dense cofactors of degree 5: the contents of the remainders grow
+    # steeply, so the proposal stops and Mora decides
+    rng = random.Random(1)
+    f = _through_origin(rng, 2, 3)
+    generators = [f * _through_origin(rng, 5, 20) for _ in range(3)]
+    steps = []
+    real = grobner._WorkBudget
+    monkeypatch.setattr(grobner, "_WorkBudget", lambda work: _Tally(steps, real(work)))
+    assert grobner._witness(generators, factor=True) is None
+    assert grobner.GCD_WORK < sum(steps) <= grobner.GCD_WORK + max(steps)
