@@ -18,7 +18,6 @@ from .grobner import (
     QuotientAlgebra,
     colength,
     is_zero_dimensional,
-    localized_colength,
     quotient_algebra,
     standard_basis,
 )

@@ -44,12 +44,11 @@ def _build_parser():
         nargs="+",
         help="optional op followed by the job file path",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for generic choices")
+    parser.add_argument("--seed", type=int, help="seed for generic choices (default 0)")
     parser.add_argument(
         "--degree-cap",
         type=int,
-        default=DEFAULT_DEGREE_CAP,
-        help="abort basis computations beyond this total degree",
+        help=f"abort basis computations beyond this total degree (default {DEFAULT_DEGREE_CAP})",
     )
     parser.add_argument(
         "--format", choices=["json", "text"], default="text", help="report format"
@@ -96,8 +95,10 @@ def _load_document(args):
     document.setdefault("op", "")
     options = document.setdefault("options", {})
     if isinstance(options, dict):
-        options.setdefault("seed", args.seed)
-        options.setdefault("degree_cap", args.degree_cap)
+        for name, given, default in (("seed", args.seed, 0), ("degree_cap", args.degree_cap, DEFAULT_DEGREE_CAP)):
+            stated = options.setdefault(name, default if given is None else given)
+            if given is not None and stated != given:
+                raise SystemExit(f"job file says {name} {stated!r} but {given} was requested")
     return document
 
 

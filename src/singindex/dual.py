@@ -22,11 +22,13 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
   B1 + 2, B1 + 4, ... up to the degree cap and ``MAX_COLUMNS``.  M_D is
   M_B with the columns above degree D dropped, so its rank mod p is the
   number of pivots of degree at most D: one echelon form gives dim_p(D)
-  for every D <= B.  With n generators in n variables of orders
-  d_1, ..., d_n, B1 = 1 + s for s = (d_1 - 1) + ... + (d_n - 1): for a
-  finite map germ the Jacobian determinant J spans the socle of O/I
-  (Scheja-Storch, 1975; Eisenbud-Levine, Ann. Math. 106, 1977), so J is
-  not in I, and J lies in m^s, so D0 >= s.  Any other number of
+  for every D <= B, and the certificate cuts the rows of M_D0 out of M_B
+  (a row whose multiplier lies above degree D0 is left empty and dropped).
+  With n generators in n variables of orders d_1, ..., d_n, B1 = 1 + s
+  for s = (d_1 - 1) + ... + (d_n - 1): for a finite map germ the
+  Jacobian determinant J spans the socle of O/I (Scheja-Storch, 1975;
+  Eisenbud-Levine, Ann. Math. 106, 1977), so J is not in I, and J lies
+  in m^s, so D0 >= s.  Any other number of
   generators starts at B1 = 2.  B1 only decides the work spent before
   the first plateau, not the plateau found: had a germ D0 < s, the scan
   of every D < B would still find it.  B grows by 2, not by doubling,
@@ -137,7 +139,7 @@ PRIMES = tuple(2**e - 1 for e in (61, 521, 4423, 11213))
 MAX_COLUMNS = 300
 
 # column layouts kept per process, one per (variables, bound): the
-# benchmark's streams use 20
+# benchmark's four streams build 19 over seeds 1 to 3
 LAYOUTS = 64
 
 
@@ -171,14 +173,16 @@ def dual_basis(generators, degree_cap):
     first = 1 + sum(terms[0][0] - 1 for terms in gens) if len(gens) == nvars else 2
     for bound in _probe_bounds(nvars, degree_cap, first):
         columns, index, ends = _layout(nvars, bound)
-        pivots = _echelon(_macaulay_rows(gens, columns, bound, index), len(columns), PRIMES[0])
+        rows = _macaulay_rows(gens, columns, bound, index)
+        pivots = _echelon(rows, len(columns), PRIMES[0])
         dims = _dimensions(ends, pivots)
         for d0 in range(bound):
             if dims[d0] == dims[d0 + 1]:
-                # the columns of M_D0 are the first ends[d0] of M_B
-                columns, index, _ = _layout(nvars, d0)
-                rows = _macaulay_rows(gens, columns, d0, index)
-                return _certified(rows, list(columns), dims[d0], pivots)
+                # M_D0 is M_B cut to its first ends[d0] columns; entries run
+                # by ascending degree, so a row that starts past them has none left
+                end = ends[d0]
+                rows = [{k: v for k, v in row.items() if k < end} for row in rows if next(iter(row)) < end]
+                return _certified(rows, list(columns[:end]), dims[d0], pivots)
     return None
 
 
@@ -409,11 +413,11 @@ def _key(m, base):
 
 def _macaulay_rows(gens, columns, bound, index):
     """Rows of the Macaulay matrix as sparse dicts column -> integer
-    coefficient: the products m*g with m a column, truncated above the
-    bound and restricted to the columns, which are monomials of degree at
-    most the bound; rows that restrict to zero are left out.  `index`
-    maps the key of each column in base bound + 1 (see :func:`_key`) to
-    its position, in column order."""
+    coefficient, the entries by ascending degree: the products m*g with m
+    a column, truncated above the bound and restricted to the columns,
+    which are monomials of degree at most the bound; rows that restrict
+    to zero are left out.  `index` maps the key of each column in base
+    bound + 1 (see :func:`_key`) to its position, in column order."""
     base = bound + 1
     gens = [[(d, _key(m, base), c) for d, m, c in terms] for terms in gens]
     rows = []

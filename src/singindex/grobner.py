@@ -575,12 +575,6 @@ def colength(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     return INFINITE if dual is INFINITE else len(dual.vectors)
 
 
-def localized_colength(ideal, point, degree_cap=DEFAULT_DEGREE_CAP):
-    """Colength of the ideal in the local ring at `point`."""
-    moved = Ideal([g.translate(point) for g in ideal.generators])
-    return colength(moved, degree_cap)
-
-
 # ---------------------------------------------------------------------------
 # quotient algebras
 

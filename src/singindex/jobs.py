@@ -142,26 +142,13 @@ def _too_long(value, limit):
 
 
 def _check_digits(*values):
-    """Raise DigitLimitError when the values hold an integer with more
-    decimal digits than str() converts (sys.get_int_max_str_digits, 0
-    for no limit; Pythons before 3.10.7 have none)."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    stack = list(values) if limit else []
-    while stack:
-        value = stack.pop()
-        kind = type(value)
-        if kind is int:
-            if _too_long(value, limit):
-                raise DigitLimitError(
-                    f"a result has more than {limit} decimal digits, "
-                    "more than this Python converts to text"
-                )
-        elif kind is list or kind is dict or kind is tuple:
-            stack += value.values() if kind is dict else value
-        elif kind is Fraction:
-            stack += value.numerator, value.denominator
-        elif kind is br.BurnsideElement:
-            stack += value.coefficients.values()
+    """Raise DigitLimitError when the values hold an integer that str()
+    cannot print (see _unprintable)."""
+    if _unprintable(values):
+        raise DigitLimitError(
+            f"a result has more than {sys.get_int_max_str_digits()} decimal digits, "
+            "more than this Python converts to text"
+        )
 
 
 def _pretty(value):
@@ -179,9 +166,10 @@ def _pretty(value):
 
 
 def _is_int(value):
-    """A JSON integer that str() can print (see _check_digits); booleans
-    are not integers here.  A digit limit is 0 or at least 640, so an
-    integer below 2^(3 * 640) needs no look at the limit."""
+    """A JSON integer that str() can print; booleans are not integers
+    here.  The digit limit is sys.get_int_max_str_digits, 0 for none
+    (Pythons before 3.10.7 have none), and it is 0 or at least 640, so an
+    integer below 2^(3 * 640) needs no look at it."""
     if not isinstance(value, int) or isinstance(value, bool):
         return False
     return value.bit_length() <= 3 * 640 or not _too_long(
@@ -191,7 +179,8 @@ def _is_int(value):
 
 def _unprintable(value):
     """Whether str() cannot print the value: it is an integer with more
-    digits than the limit, or a list or object that holds one."""
+    digits than the limit, or a list, tuple, object, Fraction or Burnside
+    element that holds one."""
     if type(value) is str:  # the common case, on every document
         return False
     stack = [value]
@@ -201,11 +190,15 @@ def _unprintable(value):
         if kind is int:
             if not _is_int(value):
                 return True
-        elif kind is list:
+        elif kind is list or kind is tuple:
             stack += value
         elif kind is dict:
             stack += value
             stack += value.values()
+        elif kind is Fraction:
+            stack += value.numerator, value.denominator
+        elif kind is br.BurnsideElement:
+            stack += value.coefficients.values()
     return False
 
 

@@ -422,17 +422,6 @@ class Polynomial:
             _accumulate(terms, prod.terms)
         return Polynomial._make(target, terms)
 
-    def translate(self, point):
-        """Shift the origin: substitute x_i -> x_i + point_i."""
-        if len(point) != len(self.context):
-            raise RejectedInputError("translation point has wrong length")
-        images = {
-            name: Polynomial.variable(self.context, name)
-            + Polynomial.constant(self.context, p)
-            for name, p in zip(self.context, point)
-        }
-        return self.substitute(images)
-
     def evaluate(self, point):
         if len(point) != len(self.context):
             raise RejectedInputError("evaluation point has wrong length")

@@ -16,7 +16,7 @@ from singindex.burnside import (
     r0,
     subgroup_as_group,
 )
-from singindex.grobner import INFINITE, Ideal, colength, localized_colength, quotient_algebra
+from singindex.grobner import INFINITE, Ideal, colength, quotient_algebra
 from singindex.icis import ICISGerm, gsv_index_1form, milnor_number
 from singindex.oracles import (
     boundary_degree_3d,
@@ -103,9 +103,25 @@ def test_criterion_2_palamodov_positivity_and_conservation():
             value = palamodov_index(VectorFieldGerm(variables, components))
             assert value is not INFINITE and value >= 1, (components, value)
 
-        # conservation under a zero-splitting perturbation: the localized
-        # colengths at the split rational zeros sum to the original index
-        half, third, tenth = Fraction(1, 2), Fraction(1, 3), Fraction(0)
+        # conservation under a zero-splitting perturbation: the local
+        # colengths at the split rational zeros sum to the original index;
+        # the colength at a point is that at the origin of the ideal
+        # shifted by x_i -> x_i + point_i
+        ctx = ("x", "y")
+
+        def colength_at(ideal, point):
+            images = {
+                name: Polynomial.variable(ctx, name) + Polynomial.constant(ctx, c)
+                for name, c in zip(ctx, point)
+            }
+            return colength(Ideal([g.substitute(images) for g in ideal.generators]))
+
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        # (x^2 - 1/4, y): simple zeros at (1/2, 0) and (-1/2, 0), and
+        # nothing vanishes at the origin
+        simple = Ideal.from_strings(["x^2 - 1/4", "y"], ctx)
+        points = [(half, Fraction(0)), (-half, Fraction(0)), (Fraction(0), Fraction(0))]
+        assert [colength_at(simple, point) for point in points] == [1, 1, 0]
         splittable = [
             # (original, perturbed, rational zeros of the perturbation)
             (
@@ -128,13 +144,12 @@ def test_criterion_2_palamodov_positivity_and_conservation():
                 ],
             ),
         ]
-        ctx = ("x", "y")
         for original, perturbed, zeros in splittable:
             total = palamodov_index(VectorFieldGerm(ctx, original))
             ideal = Ideal.from_strings(perturbed, ctx)
             split_sum = 0
             for point in zeros:
-                local = localized_colength(ideal, list(point))
+                local = colength_at(ideal, point)
                 assert local is not INFINITE and local >= 1
                 split_sum += local
             assert split_sum == total, (original, split_sum, total)

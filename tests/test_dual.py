@@ -647,7 +647,8 @@ def test_the_plateau_at_the_jacobian_order_takes_one_echelon_form(monkeypatch, n
 
 def test_a_plateau_above_the_jacobian_order_steps_by_two(monkeypatch):
     # s = 2 but the socle x*y^2 has degree 3: bound 3 shows no plateau
-    # below it, bound 5 finds D0 = 3, and M_3 is rebuilt for the certificate
+    # below it, bound 5 finds D0 = 3, and M_3 is cut out of M_5 for the
+    # certificate, not rebuilt
     widths = _echelon_widths(monkeypatch)
     bounds = []
     real = dual._macaulay_rows
@@ -659,7 +660,7 @@ def test_a_plateau_above_the_jacobian_order_steps_by_two(monkeypatch):
     monkeypatch.setattr(dual, "_macaulay_rows", spy)
     generators = [parse_polynomial(t, CTX) for t in ("x^2", "x^2 + y^3")]
     basis = dual.dual_basis(generators, grobner.DEFAULT_DEGREE_CAP)
-    assert bounds == [3, 5, 3] and widths == [10, 21]
+    assert bounds == [3, 5] and widths == [10, 21]
     assert len(basis.vectors) == 6 == macaulay_colength(generators)
 
 
@@ -673,9 +674,41 @@ CAP_GERMS = [
 ]
 
 
+def test_the_certificate_reads_m_d0_cut_out_of_m_b(stream_run, monkeypatch):
+    # the rows of M_D0 that _certified receives, cut out of M_B, are those
+    # of a fresh build at D0, in row order and entry order, over the
+    # columns of degree at most D0
+    _, probed = stream_run
+    asked = [(list(ideal.generators), grobner.DEFAULT_DEGREE_CAP) for ideal in _seeded_ideals()]
+    asked += [([parse_polynomial(t, names) for t in texts], cap) for names, texts in CAP_GERMS for cap in range(1, 13)]
+    asked += [(list(generators), cap) for generators, (_, cap) in probed.items()]
+    seen = []
+    real = dual._certified
+
+    def spy(rows, columns, mu, pivots):
+        seen.append((rows, columns))
+        return real(rows, columns, mu, pivots)
+
+    monkeypatch.setattr(dual, "_certified", spy)
+    checked = 0
+    for generators, cap in asked:
+        del seen[:]
+        dual.dual_basis(generators, cap)
+        if not seen:
+            continue
+        [(rows, columns)] = seen
+        d0 = sum(columns[-1])
+        layout, index, _ = dual._layout(len(generators[0].context), d0)
+        gens = [dual._integer_terms(g) for g in generators if not g.is_zero]
+        fresh = dual._macaulay_rows(gens, layout, d0, index)
+        assert columns == list(layout)
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in fresh]
+        checked += 1
+    assert checked > 300
+
+
 def _layout_bounds(nvars):
-    """Every bound up to MAX_COLUMNS, 0 included: the probe's bounds and
-    the plateaus D0 below them whose M_D0 the certificate rebuilds."""
+    """Every bound up to MAX_COLUMNS, 0 included."""
     bound = 0
     while comb(bound + 1 + nvars, nvars) <= dual.MAX_COLUMNS:
         bound += 1

@@ -12,7 +12,6 @@ from singindex.grobner import (
     Ideal,
     colength,
     is_zero_dimensional,
-    localized_colength,
     quotient_algebra,
     staircase_monomials,
     standard_basis,
@@ -391,15 +390,6 @@ def test_degree_cap_aborts():
     # a basis computation cannot even express the inputs under a tiny cap
     with pytest.raises(DegreeCapError):
         standard_basis(Ideal([X**2 + Y**3, X * Y]), degree_cap=2)
-
-
-def test_localized_colength():
-    # (x^2 - 1/4, y): simple zeros at (1/2, 0) and (-1/2, 0)
-    gens = [X**2 - Fraction(1, 4), Y]
-    assert localized_colength(Ideal(gens), [Fraction(1, 2), Fraction(0)]) == 1
-    assert localized_colength(Ideal(gens), [Fraction(-1, 2), Fraction(0)]) == 1
-    # nothing vanishes at the origin
-    assert localized_colength(Ideal(gens), [Fraction(0), Fraction(0)]) == 0
 
 
 def test_engine_matches_macaulay_oracle_small():

@@ -485,6 +485,51 @@ def test_cli_command_mismatch_rejected(tmp_path):
         main(["icis", str(job)])
 
 
+def _options_job(tmp_path, options):
+    job = tmp_path / "options.json"
+    payload = {"variables": ["x", "y"], "kind": "vector_field", "data": ["x^7", "y^7"]}
+    job.write_text(json.dumps({"command": "smooth-index", "payload": payload, "options": options}))
+    return str(job)
+
+
+@pytest.mark.parametrize("flag, name, stated, given", [("--seed", "seed", 5, 7), ("--degree-cap", "degree_cap", 40, 3)])
+def test_a_flag_that_differs_from_the_job_file_is_refused(tmp_path, flag, name, stated, given):
+    job = _options_job(tmp_path, {name: stated})
+    with pytest.raises(SystemExit) as err:
+        main(["smooth-index", job, flag, str(given)])
+    assert err.value.code == f"job file says {name} {stated} but {given} was requested"
+
+
+@pytest.mark.parametrize("flag, name, given, default", [("--seed", "seed", 7, 0), ("--degree-cap", "degree_cap", 30, 40)])
+def test_a_flag_sets_what_the_job_file_does_not_state(tmp_path, capsys, flag, name, given, default):
+    job = _options_job(tmp_path, {})
+    assert main(["smooth-index", job, flag, str(given), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["options"][name] == given and report["values"]["index"] == 49
+    # the same value as the file's is no conflict
+    job = _options_job(tmp_path, {name: given})
+    assert main(["smooth-index", job, flag, str(given), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["options"][name] == given
+    # without the flag, the default
+    job = _options_job(tmp_path, {})
+    assert main(["smooth-index", job, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["options"][name] == default
+
+
+@pytest.mark.parametrize("flag, name, stated", [("--seed", "seed", 5), ("--degree-cap", "degree_cap", 3)])
+def test_a_flag_not_given_leaves_the_job_files_value(tmp_path, capsys, flag, name, stated):
+    job = _options_job(tmp_path, {name: stated})
+    code = main(["smooth-index", job, "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["options"][name] == stated
+    # the cap of 3 lies below x^7: the job aborts at it
+    assert code == (4 if name == "degree_cap" else 0)
+    # options that are not an object are the job's to refuse
+    job = _options_job(tmp_path, [stated])
+    assert main(["smooth-index", job, flag, str(stated), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["values"]["diagnostics"][0]["path"] == "$.options"
+
+
 def test_an_integer_too_long_to_read_is_invalid_json(tmp_path):
     job = tmp_path / "long.json"
     digits = "7" * (sys.get_int_max_str_digits() + 700)
@@ -496,10 +541,28 @@ def test_an_integer_too_long_to_read_is_invalid_json(tmp_path):
 
 def test_the_digit_limit_is_exact():
     limit = sys.get_int_max_str_digits()
-    jobs._check_digits(10**limit - 1, -(10**limit - 1), Fraction(1, 10**limit - 1), [{"a": (1, 2)}])
-    for value in (10**limit, -(10**limit), Fraction(1, 10**limit), [{"a": (1, 10**limit)}]):
-        with pytest.raises(DigitLimitError):
+    group = burnside.PermutationGroup(2, [[1, 0]])
+    jobs._check_digits(
+        10**limit - 1,
+        -(10**limit - 1),
+        Fraction(1, 10**limit - 1),
+        [{"a": (1, 2)}],
+        burnside.BurnsideElement(group, {0: 10**limit - 1}),
+        ((1, (2, [10**limit - 1])),),
+    )
+    for value in (
+        10**limit,
+        -(10**limit),
+        Fraction(1, 10**limit),
+        [{"a": (1, 10**limit)}],
+        burnside.BurnsideElement(group, {1: -(10**limit)}),
+        ((1, (2, [10**limit])),),
+    ):
+        with pytest.raises(DigitLimitError) as err:
             jobs._check_digits(value)
+        assert str(err.value) == (
+            f"a result has more than {limit} decimal digits, more than this Python converts to text"
+        )
 
 
 def _too_long_to_print():

@@ -219,7 +219,7 @@ def test_derivative_and_substitute():
     p = X**3 * Y + 2 * Y**2
     assert p.derivative("x") == 3 * X**2 * Y
     assert p.derivative("y") == X**3 + 4 * Y
-    shifted = p.translate([Fraction(1), Fraction(0)])
+    shifted = p.substitute({"x": X + 1})
     assert shifted.evaluate([Fraction(-1), Fraction(2)]) == p.evaluate(
         [Fraction(0), Fraction(2)]
     )
