@@ -15,13 +15,15 @@ file (or read it from the job document).  Job files may be bare payloads
 Exit codes: 0 success; 2 rejected input; 3 a value came out INFINITE
 (non-isolated finding; the report is still emitted); 4 the degree cap or
 a genericity retry limit was hit, or a result has more digits than
-Python converts to text; 1 internal error or oracle mismatch.
+Python converts to text; 1 internal error, oracle mismatch, or a reader
+that closed the output pipe (no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import SingindexError
@@ -109,24 +111,24 @@ def main(argv=None):
     if args.command == "validate":
         diagnostics = validate(document)
         if args.format == "json":
-            print(json.dumps({"diagnostics": diagnostics}, indent=2))
+            text = json.dumps({"diagnostics": diagnostics}, indent=2)
         else:
-            if not diagnostics:
-                print("job file is well-formed")
-            for item in diagnostics:
-                print(f"{item['path']}: {item['message']}")
-        return 2 if diagnostics else 0
-
-    try:
-        report, code = run_job(document, run_oracle=args.oracle)
-    except SingindexError as err:
-        print(f"internal error: {err}", file=sys.stderr)
-        return 1
-
-    if args.format == "json":
-        print(report.to_json())
+            lines = [f"{item['path']}: {item['message']}" for item in diagnostics]
+            text = "\n".join(lines or ["job file is well-formed"])
+        code = 2 if diagnostics else 0
     else:
-        print(report.to_text())
+        try:
+            report, code = run_job(document, run_oracle=args.oracle)
+        except SingindexError as err:
+            print(f"internal error: {err}", file=sys.stderr)
+            return 1
+        text = report.to_json() if args.format == "json" else report.to_text()
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: the flush at exit now writes to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

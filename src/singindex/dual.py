@@ -15,8 +15,8 @@ a non-decreasing sequence.  Once dim(D0) = dim(D0+1), Nakayama puts
 m^(D0+1) inside the localized ideal and dim(D0) is the colength
 (Marinari-Moeller-Mora, ISSAC 1995; Mourrain, JPAA 117-118, 1997).
 
-* **Probe.**  A generator with a non-zero constant term is a unit, and
-  the colength is 0.  Otherwise the generators are scaled to integer
+* **Probe.**  ``grobner._local_dual`` answers the unit ideal itself and
+  hands the probe only non-unit generators.  They are scaled to integer
   coefficients and M_B is brought to echelon form modulo the first of
   ``PRIMES``, each pivot at the first column of its row, for B = B1,
   B1 + 2, B1 + 4, ... up to the degree cap and ``MAX_COLUMNS``.  M_D is
@@ -109,11 +109,11 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
 
 An unlucky prime or a wrong reconstruction can only make the check
 fail.  Then the next prime is tried; past the last one, which
-reconstructs entries of up to 5606 bits, the probe returns None, and
-the caller asks Mora's standard basis whether the colength is infinite
-before it integrates.  Nothing here decides INFINITE.  This route
-shares no code with ``oracles.macaulay_colength``, which recomputes the
-same dimensions over the rationals for the tests.
+reconstructs entries of up to 5606 bits, the probe returns None.  The
+caller then tries the common-factor witness first, then Mora's standard
+basis, before it integrates.  Nothing here decides INFINITE.  This
+route shares no code with ``oracles.macaulay_colength``, which
+recomputes the same dimensions over the rationals for the tests.
 """
 
 from __future__ import annotations
@@ -158,13 +158,10 @@ class DualBasis(NamedTuple):
 
 
 def dual_basis(generators, degree_cap):
-    """Certified dual basis of the germ ideal spanned by the generators
-    (which share one context), or None when the probe finds no plateau
-    within its bounds or the certificate fails at every prime.  A
-    generator with a non-zero constant term is a unit: the basis is
-    empty."""
-    if any(g.constant_term() != 0 for g in generators):
-        return DualBasis([], {})
+    """Certified dual basis of the germ ideal spanned by the non-unit
+    generators that ``grobner._local_dual`` hands it (they share one
+    context), or None when the probe finds no plateau within its bounds
+    or the certificate fails at every prime."""
     gens = [_integer_terms(g) for g in generators if not g.is_zero]
     if not gens:
         return None
@@ -187,16 +184,14 @@ def dual_basis(generators, degree_cap):
 
 
 def integrated_dual_basis(generators, degree_cap):
-    """Certified dual basis of the germ ideal spanned by the generators,
-    built by integration order by order (see the module docstring); for
-    germs past the probe's bound.  Its columns are the supports of the
-    vectors closed under division.  Each prime of ``PRIMES`` in turn
+    """Certified dual basis of the germ ideal spanned by the non-unit
+    generators, built by integration order by order (see the module
+    docstring); for germs past the probe's bound.  Its columns are the
+    supports of the vectors closed under division.  Each prime of ``PRIMES`` in turn
     proposes the functionals, and each proposal is lifted as the probe's
     is, up the same primes.  Raises DegreeCapError when the local
     dual still grows at the degree cap, and InternalCheckError when no
     prime certifies it, as for entries past the last prime's reach."""
-    if any(g.constant_term() != 0 for g in generators):
-        return DualBasis([], {})
     gens = [_integer_terms(g) for g in generators if not g.is_zero]
     nvars = len(generators[0].context)
     for p in PRIMES:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .dual import dual_basis, integrated_dual_basis
+from .dual import DualBasis, dual_basis, integrated_dual_basis
 from .errors import (
     DegreeCapError,
     InternalCheckError,
@@ -90,13 +90,13 @@ INFINITE = _Infinite()
 # fraction of a second and leaves the germ to the integration route
 MORA_WORK = 20_000
 
-# work budget of the gcd that proposes a common factor (see _witness), in
-# coefficient products and division steps, each weighted by the 64-bit
-# words of its operands; past it the proposal gives up and Mora decides.
-# The primitive PRS on dense germs of degree 5 and up spends seconds on
-# the contents of its remainders; this budget stops it within about
-# 0.1 s, and the seeded common-factor germs of the tests need under
-# 25 000
+# work budget of the gcd that proposes a common factor (_common_factor;
+# the axis scan of _axis spends none), in coefficient products and
+# division steps, each weighted by the 64-bit words of its operands;
+# past it the proposal gives up and Mora decides.  The primitive PRS on
+# dense germs of degree 5 and up spends seconds on the contents of its
+# remainders; this budget stops it within about 0.1 s, and the seeded
+# common-factor germs of the tests need under 25 000
 GCD_WORK = 100_000
 
 
@@ -334,32 +334,32 @@ _staircase_count_below = staircase_monomials
 # witnesses that the zero set holds a curve
 
 
-def _witness(generators, factor=False):
-    """An exact witness that the zero set of the generators, none of them
-    a unit, holds a curve through the origin, or None.
+def _axis(generators):
+    """The index i of a coordinate axis on which every generator, none
+    of them a unit, vanishes, or None.  When no generator has a term
+    that is a pure power x_i^k, every generator vanishes on the x_i
+    axis.  One pass over the terms collects the covered axes and stops
+    once all are covered."""
+    n = len(generators[0].context)
+    covered = set()
+    for g in generators:
+        for m in g.terms:
+            if m.count(0) == n - 1:
+                covered.add(m.index(max(m)))
+                if len(covered) == n:
+                    return None
+    return min(set(range(n)) - covered)
 
-    Without `factor`: the index i of a coordinate axis.  When no
-    generator has a term that is a pure power x_i^k, every generator
-    vanishes on the x_i axis.  One pass over the terms collects the
-    covered axes and stops once all are covered.
 
-    With `factor`: a common factor, as (f, quotients).  A primitive PRS
-    gcd over the integers (:func:`_gcd`) proposes f, exact division gives
-    each quotient, and :func:`_certified_factor` checks the proposal
-    exactly.  Then O/I maps onto O/(f), which is infinite-dimensional.
-    A gcd that spends ``GCD_WORK`` proposes nothing, and a proposal that
-    fails the check is no witness."""
+def _common_factor(generators):
+    """A common factor of the generators, none of them a unit, as (f,
+    quotients), or None.  A primitive PRS gcd over the integers
+    (:func:`_gcd`) proposes f, exact division gives each quotient, and
+    :func:`_certified_factor` checks the proposal exactly.  Then O/I
+    maps onto O/(f), which is infinite-dimensional.  A gcd that spends
+    ``GCD_WORK`` proposes nothing, and a proposal that fails the check
+    is no witness."""
     context = generators[0].context
-    n = len(context)
-    if not factor:
-        covered = set()
-        for g in generators:
-            for m in g.terms:
-                if m.count(0) == n - 1:
-                    covered.add(m.index(max(m)))
-                    if len(covered) == n:
-                        return None
-        return min(set(range(n)) - covered)
     scaled = []
     for g in generators:
         scale = lcm(*(c.denominator for c in g.terms.values()))
@@ -515,31 +515,30 @@ def _local_dual(ideal, degree_cap):
     INFINITE.  The steps, in order:
 
     1. unit: a generator with a non-zero constant term makes the ideal
-       the unit ideal, and the probe returns the empty basis at once;
+       the unit ideal, whose dual basis is empty;
     2. Krull: fewer generators than variables give INFINITE, since by
        Krull's height theorem the germ of their zero set has positive
        dimension;
     3. axis: a coordinate axis on which every generator vanishes (no
-       generator has a pure power of its variable) gives INFINITE;
+       generator has a pure power of its variable, :func:`_axis`) gives
+       INFINITE;
     4. probe: ``dual.dual_basis`` answers when it certifies a basis;
     5. common factor: a non-constant f with f(0) = 0 that divides every
-       generator, checked by multiplication, gives INFINITE in two or
-       more variables;
+       generator, checked by multiplication (:func:`_common_factor`),
+       gives INFINITE in two or more variables;
     6. Mora: a standard basis with an infinite staircase gives INFINITE;
     7. route: a finite staircase, or a completion that does not finish,
        goes to the integration route, which raises DegreeCapError when
-       the local dual still grows at the degree cap.
-
-    Steps 3 and 5 take their witness from :func:`_witness`."""
+       the local dual still grows at the degree cap."""
     gens = ideal.generators
     if any(g.constant_term() for g in gens):
-        return dual_basis(gens, degree_cap)
-    if len(gens) < len(ideal.context) or _witness(gens) is not None:
+        return DualBasis([], {})
+    if len(gens) < len(ideal.context) or _axis(gens) is not None:
         return INFINITE
     dual = dual_basis(gens, degree_cap)
     if dual is not None:
         return dual
-    if _witness(gens, factor=True) is not None:
+    if _common_factor(gens) is not None:
         return INFINITE
     try:
         if not is_zero_dimensional(standard_basis(ideal, degree_cap=degree_cap)):

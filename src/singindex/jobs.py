@@ -924,7 +924,7 @@ def _run_smooth(report, job, run_oracle):
         report.put("index", value, "colength-of-component-ideal")
         gens = list(germ.components)
     elif job.kind == "one_form":
-        germ = sm.OneFormGerm(variables, job.data, field=job.field)
+        germ = sm.OneFormGerm(variables, job.data)
         value = sm.complex_form_index(germ, cap)
         report.put("index", value, "colength-of-coefficient-ideal")
         report.values["real_part_relation"] = (

@@ -375,7 +375,9 @@ class Polynomial:
     def derivative(self, var):
         """Partial derivative with respect to a variable name or index."""
         if isinstance(var, str):
-            var = self.context.index(var)
+            var = _variable_index(self.context, var)
+        elif var not in range(len(self.context)):
+            raise RejectedInputError(f"no variable with index {var!r} in context {self.context!r}")
         terms = {}
         for m, c in self.terms.items():
             e = m[var]

@@ -69,16 +69,11 @@ class VectorFieldGerm:
 class OneFormGerm:
     """1-form germ at the origin: one coefficient polynomial per variable."""
 
-    def __init__(self, variables, coefficients, field="C"):
+    def __init__(self, variables, coefficients):
         self.variables = tuple(variables)
         self.coefficients = tuple(parse_polynomial(c, self.variables) for c in coefficients)
         if len(self.coefficients) != len(self.variables):
-            raise RejectedInputError(
-                "coefficient count must equal the variable count"
-            )
-        if field not in ("R", "C"):
-            raise RejectedInputError("ground field tag must be 'R' or 'C'")
-        self.field = field
+            raise RejectedInputError("coefficient count must equal the variable count")
 
     def ideal(self):
         return Ideal(self.coefficients)
@@ -325,28 +320,6 @@ class GroupAction:
     def order(self):
         return len(self.elements)
 
-    def substitution(self, matrix):
-        """Variable images of x -> M x as polynomials."""
-        n = len(self.variables)
-        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        return {
-            name: Polynomial(self.variables, dict(zip(units, row)))
-            for name, row in zip(self.variables, matrix)
-        }
-
-    def transform(self, poly, matrix):
-        return poly.substitute(self.substitution(matrix))
-
-
-def ideal_is_invariant(algebra, action):
-    """Check invariance of the algebra's ideal: every transformed
-    generator has class 0; enough to check the generators of the group."""
-    return not any(
-        any(algebra.coords(action.transform(f, g)))
-        for g in action.generators
-        for f in algebra.ideal.generators
-    )
-
 
 def _image(memo, rows, m):
     """The image x^m(g x) of a monomial under one group element, from
@@ -368,22 +341,35 @@ def _reynolds(algebra, action):
     """The group sums T_b = sum over g of b(g x) of the basis monomials
     b, and the dimension of the invariant subspace, after checking that
     the action acts on the algebra's variables and that the ideal is
-    invariant.  The Reynolds operator sends b to R(b) = T_b / |G|; it is
-    idempotent, so its trace, (1/|G|) times the sum over b of the
-    coordinate of T_b at b (dual vector b), is the dimension of its
-    image.  The images of monomials are memoised per group element over
-    monomials, since the basis need not be closed under division."""
+    invariant: f(g x), the sum of c * x^m(g x) over the terms c * x^m of
+    f, has class 0 for each ideal generator f and group generator g.
+    The Reynolds operator sends b to R(b) = T_b / |G|; it is idempotent,
+    so its trace, (1/|G|) times the sum over b of the coordinate of T_b
+    at b (dual vector b), is the dimension of its image.  Each element
+    memoises its monomial images (the basis need not be closed under
+    division); the check and the sums share the generators' memos."""
     if action.variables != algebra.context:
         raise RejectedInputError(
             f"action variables {action.variables!r} are not the algebra's {algebra.context!r}"
         )
-    if not ideal_is_invariant(algebra, action):
-        raise RejectedInputError("ideal is not invariant under the action")
     ctx = algebra.context
+    n = len(ctx)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+    def fresh(g):
+        # the variable images of x -> g x, and a new memo for _image
+        return [Polynomial(ctx, dict(zip(units, row))) for row in g], {(0,) * n: Polynomial.one(ctx)}
+
+    images = {g: fresh(g) for g in dict.fromkeys(action.generators)}
+    for g in action.generators:
+        rows, memo = images[g]
+        for f in algebra.ideal.generators:
+            image = sum((_image(memo, rows, m) * c for m, c in f.terms.items()), Polynomial.zero(ctx))
+            if any(algebra.coords(image)):
+                raise RejectedInputError("ideal is not invariant under the action")
     sums = [Polynomial.zero(ctx)] * algebra.dimension
     for g in action.elements:
-        rows = list(action.substitution(g).values())
-        memo = {(0,) * len(ctx): Polynomial.one(ctx)}
+        rows, memo = images.get(g) or fresh(g)
         sums = [total + _image(memo, rows, b) for total, b in zip(sums, algebra.basis)]
     trace = 0
     for k, total in enumerate(sums):

@@ -448,17 +448,19 @@ def test_non_isolated_germs_reach_mora(monkeypatch):
 
 
 def _spy_witness(monkeypatch):
-    """The witnesses that grobner._witness finds, in order."""
+    """The witnesses that grobner._axis and grobner._common_factor find,
+    in order."""
     found = []
-    real = grobner._witness
+    for name in ("_axis", "_common_factor"):
+        real = getattr(grobner, name)
 
-    def spy(generators, factor=False):
-        out = real(generators, factor)
-        if out is not None:
-            found.append(out)
-        return out
+        def spy(generators, real=real):
+            out = real(generators)
+            if out is not None:
+                found.append(out)
+            return out
 
-    monkeypatch.setattr(grobner, "_witness", spy)
+        monkeypatch.setattr(grobner, name, spy)
     return found
 
 
@@ -505,7 +507,6 @@ def stream_run():
 
         real_probe, real_route = grobner.dual_basis, grobner.integrated_dual_basis
         real_mora, real_local = grobner.standard_basis, grobner._local_dual
-        real_witness = grobner._witness
 
         def probe(generators, degree_cap):
             out = real_probe(generators, degree_cap)
@@ -521,11 +522,14 @@ def stream_run():
             seen["mora"].append(real_mora(ideal, degree_cap))
             return seen["mora"][-1]
 
-        def witness(generators, factor=False):
-            out = real_witness(generators, factor)
-            if out is not None:
-                seen["witnesses"].append(out)
-            return out
+        def witness(real):
+            def spy(generators):
+                out = real(generators)
+                if out is not None:
+                    seen["witnesses"].append(out)
+                return out
+
+            return spy
 
         def local(ideal, degree_cap):
             seen["certified"], seen["mora"], seen["witnesses"] = [], [], []
@@ -537,7 +541,8 @@ def stream_run():
         patch.setattr(grobner, "integrated_dual_basis", route)
         patch.setattr(grobner, "standard_basis", mora)
         patch.setattr(grobner, "_local_dual", local)
-        patch.setattr(grobner, "_witness", witness)
+        patch.setattr(grobner, "_axis", witness(grobner._axis))
+        patch.setattr(grobner, "_common_factor", witness(grobner._common_factor))
         patch.setattr(grobner, "staircase_monomials", None)
         documents = [
             job.doc
@@ -559,7 +564,8 @@ def stream_run():
 
 def test_mora_only_decides_infinite(stream_run):
     # every finite colength and algebra is the size or the basis of the
-    # last dual basis that the probe or the integration route certified;
+    # last dual basis that the probe or the integration route certified,
+    # but for the unit ideal, whose empty basis comes before the probe;
     # INFINITE follows exactly one verdict: Krull's count, one witness,
     # or one standard basis with an infinite staircase, and the
     # staircase itself is never listed
@@ -568,7 +574,12 @@ def test_mora_only_decides_infinite(stream_run):
     verdicts = Counter()
     for ideal, out, certified, mora, witnesses in duals:
         if out is not INFINITE:
-            assert out is certified[-1] and witnesses == []
+            if certified:
+                assert out is certified[-1]
+            else:
+                assert any(g.constant_term() for g in ideal.generators)
+                assert out == dual.DualBasis([], {})
+            assert witnesses == []
             routed += len(certified) == 2
         elif len(ideal.generators) < len(ideal.context):
             assert witnesses == mora == []
@@ -1102,8 +1113,8 @@ def test_germs_with_a_common_factor_end_at_a_witness(monkeypatch):
     for seed, k in OVER_BUDGET_PRODUCTS:
         generators = _seeded_products(seed)[k].generators
         # both witnesses hold here; the axis answers first
-        assert grobner._witness(generators) is not None
-        assert grobner._witness(generators, factor=True) is not None
+        assert grobner._axis(generators) is not None
+        assert grobner._common_factor(generators) is not None
         data = [str(g) for g in generators]
         documents.append({"command": "smooth-index", "payload": {"variables": list(XYZ), "data": data}})
     calls = _count_mora(monkeypatch)
@@ -1119,7 +1130,7 @@ def test_germs_with_a_common_factor_end_at_a_witness(monkeypatch):
 
 def test_a_tampered_common_factor_is_refused():
     generators = _ideal(SURFACE_GERM).generators
-    f, quotients = grobner._witness(generators, factor=True)
+    f, quotients = grobner._common_factor(generators)
     assert grobner._certified_factor(generators, f, quotients)
     x, one = Polynomial.variable(XYZ, "x"), Polynomial.one(XYZ)
     assert not grobner._certified_factor(generators, f, [quotients[0] + x, *quotients[1:]])
@@ -1130,7 +1141,7 @@ def test_a_tampered_common_factor_is_refused():
     ideal = _ideal(["(1 + x)*x^2", "(1 + x)*y^3", "(1 + x)*z^2"])
     quotients = [parse_polynomial(t, XYZ) for t in ("x^2", "y^3", "z^2")]
     assert not grobner._certified_factor(ideal.generators, one + x, quotients)
-    assert grobner._witness(ideal.generators, factor=True) is None
+    assert grobner._common_factor(ideal.generators) is None
     assert colength(ideal) == 12
 
 
@@ -1139,7 +1150,7 @@ def test_in_one_variable_a_common_factor_is_no_witness():
     ideal = _ideal(["x^2", "x^3"], ("x",))
     quotients = [Polynomial.one(("x",)), Polynomial.variable(("x",), "x")]
     assert not grobner._certified_factor(ideal.generators, ideal.generators[0], quotients)
-    assert grobner._witness(ideal.generators, factor=True) is None
+    assert grobner._common_factor(ideal.generators) is None
     assert colength(ideal) == 2
 
 
@@ -1149,17 +1160,20 @@ def test_the_gcd_finds_no_factor_that_kronecker_images_share():
     budget = grobner._WorkBudget(grobner.GCD_WORK)
     assert grobner._gcd({(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 0, 1): 1, (0, 1, 0): -1}, budget) == {(0, 0, 0): 1}
     ideal = _ideal(["(x + y)*(x^2 + z)", "(z - y)*(y^2 + x)", "(x + y)*(z - y)*z"])
-    assert grobner._witness(ideal.generators, factor=True) is None
+    assert grobner._common_factor(ideal.generators) is None
 
 
 def test_unit_germs_stay_nonsingular(monkeypatch):
     # no generator has a pure power of any variable, but one is a unit
     found = _spy_witness(monkeypatch)
+    probes, routes = [], []
+    monkeypatch.setattr(grobner, "dual_basis", lambda *args: probes.append(args))
+    monkeypatch.setattr(grobner, "integrated_dual_basis", lambda *args: routes.append(args))
     for command in ("smooth-index", "elk"):
         payload = {"variables": list(XYZ), "data": ["1 + x*y", "x*y*z", "y*z"]}
         report, code = run_job({"command": command, "payload": payload})
         assert code == 0 and "NONSINGULAR" in report.flags, report.to_json()
-    assert found == []
+    assert found == probes == routes == []
 
 
 def test_every_axis_verdict_is_infinite_for_the_macaulay_oracle():
@@ -1169,7 +1183,7 @@ def test_every_axis_verdict_is_infinite_for_the_macaulay_oracle():
         ideal = Ideal([_through_origin(rng, 3, rng.randint(1, 2)) for _ in range(3)])
         if len(ideal.generators) < 3:
             continue
-        axis = grobner._witness(ideal.generators)
+        axis = grobner._axis(ideal.generators)
         if axis is not None:
             assert macaulay_colength(list(ideal.generators), max_truncation=8) is INFINITE, ideal
         verdicts[axis is None] += 1
@@ -1185,5 +1199,5 @@ def test_the_gcd_gives_up_within_its_work_budget(monkeypatch):
     steps = []
     real = grobner._WorkBudget
     monkeypatch.setattr(grobner, "_WorkBudget", lambda work: _Tally(steps, real(work)))
-    assert grobner._witness(generators, factor=True) is None
+    assert grobner._common_factor(generators) is None
     assert grobner.GCD_WORK < sum(steps) <= grobner.GCD_WORK + max(steps)

@@ -1,9 +1,12 @@
 import copy
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -1141,3 +1144,22 @@ def test_runners_never_read_the_document(monkeypatch, document):
     report, code = run_job(_watch(document, reads))
     assert code in (0, 3)
     assert reads["sealed"] and reads["after"] == 0
+
+
+@pytest.mark.parametrize("command", ["smooth-index", "validate"])
+def test_a_closed_output_pipe_exits_1_without_a_traceback(command):
+    # the reader closes its end before the command prints: the report
+    # and the validation message alike end in a clean exit 1
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "singindex.cli", command, str(root / "tests" / "jobs" / "mora_three_lines.json")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert b"Traceback" not in stderr and b"BrokenPipe" not in stderr, stderr

@@ -223,6 +223,12 @@ def test_derivative_and_substitute():
     assert shifted.evaluate([Fraction(-1), Fraction(2)]) == p.evaluate(
         [Fraction(0), Fraction(2)]
     )
+    # an unknown name, an index past the end and a negative index are
+    # refused, not read as tuple positions
+    q = parse_polynomial("x^2*y + y^3", CTX)
+    for bad in ("q", 2, -1):
+        with pytest.raises(RejectedInputError):
+            q.derivative(bad)
 
 
 def _normal(p):

@@ -359,7 +359,9 @@ def test_invariant_parts_of_the_benchmark_documents_match_the_oracle(monkeypatch
         if job.family.startswith("elk-action")
     ]
     assert len(jobs) == 12
-    # one invariance check and one set of group sums per document
+    # one invariance check and one set of group sums per document: the
+    # algebra reads the Jacobian class and each ideal generator's image
+    # under each group generator
     projectors = []
     real = smooth._reynolds
 
@@ -368,16 +370,19 @@ def test_invariant_parts_of_the_benchmark_documents_match_the_oracle(monkeypatch
         return real(algebra, action)
 
     monkeypatch.setattr(smooth, "_reynolds", spy)
-    checks = []
-    real_check = smooth.ideal_is_invariant
-    monkeypatch.setattr(smooth, "ideal_is_invariant", lambda *args: checks.append(args) or real_check(*args))
+    coords = []
+    real_coords = grobner.QuotientAlgebra.coords
+    monkeypatch.setattr(
+        grobner.QuotientAlgebra, "coords", lambda self, poly: coords.append(poly) or real_coords(self, poly)
+    )
     for job in jobs:
         projectors.clear()
-        checks.clear()
+        coords.clear()
         report, code = run_job(job.doc)
         assert code == 0
-        assert len(projectors) == len(checks) == 1
         payload = job.doc["payload"]
+        assert len(projectors) == 1
+        assert len(coords) == 1 + len(payload["action"]) * len(payload["data"])
         form = elk_form(VectorFieldGerm(payload["variables"], payload["data"], field="R"))
         action = GroupAction(payload["variables"], payload["action"])
         assert _equivariant_oracle(form, action) == (
@@ -571,12 +576,34 @@ def test_an_action_on_other_variables_is_refused_before_any_substitution(monkeyp
     form = elk_form(VectorFieldGerm(PLANE, ["x^3", "y^3"], field="R"))
     n = len(variables)
     action = GroupAction(variables, [[[int(i == n - 1 - j) for j in range(n)] for i in range(n)]])
+    images = []
+    real_image = smooth._image
+    monkeypatch.setattr(smooth, "_image", lambda *args: images.append(args) or real_image(*args))
+    for call in (lambda: invariant_dimension(form.algebra, action), lambda: invariant_signature(form, action)):
+        with pytest.raises(RejectedInputError, match="action variables"):
+            call()
+    assert images == []
+
+
+def test_an_action_document_never_substitutes_and_refuses_any_moving_generator(monkeypatch):
+    # the invariance check and the group sums both take their images from
+    # _image; a group generator that moves the ideal is refused with one
+    # text, second, after the identity, or after a repeated generator
     substituted = []
     real_substitute = Polynomial.substitute
     monkeypatch.setattr(
         Polynomial, "substitute", lambda self, images: substituted.append(self) or real_substitute(self, images)
     )
-    for call in (lambda: invariant_dimension(form.algebra, action), lambda: invariant_signature(form, action)):
-        with pytest.raises(RejectedInputError, match="action variables"):
-            call()
+    identity, flip, swap = [[1, 0], [0, 1]], [[-1, 0], [0, 1]], [[0, 1], [1, 0]]
+
+    def run(data, action):
+        return run_job({"command": "elk", "payload": {"variables": list(PLANE), "data": data, "action": action}})
+
+    report, code = run(["x^3", "y^3"], [flip, swap])
+    assert code == 0
+    assert (report.values["invariant_dimension"], report.values["invariant_signature"]) == (3, 1)
+    refusal = [{"path": "$.payload.action", "message": "ideal is not invariant under the action"}]
+    for action in ([flip, swap], [identity, swap], [flip, flip, swap], [swap, swap]):
+        report, code = run(["x^3", "y^2"], action)
+        assert (code, report.values) == (2, {"diagnostics": refusal})
     assert substituted == []
