@@ -14,8 +14,11 @@ The subgroup lattice is built up to conjugacy by cyclic extension
 table of marks of a finite group", Experimental Math. 6, 1997): only
 class representatives are extended, each by one generator of every
 cyclic subgroup it misses, and every new class is filled as an orbit
-under conjugation by the generators (see PermutationGroup.subgroups for
-why this finds every subgroup).  It runs on one multiplication table
+under conjugation by the non-central generators (see
+PermutationGroup.subgroups for why this finds every subgroup).  An
+extension that Lagrange decides is not closed: when a known subgroup K
+contains H with prime index, <H, c> = K for every c in K \\ H, so such
+c find nothing new.  It runs on one multiplication table
 over the sorted elements' indices: each extension is closed coset by
 coset (Dimino; Butler, "Fundamental Algorithms for Permutation Groups",
 LNCS 559, 1991), and a subgroup is an int bitmask.  The marks are then
@@ -32,6 +35,7 @@ computes topology.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import accumulate
 
 from .errors import InternalCheckError, RejectedInputError
@@ -50,14 +54,18 @@ def _compose(p, q):
 
 
 def _closure(degree, perms):
+    """(elements, images): the group generated by perms, and for each
+    generator g the dict sending every element x to g . x, kept as the
+    closure composes it so that the multiplication table reads it."""
     identity = tuple(range(degree))
     elements = {identity}
     frontier = [identity]
     gens = [tuple(g) for g in perms]
+    images = [{} for _ in gens]
     while frontier:
         current = frontier.pop()
-        for g in gens:
-            nxt = _compose(g, current)
+        for g, image in zip(gens, images):
+            nxt = image[current] = _compose(g, current)
             if nxt not in elements:
                 if len(elements) >= DEFAULT_GROUP_CAP:
                     raise RejectedInputError(
@@ -65,7 +73,7 @@ def _closure(degree, perms):
                     )
                 elements.add(nxt)
                 frontier.append(nxt)
-    return frozenset(elements)
+    return elements, images
 
 
 def _mask(points):
@@ -99,6 +107,19 @@ def _dimino(rows, elems, mask, gens, c):
     return elems, mask
 
 
+def _conjugations(rows, gens):
+    """The index maps x -> g x g^-1, one per generator g that is not
+    central.  A central generator's map is the identity and moves no
+    subgroup, so it is left out: an abelian group has none."""
+    out = []
+    for g in gens:
+        g_inv = rows[g].index(0)
+        conjugation = [rows[x][g_inv] for x in rows[g]]
+        if conjugation != rows[0]:
+            out.append(conjugation)
+    return out
+
+
 class PermutationGroup:
     """A finite permutation group with enumerated elements.
 
@@ -108,6 +129,8 @@ class PermutationGroup:
 
     # computed on first use, once per group
     _table = _lattice = _subgroup_cache = _class_cache = _marks_cache = None
+    # the generators' images from _closure, read once by _indexed
+    _images = None
 
     def __init__(self, degree, generators):
         self.degree = int(degree)
@@ -120,7 +143,8 @@ class PermutationGroup:
                 )
             gens.append(g)
         self.generators = gens
-        self.elements = sorted(_closure(self.degree, gens))
+        elements, self._images = _closure(self.degree, gens)
+        self.elements = sorted(elements)
         self.identity = tuple(range(self.degree))
 
     @classmethod
@@ -149,19 +173,23 @@ class PermutationGroup:
         """(index, rows, gens): index i stands for self.elements[i], so
         sorted index lists order like sorted element lists and the identity
         is 0; rows[a][b] is the index of elements[a] . elements[b]; gens
-        indexes generators.  Only their rows are composed: the row of g.x
-        is the row of x looked up in the row of g."""
+        indexes generators.  Only their rows are built from the elements,
+        read off the closure's images (composed here for a group made by
+        from_elements, which takes no closure): the row of g.x is the row
+        of x looked up in the row of g."""
         if self._table is None:
             els = self.elements
+            images = self._images
             index = {g: i for i, g in enumerate(els)}
             rows = [None] * len(els)
             rows[0] = list(range(len(els)))
             reached, gens, gen_rows = [0], [], []
-            for p in self.generators:
+            for i, p in enumerate(self.generators):
                 if rows[index[p]] is not None:
                     continue
                 gens.append(index[p])
-                gen_rows.append([index[_compose(p, q)] for q in els])
+                image = images[i].__getitem__ if images else partial(_compose, p)
+                gen_rows.append(list(map(index.__getitem__, map(image, els))))
                 for x in reached:
                     for g_row in gen_rows:
                         y = g_row[x]
@@ -169,6 +197,7 @@ class PermutationGroup:
                             rows[y] = [g_row[v] for v in rows[x]]
                             reached.append(y)
             self._table = (index, rows, gens)
+            self._images = None
         return self._table
 
     def is_subgroup(self, subset):
@@ -202,8 +231,9 @@ class PermutationGroup:
         representative H, with its short generator list, is extended by
         each chosen cyclic generator c outside H, closing gens(H) + [c].
         A result not seen before opens a new class, filled at once as its
-        orbit under conjugation by the group's generators, and its
-        representative is extended in turn.
+        orbit under conjugation by the group's non-central generators (a
+        central one fixes every subgroup), and its representative is
+        extended in turn.
 
         Every subgroup is found: a subgroup K > 1 has a maximal subgroup
         M < K, and K = <M, c> for any c in K \\ M.  Conjugating by x with
@@ -213,9 +243,21 @@ class PermutationGroup:
         order, H is found and extended, so K's class is reached and K lies
         in the orbit that fills it.
 
+        Two rules skip a c whose extension is already known, which keeps
+        that step.  First, <H, x> = <H, c> for x in the coset Hc, which
+        the closure of <H, c> adds first.  Second, Lagrange: if a known
+        subgroup K contains H with prime index p, then H < <H, c> <= K
+        leaves <H, c> = K for every c in K \\ H.  So before H is extended,
+        the known members of order |H| p that contain H are marked, for
+        each prime p dividing |G|, and so are the members of each class
+        that a closure of prime index over H opens.  A skipped c' thus
+        gives a subgroup already found, and xKx^-1 = <H, c'> is reached
+        either way.
+
         It runs on element indices (see _indexed): cyclic generators from
         power chains, <H, c> closed by _dimino from the elements of H,
-        subgroups as bitmasks, one conjugation map per generator.
+        subgroups as bitmasks, members listed by order for the prime-index
+        rule, one conjugation map per non-central generator.
 
         Representatives are extended breadth first, small subgroups with
         cheap closures before large ones, so a group with more than
@@ -225,8 +267,8 @@ class PermutationGroup:
             return self._subgroup_cache
         n = self.order
         _, rows, gens = self._indexed()
-        inverse = {g: rows[g].index(0) for g in gens}
-        conjugations = [[rows[x][inverse[g]] for x in rows[g]] for g in gens]
+        conjugations = _conjugations(rows, gens)
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
         cyclic, seen = [], set()
         for g in range(1, n):
             power, mask = g, 0
@@ -237,17 +279,24 @@ class PermutationGroup:
                 seen.add(mask)
                 cyclic.append(g)
         members = {1: [0]}
+        by_order = {1: [1]}
         orbits = [[1]]
         todo = deque([([0], 1, [])])
         while todo:
             elems, mask, extended = todo.popleft()
+            h = len(elems)
+            # <H, x> = K for x in K \ H when [K : H] is prime
             done = mask
+            for p in primes:
+                for k in by_order.get(h * p, ()):
+                    if k & mask == mask:
+                        done |= k
             for c in cyclic:
                 if done >> c & 1:
                     continue
                 bigger, big = _dimino(rows, elems, mask, extended, c)
                 # <H, x> = <H, c> for x in Hc, the coset _dimino adds first
-                done |= _mask(bigger[len(elems):2 * len(elems)])
+                done |= _mask(bigger[h:2 * h])
                 if n % len(bigger) != 0:
                     raise InternalCheckError("closure violated Lagrange")
                 if big in members:
@@ -266,6 +315,11 @@ class PermutationGroup:
                     raise RejectedInputError(
                         f"the subgroup lattice has more than {MAX_SUBGROUPS} subgroups"
                     )
+                by_order.setdefault(len(bigger), []).extend(orbit)
+                if len(bigger) // h in primes:
+                    for k in orbit:
+                        if k & mask == mask:
+                            done |= k
                 orbits.append(list(orbit))
                 todo.append((bigger, big, extended + [c]))
         key = {m: (len(e), sorted(e)) for m, e in members.items()}

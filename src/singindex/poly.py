@@ -392,8 +392,11 @@ class Polynomial:
 
         `images` maps variable names to Polynomials sharing one target
         context; unnamed variables map to themselves when the target
-        context still contains them.
+        context still contains them.  A name outside this polynomial's
+        context is refused, as in :meth:`derivative`.
         """
+        for name in images:
+            _variable_index(self.context, name)
         if not images:
             return self
         target = next(iter(images.values())).context

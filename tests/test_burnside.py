@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
 
+from singindex import burnside
 from singindex.burnside import (
     MAX_SUBGROUPS,
     BurnsideElement,
     PermutationGroup,
+    _conjugations,
     burnside_mul,
     equivariant_euler,
     equivariant_gsv_from_radial,
@@ -194,6 +197,61 @@ def test_classes_partition_the_oracle_lattice_by_conjugation(make):
     for c in classes:
         assert c.representative == min(c.members, key=sorted)
         assert c.order == len(c.representative)
+
+
+def random_group(seed):
+    """A group of order at most 48 on 4 to 7 points drawn from the seed:
+    1 to 3 random generators, half the time all keeping the split
+    {0..k-1} | {k..d-1}, so that direct products turn up."""
+    rng = random.Random(seed)
+    while True:
+        degree = rng.randint(4, 7)
+        k = rng.choice([degree, rng.randint(2, degree - 2)])
+        gens = [
+            rng.sample(range(k), k) + rng.sample(range(k, degree), degree - k)
+            for _ in range(rng.randint(1, 3))
+        ]
+        try:
+            group = PermutationGroup(degree, gens)
+        except RejectedInputError:  # past the group cap
+            continue
+        if group.order <= 48:
+            return group
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_group_lattice_matches_closure_oracle(seed):
+    group = random_group(seed)
+    lattice = subgroups_by_closure(group.degree, group.elements)
+    assert set(group.subgroups()) == lattice
+    by_conjugation = {frozenset(conjugate(sub, g) for g in group.elements) for sub in lattice}
+    assert {c.members for c in group.classes()} == by_conjugation
+    # the closure's generator images go once the table is built
+    assert group._images is None
+
+
+@pytest.mark.parametrize("make, non_trivial", [(c2_4, 66), (c7xc7, 9)])
+def test_prime_index_overgroups_leave_one_closure_per_subgroup(monkeypatch, make, non_trivial):
+    # in an abelian group of exponent p, <H, c> has index p over H for
+    # every c outside H, so the known ones are marked before the closure
+    # is taken and every closure finds a new subgroup
+    group = make()
+    closures = []
+    real_dimino = burnside._dimino
+
+    def spy(*args):
+        closures.append(args)
+        return real_dimino(*args)
+
+    monkeypatch.setattr(burnside, "_dimino", spy)
+    assert len(group.subgroups()) == non_trivial + 1
+    assert len(closures) <= non_trivial
+
+
+@pytest.mark.parametrize("make, maps", [(c2_4, 0), (c7xc7, 0), (c24, 0), (s4, 2), (d15, 2)])
+def test_central_generators_have_no_conjugation_map(make, maps):
+    _, rows, gens = make()._indexed()
+    assert len(_conjugations(rows, gens)) == maps
 
 
 def test_lattice_past_max_subgroups_is_rejected():

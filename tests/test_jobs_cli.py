@@ -883,9 +883,9 @@ def test_subgroup_outside_the_group_is_rejected_before_closure(monkeypatch, op):
     real_closure = burnside._closure
 
     def spy(degree, perms):
-        result = real_closure(degree, perms)
-        closed.append(len(result))
-        return result
+        elements, images = real_closure(degree, perms)
+        closed.append(len(elements))
+        return elements, images
 
     monkeypatch.setattr(burnside, "_closure", spy)
     command, payload = OUTSIDE_SUBGROUP[op]

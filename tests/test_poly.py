@@ -229,6 +229,10 @@ def test_derivative_and_substitute():
     for bad in ("q", 2, -1):
         with pytest.raises(RejectedInputError):
             q.derivative(bad)
+    # an image for a name outside the context is refused, not dropped
+    with pytest.raises(RejectedInputError) as err:
+        q.substitute({"q": X})
+    assert str(err.value) == "unknown variable 'q' in context ('x', 'y')"
 
 
 def _normal(p):
