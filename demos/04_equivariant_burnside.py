@@ -69,7 +69,7 @@ print(f"  equivariant index sum of the two-pole field: {radial}")
 
 whole = subgroup_as_group(z2, z2.element_set())
 pole = BurnsideElement.unit(whole)
-holds = equivariant_ph_check(z2, [(pole, whole), (pole, whole)], chi)
+holds = equivariant_ph_check(z2, [pole, pole], chi)
 print(f"  equivariant Poincare-Hopf identity holds: {holds}")
 print(f"  forgetting the action (coefficient sum): {r0(chi)} = chi(S^2)")
 

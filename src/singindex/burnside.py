@@ -4,10 +4,11 @@ A group comes in as permutation generators on {1..d}; elements are
 enumerated by closure.  The Burnside ring is realized concretely through
 the table of marks: the matrix of fixed-point counts |(G/K)^H| over
 conjugacy classes of subgroups, lower triangular with positive diagonal
-|N_G(K)| / |K| once classes are sorted by ascending order.  Products are
-computed through marks (componentwise product, triangular back-solve),
-which is quadratic in the number of classes; a direct orbit-counting
-route ships in the oracles module to validate it.
+|N_G(K)| / |K| once classes are sorted by ascending order.  Products and
+restrictions go through marks and one triangular back-solve, quadratic
+in the number of classes: marks multiply componentwise, and res(a) to H
+has at each subgroup of H the mark of a at its class in G (tom Dieck,
+LNM 766, 1979).  Orbit-counting routes in the oracles module check both.
 
 The subgroup lattice is built up to conjugacy by cyclic extension
 (Neubüser 1960; Pfeiffer, "The subgroups of M24, or how to compute the
@@ -516,19 +517,15 @@ class BurnsideElement:
         return f"BurnsideElement({self.coefficients!r})"
 
 
-def burnside_mul(a, b):
-    """Product in the Burnside ring via the marks homomorphism: marks
-    multiply componentwise and the triangular table of marks back-solves
-    to coefficients, by exact integer division.  The solve is integral
-    for genuine mark vectors; a non-zero remainder indicates a marks bug
-    and is reported as such."""
-    a._check_same_group(b)
-    group = a.group
+def _back_solve(group, target):
+    """The element of A(group) with the mark vector target.  The table of
+    marks is lower triangular with a positive diagonal, so coefficients
+    come out from the last class down by exact integer division.  The
+    solve is integral for genuine mark vectors; a non-zero remainder
+    indicates a marks bug and is reported as such."""
     table = group.table_of_marks()
-    n = len(table)
-    target = [x * y for x, y in zip(a.marks(), b.marks())]
     out = {}
-    for i in range(n - 1, -1, -1):
+    for i in range(len(table) - 1, -1, -1):
         if table[i][i] == 0:
             raise InternalCheckError("table of marks has a zero diagonal")
         c, rest = divmod(target[i] - sum(c * table[j][i] for j, c in out.items()), table[i][i])
@@ -539,6 +536,13 @@ def burnside_mul(a, b):
         if c:
             out[i] = c
     return BurnsideElement(group, out)
+
+
+def burnside_mul(a, b):
+    """Product in the Burnside ring via the marks homomorphism: marks
+    multiply componentwise and _back_solve returns the coefficients."""
+    a._check_same_group(b)
+    return _back_solve(a.group, [x * y for x, y in zip(a.marks(), b.marks())])
 
 
 def r0(a):
@@ -560,10 +564,10 @@ def subgroup_as_group(group, subgroup):
 
 
 def restriction(a, subgroup):
-    """Restrict a G-element to a subgroup H: G/K splits into one H-orbit
-    per double coset HgK, the cosets (hg)K, whose stabilizer is H meet
-    gKg^-1.  Returns the element over the subgroup (as its own
-    PermutationGroup)."""
+    """Restrict a G-element to a subgroup H, as an element over H (its
+    own PermutationGroup).  A subgroup L of H fixes the same points of a
+    G-set read in H or in G, so res(a) has at L the mark of a at L's
+    class in G, and marks determine an element."""
     group = a.group
     h_group = (
         subgroup
@@ -572,25 +576,13 @@ def restriction(a, subgroup):
     )
     if not h_group.element_set() <= group.element_set():
         raise RejectedInputError("not a subgroup of this group")
-    index, rows, _ = group._indexed()
-    h_rows = [rows[index[h]] for h in h_group.elements]
-    out = BurnsideElement.zero(h_group)
-    for class_index, coeff in a.coefficients.items():
-        k_points = [index[k] for k in group.classes()[class_index].representative]
-        k_mask, seen = _mask(k_points), 0
-        for g in range(group.order):
-            if seen >> g & 1:
-                continue
-            for h_row in h_rows:
-                seen |= _mask([rows[h_row[g]][k] for k in k_points])
-            g_inv = rows[g].index(0)
-            stabilizer = frozenset(
-                h
-                for h, h_row in zip(h_group.elements, h_rows)
-                if k_mask >> rows[g_inv][h_row[g]] & 1
-            )
-            out = out + BurnsideElement(h_group, {h_group.class_of(stabilizer): coeff})
-    return out
+    if not a.coefficients:
+        # zero needs no lattice of G, which may be past MAX_SUBGROUPS
+        return BurnsideElement.zero(h_group)
+    marks = a.marks()
+    return _back_solve(
+        h_group, [marks[group.class_of(c.representative)] for c in h_group.classes()]
+    )
 
 
 def induction(a, group):
@@ -638,14 +630,15 @@ def _isotropy_index(group, isotropy):
     return group.class_of(group.subgroup_generated_by(isotropy))
 
 
-def equivariant_ph_check(group, orbit_indices, chi_g):
+def equivariant_ph_check(group, local_indices, chi_g):
     """Check the equivariant Poincare-Hopf identity: the sum over singular
-    orbits of the inductions of their local equivariant indices must be
-    the equivariant Euler characteristic of the manifold."""
+    orbits of the inductions of their local equivariant indices, each an
+    element over its isotropy subgroup, must be the equivariant Euler
+    characteristic of the manifold."""
     if chi_g.group != group:
         raise RejectedInputError("Euler characteristic is over the wrong group")
     total = BurnsideElement.zero(group)
-    for local_element, _subgroup in orbit_indices:
+    for local_element in local_indices:
         total = total + induction(local_element, group)
     return total == chi_g
 

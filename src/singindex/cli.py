@@ -75,7 +75,7 @@ def _load_document(args):
             data = json.load(handle)
     except OSError as err:
         raise SystemExit(f"cannot read job file: {err}")
-    except ValueError as err:  # JSONDecodeError, or an integer too long to read
+    except (ValueError, RecursionError) as err:  # bad JSON, too long an integer, too deep a nesting
         raise SystemExit(f"job file is not valid JSON: {err}")
 
     if isinstance(data, dict) and "payload" in data:

@@ -512,7 +512,7 @@ def _exact_quotient(p, q, budget):
 
 def _local_dual(ideal, degree_cap):
     """The certified dual basis of the ideal (see ``singindex.dual``), or
-    INFINITE.  The steps, in order:
+    INFINITE.  A degree_cap below 1 is refused.  The steps, in order:
 
     1. unit: a generator with a non-zero constant term makes the ideal
        the unit ideal, whose dual basis is empty;
@@ -530,6 +530,8 @@ def _local_dual(ideal, degree_cap):
     7. route: a finite staircase, or a completion that does not finish,
        goes to the integration route, which raises DegreeCapError when
        the local dual still grows at the degree cap."""
+    if degree_cap < 1:
+        raise RejectedInputError("degree_cap must be a positive integer")
     gens = ideal.generators
     if any(g.constant_term() for g in gens):
         return DualBasis([], {})

@@ -1090,12 +1090,12 @@ def _run_burnside(report, job, run_oracle):
         report.put("r0", br.r0(_element(group, job.a)), "coefficient-sum")
         return
     if op == "ph-check":
-        orbit_indices = []
+        local_indices = []
         for generators, index in job.orbit_indices:
             h_group = br.subgroup_as_group(group, group.subgroup_generated_by(generators))
-            orbit_indices.append((_element(h_group, index), h_group))
+            local_indices.append(_element(h_group, index))
         chi = _element(group, job.chi)
-        holds = br.equivariant_ph_check(group, orbit_indices, chi)
+        holds = br.equivariant_ph_check(group, local_indices, chi)
         report.put("holds", holds, "equivariant-poincare-hopf")
         return
     if op == "mul":

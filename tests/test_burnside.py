@@ -365,8 +365,8 @@ def test_induction_examples():
 
 
 def test_restriction_induction_double_cosets():
-    # restriction of an induced element decomposes along double cosets;
-    # check against the explicit orbit oracle
+    # restriction of an induced element, read off the marks, against the
+    # H-orbits of each G/K counted on explicit cosets
     pairs = []
     four = z4()
     half = next(c for c in four.classes() if c.order == 2).representative
@@ -385,6 +385,35 @@ def test_restriction_induction_double_cosets():
                 total = total + BurnsideElement(h_group, piece.coefficients).scale(coeff)
             engine = restriction(induced, sub)
             assert total.coefficients == engine.coefficients
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_restriction_matches_the_orbit_oracle(seed):
+    # a subgroup's class in H and in G carry different indices unless H
+    # is 1 or G, so the proper subgroups check that res(a) reads the mark
+    # of a at each subgroup's class in G
+    group = random_group(seed)
+    rng = random.Random(seed)
+    subgroups = group.subgroups()
+    n = len(group.classes())
+    for sub in [subgroups[0], subgroups[-1]] + rng.sample(subgroups, min(4, len(subgroups))):
+        h_group = subgroup_as_group(group, sub)
+        a = BurnsideElement(group, {k: rng.randint(-3, 3) for k in rng.sample(range(n), min(n, 3))})
+        total = BurnsideElement.zero(h_group)
+        for k, coeff in a.coefficients.items():
+            piece, _ = restriction_by_orbits(group, k, sub)
+            total = total + BurnsideElement(h_group, piece.coefficients).scale(coeff)
+        assert restriction(a, sub) == total
+
+
+def test_restricting_zero_needs_no_lattice_of_the_group():
+    # C2^6 is past MAX_SUBGROUPS, but zero restricts to zero over H
+    group = c2_6()
+    half_turn = group.subgroup_generated_by([group.generators[0]])
+    value = restriction(BurnsideElement.zero(group), half_turn)
+    assert value == BurnsideElement.zero(subgroup_as_group(group, half_turn))
+    with pytest.raises(RejectedInputError):
+        restriction(BurnsideElement.zero(group), frozenset([group.generators[0]]))
 
 
 def test_r0_examples():
@@ -456,18 +485,17 @@ def test_equivariant_ph_check_sphere():
     chi = equivariant_euler(group, [(fixed, 2), (0, 0)])
     whole = subgroup_as_group(group, group.element_set())
     pole = BurnsideElement.unit(whole)
-    assert equivariant_ph_check(group, [(pole, whole), (pole, whole)], chi)
-    assert not equivariant_ph_check(group, [(pole, whole)], chi)
+    assert equivariant_ph_check(group, [pole, pole], chi)
+    assert not equivariant_ph_check(group, [pole], chi)
 
 
 def test_equivariant_ph_check_trivial_group():
     trivial = PermutationGroup(1, [[0]])
     chi = BurnsideElement(trivial, {0: 2})
     point = BurnsideElement(trivial, {0: 1})
-    sub = subgroup_as_group(trivial, trivial.element_set())
-    assert equivariant_ph_check(trivial, [(point, sub), (point, sub)], chi)
+    assert equivariant_ph_check(trivial, [point, point], chi)
     perturbed = BurnsideElement(trivial, {0: 3})
-    assert not equivariant_ph_check(trivial, [(point, sub), (point, sub)], perturbed)
+    assert not equivariant_ph_check(trivial, [point, point], perturbed)
 
 
 def test_equivariant_gsv_from_radial():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from singindex.errors import DegreeCapError, InternalCheckError, NotIsolatedError
+from singindex.errors import DegreeCapError, InternalCheckError, NotIsolatedError, RejectedInputError
 from singindex import dual, grobner
 from singindex.grobner import (
     INFINITE,
@@ -390,6 +390,15 @@ def test_degree_cap_aborts():
     # a basis computation cannot even express the inputs under a tiny cap
     with pytest.raises(DegreeCapError):
         standard_basis(Ideal([X**2 + Y**3, X * Y]), degree_cap=2)
+
+
+def test_a_degree_cap_below_1_is_refused():
+    # the route runs no order under such a cap, so it may not report one
+    for cap in (0, -1):
+        for ideal in (Ideal.from_strings(["x", "y"], CTX), Ideal.from_strings(["1 + x"], CTX)):
+            with pytest.raises(RejectedInputError, match="degree_cap must be a positive integer"):
+                colength(ideal, degree_cap=cap)
+    assert colength(Ideal.from_strings(["x", "y"], CTX), degree_cap=1) == 1
 
 
 def test_engine_matches_macaulay_oracle_small():

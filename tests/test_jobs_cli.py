@@ -542,6 +542,21 @@ def test_an_integer_too_long_to_read_is_invalid_json(tmp_path):
     assert str(err.value.code).startswith("job file is not valid JSON: ")
 
 
+@pytest.mark.parametrize("command", ["smooth-index", "validate"])
+def test_a_job_file_nested_past_the_recursion_limit_is_invalid_json(tmp_path, command):
+    job = tmp_path / "deep.json"
+    job.write_text("[" * 100_000 + "]" * 100_000)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "singindex.cli", command, str(job)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith(b"job file is not valid JSON: ")
+    assert b"Traceback" not in done.stderr, done.stderr
+
+
 def test_the_digit_limit_is_exact():
     limit = sys.get_int_max_str_digits()
     group = burnside.PermutationGroup(2, [[1, 0]])
