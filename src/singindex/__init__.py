@@ -44,11 +44,13 @@ from .smooth import (
     elk_index,
     invariant_dimension,
     invariant_signature,
+    invariant_values,
     palamodov_index,
     realify,
 )
 from .icis import (
     ICISGerm,
+    gsv_ideal,
     gsv_index_1form,
     gsv_index_collection,
     homological_index_1form,

@@ -542,6 +542,9 @@ def burnside_mul(a, b):
     """Product in the Burnside ring via the marks homomorphism: marks
     multiply componentwise and _back_solve returns the coefficients."""
     a._check_same_group(b)
+    if not a.coefficients or not b.coefficients:
+        # zero needs no lattice of G, which may be past MAX_SUBGROUPS
+        return BurnsideElement.zero(a.group)
     return _back_solve(a.group, [x * y for x, y in zip(a.marks(), b.marks())])
 
 
@@ -564,18 +567,12 @@ def subgroup_as_group(group, subgroup):
 
 
 def restriction(a, subgroup):
-    """Restrict a G-element to a subgroup H, as an element over H (its
-    own PermutationGroup).  A subgroup L of H fixes the same points of a
-    G-set read in H or in G, so res(a) has at L the mark of a at L's
-    class in G, and marks determine an element."""
+    """Restrict a G-element to a subgroup H, given by its elements, as an
+    element over H (its own PermutationGroup).  A subgroup L of H fixes
+    the same points of a G-set read in H or in G, so res(a) has at L the
+    mark of a at L's class in G, and marks determine an element."""
     group = a.group
-    h_group = (
-        subgroup
-        if isinstance(subgroup, PermutationGroup)
-        else subgroup_as_group(group, subgroup)
-    )
-    if not h_group.element_set() <= group.element_set():
-        raise RejectedInputError("not a subgroup of this group")
+    h_group = subgroup_as_group(group, subgroup)
     if not a.coefficients:
         # zero needs no lattice of G, which may be past MAX_SUBGROUPS
         return BurnsideElement.zero(h_group)
@@ -610,8 +607,10 @@ def equivariant_euler(group, strata):
     of subgroup elements."""
     out = BurnsideElement.zero(group)
     for isotropy, chi in strata:
-        idx = _isotropy_index(group, isotropy)
-        out = out + BurnsideElement(group, {idx: int(chi)})
+        if not isinstance(isotropy, int):
+            isotropy = group.class_of(group.subgroup_generated_by(isotropy))
+        # BurnsideElement refuses a class index the group does not have
+        out = out + BurnsideElement(group, {isotropy: int(chi)})
     return out
 
 
@@ -620,14 +619,6 @@ def equivariant_radial_index(group, orbit_records):
     records of localIndex times [G/isotropy]; the same sum as
     :func:`equivariant_euler` with the local indices as weights."""
     return equivariant_euler(group, orbit_records)
-
-
-def _isotropy_index(group, isotropy):
-    if isinstance(isotropy, int):
-        if not (0 <= isotropy < len(group.classes())):
-            raise RejectedInputError(f"no subgroup class with index {isotropy}")
-        return isotropy
-    return group.class_of(group.subgroup_generated_by(isotropy))
 
 
 def equivariant_ph_check(group, local_indices, chi_g):

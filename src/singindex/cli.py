@@ -96,11 +96,10 @@ def _load_document(args):
         document["op"] = op
     document.setdefault("op", "")
     options = document.setdefault("options", {})
-    if isinstance(options, dict):
-        for name, given, default in (("seed", args.seed, 0), ("degree_cap", args.degree_cap, DEFAULT_DEGREE_CAP)):
-            stated = options.setdefault(name, default if given is None else given)
-            if given is not None and stated != given:
-                raise SystemExit(f"job file says {name} {stated!r} but {given} was requested")
+    for name, given in (("seed", args.seed), ("degree_cap", args.degree_cap)):
+        # only a flag given is written: the job reader owns the defaults
+        if given is not None and isinstance(options, dict) and options.setdefault(name, given) != given:
+            raise SystemExit(f"job file says {name} {options[name]!r} but {given} was requested")
     return document
 
 

@@ -6,9 +6,10 @@ generated by the f_r together with the maximal minors of the matrix
 stacking the differentials df_1, ..., df_{N-n} and the coefficient row of
 w.  Collections of 1-forms work the same way group by group; a single
 form is the collection of partition (dim V) with one group.  A partition
-is non-empty, so a zero-dimensional germ carries no collection.  The
-radial index of a 1-form is its GSV index minus mu(V), and on a complete
-intersection its homological index equals its GSV index.
+is non-empty, so a zero-dimensional germ carries no collection;
+:func:`gsv_ideal` builds the ideal.  The radial index of a 1-form is its
+GSV index minus mu(V); on a complete intersection its homological index
+equals its GSV index.
 
 The Milnor number comes from the Le-Greuel formula (Le, Funct. Anal.
 Appl. 8, 1974; Greuel, Math. Ann. 214, 1975): if V is an ICIS of
@@ -109,12 +110,17 @@ def gsv_index_1form(germ, form, degree_cap=DEFAULT_DEGREE_CAP):
 
 
 def gsv_index_collection(germ, partition, groups, degree_cap=DEFAULT_DEGREE_CAP):
-    """GSV index of a collection of holomorphic 1-forms on the germ.
+    """GSV index of a collection of holomorphic 1-forms on the germ: the
+    colength of :func:`gsv_ideal`."""
+    return colength(gsv_ideal(germ, partition, groups), degree_cap)
 
-    partition (k_1, ..., k_s), non-empty, must sum to dim V; group i supplies
-    dim V - k_i + 1 forms.  Each group contributes the maximal minors of
-    the matrix stacking the equation differentials and its forms.
-    """
+
+def gsv_ideal(germ, partition, groups):
+    """The ideal of the equations and, for each group of holomorphic
+    1-forms, the maximal minors of the matrix stacking the equation
+    differentials and the group's forms: its colength is the GSV index.
+    partition (k_1, ..., k_s), non-empty, must sum to dim V; group i
+    supplies dim V - k_i + 1 forms."""
     partition = [int(k) for k in partition]
     if sum(partition) != germ.dim:
         raise RejectedInputError(
@@ -132,7 +138,7 @@ def gsv_index_collection(germ, partition, groups, degree_cap=DEFAULT_DEGREE_CAP)
                 f"group for partition entry {k} needs {germ.dim - k + 1} forms"
             )
         row_groups.append([list(f.coefficients) for f in forms])
-    return colength(_stacked_minors_ideal(germ, *row_groups), degree_cap)
+    return _stacked_minors_ideal(germ, *row_groups)
 
 
 def _as_form(germ, form):

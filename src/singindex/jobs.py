@@ -533,8 +533,9 @@ def _parse_icis(job, payload):
         job.form = job.polynomials(payload["form"], "$.payload.form", n)
     elif not _parse_form_groups(job, payload["collection"], n, dim):
         return
-    if "seed" in payload:
-        job.seed = job.integer(payload["seed"], "$.payload.seed", "seed must be an integer")
+    job.require(
+        "seed" not in payload, "$.payload.seed", "the seed is an option: give it as options.seed"
+    )
     job.want = payload.get("want", ["gsv"])
     if job.require(
         isinstance(job.want, list)
@@ -890,9 +891,7 @@ def _run_smooth(report, job, run_oracle):
         form = sm.elk_form(germ, cap)
         if action:
             with _refused_at("$.payload.action"):
-                # one invariance check and one set of group sums for both values
-                sums, dimension = sm._reynolds(form.algebra, action)
-                invariant = sm._invariant_signature(form, sums, dimension)
+                dimension, invariant = sm.invariant_values(form, action)
         report.put("index", form.signature(), "signature-of-residue-pairing")
         report.certificates["algebra_dimension"] = form.algebra.dimension
         report.certificates["algebra_basis"] = [
@@ -973,14 +972,13 @@ ICIS_RULES = {
 def _run_icis(report, job, run_oracle):
     germ = ic.ICISGerm(job.variables, job.equations)
     want, cap = set(job.want), job.cap
+    # a single form is the collection of partition (dim V) with one group
+    partition, groups = (job.partition, job.groups) if job.form is None else ([germ.dim], [[job.form]])
     # values and certificates reach the report only once every one is known
     certificates = {"isolated_singularity_colength": ic.isolatedness_certificate(germ, cap)}
     gsv = mu = None
     if want & {"gsv", "radial", "homological"}:
-        if job.form is not None:
-            gsv = ic.gsv_index_1form(germ, job.form, cap)
-        else:
-            gsv = ic.gsv_index_collection(germ, job.partition, job.groups, cap)
+        gsv = ic.gsv_index_collection(germ, partition, groups, cap)
         certificates["gsv_minors_colength"] = gsv
     if want & {"milnor", "radial"}:
         mu = ic.milnor_number(germ, job.seed, cap)
@@ -992,8 +990,7 @@ def _run_icis(report, job, run_oracle):
         report.put(name, values[name], ICIS_RULES[name])
     report.certificates.update(certificates)
     if run_oracle and "gsv" in want:
-        ideal = ic._stacked_minors_ideal(germ, *(job.groups or [[job.form]]))
-        report.oracle = _macaulay_oracle(list(ideal.generators), gsv)
+        report.oracle = _macaulay_oracle(list(ic.gsv_ideal(germ, partition, groups).generators), gsv)
 
 
 def _run_strat(report, job, run_oracle):

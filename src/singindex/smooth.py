@@ -21,7 +21,8 @@ from the group sums T_b = sum over g of b(g x) of the basis monomials b:
 the invariant dimension is 1/|G| times the sum of the coordinates of
 T_b at b, read off dual vector b, and the restricted pairing is
 [phi(T_a T_b)], filled from the support of phi's dual vector like the
-form's Gram matrix.
+form's Gram matrix.  The public entry point :func:`invariant_values`
+gives both from one set of sums.
 """
 
 from __future__ import annotations
@@ -390,7 +391,14 @@ def invariant_dimension(algebra, action):
 
 def invariant_signature(form, action):
     """Signature of the residue pairing restricted to the invariant part
-    of the algebra.
+    of the algebra (see :func:`invariant_values`)."""
+    return invariant_values(form, action)[1]
+
+
+def invariant_values(form, action):
+    """(invariant dimension, invariant signature) of the form's algebra
+    under the action, from one invariance check and one set of group
+    sums (:func:`_reynolds`).
 
     With the group sums T_b of the basis monomials, the matrix
     [phi(T_a T_b)] is |G|^2 [phi(R a * R b)], the Gram matrix of the
@@ -407,16 +415,10 @@ def invariant_signature(form, action):
     formed in ints from that vector's support (:func:`_pairing`);
     positive scales change no sign.
     """
-    return _invariant_signature(form, *_reynolds(form.algebra, action))
-
-
-def _invariant_signature(form, sums, dimension):
-    """invariant_signature from the group sums and the invariant
-    dimension, as :func:`_reynolds` gives them: the restricted Gram
-    matrix is :func:`_pairing` of the sums scaled to integers."""
+    sums, dimension = _reynolds(form.algebra, action)
     n = form.algebra.dimension
     if n == 0:
-        return 0
+        return dimension, 0
     ((star, sign),) = [(k, w) for k, w in enumerate(form.functional) if w]
     support = form.algebra.dual_vector(star)[0]
     # denominator * |G| times the averaged functional at each basis monomial
@@ -434,7 +436,7 @@ def _invariant_signature(form, sums, dimension):
     pos, neg, zero = symmetric_signature(_pairing(scaled, support, sign))
     if zero != n - dimension:
         raise InternalCheckError("pairing degenerated on the invariant subspace")
-    return pos - neg
+    return dimension, pos - neg
 
 
 # ---------------------------------------------------------------------------

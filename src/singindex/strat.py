@@ -83,14 +83,11 @@ class StratPoset:
         remaining = set(range(self.size))
         order = []
         while remaining:
-            ready = [
-                j for j in remaining if self._below[j] <= set(order)
-            ]
-            if not ready:
-                raise RejectedInputError("order relation has a cycle")
-            ready.sort(key=lambda j: self.labels[j])
-            order.append(ready[0])
-            remaining.discard(ready[0])
+            # __init__ refuses every cycle, so some stratum is ready
+            done = set(order)
+            ready = min((j for j in remaining if self._below[j] <= done), key=self.labels.__getitem__)
+            order.append(ready)
+            remaining.discard(ready)
         return order
 
 
@@ -163,14 +160,19 @@ def mobius_inverse(data):
     return result
 
 
+def _target(poset, target):
+    """The target stratum: the given one, else the unique top stratum."""
+    target = poset.top() if target is None else target
+    if target is None:
+        raise RejectedInputError("poset has no unique top stratum")
+    return target
+
+
 def radial_from_eu(data, eu, target=None):
     """Radial index of a 1-form on the closure of the target stratum as
     the n-weighted sum of Euler obstructions over the strata below it."""
     poset = data.poset
-    if target is None:
-        target = poset.top()
-        if target is None:
-            raise RejectedInputError("poset has no unique top stratum")
+    target = _target(poset, target)
     _require_tag(eu, "Eu", poset.size)
     return sum(
         data.value(i, target) * eu.values[i]
@@ -183,10 +185,7 @@ def eu_from_radial(data, rad, target=None):
     """Euler obstruction on the closure of the target stratum from the
     radial indices of the stratum closures, by Moebius inversion."""
     poset = data.poset
-    if target is None:
-        target = poset.top()
-        if target is None:
-            raise RejectedInputError("poset has no unique top stratum")
+    target = _target(poset, target)
     _require_tag(rad, "radial", poset.size)
     inverse = mobius_inverse(data)
     return sum(

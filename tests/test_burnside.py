@@ -20,6 +20,7 @@ from singindex.burnside import (
     subgroup_as_group,
 )
 from singindex.errors import RejectedInputError
+from singindex.jobs import run_job
 from singindex.oracles import (
     burnside_mul_by_orbits,
     marks_by_cosets,
@@ -414,6 +415,30 @@ def test_restricting_zero_needs_no_lattice_of_the_group():
     assert value == BurnsideElement.zero(subgroup_as_group(group, half_turn))
     with pytest.raises(RejectedInputError):
         restriction(BurnsideElement.zero(group), frozenset([group.generators[0]]))
+
+
+def test_multiplying_zero_needs_no_lattice_of_the_group():
+    # C2^6 is past MAX_SUBGROUPS, but a product with a zero factor is zero,
+    # in the library and through a job, as r0, restrict and induce of zero are
+    group = c2_6()
+    zero = BurnsideElement.zero(group)
+    assert burnside_mul(zero, zero) == zero
+    assert group._subgroup_cache is None
+    payload = {
+        "group": {"degree": 12, "generators": [[x + 1 for x in g] for g in group.generators]},
+        "a": {},
+        "b": {},
+    }
+    report, code = run_job({"command": "burnside", "op": "mul", "payload": payload})
+    assert code == 0
+    assert (report.values["product"], report.values["pretty"]) == (zero, "0")
+
+
+def test_an_isotropy_class_index_the_group_lacks_is_refused_in_record_order():
+    group = z2()
+    for records, index in (([(0, 1), (2, 1), (-1, 1)], 2), ([(-1, 0), (2, 1)], -1)):
+        with pytest.raises(RejectedInputError, match=f"^no subgroup class with index {index}$"):
+            equivariant_euler(group, records)
 
 
 def test_r0_examples():

@@ -533,6 +533,28 @@ def test_a_flag_not_given_leaves_the_job_files_value(tmp_path, capsys, flag, nam
     assert json.loads(capsys.readouterr().out)["values"]["diagnostics"][0]["path"] == "$.options"
 
 
+SEEDED_ICIS = {"variables": ["x", "y", "z"], "equations": ["x^2 + y^2 + z^3"], "form": ["0", "0", "1"], "seed": 5}
+PAYLOAD_SEED = [{"path": "$.payload.seed", "message": "the seed is an option: give it as options.seed"}]
+
+
+@pytest.mark.parametrize("flags, options", [(["--seed", "7"], {}), ([], {"seed": 5}), (["--seed", "5"], {"seed": 5}), ([], {})])
+def test_a_seed_in_the_payload_is_refused_at_its_path(tmp_path, capsys, flags, options):
+    # options.seed is the one seed: a payload seed is refused whatever
+    # the file's options and the --seed flag say
+    job = tmp_path / "icis.json"
+    job.write_text(json.dumps({"command": "icis", "payload": SEEDED_ICIS, "options": options}))
+    assert main(["icis", str(job), "--format", "json", *flags]) == 2
+    assert json.loads(capsys.readouterr().out)["values"]["diagnostics"] == PAYLOAD_SEED
+    assert main(["validate", str(job)]) == 2
+    assert capsys.readouterr().out == f"$.payload.seed: {PAYLOAD_SEED[0]['message']}\n"
+    document = doc("icis", SEEDED_ICIS, options=options)
+    assert run_job(document) == (Report("icis", "", "rejected", {"diagnostics": PAYLOAD_SEED}), 2)
+    # without it the same document runs, with the seed of its options
+    payload = {k: v for k, v in SEEDED_ICIS.items() if k != "seed"}
+    report, code = run_job(doc("icis", payload, options=options))
+    assert code == 0 and report.options["seed"] == options.get("seed", 0)
+
+
 def test_an_integer_too_long_to_read_is_invalid_json(tmp_path):
     job = tmp_path / "long.json"
     digits = "7" * (sys.get_int_max_str_digits() + 700)

@@ -524,7 +524,7 @@ def test_the_sparse_pairing_gives_the_dense_gram_matrices_on_both_routes(
         sums, dimension = smooth._reynolds(algebra, action)
         scale = lcm(*(c.denominator for total in sums for c in total.terms.values()))
         restricted.clear()
-        assert smooth._invariant_signature(form, sums, dimension) == expected[1]
+        assert smooth.invariant_values(form, action) == (dimension, expected[1]) == expected
         assert restricted == [_dense_pairing(algebra, [t * scale for t in sums], *args)]
         assert all(type(v) is int for row in restricted[0] for v in row)
     if components == ["x^5 + y^6", "y^5 + x^6"]:

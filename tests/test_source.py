@@ -146,6 +146,34 @@ def test_no_unreferenced_private_functions():
     assert unused == []
 
 
+def test_jobs_reads_other_modules_through_their_public_names_only():
+    # the job layer runs what a library user can call; a private helper
+    # it reached into would be a second way to the same value
+    tree = _tree("jobs.py")
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and not node.module
+        for alias in node.names
+    }
+    private = [
+        f"{node.lineno} {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and _private(node.attr)
+    ] + [
+        f"{node.lineno} {node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if _private(alias.name)
+    ]
+    assert modules >= {"br", "ic", "oracles", "sm", "st"}
+    assert private == []
+
+
 def test_every_refusal_raised_in_jobs_names_its_json_path():
     # run_job reports a refusal with `field` as a diagnostic at that path
     bare = [

@@ -203,6 +203,17 @@ def test_proportionality():
     assert not proportionality_check(2, 3, 5)
 
 
+def test_both_conversions_refuse_a_poset_without_a_unique_top():
+    data = SliceData(StratPoset(["a", "b", "c"], [(0, 1), (0, 2)]), {(0, 1): 2})
+    with pytest.raises(RejectedInputError, match="^poset has no unique top stratum$"):
+        radial_from_eu(data, IndexVector([1, 1, 1], "Eu"))
+    with pytest.raises(RejectedInputError, match="^poset has no unique top stratum$"):
+        eu_from_radial(data, IndexVector([1, 1, 1], "radial"))
+    # a given target needs no top
+    assert radial_from_eu(data, IndexVector([1, 1, 1], "Eu"), 1) == 3
+    assert eu_from_radial(data, IndexVector([1, 1, 1], "radial"), 1) == -1
+
+
 def test_linear_extension_deterministic():
     poset = StratPoset(["beta", "alpha", "gamma"], [(1, 0), (0, 2)])
     assert poset.linear_extension() == [1, 0, 2]
