@@ -38,6 +38,94 @@ def test_report_writes_infinite_as_a_string():
     assert data["flags"] == ["NONSINGULAR"]
 
 
+class _Dict(dict):
+    pass
+
+
+def _stdlib_json(report):
+    """The stdlib's text of the report: what to_json must give, byte for byte."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+def _raised(write):
+    try:
+        write()
+    except Exception as err:
+        return type(err)
+    return None
+
+
+def test_to_json_writes_the_bytes_of_the_stdlib_encoder(monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    s4 = burnside.PermutationGroup(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
+    reports = [
+        Report(command="strat"),
+        Report(
+            command="burnside",
+            op="mul",
+            values={"empty": {}, "none": [], "nest": {"a": [[], {}, [[]]], "b": {"c": {}}}},
+            certificates={"marks": [[1], [2, 1], []]},
+            oracle={"empty": {}},
+        ),
+        Report(
+            command="strat",
+            values={
+                "text": ["é ü ∞ 😀", '"quoted"', "back\\slash", "\x00\x01\n\t\x1f\x7f", "", "/"],
+                "keys": {"ключ": 1, '"': 2, "\\": 3, "\n": 4, "": 5, "😀": 6},
+            },
+            flags=["NONSINGULAR", "é"],
+            rules={"text": "r\u00e9gle"},
+        ),
+        Report(
+            command="icis",
+            values={
+                "leaves": [True, False, None, 0, -1, -(10**30), 1.5, float("nan")],
+                "near": [10**limit - 1, -(10**limit - 1), 2**64],
+            },
+            options={"seed": 0, "degree_cap": 40, "on": True, "off": None},
+        ),
+        Report(
+            command="burnside",
+            values={
+                "tuple": (1, (2, 3), (), [()]),
+                "infinite": [INFINITE, {"x": INFINITE}],
+                "fractions": [Fraction(-1, 2), Fraction(6, 3), Fraction(0)],
+                "element": burnside.BurnsideElement(s4, {2: 1, 10: -3, 0: 7}),
+                "zero": burnside.BurnsideElement.zero(s4),
+            },
+            certificates={3: "int key", "a": (Fraction(1, 3),)},
+        ),
+        Report(
+            command="smooth-index",
+            values=_Dict(b=1, a=[_Dict(), _Dict(z=_Dict(y=2))]),
+            options={1: "one", -2: "minus two", 2.5: "float key"},
+        ),
+    ]
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import make_stream
+
+    for workload in ("elk-signature", "local-colength", "burnside-lattice", "small-jobs"):
+        for rnd in make_stream(workload, 1, 2):
+            reports += [run_job(job.doc)[0] for job in rnd]
+    for report in reports:
+        assert report.to_json() == _stdlib_json(report), report
+    assert len(reports) > 100
+
+    # too long an integer, set past put's check, and values the stdlib
+    # cannot write raise the same exception on both paths
+    for values, options in (
+        ({"big": 10**limit}, {}),
+        ({"big": [-(10**limit)]}, {}),
+        ({"object": object()}, {}),
+        ({}, {"set": {1, 2}}),
+        ({}, {(1, 2): "tuple key"}),
+        ({}, {1: "int key", "a": "str key"}),
+    ):
+        report = Report(command="strat", values=values, options=options)
+        ours, theirs = _raised(report.to_json), _raised(lambda: _stdlib_json(report))
+        assert ours is theirs and ours in (TypeError, ValueError), (values, options)
+
+
 def test_validate_missing_variables():
     diagnostics = validate(doc("smooth-index", {"kind": "vector_field", "data": ["x"]}))
     assert any(d["path"] == "$.payload.variables" for d in diagnostics)
