@@ -128,8 +128,9 @@ class PermutationGroup:
     wire format where permutations act on {1..d}.
     """
 
-    # computed on first use, once per group
-    _table = _lattice = _subgroup_cache = _class_cache = _marks_cache = None
+    # computed on first use, once per group; _lattice is (classes,
+    # lookup, masks), all three built by subgroups()
+    _table = _lattice = _subgroup_cache = _marks_cache = None
     # the generators' images from _closure, read once by _indexed
     _images = None
 
@@ -156,10 +157,9 @@ class PermutationGroup:
     def from_elements(cls, degree, elements):
         g = cls.__new__(cls)
         g.degree = degree
-        g.generators = sorted(elements)
-        g.elements = sorted(elements)
+        g.generators = g.elements = sorted(elements)
         g.identity = tuple(range(degree))
-        if g.identity not in set(elements):
+        if g.identity not in g.elements:
             raise RejectedInputError("element set does not contain the identity")
         return g
 
@@ -200,10 +200,6 @@ class PermutationGroup:
             self._table = (index, rows, gens)
             self._images = None
         return self._table
-
-    def is_subgroup(self, subset):
-        subset = frozenset(subset)
-        return subset <= self.element_set() and self.subgroup_generated_by(subset) == subset
 
     # -- subgroup machinery
 
@@ -258,7 +254,9 @@ class PermutationGroup:
         It runs on element indices (see _indexed): cyclic generators from
         power chains, <H, c> closed by _dimino from the elements of H,
         subgroups as bitmasks, members listed by order for the prime-index
-        rule, one conjugation map per non-central generator.
+        rule, one conjugation map per non-central generator.  The same
+        pass records the classes, each subgroup's class index and the
+        bitmasks that table_of_marks reads, as _lattice.
 
         Representatives are extended breadth first, small subgroups with
         cheap closures before large ones, so a group with more than
@@ -325,25 +323,24 @@ class PermutationGroup:
                 todo.append((bigger, big, extended + [c]))
         key = {m: (len(e), sorted(e)) for m, e in members.items()}
         as_set = {m: frozenset(map(self.elements.__getitem__, e)) for m, e in members.items()}
-        classes = [(min(orbit, key=key.get), orbit) for orbit in orbits]
-        self._lattice = (sorted(classes, key=lambda c: key[c[0]]), as_set)
+        masks = sorted(((min(orbit, key=key.get), orbit) for orbit in orbits), key=lambda c: key[c[0]])
+        classes = [
+            SubgroupClass(i, as_set[rep], len(as_set[rep]), frozenset(map(as_set.get, orbit)))
+            for i, (rep, orbit) in enumerate(masks)
+        ]
+        lookup = {as_set[k]: i for i, (_, orbit) in enumerate(masks) for k in orbit}
+        self._lattice = (classes, lookup, masks)
         self._subgroup_cache = [as_set[m] for m in sorted(members, key=key.get)]
         return self._subgroup_cache
 
     def subgroup_classes(self):
-        """Conjugacy classes of subgroups, sorted by ascending order with
-        ties broken by the canonical (minimal) sorted element list."""
-        if self._class_cache is not None:
-            return self._class_cache
-        self.subgroups()
-        classes, as_set = self._lattice
-        result = [
-            SubgroupClass(i, as_set[rep], len(as_set[rep]), frozenset(map(as_set.get, orbit)))
-            for i, (rep, orbit) in enumerate(classes)
-        ]
-        lookup = {member: c.index for c in result for member in c.members}
-        self._class_cache = (result, lookup)
-        return self._class_cache
+        """(classes, lookup): the conjugacy classes of subgroups, sorted by
+        ascending order with ties broken by the canonical (minimal) sorted
+        element list, and each subgroup's class index, as subgroups()
+        found them."""
+        if self._lattice is None:
+            self.subgroups()
+        return self._lattice[:2]
 
     def classes(self):
         return self.subgroup_classes()[0]
@@ -370,7 +367,7 @@ class PermutationGroup:
         if self._marks_cache is not None:
             return self._marks_cache
         classes = self.classes()
-        masks = self._lattice[0]
+        masks = self._lattice[2]
         n = len(classes)
         weights = []
         for row_class in classes:
@@ -561,7 +558,8 @@ def r0(a):
 def subgroup_as_group(group, subgroup):
     """The subgroup as a PermutationGroup of the same degree."""
     subgroup = frozenset(subgroup)
-    if not group.is_subgroup(subgroup):
+    # subgroup_generated_by refuses an element outside the group itself
+    if group.subgroup_generated_by(subgroup) != subgroup:
         raise RejectedInputError("not a subgroup of this group")
     return PermutationGroup.from_elements(group.degree, subgroup)
 

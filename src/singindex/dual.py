@@ -109,11 +109,11 @@ m^(D0+1) inside the localized ideal and dim(D0) is the colength
 
 An unlucky prime or a wrong reconstruction can only make the check
 fail.  Then the next prime is tried; past the last one, which
-reconstructs entries of up to 5606 bits, the probe returns None.  The
-caller then tries the common-factor witness first, then Mora's standard
-basis, before it integrates.  Nothing here decides INFINITE.  This
-route shares no code with ``oracles.macaulay_colength``, which
-recomputes the same dimensions over the rationals for the tests.
+reconstructs entries of up to 5606 bits, the probe returns None, and
+``grobner._local_dual`` goes on with its next step.  Nothing here
+decides INFINITE.  This route shares no code with
+``oracles.macaulay_colength``, which recomputes the same dimensions
+over the rationals for the tests.
 """
 
 from __future__ import annotations

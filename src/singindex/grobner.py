@@ -22,26 +22,14 @@ Nakayama makes mu the colength.  The same dual basis gives the
 coordinates of every class in the local algebra.
 
 INFINITE needs a proof that the zero set holds a curve through the
-origin.  The dispatch (:func:`_local_dual`) runs in this order: unit,
-Krull, axis, probe, common factor, Mora, route.  A generator with a
-constant term makes the ideal the unit ideal.  Fewer generators than
-variables give INFINITE by Krull's height theorem.  A coordinate axis
-on which every generator vanishes (no generator has a term that is a
-pure power of its variable) gives INFINITE before the probe.  Where the
-probe certifies nothing (germs that are not isolated, and germs past
-its size bound), a common factor f, proposed by a primitive PRS gcd and
-certified by the exact products f * q_i = g_i with f not constant,
-f(0) = 0 and two or more variables, gives INFINITE, since O/I maps onto
-O/(f).  Then Mora's standard basis decides whether the colength is
-infinite, in one completion bounded by the degree cap and by
-``MORA_WORK`` reduced terms.  Every finite colength and every algebra
-comes from a certified dual basis, past the probe's bound from the
-integration route of ``singindex.dual``.
+origin.  :func:`_local_dual` lists, in order, the steps that answer the
+unit ideal, INFINITE or a certified dual basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from .dual import DualBasis, dual_basis, integrated_dual_basis
@@ -308,18 +296,11 @@ def staircase_monomials(sb):
     bounds = [_pure_power_bound(lead, i) for i in range(n)]
     if any(b is None for b in bounds):
         return INFINITE
-    out = []
-
-    def walk(prefix, i):
-        if i == n:
-            mono = tuple(prefix)
-            if not any(monomial_divides(lt, mono) for lt in lead):
-                out.append(mono)
-            return
-        for e in range(bounds[i]):
-            walk(prefix + [e], i + 1)
-
-    walk([], 0)
+    out = [
+        mono
+        for mono in product(*map(range, bounds))
+        if not any(monomial_divides(lt, mono) for lt in lead)
+    ]
     out.sort(key=GLOBAL_ORDER.key)
     return out
 
@@ -525,8 +506,10 @@ def _local_dual(ideal, degree_cap):
     4. probe: ``dual.dual_basis`` answers when it certifies a basis;
     5. common factor: a non-constant f with f(0) = 0 that divides every
        generator, checked by multiplication (:func:`_common_factor`),
-       gives INFINITE in two or more variables;
-    6. Mora: a standard basis with an infinite staircase gives INFINITE;
+       gives INFINITE in two or more variables, since O/I maps onto O/(f);
+    6. Mora: a standard basis with an infinite staircase, from one
+       completion bounded by the degree cap and by ``MORA_WORK`` reduced
+       terms, gives INFINITE;
     7. route: a finite staircase, or a completion that does not finish,
        goes to the integration route, which raises DegreeCapError when
        the local dual still grows at the degree cap."""
@@ -552,25 +535,9 @@ def _local_dual(ideal, degree_cap):
 
 def colength(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """dim of the local quotient by the ideal, as a rational vector space;
-    INFINITE when the ideal is not zero-dimensional.
-
-    A generator with a non-zero constant term gives 0.  Otherwise
-    INFINITE comes from Krull's height theorem (fewer generators than
-    variables), or from a coordinate axis on which every generator
-    vanishes: no generator has a term that is a pure power x_i^k.  Then
-    ``dual.dual_basis`` answers: the mu vectors, mu proposed by a
-    modular rank, of an exact rational dual basis of the Macaulay matrix
-    at the first plateau D0.  The certificate proves
-    dim_Q(D0) >= mu >= dim_Q(D0+1) for the quotients by I + m^(D+1);
-    they never shrink as D grows, so both equal mu, and by Nakayama mu
-    is the colength.  When that probe certifies nothing, a common factor
-    f of the generators gives INFINITE, certified by the exact products
-    f * q_i = g_i with f not constant, f(0) = 0 and two or more
-    variables; failing that, Mora's standard basis alone returns
-    INFINITE.  Every finite colength is the size of a dual basis that
-    the probe or ``dual.integrated_dual_basis`` certifies; the route
-    raises DegreeCapError when the local dual still grows at the degree
-    cap.
+    INFINITE when the ideal is not zero-dimensional.  The steps that
+    decide it are those of :func:`_local_dual`: the unit ideal gives 0,
+    and every finite colength is the size of a certified dual basis.
     """
     dual = _local_dual(ideal, degree_cap)
     return INFINITE if dual is INFINITE else len(dual.vectors)
@@ -644,11 +611,10 @@ def quotient_algebra(ideal, degree_cap=DEFAULT_DEGREE_CAP):
     """Quotient algebra with a certified monomial basis and exact
     multiplication.
 
-    The dual basis is that of :func:`colength`: the probe's, or past its
-    bound the integration route's, after neither witness held and Mora's
-    standard basis found the staircase finite or did not finish.  Its certificate proves the
-    dimension and makes every coordinate exact.  NotIsolatedError when
-    the colength is infinite; the unit ideal gives the zero algebra.
+    The dual basis is that of :func:`colength`, from the steps of
+    :func:`_local_dual`.  Its certificate proves the dimension and makes
+    every coordinate exact.  NotIsolatedError when the colength is
+    infinite; the unit ideal gives the zero algebra.
     """
     dual = _local_dual(ideal, degree_cap)
     if dual is INFINITE:

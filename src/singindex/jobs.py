@@ -212,8 +212,6 @@ def _check_digits(*values):
 
 
 def _pretty(value):
-    if value is INFINITE:
-        return "INFINITE"
     if isinstance(value, dict):
         return json.dumps(_encode(value), sort_keys=True)
     if isinstance(value, (list, tuple)):

@@ -410,20 +410,11 @@ class Polynomial:
             else:
                 subs.append(Polynomial.variable(target, name))
         terms = {}
-        power_cache = [{0: Polynomial.one(target)} for _ in subs]
         for m, c in self.terms.items():
             prod = Polynomial.constant(target, c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                cache = power_cache[i]
-                if e not in cache:
-                    best = max(k for k in cache if k <= e)
-                    p = cache[best]
-                    for k in range(best + 1, e + 1):
-                        p = p * subs[i]
-                        cache[k] = p
-                prod = prod * cache[e]
+            for p, e in zip(subs, m):
+                if e:
+                    prod = prod * p**e
             _accumulate(terms, prod.terms)
         return Polynomial._make(target, terms)
 

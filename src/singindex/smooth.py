@@ -121,10 +121,7 @@ class SectionCollection:
         for k, mat in zip(self.partition, self.matrices):
             size = self.rank - k + 1
             gens.extend(minors(mat, size))
-        nonzero = [g for g in gens if not g.is_zero]
-        if not nonzero:
-            nonzero = [Polynomial.zero(self.variables)]
-        return Ideal(nonzero)
+        return Ideal(gens)
 
 
 # ---------------------------------------------------------------------------

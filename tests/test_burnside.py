@@ -20,13 +20,16 @@ from singindex.burnside import (
     subgroup_as_group,
 )
 from singindex.errors import RejectedInputError
+from singindex.grobner import Ideal
 from singindex.jobs import run_job
+from singindex.linalg import symmetric_signature
 from singindex.oracles import (
     burnside_mul_by_orbits,
     marks_by_cosets,
     restriction_by_orbits,
     subgroups_by_closure,
 )
+from singindex.poly import Polynomial
 
 
 def z2():
@@ -343,6 +346,93 @@ def test_restriction_rejects_non_subgroup():
         restriction(
             BurnsideElement.basis(group, 0), frozenset([(1, 0, 2), (0, 1, 2), (1, 2, 0)])
         )
+
+
+def test_subgroup_as_group_refuses_what_is_no_subgroup(monkeypatch):
+    # a transposition and a 3-cycle generate all of S3
+    not_closed = [(0, 1, 2), (1, 0, 2), (1, 2, 0)]
+    with pytest.raises(RejectedInputError) as err:
+        subgroup_as_group(s3(), not_closed)
+    assert str(err.value) == "not a subgroup of this group"
+    # <(0 1)> is a subgroup of S3 but not of C3, and it is refused before
+    # any closure is taken
+    c3 = PermutationGroup(3, [[1, 2, 0]])
+    closures = []
+    real_dimino = burnside._dimino
+    monkeypatch.setattr(burnside, "_dimino", lambda *args: closures.append(args) or real_dimino(*args))
+    with pytest.raises(RejectedInputError) as err:
+        subgroup_as_group(c3, [(0, 1, 2), (1, 0, 2)])
+    assert str(err.value) == "not a subgroup of this group"
+    assert closures == []
+
+
+@pytest.mark.parametrize("make", [s3, d4, a4])
+def test_subgroup_as_group_accepts_the_trivial_group_and_the_whole_group(make):
+    group = make()
+    assert subgroup_as_group(group, [group.identity]).elements == [group.identity]
+    assert subgroup_as_group(group, group.element_set()) == group
+
+
+def _lattice_record(group):
+    classes, lookup = group.subgroup_classes()
+    described = [(c.index, c.representative, c.order, c.members) for c in classes]
+    return described, lookup, group.table_of_marks(), group.subgroups()
+
+
+@pytest.mark.parametrize("make", [s3, d4, a4, s4, c2_4])
+def test_the_lattice_is_the_same_whichever_view_comes_first(make):
+    usual = make()
+    usual.subgroups()
+    expected = _lattice_record(usual)
+    for first in ("table_of_marks", "subgroup_classes"):
+        group = make()
+        getattr(group, first)()
+        assert _lattice_record(group) == expected
+
+
+def _two_groups_added():
+    return BurnsideElement.basis(z2(), 0) + BurnsideElement.basis(z4(), 0)
+
+
+def _induced_past_the_target():
+    # <(0 1)> is not a subgroup of C3
+    source = PermutationGroup(3, [[1, 0, 2]])
+    return induction(BurnsideElement.basis(source, 0), PermutationGroup(3, [[1, 2, 0]]))
+
+
+def _ideal_over_two_contexts():
+    return Ideal([Polynomial.variable(("x", "y"), "x"), Polynomial.variable(("x", "z"), "x")])
+
+
+REFUSALS = {
+    "burnside-sum-over-two-groups": (_two_groups_added, "Burnside elements over different groups"),
+    "induction-into-a-non-overgroup": (
+        _induced_past_the_target,
+        "element is not over a subgroup of the target group",
+    ),
+    "ph-check-chi-over-another-group": (
+        lambda: equivariant_ph_check(s3(), [], BurnsideElement.unit(z2())),
+        "Euler characteristic is over the wrong group",
+    ),
+    "from-elements-without-identity": (
+        lambda: PermutationGroup.from_elements(2, {(1, 0)}),
+        "element set does not contain the identity",
+    ),
+    "signature-non-square": (lambda: symmetric_signature([[1, 2]]), "signature needs a square matrix"),
+    "signature-non-symmetric": (
+        lambda: symmetric_signature([[0, 1], [2, 0]]),
+        "signature needs a symmetric matrix",
+    ),
+    "ideal-over-two-contexts": (_ideal_over_two_contexts, "ideal generators must share one context"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_library_refusals_keep_their_text(case):
+    call, text = REFUSALS[case]
+    with pytest.raises(RejectedInputError) as err:
+        call()
+    assert str(err.value) == text
 
 
 def test_induction_examples():

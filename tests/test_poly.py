@@ -332,6 +332,27 @@ def test_substitute_matches_term_by_term_composition():
         ]
 
 
+def test_substitute_agrees_with_evaluation_at_rational_points():
+    # evaluate shares no code with substitute: f(g(p)) read at p must be
+    # the value of f.substitute(g) at p
+    ctx = ("x", "y", "z")
+    f = parse_polynomial("x^7 - 3*x^5*y + 2/3*x^4*z^2 + x^3 - 5*x^2*y^3 + x*z - 7", ctx)
+    images = {
+        "x": parse_polynomial("1/2*x + y^2 - 3*z", ctx),
+        "y": parse_polynomial("x*y - 2/5", ctx),
+    }  # z is left unmapped
+    composed = f.substitute(images)
+    points = [
+        (0, 0, 0),
+        (1, -1, 2),
+        (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 4)),
+        (Fraction(-3, 2), 2, Fraction(1, 9)),
+    ]
+    for point in points:
+        inner = [images[v].evaluate(point) if v in images else c for v, c in zip(ctx, point)]
+        assert composed.evaluate(point) == f.evaluate(inner)
+
+
 # ---------------------------------------------------------------------------
 # reference: the parser that built every atom as a Polynomial and every
 # '*' and '+' by Polynomial arithmetic, kept verbatim; parse_polynomial
